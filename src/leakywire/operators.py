@@ -41,7 +41,6 @@ Euler-Mascheroni constant).
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -154,13 +153,17 @@ def b_kernel(curve: Curve, s, sp, kappa):
     return out
 
 
-def _kernel_from_distances(rho, sigma, kappa):
-    coincident = (rho < 1e-12) & (sigma > 1e-9)
-    if np.any(coincident):
-        idx = np.argwhere(coincident)[0]
+def _check_chord_arc(coincident_pairs: np.ndarray) -> None:
+    """Raise on the first of the (i, j) index pairs whose parameters are
+    distinct but whose points coincide."""
+    if len(coincident_pairs):
         raise SingularGeometryError(
-            f"distinct parameters map to the same point (pair index {tuple(idx)}); "
-            "the curve violates the chord-arc condition")
+            f"distinct parameters map to the same point (pair index "
+            f"{tuple(coincident_pairs[0])}); the curve violates the chord-arc condition")
+
+
+def _kernel_from_distances(rho, sigma, kappa):
+    _check_chord_arc(np.argwhere((rho < 1e-12) & (sigma > 1e-9)))
     off = sigma > 0
     out = np.zeros_like(sigma)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -183,10 +186,19 @@ def assemble_T(grid: GridSpec, kappa: float) -> DiscretizedOperator:
     The constant vector is an exact eigenvector with eigenvalue
     m_kappa(0) = s_kappa.
     """
-    row = _t_first_row(grid, kappa)
-    idx = np.arange(grid.N)
-    matrix = row[(idx[:, None] - idx[None, :]) % grid.N]
+    matrix = _symmetric_toeplitz(_t_first_row(grid, kappa)).copy()
     return DiscretizedOperator(grid=grid, kappa=float(kappa), matrix=matrix, kind="T")
+
+
+def _symmetric_toeplitz(row: np.ndarray) -> np.ndarray:
+    """Read-only N x N view with entry (i, j) = row[|i - j|]; no N^2 copy.
+
+    For the circulant first row of T (row[d] == row[N - d] exactly) this is
+    the circulant row[(i - j) % N] itself.
+    """
+    n = row.size
+    both_ways = np.concatenate((row[:0:-1], row))   # row[|k - (n - 1)|], k < 2n - 1
+    return np.lib.stride_tricks.sliding_window_view(both_ways, n)[::-1]
 
 
 def _t_first_row(grid: GridSpec, kappa: float) -> np.ndarray:
@@ -234,28 +246,17 @@ def schur_holmgren_norm(op: DiscretizedOperator) -> float:
     return float(np.max(np.sum(op.matrix, axis=1)))
 
 
-def dump_matrix(op: DiscretizedOperator, path) -> None:
-    """Binary dump: 8-byte little-endian N header + row-major float64 data."""
-    data = np.ascontiguousarray(op.matrix, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<q", op.grid.N))
-        fh.write(data.tobytes())
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        (n,) = struct.unpack("<q", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n * n:
-        raise InvalidKernelError(f"dump holds {data.size} values, expected {n}x{n}")
-    return data.reshape(n, n).astype(float)
-
-
 class OperatorCache:
     """Per-(curve, grid) assembly cache for repeated kappa sweeps.
 
-    The geometry (pairwise chord and arc distances) is computed once; each
-    kappa then costs two exponentials over the N x N arrays.
+    Only the chord half of the bending kernel, exp(-kappa rho)/(4 pi rho),
+    needs an N x N array.  The arc half, exp(-kappa sigma)/(4 pi sigma) with
+    sigma = |i - j| Delta, depends on |i - j| only, as does the circulant T,
+    so both fold into one Toeplitz row.  The pairwise chords are computed
+    and checked for coincident points once, with an infinite diagonal so
+    that exp(-kappa rho)/rho is exactly 0 there (the kernel's diagonal
+    value); each kappa then costs one Toeplitz row and one N x N
+    exponential, written into the returned array.
     """
 
     def __init__(self, curve: Curve, grid: GridSpec):
@@ -263,20 +264,22 @@ class OperatorCache:
         self.grid = grid
         self._straight = isinstance(curve, StraightLine)
         if not self._straight:
-            nodes = grid.nodes
-            self._rho = curve.pairwise_chords(nodes)
-            self._sigma = np.abs(nodes[:, None] - nodes[None, :])
-            self._off = self._sigma > 0
-
-    def kernel_matrix(self, kappa: float) -> np.ndarray:
-        if self._straight:
-            return np.zeros((self.grid.N, self.grid.N))
-        return _kernel_from_distances(self._rho, self._sigma, kappa)
+            rho = curve.pairwise_chords(grid.nodes)
+            close = np.argwhere(rho < 1e-12)
+            _check_chord_arc(close[np.abs(close[:, 0] - close[:, 1]) * grid.delta > 1e-9])
+            np.fill_diagonal(rho, np.inf)
+            self._rho = rho
 
     def q_matrix(self, kappa: float) -> np.ndarray:
         row = _t_first_row(self.grid, kappa)
-        idx = np.arange(self.grid.N)
-        q = row[(idx[:, None] - idx[None, :]) % self.grid.N]
-        if not self._straight:
-            q = q + self.grid.delta * self.kernel_matrix(kappa)
+        if self._straight:
+            return _symmetric_toeplitz(row).copy()
+        weight = self.grid.delta / (4.0 * math.pi)
+        sigma = np.arange(1, self.grid.N) * self.grid.delta
+        row[1:] -= weight * np.exp(-kappa * sigma) / sigma
+        q = np.multiply(self._rho, -kappa)
+        np.exp(q, out=q)
+        q /= self._rho
+        q *= weight
+        q += _symmetric_toeplitz(row)
         return q

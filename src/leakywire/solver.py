@@ -101,13 +101,25 @@ class ConvergenceReport:
 
 
 class _BranchEvaluator:
-    """lambda_j(kappa) with per-kappa caching of the top-m eigenvalues."""
+    """lambda_j(kappa) with per-kappa caching of the top-m eigenvalues.
+
+    Used as a context manager: leaving the block drops the operator cache.
+    scipy's brentq keeps the objective in a self-referencing wrapper, so a
+    root-search closure over the evaluator would otherwise hold the cache's
+    N x N arrays until the cyclic garbage collector next runs.
+    """
 
     def __init__(self, curve, grid, m):
         self.cache = OperatorCache(curve, grid)
         self.m = m
         self._vals = {}
         self.evaluations = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.cache = None
 
     def values(self, kappa: float) -> np.ndarray:
         key = float(kappa)
@@ -150,31 +162,31 @@ def find_bound_states(curve: Curve, config: SolveConfig) -> list:
     k0 = kappa0(alpha)
     z0 = zeta0(alpha)
     k_start = k0 * (1.0 + config.bracket_start_offset)
-    ev = _BranchEvaluator(curve, config.grid, config.m_branches)
-    lam_start = ev.values(k_start)
     s_start = s_kappa(k_start)
     lift_floor = 1e-8 * max(1.0, abs(s_start))
 
     states = []
-    for j in range(config.m_branches):
-        if lam_start[j] > alpha:
-            state = _solve_branch(ev, j, alpha, k_start, k0, z0, config)
-            states.append(state)
-        elif lam_start[j] - s_start > lift_floor:
-            # bent branch hugging the continuum edge: report, don't drop
-            states.append(BoundState(
-                kappa_tilde=k_start,
-                energy=-k_start ** 2,
-                branch=j,
-                h=None,
-                gap=z0 - (-k_start ** 2),
-                residual=abs(lam_start[j] - alpha),
-                threshold_uncertain=True,
-                diagnostics={"reason": "branch lifted above the free line but "
-                                       "below alpha at the bracket start",
-                             "lambda_start": float(lam_start[j]),
-                             "s_kappa_start": float(s_start)},
-            ))
+    with _BranchEvaluator(curve, config.grid, config.m_branches) as ev:
+        lam_start = ev.values(k_start)
+        for j in range(config.m_branches):
+            if lam_start[j] > alpha:
+                state = _solve_branch(ev, j, alpha, k_start, k0, z0, config)
+                states.append(state)
+            elif lam_start[j] - s_start > lift_floor:
+                # bent branch hugging the continuum edge: report, don't drop
+                states.append(BoundState(
+                    kappa_tilde=k_start,
+                    energy=-k_start ** 2,
+                    branch=j,
+                    h=None,
+                    gap=z0 - (-k_start ** 2),
+                    residual=abs(lam_start[j] - alpha),
+                    threshold_uncertain=True,
+                    diagnostics={"reason": "branch lifted above the free line but "
+                                           "below alpha at the bracket start",
+                                 "lambda_start": float(lam_start[j]),
+                                 "s_kappa_start": float(s_start)},
+                ))
     states.sort(key=lambda st: st.energy)
     return states
 
@@ -223,21 +235,21 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
     if not (0 < k_lo < k_hi):
         raise GeometryError("kappa range must satisfy 0 < kappa_min < kappa_max")
     kappas = np.geomspace(k_lo, k_hi, int(n_points))
-    ev = _BranchEvaluator(curve, config.grid, config.m_branches)
-    curve_data = lambda_curve(curve, config.grid, kappas, m=config.m_branches,
-                              cache=ev.cache, with_vectors=False)
     crossings = []
-    for j in range(config.m_branches):
-        f = curve_data.lambdas[:, j] - config.alpha
-        for i in range(len(kappas) - 1):
-            if f[i] == 0.0:
-                crossings.append(Crossing(branch=j, kappa=float(kappas[i])))
-            elif f[i] * f[i + 1] < 0:
-                kc = brentq(lambda k: ev.values(k)[j] - config.alpha,
-                            kappas[i], kappas[i + 1],
-                            rtol=max(config.tol_kappa_rel, 4 * np.finfo(float).eps),
-                            xtol=1e-300)
-                crossings.append(Crossing(branch=j, kappa=float(kc)))
+    with _BranchEvaluator(curve, config.grid, config.m_branches) as ev:
+        curve_data = lambda_curve(curve, config.grid, kappas, m=config.m_branches,
+                                  cache=ev.cache, with_vectors=False)
+        for j in range(config.m_branches):
+            f = curve_data.lambdas[:, j] - config.alpha
+            for i in range(len(kappas) - 1):
+                if f[i] == 0.0:
+                    crossings.append(Crossing(branch=j, kappa=float(kappas[i])))
+                elif f[i] * f[i + 1] < 0:
+                    kc = brentq(lambda k: ev.values(k)[j] - config.alpha,
+                                kappas[i], kappas[i + 1],
+                                rtol=max(config.tol_kappa_rel, 4 * np.finfo(float).eps),
+                                xtol=1e-300)
+                    crossings.append(Crossing(branch=j, kappa=float(kc)))
     return curve_data, crossings
 
 

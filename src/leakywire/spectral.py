@@ -3,18 +3,14 @@ dependence on the spectral parameter kappa.
 
 Desk-scale grids (N <= a few thousand) make a dense symmetric eigensolve the
 most robust choice; only the top few eigenvalues are ever needed, so the
-subset driver is used.  Eigensolves at distinct kappa are independent and may
-run in a thread pool (LAPACK releases the GIL); the worker count is taken
-from the LEAKYWIRE_THREADS environment variable and defaults to 1, which
-keeps runs deterministic.
+subset driver is used.  Eigensolves at distinct kappa run one after another:
+the BLAS underneath each one already uses every core.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,14 +20,6 @@ import scipy.linalg
 from .curve import Curve
 from .errors import GeometryError, NumericalFailureError
 from .operators import DiscretizedOperator, GridSpec, OperatorCache, s_kappa
-
-
-def max_workers() -> int:
-    raw = os.environ.get("LEAKYWIRE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 #: largest grid solved by dense decomposition; above this the top of the
@@ -172,17 +160,10 @@ def lambda_curve(curve: Curve, grid: GridSpec, kappa_list, m: int = 8,
             return vals[::-1].copy(), vecs[:, ::-1].copy()
         return _top_values(mat, m), None
 
-    workers = max_workers()
-    if workers > 1 and kappas.size > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve, kappas))
-    else:
-        results = [solve(k) for k in kappas]
-
     lambdas = np.empty((kappas.size, m))
     vectors = [] if with_vectors else None
     prev_vecs = None
-    for i, (vals, vecs) in enumerate(results):
+    for i, (vals, vecs) in enumerate(map(solve, kappas)):
         if vecs is not None:
             tol = 1e-10 * max(1.0, abs(vals[0]))
             order = _reorder_degenerate(vals, vecs, prev_vecs, tol)

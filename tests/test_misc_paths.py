@@ -1,5 +1,5 @@
 """Coverage for the remaining contract surfaces: CLI verification commands,
-threaded eigensolves, export helpers, and rare error paths."""
+export helpers, and rare error paths."""
 
 import json
 import math
@@ -47,17 +47,6 @@ class TestBcVerifyCommand:
                      "-o", str(out)])
         assert code == 1
         assert json.loads(out.read_text())["states"] == []
-
-
-class TestThreadedSolves:
-    def test_worker_count_does_not_change_results(self, bump, monkeypatch):
-        g = GridSpec(16.0, 128)
-        kappas = np.geomspace(1.0, 3.0, 6)
-        monkeypatch.delenv("LEAKYWIRE_THREADS", raising=False)
-        seq = lambda_curve(bump, g, kappas, m=3, with_vectors=False)
-        monkeypatch.setenv("LEAKYWIRE_THREADS", "4")
-        par = lambda_curve(bump, g, kappas, m=3, with_vectors=False)
-        assert np.array_equal(seq.lambdas, par.lambdas)
 
 
 class TestExports:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from leakywire.curve import SampledParametric, StraightLine
+from leakywire.curve import Curve, SampledParametric, StraightLine
 from leakywire.errors import GeometryError, InvalidKernelError, SingularGeometryError
 from leakywire.operators import (
     PSI_ONE,
@@ -15,10 +15,8 @@ from leakywire.operators import (
     assemble_T,
     b_kernel,
     bending_kernel_matrix,
-    dump_matrix,
     hs_norm,
     kappa0,
-    load_matrix,
     s_kappa,
     schur_holmgren_norm,
     t_multiplier,
@@ -290,25 +288,43 @@ class TestInvariants:
             DiscretizedOperator(grid=g, kappa=1.0, matrix=m, kind="Q")
 
 
-class TestDump:
-    def test_round_trip(self, bump, tmp_path):
-        g = GridSpec(8.0, 32)
-        b = assemble_B(bump, g, 1.3)
-        path = tmp_path / "b.bin"
-        dump_matrix(b, path)
-        back = load_matrix(path)
-        assert np.array_equal(back, b.matrix)
+@pytest.fixture(scope="module")
+def helix():
+    # a few turns of a radius-2 helix fading into straight ends: non-planar,
+    # with torsion, and reparametrized by arc length on load
+    t = np.linspace(-12.0, 12.0, 481)
+    turn = np.exp(-(t / 4.0) ** 2)
+    return SampledParametric(np.column_stack(
+        [t, t + 2.0 * turn * np.sin(t), 2.0 * turn * np.cos(t), 0.5 * turn * t]))
 
-    def test_truncated_dump_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"\x04" + b"\x00" * 7 + b"\x00" * 16)
-        with pytest.raises(InvalidKernelError):
-            load_matrix(path)
+
+class _Hairpin(Curve):
+    """Unit-speed wire folded back onto itself at s = 0: gamma(s) = (|s|, 0, 0),
+    so the grid nodes s and -s are the same point."""
+
+    def point(self, s):
+        s = np.asarray(s, dtype=float)
+        out = np.zeros(s.shape + (3,))
+        out[..., 0] = np.abs(s)
+        return out
 
 
 class TestOperatorCache:
-    def test_matches_direct_assembly(self, bump):
-        g = GridSpec(12.0, 128)
-        cache = OperatorCache(bump, g)
-        q = assemble_Q(bump, g, 1.4)
-        assert np.allclose(cache.q_matrix(1.4), q.matrix, atol=1e-15)
+    @pytest.mark.parametrize("family", ["bump", "helix", "straight"])
+    def test_matches_direct_assembly(self, family, request):
+        curve = request.getfixturevalue(family)
+        g = GridSpec(8.0, 128)
+        cache = OperatorCache(curve, g)
+        for kap in (0.6, 1.4, 2.5):
+            q = cache.q_matrix(kap)
+            assert np.max(np.abs(q - assemble_Q(curve, g, kap).matrix)) <= 1e-15
+            assert np.array_equal(q, q.T)
+        # the chord distances are the only N x N array a cache keeps
+        square = [v for v in vars(cache).values()
+                  if isinstance(v, np.ndarray) and v.shape == (g.N, g.N)]
+        assert len(square) == (0 if family == "straight" else 1)
+        assert all(v.dtype == np.float64 for v in square)
+
+    def test_coincident_nodes_raise_at_construction(self):
+        with pytest.raises(SingularGeometryError, match="chord-arc condition"):
+            OperatorCache(_Hairpin(), GridSpec(4.0, 16))

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from leakywire.curve import PlanarCurvatureProfile, SampledParametric
 from leakywire.errors import AssumptionError, GeometryError
 from leakywire.operators import GridSpec, kappa0, zeta0
+import leakywire.solver as solver_mod
 from leakywire.solver import (
     SolveConfig,
     converge_study,
@@ -157,3 +160,31 @@ class TestSerialization:
             SolveConfig(alpha=0.0, grid=GridSpec(8.0, 64), kappa_bracket_growth=0.5)
         with pytest.raises(GeometryError):
             SolveConfig(alpha=0.0, grid=GridSpec(8.0, 64), tol_lambda=-1.0)
+
+
+class TestCacheLifetime:
+    @pytest.mark.parametrize("search", [
+        lambda curve, config: find_bound_states(curve, config),
+        lambda curve, config: spectrum_scan(curve, config, (1.0, 3.0), 6),
+    ], ids=["find_bound_states", "spectrum_scan"])
+    def test_cache_freed_on_return_without_gc(self, bump, monkeypatch, search):
+        # brentq holds its objective in a reference cycle; the search must not
+        # leave the N x N operator arrays reachable from it
+        caches = []
+
+        class TrackedCache(solver_mod.OperatorCache):
+            def __init__(self, *args):
+                super().__init__(*args)
+                caches.append(weakref.ref(self))
+
+        monkeypatch.setattr(solver_mod, "OperatorCache", TrackedCache)
+        config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 128), m_branches=2)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            search(bump, config)
+            assert len(caches) == 1
+            assert caches[0]() is None
+        finally:
+            if was_enabled:
+                gc.enable()
