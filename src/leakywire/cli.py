@@ -172,15 +172,7 @@ def _cmd_scan(args) -> int:
     k_max = args.kappa_max if args.kappa_max is not None else 5.0 * k0
     spectral, crossings = spectrum_scan(curve, config, (k_min, k_max), args.points)
     if args.format == "csv":
-        import io
-
-        buf = io.StringIO()
-        m = spectral.lambdas.shape[1]
-        buf.write("kappa,s_kappa," + ",".join(f"lambda_{j+1}" for j in range(m)) + "\n")
-        for k, sk, lams in zip(spectral.kappas, spectral.s_k_values, spectral.lambdas):
-            buf.write(",".join([repr(float(k)), repr(float(sk))]
-                               + [repr(float(x)) for x in lams]) + "\n")
-        _emit(args, buf.getvalue(), fmt="csv")
+        _emit(args, spectral.csv_text(), fmt="csv")
     else:
         payload = {
             "alpha": float(args.alpha),

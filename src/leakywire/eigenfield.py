@@ -255,17 +255,6 @@ def macdonald_identity(r: float, u: float, kappa: float):
     return lhs, rhs
 
 
-def field_to_csv(samples, path) -> None:
-    """Columns: x, y, z, value."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z", "value"])
-        for fs in samples:
-            writer.writerow([repr(float(c)) for c in fs.point] + [repr(fs.value)])
-
-
 def trace_to_dict(trace: TraceFit) -> dict:
     return {
         "s": trace.s,

@@ -22,24 +22,20 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import brentq
+import scipy.optimize
 
 from .curve import Curve, check_a1
 from .errors import (
     AssumptionError,
     BracketFailureError,
+    ConfigError,
     GeometryError,
     NumericalFailureError,
 )
 from .operators import GridSpec, OperatorCache, kappa0, s_kappa, zeta0
-from .spectral import (
-    DENSE_EIGEN_LIMIT,
-    _fix_sign,
-    _iterative_top,
-    _top_values,
-    lambda_curve,
-)
+# _iterative_top is not called here: perfbench/tracing.py wraps the
+# eigensolvers at solver._iterative_top and solver.scipy, so both stay bound.
+from .spectral import SpectralCurve, _iterative_top, top_eigen  # noqa: F401
 
 
 @dataclass
@@ -124,20 +120,13 @@ class _BranchEvaluator:
     def values(self, kappa: float) -> np.ndarray:
         key = float(kappa)
         if key not in self._vals:
-            self._vals[key] = _top_values(self.cache.q_matrix(key), self.m)
+            self._vals[key] = top_eigen(self.cache.q_matrix(key), self.m)
             self.evaluations += 1
         return self._vals[key]
 
     def eigenpair(self, kappa: float, branch: int):
-        mat = self.cache.q_matrix(float(kappa))
-        n = mat.shape[0]
-        if n > DENSE_EIGEN_LIMIT:
-            vals, vecs = _iterative_top(mat, self.m, want_vectors=True)
-        else:
-            vals, vecs = scipy.linalg.eigh(mat, subset_by_index=[n - self.m, n - 1])
-            vals = vals[::-1]
-            vecs = vecs[:, ::-1]
-        return float(vals[branch]), _fix_sign(vecs[:, branch].copy())
+        vals, vecs = top_eigen(self.cache.q_matrix(float(kappa)), self.m, vectors=True)
+        return float(vals[branch]), vecs[:, branch].copy()
 
 
 def _require_admissible(curve: Curve, grid: GridSpec):
@@ -155,7 +144,9 @@ def find_bound_states(curve: Curve, config: SolveConfig) -> list:
     Returns BoundState records sorted by energy; threshold-uncertain records
     (gap below threshold_gap_frac * |zeta0|, or a bent branch that never
     clears alpha at the bracket start) carry the flag instead of being
-    silently dropped.  The straight line yields an empty list.
+    silently dropped.  The straight line yields an empty list.  If the last
+    tracked branch would give a record, more states may lie beyond the
+    m_branches cap, so ConfigError is raised instead of a partial list.
     """
     _require_admissible(curve, config.grid)
     alpha = config.alpha
@@ -165,10 +156,11 @@ def find_bound_states(curve: Curve, config: SolveConfig) -> list:
     s_start = s_kappa(k_start)
     lift_floor = 1e-8 * max(1.0, abs(s_start))
 
+    m = config.m_branches
     states = []
-    with _BranchEvaluator(curve, config.grid, config.m_branches) as ev:
+    with _BranchEvaluator(curve, config.grid, m) as ev:
         lam_start = ev.values(k_start)
-        for j in range(config.m_branches):
+        for j in range(m):
             if lam_start[j] > alpha:
                 state = _solve_branch(ev, j, alpha, k_start, k0, z0, config)
                 states.append(state)
@@ -187,6 +179,11 @@ def find_bound_states(curve: Curve, config: SolveConfig) -> list:
                                  "lambda_start": float(lam_start[j]),
                                  "s_kappa_start": float(s_start)},
                 ))
+    if states and states[-1].branch == m - 1:
+        raise ConfigError(
+            f"the last of the {m} tracked branches gives a bound or threshold-"
+            "uncertain state, so states beyond it would be dropped; raise -m "
+            "(m_branches)")
     states.sort(key=lambda st: st.energy)
     return states
 
@@ -200,9 +197,10 @@ def _solve_branch(ev, j, alpha, k_start, k0, z0, config) -> BoundState:
             raise BracketFailureError(
                 f"branch {j}: no sign change of lambda - alpha up to "
                 f"kappa = {k_max:.3e}")
-    kt, res = brentq(lambda k: ev.values(k)[j] - alpha, k_start, k_hi,
-                     rtol=max(config.tol_kappa_rel, 4 * np.finfo(float).eps),
-                     xtol=1e-300, full_output=True)
+    kt, res = scipy.optimize.brentq(
+        lambda k: ev.values(k)[j] - alpha, k_start, k_hi,
+        rtol=max(config.tol_kappa_rel, 4 * np.finfo(float).eps),
+        xtol=1e-300, full_output=True)
     lam_val, h = ev.eigenpair(kt, j)
     if abs(lam_val - alpha) > config.tol_lambda:
         raise NumericalFailureError(
@@ -237,18 +235,19 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
     kappas = np.geomspace(k_lo, k_hi, int(n_points))
     crossings = []
     with _BranchEvaluator(curve, config.grid, config.m_branches) as ev:
-        curve_data = lambda_curve(curve, config.grid, kappas, m=config.m_branches,
-                                  cache=ev.cache, with_vectors=False)
+        # sampling through the memo lets Brent reuse the bracketing samples
+        curve_data = SpectralCurve.sample(kappas, ev.values, config.grid)
         for j in range(config.m_branches):
             f = curve_data.lambdas[:, j] - config.alpha
             for i in range(len(kappas) - 1):
                 if f[i] == 0.0:
                     crossings.append(Crossing(branch=j, kappa=float(kappas[i])))
                 elif f[i] * f[i + 1] < 0:
-                    kc = brentq(lambda k: ev.values(k)[j] - config.alpha,
-                                kappas[i], kappas[i + 1],
-                                rtol=max(config.tol_kappa_rel, 4 * np.finfo(float).eps),
-                                xtol=1e-300)
+                    kc = scipy.optimize.brentq(
+                        lambda k: ev.values(k)[j] - config.alpha,
+                        kappas[i], kappas[i + 1],
+                        rtol=max(config.tol_kappa_rel, 4 * np.finfo(float).eps),
+                        xtol=1e-300)
                     crossings.append(Crossing(branch=j, kappa=float(kc)))
     return curve_data, crossings
 

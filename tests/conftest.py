@@ -46,3 +46,13 @@ def half_circle_r2():
     samples = np.stack([ang, 2.0 * np.cos(ang), 2.0 * np.sin(ang),
                         np.zeros_like(ang)], axis=1)
     return SampledParametric(samples)
+
+
+@pytest.fixture(scope="session")
+def helix():
+    # a few turns of a radius-2 helix fading into straight ends: non-planar,
+    # with torsion, and reparametrized by arc length on load
+    t = np.linspace(-12.0, 12.0, 481)
+    turn = np.exp(-(t / 4.0) ** 2)
+    return SampledParametric(np.column_stack(
+        [t, t + 2.0 * turn * np.sin(t), 2.0 * turn * np.cos(t), 0.5 * turn * t]))

@@ -171,8 +171,7 @@ def test_criterion_7_norm_continuity_and_tail():
         cont_ok = cont_ok and dev <= bound
         worst_slack = max(worst_slack, dev - bound)
     k0 = kappa0(0.0)
-    sc = lambda_curve(bump_curve(), grid, np.array([10.0 * k0]), m=1,
-                      with_vectors=False)
+    sc = lambda_curve(bump_curve(), grid, np.array([10.0 * k0]), m=1)
     tail_ok = float(sc.lambdas[0, 0]) < 0.0
     ok = cont_ok and tail_ok
     _report(7, ok, 30.0, time.monotonic() - t0,

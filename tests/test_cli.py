@@ -7,6 +7,8 @@ import pytest
 from leakywire.cli import load_curve, main, write_results
 from leakywire.curve import PlanarCurvatureProfile, StraightLine
 from leakywire.errors import ConfigError, CurveFormatError
+from leakywire.operators import GridSpec
+from leakywire.solver import SolveConfig, spectrum_scan
 
 
 def run_cli(*argv):
@@ -107,6 +109,18 @@ class TestScanCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("kappa,s_kappa,lambda_1")
         assert len(lines) == 5
+
+    def test_csv_bytes_are_the_renderer_output(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        code = run_cli("scan", "--curve", "straight", "--alpha", "0.3", "-L", "8",
+                       "-N", "64", "-m", "2", "--kappa-min", "0.5", "--kappa-max", "2",
+                       "--points", "4", "--format", "csv", "-o", str(out))
+        assert code == 0
+        config = SolveConfig(alpha=0.3, grid=GridSpec(8.0, 64), m_branches=2)
+        curve, _ = spectrum_scan(StraightLine(), config, (0.5, 2.0), 4)
+        data = out.read_bytes()
+        assert data == curve.csv_text().encode()
+        assert b"\r" not in data
 
 
 class TestCheckCommand:

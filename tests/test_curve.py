@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,25 @@ class TestChordArcAudit:
         ratio = rho[off] / sigma[off]
         assert ratio.max() <= 1.0 + 1e-12
         assert ratio.min() > 0.0
+
+
+class TestPairwiseChords:
+    def test_blocks_match_one_shot_formula(self, helix):
+        s = np.linspace(-8.0, 8.0, 300)
+        p = helix.point(s)
+        diff = p[:, None, :] - p[None, :, :]
+        assert np.array_equal(helix.pairwise_chords(s),
+                              np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
+
+    def test_no_n_by_n_by_3_temporary(self, helix):
+        s = np.linspace(-8.0, 8.0, 1024)
+        tracemalloc.start()
+        try:
+            rho = helix.pairwise_chords(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * rho.nbytes
 
 
 class TestAsymptoticSet:

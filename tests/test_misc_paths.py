@@ -9,7 +9,7 @@ import pytest
 
 from leakywire.cli import main
 from leakywire.curve import FrenetFrame, StraightLine, eval_frame
-from leakywire.eigenfield import FieldSample, TraceFit, field_to_csv, trace_to_dict
+from leakywire.eigenfield import TraceFit, trace_to_dict
 from leakywire.errors import BracketFailureError, DegenerateFrameError
 from leakywire.operators import GridSpec
 from leakywire.solver import SolveConfig, _BranchEvaluator, find_bound_states
@@ -50,14 +50,6 @@ class TestBcVerifyCommand:
 
 
 class TestExports:
-    def test_field_csv(self, tmp_path):
-        samples = [FieldSample(point=np.array([1.0, 2.0, 3.0]), value=0.5)]
-        path = tmp_path / "field.csv"
-        field_to_csv(samples, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,y,z,value"
-        assert lines[1] == "1.0,2.0,3.0,0.5"
-
     def test_trace_round_trip(self):
         tf = TraceFit(s=0.5, radii=np.array([0.01, 0.001]),
                       values=np.array([1.0, 2.0]), xi=0.1, omega=0.2,
@@ -80,16 +72,35 @@ class TestIterativeEigenPath:
             assert vals[j] == pytest.approx(lam, abs=1e-10)
             assert abs(abs(np.dot(vecs[:, j], v)) - 1.0) < 1e-8
 
-    def test_large_grid_dispatch(self, bump, monkeypatch):
-        # force the iterative branch on a small grid and compare branches
+    @pytest.mark.parametrize("path", ["lambda_curve", "find_bound_states"])
+    def test_large_grid_dispatch(self, bump, monkeypatch, path):
+        # force the iterative branch on a small grid and compare branches;
+        # find_bound_states also takes the Lanczos eigenvector path at roots
         import leakywire.spectral as spectral_mod
 
         g = GridSpec(16.0, 256)
-        kappas = np.geomspace(1.1, 2.0, 3)
-        dense = lambda_curve(bump, g, kappas, m=3, with_vectors=False)
+        if path == "lambda_curve":
+            kappas = np.geomspace(1.1, 2.0, 3)
+            run = lambda: lambda_curve(bump, g, kappas, m=3).lambdas
+        else:
+            config = SolveConfig(alpha=0.0, grid=g, m_branches=3)
+            run = lambda: np.array([np.r_[s.energy, s.residual, s.h]
+                                    for s in find_bound_states(bump, config)])
+        dense = run()
+        lanczos = spectral_mod._iterative_top
+        wanted_vectors = []
+
+        def counting(matrix, m, want_vectors):
+            wanted_vectors.append(want_vectors)
+            return lanczos(matrix, m, want_vectors)
+
         monkeypatch.setattr(spectral_mod, "DENSE_EIGEN_LIMIT", 100)
-        iterative = lambda_curve(bump, g, kappas, m=3, with_vectors=False)
-        assert np.allclose(dense.lambdas, iterative.lambdas, atol=1e-9)
+        monkeypatch.setattr(spectral_mod, "_iterative_top", counting)
+        iterative = run()
+        assert wanted_vectors
+        assert (path == "find_bound_states") == any(wanted_vectors)
+        assert dense.size and dense.shape == iterative.shape
+        assert np.allclose(dense, iterative, rtol=0, atol=1e-9)
 
 
 class TestCliEdges:

@@ -288,16 +288,6 @@ class TestInvariants:
             DiscretizedOperator(grid=g, kappa=1.0, matrix=m, kind="Q")
 
 
-@pytest.fixture(scope="module")
-def helix():
-    # a few turns of a radius-2 helix fading into straight ends: non-planar,
-    # with torsion, and reparametrized by arc length on load
-    t = np.linspace(-12.0, 12.0, 481)
-    turn = np.exp(-(t / 4.0) ** 2)
-    return SampledParametric(np.column_stack(
-        [t, t + 2.0 * turn * np.sin(t), 2.0 * turn * np.cos(t), 0.5 * turn * t]))
-
-
 class _Hairpin(Curve):
     """Unit-speed wire folded back onto itself at s = 0: gamma(s) = (|s|, 0, 0),
     so the grid nodes s and -s are the same point."""

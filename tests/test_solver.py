@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from leakywire.curve import PlanarCurvatureProfile, SampledParametric
-from leakywire.errors import AssumptionError, GeometryError
+from leakywire.errors import AssumptionError, ConfigError, GeometryError
 from leakywire.operators import GridSpec, kappa0, zeta0
 import leakywire.solver as solver_mod
 from leakywire.solver import (
@@ -85,6 +85,18 @@ class TestBumpBinding:
             else:
                 assert st.energy < zeta0(0.0)
 
+    def test_branch_cap_raises_instead_of_dropping(self):
+        # this strong bend binds 5 states; tracking 3 branches must not return
+        # 3 of them as if they were all
+        curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
+        with pytest.raises(ConfigError, match="raise -m"):
+            find_bound_states(curve, SolveConfig(alpha=0.0, grid=GridSpec(24.0, 512),
+                                                 m_branches=3))
+        states = find_bound_states(curve, SolveConfig(alpha=0.0, grid=GridSpec(24.0, 512),
+                                                      m_branches=6))
+        assert len(states) == 5
+        assert sorted(s.branch for s in states) == [0, 1, 2, 3, 4]
+
     def test_inadmissible_curve_rejected(self):
         # a nearly closed circle: endpoints almost touch, so the chord-arc
         # constant collapses and the audit must veto the solve
@@ -115,6 +127,24 @@ class TestSpectrumScan:
     def test_bump_crossing_above_kappa0(self):
         config, states = bump_solution(24.0, 1024)
         assert states[0].kappa_tilde > kappa0(0.0)
+
+    def test_no_kappa_built_twice(self, bump, monkeypatch):
+        # Brent's bracket endpoints are scan samples; they must come from the
+        # evaluator's memo, not from a second build of Q
+        built = []
+        q_matrix = solver_mod.OperatorCache.q_matrix
+
+        def counting(self, kappa):
+            built.append(float(kappa))
+            return q_matrix(self, kappa)
+
+        monkeypatch.setattr(solver_mod.OperatorCache, "q_matrix", counting)
+        config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 128), m_branches=2)
+        k0 = kappa0(0.0)
+        sc, crossings = spectrum_scan(bump, config, (0.5 * k0, 4.0 * k0), 10)
+        assert crossings
+        assert set(sc.kappas) <= set(built)
+        assert len(built) == len(set(built))
 
     def test_bad_range_rejected(self, straight):
         config = SolveConfig(alpha=0.0, grid=GridSpec(8.0, 64))

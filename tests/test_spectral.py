@@ -83,20 +83,19 @@ class TestLambdaCurve:
     def test_strictly_decreasing_on_samples(self, bump):
         g = GridSpec(16.0, 256)
         k0 = kappa0(0.0)
-        sc = lambda_curve(bump, g, np.geomspace(k0, 4 * k0, 8), m=2,
-                          with_vectors=False)
+        sc = lambda_curve(bump, g, np.geomspace(k0, 4 * k0, 8), m=2)
         assert np.all(np.diff(sc.lambdas[:, 0]) < 0)
 
     def test_tail_drops_below_alpha(self, bump):
         g = GridSpec(16.0, 256)
         k0 = kappa0(0.0)
-        sc = lambda_curve(bump, g, np.array([10 * k0]), m=1, with_vectors=False)
+        sc = lambda_curve(bump, g, np.array([10 * k0]), m=1)
         assert sc.lambdas[0, 0] < 0.0
 
     def test_continuity_bound_between_samples(self, bump):
         g = GridSpec(16.0, 256)
         kappas = np.geomspace(1.0, 3.0, 7)
-        sc = lambda_curve(bump, g, kappas, m=1, with_vectors=False)
+        sc = lambda_curve(bump, g, kappas, m=1)
         for i in range(len(kappas) - 1):
             k1, k2 = kappas[i], kappas[i + 1]
             b1 = assemble_B(bump, g, k1)
@@ -110,12 +109,12 @@ class TestLambdaCurve:
         with pytest.raises(GeometryError):
             lambda_curve(straight, g, [2.0, 1.0])
 
-    def test_csv_export(self, straight, tmp_path):
+    def test_csv_export(self, straight):
         g = GridSpec(8.0, 64)
-        sc = lambda_curve(straight, g, [1.0, 2.0], m=2, with_vectors=False)
-        path = tmp_path / "curve.csv"
-        sc.to_csv(path)
-        lines = path.read_text().strip().splitlines()
+        sc = lambda_curve(straight, g, [1.0, 2.0], m=2)
+        text = sc.csv_text()
+        assert "\r" not in text and text.endswith("\n")
+        lines = text.splitlines()
         assert lines[0] == "kappa,s_kappa,lambda_1,lambda_2"
         assert len(lines) == 3
         row = lines[1].split(",")
