@@ -220,7 +220,8 @@ def _cmd_bc_verify(args) -> int:
     curve = load_curve(args.curve, _hint_from_args(args))
     grid = _grid_from_args(args, curve)
     config = _config_from_args(args, grid)
-    states = [s for s in find_bound_states(curve, config) if not s.threshold_uncertain]
+    states = [s for s in find_bound_states(curve, config, ground_only=True)
+              if not s.threshold_uncertain]
     if not states:
         _emit(args, {"alpha": args.alpha, "states": [],
                      "note": "no accepted bound state; nothing to verify"})

@@ -160,15 +160,15 @@ class Curve:
         pb = self.point(np.asarray(sb, dtype=float))
         return np.linalg.norm(np.atleast_2d(pa) - np.atleast_2d(pb), axis=-1)
 
-    def pairwise_chords(self, s, block: int = 64):
-        """Full matrix rho[i, j] = |gamma(s_i) - gamma(s_j)|, built in row
-        blocks so no N x N x 3 difference array is allocated."""
+    def pairwise_chords(self, s):
+        """Full matrix rho[i, j] = |gamma(s_i) - gamma(s_j)|, built 64 rows
+        at a time so no N x N x 3 difference array is allocated."""
         p = np.atleast_2d(self.point(np.asarray(s, dtype=float)))
         n = p.shape[0]
         rho = np.empty((n, n))
-        for start in range(0, n, block):
-            diff = p[start:start + block, None, :] - p[None, :, :]
-            np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=rho[start:start + block])
+        for start in range(0, n, 64):
+            diff = p[start:start + 64, None, :] - p[None, :, :]
+            np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=rho[start:start + 64])
         return rho
 
 

@@ -138,7 +138,8 @@ def _require_admissible(curve: Curve, grid: GridSpec):
     return report
 
 
-def find_bound_states(curve: Curve, config: SolveConfig) -> list:
+def find_bound_states(curve: Curve, config: SolveConfig, *,
+                      ground_only: bool = False) -> list:
     """All branch crossings lambda_j(kappa~) = alpha above the continuum edge.
 
     Returns BoundState records sorted by energy; threshold-uncertain records
@@ -147,6 +148,9 @@ def find_bound_states(curve: Curve, config: SolveConfig) -> list:
     silently dropped.  The straight line yields an empty list.  If the last
     tracked branch would give a record, more states may lie beyond the
     m_branches cap, so ConfigError is raised instead of a partial list.
+    Callers that read only the lowest accepted state pass ground_only=True
+    to skip that check: it comes from branch 0 (the top branch crosses
+    alpha at the largest kappa~), so the cap cannot change it.
     """
     _require_admissible(curve, config.grid)
     alpha = config.alpha
@@ -179,7 +183,7 @@ def find_bound_states(curve: Curve, config: SolveConfig) -> list:
                                  "lambda_start": float(lam_start[j]),
                                  "s_kappa_start": float(s_start)},
                 ))
-    if states and states[-1].branch == m - 1:
+    if not ground_only and states and states[-1].branch == m - 1:
         raise ConfigError(
             f"the last of the {m} tracked branches gives a bound or threshold-"
             "uncertain state, so states beyond it would be dropped; raise -m "
@@ -317,7 +321,7 @@ def converge_study(curve: Curve, config: SolveConfig) -> ConvergenceReport:
 
 
 def _ground_energy(curve, config) -> Optional[float]:
-    states = [s for s in find_bound_states(curve, config)
+    states = [s for s in find_bound_states(curve, config, ground_only=True)
               if not s.threshold_uncertain]
     return states[0].energy if states else None
 

@@ -41,6 +41,17 @@ class TestBcVerifyCommand:
         tr = doc["traces"][0]
         assert {"s", "radii", "values", "xi", "omega", "fit_residual"} <= set(tr)
 
+    def test_one_branch_is_enough_for_the_ground_state(self, bump, tmp_path):
+        # bc-verify reads only the ground state (branch 0), so -m 1 must not
+        # trip the m_branches cap check
+        out = tmp_path / "bc.json"
+        code = main(["bc-verify", "--curve", "bump:a=1,w=1", "--alpha", "0",
+                     "-L", "16", "-N", "256", "-m", "1", "-o", str(out)])
+        assert code == 0
+        ground = find_bound_states(bump, SolveConfig(alpha=0.0, grid=GridSpec(16.0, 256)))[0]
+        assert json.loads(out.read_text())["kappa"] == pytest.approx(
+            ground.kappa_tilde, rel=1e-12, abs=0.0)
+
     def test_straight_reports_nothing_to_verify(self, tmp_path):
         out = tmp_path / "bc.json"
         code = main(["bc-verify", "--curve", "straight", "-L", "8", "-N", "64",

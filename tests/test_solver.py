@@ -168,6 +168,20 @@ class TestConvergeStudy:
         # larger box moves the energy by far less than the level gap scale
         assert report.tail_change < 1e-2
 
+    def test_one_branch_is_enough_for_the_ground_state(self, bump):
+        # the ground state is branch 0, so the m_branches cap must not veto a
+        # study that reads only it, although a solve with m = 1 is refused
+        one = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 256), refine_levels=2,
+                          m_branches=1)
+        with pytest.raises(ConfigError, match="raise -m"):
+            find_bound_states(bump, one)
+        capped = converge_study(bump, one)
+        full = converge_study(bump, SolveConfig(alpha=0.0, grid=GridSpec(16.0, 256),
+                                                refine_levels=2))
+        assert capped.levels[0].energy is not None
+        for a, b in zip(capped.levels, full.levels):
+            assert a.energy == pytest.approx(b.energy, rel=1e-12, abs=0.0)
+
     def test_too_few_levels_rejected(self, straight):
         config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 128), refine_levels=1)
         with pytest.raises(GeometryError):
