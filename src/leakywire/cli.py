@@ -149,9 +149,17 @@ def _hint_from_args(args) -> float:
 
 
 def _config_from_args(args, grid: GridSpec) -> SolveConfig:
+    if not 1 <= args.branches <= grid.N:
+        raise ConfigError(f"-m must lie in 1 .. N = {grid.N}, got {args.branches}")
+    if not (args.tol_kappa > 0 and args.tol_lambda > 0):
+        raise ConfigError("--tol-kappa and --tol-lambda must be positive, got "
+                          f"{args.tol_kappa} and {args.tol_lambda}")
+    levels = getattr(args, "levels", 3)
+    if levels < 2:
+        raise ConfigError(f"--levels must be at least 2, got {levels}")
     return SolveConfig(alpha=args.alpha, grid=grid, m_branches=args.branches,
                        tol_kappa_rel=args.tol_kappa, tol_lambda=args.tol_lambda,
-                       refine_levels=getattr(args, "levels", 3))
+                       refine_levels=levels)
 
 
 def _cmd_solve(args) -> int:
@@ -167,6 +175,8 @@ def _cmd_scan(args) -> int:
     curve = load_curve(args.curve, _hint_from_args(args))
     grid = _grid_from_args(args, curve)
     config = _config_from_args(args, grid)
+    if args.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
     k0 = kappa0(args.alpha)
     k_min = args.kappa_min if args.kappa_min is not None else 0.5 * k0
     k_max = args.kappa_max if args.kappa_max is not None else 5.0 * k0
@@ -301,15 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-N", "--grid-n", type=int, default=1024,
                        help="number of grid points (even; default 1024)")
         p.add_argument("-m", "--branches", type=int, default=8,
-                       help="tracked eigenvalue branches (default 8)")
+                       help="tracked eigenvalue branches (default 8); converge "
+                            "and bc-verify track only the top branch, "
+                            "whatever -m is")
         p.add_argument("--tol-kappa", type=float, default=1e-10,
                        help="relative root tolerance in kappa (default 1e-10)")
         p.add_argument("--tol-lambda", type=float, default=1e-9,
                        help="eigenvalue residual tolerance (default 1e-9)")
         p.add_argument("-o", "--output", default=None,
                        help="output path (stdout when omitted)")
-        p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="output format; csv applies to scan only")
+        p.add_argument("--format", choices=("json", "csv") if scan else ("json",),
+                       default="json", help="output format")
 
     p = sub.add_parser("solve", help="find bound states")
     common(p)
@@ -318,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "scan", help="eigenvalue curves over a kappa range",
         epilog="CSV column order is fixed: kappa, s_kappa, lambda_1 .. lambda_m.")
-    common(p)
+    common(p, scan=True)
     p.add_argument("--kappa-min", type=float, default=None,
                    help="lower end of the kappa range (default 0.5 kappa0)")
     p.add_argument("--kappa-max", type=float, default=None,

@@ -148,9 +148,14 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
     silently dropped.  The straight line yields an empty list.  If the last
     tracked branch would give a record, more states may lie beyond the
     m_branches cap, so ConfigError is raised instead of a partial list.
-    Callers that read only the lowest accepted state pass ground_only=True
-    to skip that check: it comes from branch 0 (the top branch crosses
-    alpha at the largest kappa~), so the cap cannot change it.
+
+    Callers that read only the lowest accepted state pass ground_only=True:
+    the search then tracks branch 0 alone (one eigenvalue per evaluation,
+    whatever m_branches is) and returns at most one record, branch 0's state
+    or its threshold-uncertain record.  That is the answer the full list
+    gives: lambda_j <= lambda_0 at every kappa and every branch decreases,
+    so kappa~_j <= kappa~_0; a branch 0 that is uncertain or never clears
+    alpha leaves every other branch the same.
     """
     _require_admissible(curve, config.grid)
     alpha = config.alpha
@@ -160,7 +165,7 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
     s_start = s_kappa(k_start)
     lift_floor = 1e-8 * max(1.0, abs(s_start))
 
-    m = config.m_branches
+    m = 1 if ground_only else config.m_branches
     states = []
     with _BranchEvaluator(curve, config.grid, m) as ev:
         lam_start = ev.values(k_start)

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import leakywire
 from leakywire.cli import load_curve, main, write_results
 from leakywire.curve import PlanarCurvatureProfile, StraightLine
 from leakywire.errors import ConfigError, CurveFormatError
@@ -188,3 +192,32 @@ class TestWriteResults:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             write_results({"x": 1}, tmp_path / "out.bin", fmt="parquet")
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--points", "-1"],
+        ["scan", "--points", "0"],
+        ["solve", "-m", "0"],
+        ["solve", "-m", "100"],
+        ["converge", "--levels", "1"],
+        ["solve", "--tol-kappa", "0"],
+        ["solve", "--tol-lambda=-1e-9"],
+        ["solve", "--format", "csv"],
+        ["converge", "--format", "csv"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_exits_3_without_traceback(self, argv, capsys):
+        code = run_cli(*argv[:1], "--curve", "straight", "-L", "8", "-N", "64", *argv[1:])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "Traceback" not in captured.err + captured.out
+        assert "geometry error" not in captured.err
+
+
+class TestModuleEntryPoint:
+    def test_python_m_leakywire(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(leakywire.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-m", "leakywire", "check", "--curve", "straight"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["c_estimate"] == 1.0

@@ -52,6 +52,14 @@ class TestBcVerifyCommand:
         assert json.loads(out.read_text())["kappa"] == pytest.approx(
             ground.kappa_tilde, rel=1e-12, abs=0.0)
 
+    def test_payload_does_not_depend_on_m(self, tmp_path):
+        # the ground-state search tracks one branch, so -m cannot reach the payload
+        outs = [tmp_path / f"bc{m}.json" for m in (1, 8)]
+        for m, out in zip((1, 8), outs):
+            assert main(["bc-verify", "--curve", "bump:a=1,w=1", "--alpha", "0",
+                         "-L", "16", "-N", "256", "-m", str(m), "-o", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_straight_reports_nothing_to_verify(self, tmp_path):
         out = tmp_path / "bc.json"
         code = main(["bc-verify", "--curve", "straight", "-L", "8", "-N", "64",

@@ -9,6 +9,7 @@ from leakywire.curve import PlanarCurvatureProfile, SampledParametric
 from leakywire.errors import AssumptionError, ConfigError, GeometryError
 from leakywire.operators import GridSpec, kappa0, zeta0
 import leakywire.solver as solver_mod
+import leakywire.spectral as spectral_mod
 from leakywire.solver import (
     SolveConfig,
     converge_study,
@@ -96,6 +97,37 @@ class TestBumpBinding:
                                                       m_branches=6))
         assert len(states) == 5
         assert sorted(s.branch for s in states) == [0, 1, 2, 3, 4]
+
+    def test_ground_only_asks_for_one_eigenvalue(self, bump, monkeypatch):
+        # a ground-state search tracks branch 0 alone, whatever m_branches is
+        asked = []
+        top_eigen = solver_mod.top_eigen
+
+        def spy(matrix, m, vectors=False):
+            asked.append(m)
+            return top_eigen(matrix, m, vectors)
+
+        monkeypatch.setattr(solver_mod, "top_eigen", spy)
+        config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 128), m_branches=8)
+        states = find_bound_states(bump, config, ground_only=True)
+        assert len(states) == 1
+        assert asked and set(asked) == {1}
+
+    @pytest.mark.parametrize("dense_limit", [None, 100], ids=["dense", "lanczos"])
+    def test_ground_only_record_is_the_full_search_ground_state(self, monkeypatch,
+                                                                 dense_limit):
+        if dense_limit is not None:
+            monkeypatch.setattr(spectral_mod, "DENSE_EIGEN_LIMIT", dense_limit)
+        curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
+        grid = GridSpec(24.0, 512)
+        full = find_bound_states(curve, SolveConfig(alpha=0.0, grid=grid, m_branches=6))
+        (ground,) = find_bound_states(curve, SolveConfig(alpha=0.0, grid=grid),
+                                      ground_only=True)
+        lowest = [s for s in full if not s.threshold_uncertain][0]
+        assert ground.branch == lowest.branch == 0
+        assert not ground.threshold_uncertain
+        assert ground.kappa_tilde == pytest.approx(lowest.kappa_tilde, rel=1e-12, abs=0.0)
+        assert ground.energy == pytest.approx(lowest.energy, rel=1e-12, abs=0.0)
 
     def test_inadmissible_curve_rejected(self):
         # a nearly closed circle: endpoints almost touch, so the chord-arc
