@@ -38,7 +38,7 @@ from .curve import (
     check_curvature_decay,
     curve_from_dict,
 )
-from .eigenfield import bc_residual, fit_trace, trace_on_shifted, trace_to_dict
+from .eigenfield import bc_defect, fit_trace, trace_on_shifted, trace_to_dict
 from .errors import ConfigError, CurveFormatError, GeometryError, LeakyWireError, NumericalError
 from .operators import GridSpec, kappa0, zeta0
 from .oracle import default_suite
@@ -47,6 +47,7 @@ from .solver import (
     converge_study,
     convergence_to_dict,
     find_bound_states,
+    refinement_ladder,
     spectrum_scan,
     states_to_dict,
 )
@@ -154,12 +155,9 @@ def _config_from_args(args, grid: GridSpec) -> SolveConfig:
     if not (args.tol_kappa > 0 and args.tol_lambda > 0):
         raise ConfigError("--tol-kappa and --tol-lambda must be positive, got "
                           f"{args.tol_kappa} and {args.tol_lambda}")
-    levels = getattr(args, "levels", 3)
-    if levels < 2:
-        raise ConfigError(f"--levels must be at least 2, got {levels}")
     return SolveConfig(alpha=args.alpha, grid=grid, m_branches=args.branches,
                        tol_kappa_rel=args.tol_kappa, tol_lambda=args.tol_lambda,
-                       refine_levels=levels)
+                       refine_levels=getattr(args, "levels", 3))
 
 
 def _cmd_solve(args) -> int:
@@ -180,6 +178,8 @@ def _cmd_scan(args) -> int:
     k0 = kappa0(args.alpha)
     k_min = args.kappa_min if args.kappa_min is not None else 0.5 * k0
     k_max = args.kappa_max if args.kappa_max is not None else 5.0 * k0
+    if not 0 < k_min < k_max:
+        raise ConfigError(f"need 0 < --kappa-min < --kappa-max, got {k_min} and {k_max}")
     spectral, crossings = spectrum_scan(curve, config, (k_min, k_max), args.points)
     if args.format == "csv":
         _emit(args, spectral.csv_text(), fmt="csv")
@@ -201,6 +201,8 @@ def _cmd_check(args) -> int:
     curve = load_curve(args.curve, _hint_from_args(args))
     L = args.half_length if args.half_length is not None else 24.0
     n = args.samples
+    if n < 2:
+        raise ConfigError(f"--samples must be at least 2, got {n}")
     rep1 = check_a1(curve, (-L, L), n)
     rep2 = check_a2(curve, args.omega, args.epsilon, args.mu, (-L, L), n)
     beta = check_curvature_decay(curve, (-L, L), n)
@@ -230,6 +232,9 @@ def _cmd_bc_verify(args) -> int:
     curve = load_curve(args.curve, _hint_from_args(args))
     grid = _grid_from_args(args, curve)
     config = _config_from_args(args, grid)
+    radii = _parse_radii(args.radii)
+    if args.angles < 4:
+        raise ConfigError(f"--angles must be at least 4, got {args.angles}")
     states = [s for s in find_bound_states(curve, config, ground_only=True)
               if not s.threshold_uncertain]
     if not states:
@@ -237,22 +242,16 @@ def _cmd_bc_verify(args) -> int:
                      "note": "no accepted bound state; nothing to verify"})
         return EXIT_DOMAIN
     st = states[0]
-    radii = _parse_radii(args.radii)
-    s_vals = np.linspace(-2.0, 2.0, 5)
-    traces = []
-    for s in s_vals:
-        tf = fit_trace(trace_on_shifted(curve, grid, st.kappa_tilde, st.h,
-                                        float(s), radii, args.angles))
-        traces.append(trace_to_dict(tf))
-    resid = bc_residual(curve, grid, st.kappa_tilde, st.h, args.alpha,
-                        s_vals, radii, args.angles)
+    fits = [fit_trace(trace_on_shifted(curve, grid, st.kappa_tilde, st.h,
+                                       float(s), radii, args.angles))
+            for s in np.linspace(-2.0, 2.0, 5)]
     payload = {
         "alpha": float(args.alpha),
         "kappa": st.kappa_tilde,
         "energy": st.energy,
-        "bc_residual": resid,
+        "bc_residual": bc_defect(fits, args.alpha),
         "radii": [float(r) for r in radii],
-        "traces": traces,
+        "traces": [trace_to_dict(tf) for tf in fits],
     }
     _emit(args, payload)
     return EXIT_OK
@@ -262,6 +261,10 @@ def _cmd_converge(args) -> int:
     curve = load_curve(args.curve, _hint_from_args(args))
     grid = _grid_from_args(args, curve)
     config = _config_from_args(args, grid)
+    try:
+        refinement_ladder(grid.N, args.levels)
+    except GeometryError as exc:
+        raise ConfigError(f"-N {grid.N} with --levels {args.levels}: {exc}") from exc
     report = converge_study(curve, config)
     payload = {
         "alpha": float(args.alpha),
@@ -283,12 +286,15 @@ def _parse_radii(spec: str) -> np.ndarray:
     try:
         if ":" in spec:
             lo, hi, n = spec.split(":")
-            return np.geomspace(float(lo), float(hi), int(n))
-        vals = [float(x) for x in spec.split(",")]
-        return np.asarray(vals)
+            radii = np.geomspace(float(lo), float(hi), int(n))
+        else:
+            radii = np.asarray([float(x) for x in spec.split(",")])
     except ValueError as exc:
         raise ConfigError(f"cannot parse radii spec {spec!r}; "
                           "use 'min:max:count' or a comma list") from exc
+    if radii.size < 2 or not np.all(np.isfinite(radii) & (radii > 0)):
+        raise ConfigError(f"--radii needs at least two positive radii, got {spec!r}")
+    return radii
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,15 +305,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scan=False):
+    def curve_options(p, l_help, formats=("json",)):
         p.add_argument("--curve", required=True,
                        help="builtin ('straight'), inline ('bump:a=1,w=1', "
                             "'power:a=1,beta=2'), or a JSON file path")
+        p.add_argument("-L", "--half-length", type=float, default=None, help=l_help)
+        p.add_argument("-o", "--output", default=None,
+                       help="output path (stdout when omitted)")
+        p.add_argument("--format", choices=formats, default="json", help="output format")
+
+    def common(p, formats=("json",)):
+        curve_options(p, "half-length of the truncated interval "
+                         "(default max(16, 10/(kappa0 c)))", formats)
         p.add_argument("--alpha", type=float, default=0.0,
                        help="coupling strength (default 0)")
-        p.add_argument("-L", "--half-length", type=float, default=None,
-                       help="half-length of the truncated interval "
-                            "(default max(16, 10/(kappa0 c)))")
         p.add_argument("-N", "--grid-n", type=int, default=1024,
                        help="number of grid points (even; default 1024)")
         p.add_argument("-m", "--branches", type=int, default=8,
@@ -318,10 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="relative root tolerance in kappa (default 1e-10)")
         p.add_argument("--tol-lambda", type=float, default=1e-9,
                        help="eigenvalue residual tolerance (default 1e-9)")
-        p.add_argument("-o", "--output", default=None,
-                       help="output path (stdout when omitted)")
-        p.add_argument("--format", choices=("json", "csv") if scan else ("json",),
-                       default="json", help="output format")
 
     p = sub.add_parser("solve", help="find bound states")
     common(p)
@@ -330,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "scan", help="eigenvalue curves over a kappa range",
         epilog="CSV column order is fixed: kappa, s_kappa, lambda_1 .. lambda_m.")
-    common(p, scan=True)
+    common(p, formats=("json", "csv"))
     p.add_argument("--kappa-min", type=float, default=None,
                    help="lower end of the kappa range (default 0.5 kappa0)")
     p.add_argument("--kappa-max", type=float, default=None,
@@ -340,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("check", help="geometric admissibility audits")
-    common(p)
+    curve_options(p, "half-width of the audit window (default 24)")
     p.add_argument("--mu", type=float, default=1.0,
                    help="decay exponent in the straightness audit (default 1)")
     p.add_argument("--omega", type=float, default=0.5,

@@ -41,6 +41,10 @@ from .errors import (
 )
 
 _GL_NODES, _GL_WEIGHTS = leggauss(12)
+_CELL_WIDTH = 0.05      # requested planar cell width; rounded down to 2^-m
+_PLANAR_CHORD_COLS = 256  # columns per block of the planar chord matrix
+_FLAT = 1e-8            # curvature below which a sampled point counts as straight
+_COMPLETIONS = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # binormals of straight data
 
 # ---------------------------------------------------------------------------
 # compensated (double-double) helpers for position bookkeeping
@@ -83,6 +87,13 @@ def _dd_prefix(increments):
         hi[i + 1] = h
         lo[i + 1] = l
     return hi, lo
+
+
+def _normal_part(t_hat, v):
+    """v minus its component along the unit tangent(s) t_hat, and its length
+    (last axis of length 3); for v = gamma'' this is the principal normal."""
+    perp = v - np.vecdot(v, t_hat)[..., None] * t_hat
+    return perp, np.sqrt(np.vecdot(perp, perp))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +184,8 @@ class Curve:
 
 
 class StraightLine(Curve):
-    """gamma(s) = (s, 0, 0) with the fixed completion b=(0,0,1), n=(0,1,0)."""
+    """gamma(s) = (s, 0, 0) with the fixed completion b=(0,0,1), n=(0,1,0);
+    the base-class chords are exactly |s - s'|, as sqrt(x * x) == |x|."""
 
     family = "straight"
 
@@ -202,13 +214,6 @@ class StraightLine(Curve):
     def max_curvature(self):
         return 0.0
 
-    def chord_between(self, sa, sb):
-        return np.abs(np.asarray(sa, dtype=float) - np.asarray(sb, dtype=float))
-
-    def pairwise_chords(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.abs(s[:, None] - s[None, :])
-
 
 class PlanarCurvatureProfile(Curve):
     """Planar curve built from a curvature profile k(s).
@@ -225,13 +230,13 @@ class PlanarCurvatureProfile(Curve):
     family = "planar_curvature"
 
     def __init__(self, curvature_fn: Callable, domain_hint: float = 48.0,
-                 params: Optional[dict] = None, cell_width: float = 0.05):
+                 params: Optional[dict] = None):
         if domain_hint <= 0:
             raise CurveFormatError("domain_hint must be positive")
         self.k_signed = curvature_fn
         self.domain_hint = float(domain_hint)
         self.params = dict(params or {})
-        self._build_cache(cell_width)
+        self._build_cache()
 
     @classmethod
     def gaussian_bump(cls, a: float, w: float, domain_hint: float = 48.0):
@@ -252,12 +257,12 @@ class PlanarCurvatureProfile(Curve):
 
     # -- construction -------------------------------------------------------
 
-    def _build_cache(self, cell_width):
+    def _build_cache(self):
         # dyadic cell width: boundaries are exact multiples of 2^-m, so the
         # partial and whole-cell integration intervals tile [-S, S] exactly
         # in floating point (otherwise tiling slack ~ eps*S leaks into the
         # arc-chord defect of nearby pairs)
-        m = max(1, math.ceil(-math.log2(min(cell_width, 0.5))))
+        m = max(1, math.ceil(-math.log2(min(_CELL_WIDTH, 0.5))))
         delta = 2.0 ** (-m)
         n_half = max(64, int(math.ceil(self.domain_hint / delta)))
         S = n_half * delta
@@ -294,11 +299,15 @@ class PlanarCurvatureProfile(Curve):
         self._theta_b = theta_b
         self._pos_hi = hi_a
         self._pos_lo = lo_a
-        self._theta_left = theta_b[0]
-        self._theta_right = theta_b[-1]
         self._kmax = float(np.max(np.abs(np.asarray(self.k_signed(mids)))))
 
     # -- internals ----------------------------------------------------------
+
+    def _cell(self, s):
+        """Index and left edge of the core cell holding each s in [-S, S]."""
+        cell = np.clip(((s + self._S) / self._delta).astype(int), 0,
+                       len(self._bounds) - 2)
+        return cell, self._bounds[cell]
 
     def _theta_partial(self, start, s):
         """int_start^s k with a single 12-point rule (|s - start| <= cell)."""
@@ -315,14 +324,11 @@ class PlanarCurvatureProfile(Curve):
         left = s < -self._S
         right = s > self._S
         core = ~(left | right)
-        out[left] = self._theta_left
-        out[right] = self._theta_right
+        out[left] = self._theta_b[0]
+        out[right] = self._theta_b[-1]
         if np.any(core):
-            sc = s[core]
-            cell = np.clip(((sc + self._S) / self._delta).astype(int), 0,
-                           len(self._bounds) - 2)
-            start = self._bounds[cell]
-            out[core] = self._theta_b[cell] + self._theta_partial(start, sc)
+            cell, start = self._cell(s[core])
+            out[core] = self._theta_b[cell] + self._theta_partial(start, s[core])
         return out[0] if scalar else out
 
     def _positions_dd(self, s):
@@ -335,27 +341,21 @@ class PlanarCurvatureProfile(Curve):
         core = ~(left | right)
         if np.any(core):
             sc = s[core]
-            cell = np.clip(((sc + self._S) / self._delta).astype(int), 0,
-                           len(self._bounds) - 2)
-            start = self._bounds[cell]
+            cell, start = self._cell(sc)
             half = (sc - start) / 2.0
             nodes = start[:, None] + half[:, None] * (_GL_NODES + 1.0)
-            th0 = self._theta_b[cell]
-            inner_half = (nodes - start[:, None]) / 2.0
-            inner_nodes = start[:, None, None] + inner_half[:, :, None] * (_GL_NODES + 1.0)
-            th_nodes = th0[:, None] + inner_half * (
-                np.asarray(self.k_signed(inner_nodes)) @ _GL_WEIGHTS
-            )
+            # theta at the rule's nodes: the nested rule from the cell start
+            th_nodes = (self._theta_b[cell][:, None]
+                        + self._theta_partial(start[:, None], nodes))
             px = half * (np.cos(th_nodes) @ _GL_WEIGHTS)
             py = half * (np.sin(th_nodes) @ _GL_WEIGHTS)
             h, e = _two_sum(self._pos_hi[cell], np.stack([px, py], axis=1))
             hi[core] = h
             lo[core] = e + self._pos_lo[cell]
-        for mask, edge, theta_end in ((left, -self._S, self._theta_left),
-                                      (right, self._S, self._theta_right)):
+        for mask, idx in ((left, 0), (right, -1)):
             if np.any(mask):
-                idx = 0 if edge < 0 else -1
-                ds = s[mask] - edge
+                ds = s[mask] - self._bounds[idx]
+                theta_end = self._theta_b[idx]
                 ray = np.stack([ds * math.cos(theta_end),
                                 ds * math.sin(theta_end)], axis=1)
                 h, e = _two_sum(self._pos_hi[idx], ray)
@@ -404,13 +404,13 @@ class PlanarCurvatureProfile(Curve):
         d = _dd_sub(ha, la, hb, lb)
         return np.hypot(d[:, 0], d[:, 1]).reshape(sa.shape)
 
-    def pairwise_chords(self, s, block: int = 256):
+    def pairwise_chords(self, s):
         s = np.asarray(s, dtype=float)
         hi, lo = self._positions_dd(s)
         n = s.size
         rho = np.empty((n, n))
-        for start in range(0, n, block):
-            stop = min(start + block, n)
+        for start in range(0, n, _PLANAR_CHORD_COLS):
+            stop = min(start + _PLANAR_CHORD_COLS, n)
             dx = _dd_sub(hi[None, start:stop, 0], lo[None, start:stop, 0],
                          hi[:, None, 0], lo[:, None, 0])
             dy = _dd_sub(hi[None, start:stop, 1], lo[None, start:stop, 1],
@@ -443,8 +443,9 @@ class SampledParametric(Curve):
                 f"parameter column must be strictly increasing; "
                 f"violated at sample index {int(bad[0]) + 1}"
             )
-        self._spl = [CubicSpline(t, samples[:, k]) for k in (1, 2, 3)]
-        self._dspl = [sp.derivative() for sp in self._spl]
+        self._xyz = CubicSpline(t, samples[:, 1:])
+        self._d1 = self._xyz.derivative()
+        self._d2 = self._xyz.derivative(2)
         self._build_arclength(t)
         self.domain_hint = self._half_length
 
@@ -455,10 +456,7 @@ class SampledParametric(Curve):
         stops = sub[:, 1:].ravel()
         half = (stops - starts) / 2.0
         nodes = starts[:, None] + half[:, None] * (_GL_NODES + 1.0)
-        speed = np.zeros_like(nodes)
-        for d in self._dspl:
-            speed += d(nodes) ** 2
-        speed = np.sqrt(speed)
+        speed = np.sqrt(np.sum(self._d1(nodes) ** 2, axis=-1))
         seg = half * (speed @ _GL_WEIGHTS)
         ell = np.concatenate(([0.0], np.cumsum(seg)))
         tdense = np.concatenate((starts, [stops[-1]]))
@@ -467,10 +465,15 @@ class SampledParametric(Curve):
         self._t_of_ell = PchipInterpolator(ell, tdense)
         self._total = float(ell[-1])
         self._half_length = self._total / 2.0
-        ksamp = [self._curvature_t(tv) for tv in tdense]
-        self._kmax = float(np.max(ksamp))
-        self._tdense = tdense
-        self._ell_dense = ell
+        kdense = self._curvature_t(tdense)
+        self._kmax = float(np.max(kdense))
+        # binormals at the curved dense nodes, borrowed by frames on straight parts
+        curved = kdense > _FLAT
+        d1 = self._d1(tdense[curved])
+        t_hat = d1 / np.sqrt(np.vecdot(d1, d1))[:, None]
+        a_perp, norm = _normal_part(t_hat, self._d2(tdense[curved]))
+        self._curved_s = ell[curved] - self._half_length
+        self._curved_b = np.cross(t_hat, a_perp / norm[:, None])
 
     def _t_param(self, s):
         s = np.asarray(s, dtype=float)
@@ -482,67 +485,44 @@ class SampledParametric(Curve):
         return self._t_of_ell(np.clip(s + self._half_length, 0.0, self._total))
 
     def _curvature_t(self, t):
-        d1 = np.array([d(t) for d in self._dspl])
-        d2 = np.array([sp.derivative(2)(t) for sp in self._spl])
-        speed = np.linalg.norm(d1)
-        if speed == 0:
-            return 0.0
-        return float(np.linalg.norm(np.cross(d1, d2)) / speed ** 3)
+        """|d1 x d2| / |d1|^3 at spline parameters t (any shape), 0 where d1 = 0."""
+        # vecdot (BLAS dot) and float_power (libm pow) give the same bits as a
+        # 1-D np.linalg.norm and a scalar ** 3, so frames and payloads stay fixed
+        d1 = self._d1(t)
+        cross = np.cross(d1, self._d2(t))
+        speed = np.sqrt(np.vecdot(d1, d1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.sqrt(np.vecdot(cross, cross)) / np.float_power(speed, 3)
+        return np.where(speed == 0, 0.0, k)[()]
 
     def point(self, s):
-        s = np.asarray(s, dtype=float)
-        t = self._t_param(s)
-        return np.stack([sp(t) for sp in self._spl], axis=-1)
+        return self._xyz(self._t_param(s))
 
     def tangent(self, s):
-        t = self._t_param(np.asarray(s, dtype=float))
-        d1 = np.stack([d(t) for d in self._dspl], axis=-1)
+        d1 = self._d1(self._t_param(s))
         return d1 / np.linalg.norm(d1, axis=-1, keepdims=True)
 
     def curvature(self, s):
-        s = np.asarray(s, dtype=float)
-        if s.ndim == 0:
-            return self._curvature_t(float(self._t_param(s)))
-        t = self._t_param(s)
-        return np.array([self._curvature_t(float(tv)) for tv in t])
+        return self._curvature_t(self._t_param(s))
 
     def frame(self, s):
         s = float(s)
         t_hat = self.tangent(s)
         tv = float(self._t_param(s))
-        d2 = np.array([sp.derivative(2)(tv) for sp in self._spl])
-        a_perp = d2 - np.dot(d2, t_hat) * t_hat
-        norm = np.linalg.norm(a_perp)
-        if norm > 1e-8 * max(1.0, np.linalg.norm(d2)) and self._curvature_t(tv) > 1e-8:
+        d2 = self._d2(tv)
+        a_perp, norm = _normal_part(t_hat, d2)
+        if norm > 1e-8 * max(1.0, np.linalg.norm(d2)) and self._curvature_t(tv) > _FLAT:
             n = a_perp / norm
-            b = np.cross(t_hat, n)
-            return FrenetFrame(t=t_hat, b=b, n=n)
-        return self._fallback_frame(s, t_hat)
-
-    def _fallback_frame(self, s, t_hat):
-        # parallel-transport surrogate: borrow the normal plane orientation
-        # from the nearest point with supporting curvature
-        ells = self._ell_dense - self._half_length
-        order = np.argsort(np.abs(ells - s))
-        for idx in order:
-            tv = self._tdense[idx]
-            if self._curvature_t(tv) > 1e-8:
-                d1 = np.array([d(tv) for d in self._dspl])
-                d2 = np.array([sp.derivative(2)(tv) for sp in self._spl])
-                th = d1 / np.linalg.norm(d1)
-                a_perp = d2 - np.dot(d2, th) * th
-                n_ref = a_perp / np.linalg.norm(a_perp)
-                b_ref = np.cross(th, n_ref)
-                b = b_ref - np.dot(b_ref, t_hat) * t_hat
-                if np.linalg.norm(b) > 1e-10:
-                    b /= np.linalg.norm(b)
-                    n = np.cross(b, t_hat)
-                    return FrenetFrame(t=t_hat, b=b, n=n)
-        # globally straight data: fixed completion
-        for e in (np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])):
-            b = e - np.dot(e, t_hat) * t_hat
-            if np.linalg.norm(b) > 1e-6:
-                b /= np.linalg.norm(b)
+            return FrenetFrame(t=t_hat, b=np.cross(t_hat, n), n=n)
+        # parallel-transport surrogate: the binormal of the nearest curved
+        # dense node projected onto the normal plane at s; on globally
+        # straight data, a fixed completion
+        order = np.argsort(np.abs(self._curved_s - s), kind="stable")
+        for refs, floor in ((self._curved_b[order], 1e-10), (_COMPLETIONS, 1e-6)):
+            b, size = _normal_part(t_hat, refs)
+            ok = np.flatnonzero(size > floor)
+            if ok.size:
+                b = b[ok[0]] / size[ok[0]]
                 return FrenetFrame(t=t_hat, b=b, n=np.cross(b, t_hat))
         raise DegenerateFrameError(f"no orthonormal completion at s = {s!r}")
 

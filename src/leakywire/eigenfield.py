@@ -205,25 +205,31 @@ def default_radii(n: int = 8, r_min: float = 1e-3, r_max: float = 1e-2) -> np.nd
     return np.geomspace(r_min, r_max, n)
 
 
-def bc_residual(curve: Curve, grid: GridSpec, kappa: float, h, alpha: float,
-                s_list, radii=None, n_angles: int = 8) -> float:
-    """Worst relative defect of the boundary condition 2 pi alpha xi = omega.
+def bc_defect(fits, alpha: float) -> float:
+    """Worst relative defect of the boundary condition 2 pi alpha xi = omega
+    over fitted traces.
 
     The defect at each foot point is normalized by
     |alpha xi| + |omega| + |xi|: the xi term keeps the quotient meaningful
     at alpha = 0, where the exact omega vanishes and the fitted one measures
     pure discretization error against the h/2pi scale.
     """
-    if radii is None:
-        radii = default_radii()
     worst = 0.0
-    for s in s_list:
-        tf = fit_trace(trace_on_shifted(curve, grid, kappa, h, float(s),
-                                        radii, n_angles))
+    for tf in fits:
         num = abs(2.0 * math.pi * alpha * tf.xi - tf.omega)
         den = abs(alpha * tf.xi) + abs(tf.omega) + abs(tf.xi) + 1e-300
         worst = max(worst, num / den)
     return worst
+
+
+def bc_residual(curve: Curve, grid: GridSpec, kappa: float, h, alpha: float,
+                s_list, radii=None, n_angles: int = 8) -> float:
+    """``bc_defect`` of the traces fitted at the foot points s_list."""
+    if radii is None:
+        radii = default_radii()
+    return bc_defect([fit_trace(trace_on_shifted(curve, grid, kappa, h, float(s),
+                                                 radii, n_angles))
+                      for s in s_list], alpha)
 
 
 # ---------------------------------------------------------------------------

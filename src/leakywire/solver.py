@@ -37,23 +37,22 @@ from .operators import GridSpec, OperatorCache, kappa0, s_kappa, zeta0
 # eigensolvers at solver._iterative_top and solver.scipy, so both stay bound.
 from .spectral import SpectralCurve, _iterative_top, top_eigen  # noqa: F401
 
+BRACKET_START_OFFSET = 1e-4  # the bracket starts at kappa0 * (1 + offset)
+BRACKET_GROWTH = 2.0         # factor by which the bracket's upper end grows
+BRACKET_MAX_FACTOR = 1e6     # no sign change up to this multiple of kappa0 fails
+THRESHOLD_GAP_FRAC = 1e-6    # gaps below this fraction of |zeta0| are uncertain
+
 
 @dataclass
 class SolveConfig:
     alpha: float
     grid: GridSpec
-    kappa_bracket_growth: float = 2.0
     tol_kappa_rel: float = 1e-10
     tol_lambda: float = 1e-9
     m_branches: int = 8
     refine_levels: int = 3
-    bracket_start_offset: float = 1e-4
-    bracket_max_factor: float = 1e6
-    threshold_gap_frac: float = 1e-6
 
     def __post_init__(self):
-        if self.kappa_bracket_growth <= 1.0:
-            raise GeometryError("bracket growth factor must exceed 1")
         if self.tol_kappa_rel <= 0 or self.tol_lambda <= 0:
             raise GeometryError("tolerances must be positive")
         if self.m_branches < 1:
@@ -143,7 +142,7 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
     """All branch crossings lambda_j(kappa~) = alpha above the continuum edge.
 
     Returns BoundState records sorted by energy; threshold-uncertain records
-    (gap below threshold_gap_frac * |zeta0|, or a bent branch that never
+    (gap below THRESHOLD_GAP_FRAC * |zeta0|, or a bent branch that never
     clears alpha at the bracket start) carry the flag instead of being
     silently dropped.  The straight line yields an empty list.  If the last
     tracked branch would give a record, more states may lie beyond the
@@ -161,7 +160,7 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
     alpha = config.alpha
     k0 = kappa0(alpha)
     z0 = zeta0(alpha)
-    k_start = k0 * (1.0 + config.bracket_start_offset)
+    k_start = k0 * (1.0 + BRACKET_START_OFFSET)
     s_start = s_kappa(k_start)
     lift_floor = 1e-8 * max(1.0, abs(s_start))
 
@@ -199,9 +198,9 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
 
 def _solve_branch(ev, j, alpha, k_start, k0, z0, config) -> BoundState:
     k_hi = k_start
-    k_max = config.bracket_max_factor * k0
+    k_max = BRACKET_MAX_FACTOR * k0
     while ev.values(k_hi)[j] > alpha:
-        k_hi *= config.kappa_bracket_growth
+        k_hi *= BRACKET_GROWTH
         if k_hi > k_max:
             raise BracketFailureError(
                 f"branch {j}: no sign change of lambda - alpha up to "
@@ -225,7 +224,7 @@ def _solve_branch(ev, j, alpha, k_start, k0, z0, config) -> BoundState:
         h=h,
         gap=float(gap),
         residual=abs(lam_val - alpha),
-        threshold_uncertain=bool(gap < config.threshold_gap_frac * abs(z0)),
+        threshold_uncertain=bool(gap < THRESHOLD_GAP_FRAC * abs(z0)),
         diagnostics={"bracket": [float(k_start), float(k_hi)],
                      "iterations": int(res.iterations),
                      "evaluations": int(ev.evaluations)},
@@ -271,16 +270,11 @@ def converge_study(curve: Curve, config: SolveConfig) -> ConvergenceReport:
     requires every difference to shrink by at least 3x per N-doubling;
     non-monotone refinement only warns.
     """
-    if config.refine_levels < 2:
-        raise GeometryError("need at least 2 refinement levels")
     base = config.grid
     warnings = []
     levels = []
     energies = []
-    for k in range(config.refine_levels):
-        n_k = base.N // 2 ** (config.refine_levels - 1 - k)
-        if n_k < 8 or n_k % 2:
-            raise GeometryError(f"refinement level {k} gives invalid N = {n_k}")
+    for n_k in refinement_ladder(base.N, config.refine_levels):
         e_k = _ground_energy(curve, replace(config, grid=GridSpec(base.L, n_k)))
         levels.append(ConvergenceLevel(N=n_k, L=base.L, energy=e_k))
         energies.append(e_k)
@@ -323,6 +317,18 @@ def converge_study(curve: Curve, config: SolveConfig) -> ConvergenceReport:
                              richardson_energy=richardson,
                              tail_change=tail_change,
                              accepted=accepted, warnings=warnings)
+
+
+def refinement_ladder(n: int, levels: int) -> list:
+    """Grid sizes N / 2^(levels-1), ..., N/2, N of the converge study;
+    GeometryError unless levels >= 2 and every size is even and >= 8."""
+    if levels < 2:
+        raise GeometryError("need at least 2 refinement levels")
+    sizes = [n // 2 ** (levels - 1 - k) for k in range(levels)]
+    for k, n_k in enumerate(sizes):
+        if n_k < 8 or n_k % 2:
+            raise GeometryError(f"refinement level {k} gives invalid N = {n_k}")
+    return sizes
 
 
 def _ground_energy(curve, config) -> Optional[float]:

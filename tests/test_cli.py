@@ -214,6 +214,39 @@ class TestArgumentErrors:
         assert "geometry error" not in captured.err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--curve", "straight", "-L", "8", "-N", "64", "--levels", "5"],
+        ["converge", "--curve", "straight", "-L", "8", "-N", "34", "--levels", "3"],
+        ["check", "--curve", "straight", "--samples", "0"],
+        ["bc-verify", "--curve", "straight", "-L", "8", "-N", "64", "--angles", "0"],
+        ["bc-verify", "--curve", "straight", "-L", "8", "-N", "64", "--radii=-1e-3,1e-2"],
+        ["bc-verify", "--curve", "straight", "-L", "8", "-N", "64", "--radii", "1e-3:1e-2:1"],
+        ["scan", "--curve", "straight", "-L", "8", "-N", "64",
+         "--kappa-min", "2", "--kappa-max", "1"],
+        ["scan", "--curve", "straight", "-L", "8", "-N", "64", "--kappa-min", "-1"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
+    def test_exits_3_before_any_search(self, argv, capsys, monkeypatch):
+        import leakywire.cli as cli_mod
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran before the arguments were checked")
+
+        for name in ("find_bound_states", "spectrum_scan", "converge_study", "check_a1"):
+            monkeypatch.setattr(cli_mod, name, no_search)
+        code = run_cli(*argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "configuration error" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("option", [
+        ["-N", "64"], ["--alpha", "0.5"], ["-m", "0"], ["--tol-kappa", "-1"],
+        ["--tol-lambda", "1"],
+    ], ids=lambda option: option[0])
+    def test_check_takes_only_its_options(self, option):
+        assert run_cli("check", "--curve", "straight", "--samples", "16", *option) == 3
+
+
 class TestModuleEntryPoint:
     def test_python_m_leakywire(self):
         env = dict(os.environ, PYTHONPATH=str(Path(leakywire.__file__).parent.parent))

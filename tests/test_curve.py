@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline, PPoly
 
 from leakywire.curve import (
     CURVATURE_DECAY_THRESHOLD,
@@ -99,6 +100,54 @@ class TestFrames:
         assert np.allclose(np.cross(fr.t, fr.n), fr.b, atol=1e-8)
 
 
+def _sampled(t, x, y, z):
+    return SampledParametric(np.column_stack([t, x, y, z]))
+
+
+def _wire_samples():
+    # non-planar wire: a Gaussian bump in y and a wider odd bump in z,
+    # numerically straight beyond |t| ~ 7.5, where the Frenet normal is
+    # undefined; the principal normal near the ends points along z
+    t = np.linspace(-12.0, 12.0, 241)
+    return np.column_stack([t, t, 0.8 * np.exp(-t ** 2), 0.5 * t * np.exp(-(t / 1.5) ** 2)])
+
+
+def _orthonormal_right_handed(fr):
+    for v in (fr.t, fr.b, fr.n):
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+    assert max(abs(fr.t @ fr.b), abs(fr.t @ fr.n), abs(fr.b @ fr.n)) < 1e-12
+    assert np.allclose(np.cross(fr.t, fr.n), fr.b, rtol=0, atol=1e-12)
+
+
+class TestSampledFrames:
+    def test_straight_ends_borrow_the_nearest_curved_normal_plane(self):
+        wire = SampledParametric(_wire_samples())
+        half = wire.domain_hint
+        s = np.linspace(-half, half, 2001)
+        curved = s[wire.curvature(s) > 1e-6]
+        for s_end, s_ref in ((half - 0.1, curved.max()), (-half + 0.1, curved.min())):
+            assert wire.curvature(s_end) < 1e-20
+            fr, ref = eval_frame(wire, s_end), eval_frame(wire, s_ref)
+            _orthonormal_right_handed(fr)
+            assert abs(fr.b @ ref.b) > 1.0 - 1e-9
+            assert abs(fr.b[2]) < 1e-6     # not the fixed completion b = (0, 0, 1)
+
+    @pytest.mark.parametrize("direction, b, n", [
+        ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)),
+        ((1.0, 1.0, 0.0), (0.0, 0.0, 1.0), (-0.5 ** 0.5, 0.5 ** 0.5, 0.0)),
+        ((0.0, 0.0, 2.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)),
+    ], ids=["x", "diagonal", "z"])
+    def test_globally_straight_data_uses_the_fixed_completion(self, direction, b, n):
+        t = np.linspace(-3.0, 3.0, 61)
+        line = _sampled(t, *(c * t for c in direction))
+        assert line.max_curvature() < 1e-8
+        for s in (-2.0, 0.0, 1.3):
+            fr = eval_frame(line, s)
+            _orthonormal_right_handed(fr)
+            assert np.allclose(fr.b, b, rtol=0, atol=1e-12)
+            assert np.allclose(fr.n, n, rtol=0, atol=1e-12)
+
+
 class TestCurvature:
     def test_straight(self, straight):
         assert curvature_at(straight, 3.0) == 0.0
@@ -109,6 +158,39 @@ class TestCurvature:
 
     def test_sampled_circle_radius_two(self, half_circle_r2):
         assert abs(curvature_at(half_circle_r2, 0.3) - 0.5) < 1e-4
+
+    def test_sampled_array_matches_scalar_and_loop_reference(self):
+        samples = _wire_samples()
+        wire = SampledParametric(samples)
+        s = np.linspace(-9.0, 9.0, 51)
+        k = wire.curvature(s)
+        assert np.array_equal(k, [wire.curvature(x) for x in s])
+        assert np.array_equal(wire.curvature(s.reshape(3, 17)), k.reshape(3, 17))
+        # |gamma' x gamma''| / |gamma'|^3 one point at a time from
+        # per-coordinate splines: the same arithmetic, so equal to the bit
+        splines = [CubicSpline(samples[:, 0], samples[:, c]) for c in (1, 2, 3)]
+        ref = []
+        for tv in wire._t_param(s):
+            d1 = np.array([sp.derivative()(tv) for sp in splines])
+            d2 = np.array([sp.derivative(2)(tv) for sp in splines])
+            ref.append(np.linalg.norm(np.cross(d1, d2)) / np.linalg.norm(d1) ** 3)
+        assert np.array_equal(k, ref)
+
+    def test_sampled_build_is_vectorized(self, monkeypatch):
+        # one spline evaluation per derivative over all 16001 dense nodes,
+        # not a few per node
+        calls = []
+        call = PPoly.__call__
+
+        def counting(self, *args, **kwargs):
+            calls.append(None)
+            return call(self, *args, **kwargs)
+
+        monkeypatch.setattr(PPoly, "__call__", counting)
+        t = np.linspace(-10.0, 10.0, 2001)
+        curve = _sampled(t, t, np.sin(t), 0.5 * np.cos(t))
+        assert len(calls) <= 8
+        assert curve.max_curvature() > 0.0
 
 
 class TestShiftedPoint:

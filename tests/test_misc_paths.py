@@ -12,6 +12,7 @@ from leakywire.curve import FrenetFrame, StraightLine, eval_frame
 from leakywire.eigenfield import TraceFit, trace_to_dict
 from leakywire.errors import BracketFailureError, DegenerateFrameError
 from leakywire.operators import GridSpec
+from leakywire import solver
 from leakywire.solver import SolveConfig, _BranchEvaluator, find_bound_states
 from leakywire.spectral import lambda_curve
 
@@ -59,6 +60,25 @@ class TestBcVerifyCommand:
             assert main(["bc-verify", "--curve", "bump:a=1,w=1", "--alpha", "0",
                          "-L", "16", "-N", "256", "-m", str(m), "-o", str(out)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_each_trace_fitted_once(self, tmp_path, monkeypatch):
+        # the residual reuses the five fitted traces of the payload
+        import leakywire.cli as cli_mod
+        import leakywire.eigenfield as eigenfield_mod
+
+        calls = []
+        trace_on_shifted = eigenfield_mod.trace_on_shifted
+
+        def counting(*args, **kwargs):
+            calls.append(args[4])
+            return trace_on_shifted(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "trace_on_shifted", counting)
+        monkeypatch.setattr(eigenfield_mod, "trace_on_shifted", counting)
+        out = tmp_path / "bc.json"
+        assert main(["bc-verify", "--curve", "bump:a=1,w=1", "--alpha", "0",
+                     "-L", "16", "-N", "256", "-o", str(out)]) == 0
+        assert calls == [-2.0, -1.0, 0.0, 1.0, 2.0]
 
     def test_straight_reports_nothing_to_verify(self, tmp_path):
         out = tmp_path / "bc.json"
@@ -148,8 +168,8 @@ class TestErrorPaths:
             eval_frame(BrokenFrame(), 0.0)
 
     def test_bracket_failure(self, bump, monkeypatch):
-        config = SolveConfig(alpha=0.0, grid=GridSpec(8.0, 64),
-                             bracket_max_factor=4.0, m_branches=1)
+        config = SolveConfig(alpha=0.0, grid=GridSpec(8.0, 64), m_branches=1)
+        monkeypatch.setattr(solver, "BRACKET_MAX_FACTOR", 4.0)
         monkeypatch.setattr(_BranchEvaluator, "values",
                             lambda self, kappa: np.array([math.inf]))
         with pytest.raises(BracketFailureError):

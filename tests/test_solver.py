@@ -233,8 +233,6 @@ class TestSerialization:
 
     def test_config_validation(self):
         with pytest.raises(GeometryError):
-            SolveConfig(alpha=0.0, grid=GridSpec(8.0, 64), kappa_bracket_growth=0.5)
-        with pytest.raises(GeometryError):
             SolveConfig(alpha=0.0, grid=GridSpec(8.0, 64), tol_lambda=-1.0)
 
 
