@@ -37,10 +37,7 @@ from .eigenfield import (
     trace_on_shifted,
 )
 from .operators import (
-    DiscretizedOperator,
     GridSpec,
-    assemble_B,
-    assemble_Q,
     assemble_T,
     b_kernel,
     hs_norm,
@@ -64,6 +61,6 @@ from .solver import (
     find_bound_states,
     spectrum_scan,
 )
-from .spectral import SpectralCurve, lambda_curve, top_eigenpairs
+from .spectral import SpectralCurve, lambda_curve
 
 __version__ = "0.1.0"

@@ -134,19 +134,40 @@ def _default_L(curve: Curve, alpha: float) -> float:
     return max(16.0, 10.0 / (kappa0(alpha) * c))
 
 
+def _half_length(args, default=None):
+    """-L, checked finite and positive; ``default`` when it was not given."""
+    L = args.half_length
+    if L is None:
+        return default
+    if not (math.isfinite(L) and L > 0):
+        raise ConfigError(f"-L must be finite and positive, got {L}")
+    return L
+
+
+def _check_alpha(alpha: float) -> None:
+    """The solvers need a finite alpha with a finite continuum edge below 0."""
+    try:
+        edge = zeta0(alpha)
+    except OverflowError:
+        edge = -math.inf
+    if not (math.isfinite(alpha) and math.isfinite(edge) and edge < 0):
+        raise ConfigError(f"--alpha must be finite with a finite negative continuum "
+                          f"edge zeta0(alpha), got {alpha}")
+
+
 def _grid_from_args(args, curve: Curve) -> GridSpec:
     if args.grid_n <= 0 or args.grid_n % 2:
         raise ConfigError(f"-N must be a positive even integer, got {args.grid_n}")
-    if args.half_length is not None and args.half_length <= 0:
-        raise ConfigError(f"-L must be positive, got {args.half_length}")
-    L = args.half_length if args.half_length is not None else _default_L(curve, args.alpha)
+    _check_alpha(args.alpha)
+    L = _half_length(args)
+    if L is None:
+        L = _default_L(curve, args.alpha)
     return GridSpec(float(L), int(args.grid_n))
 
 
 def _hint_from_args(args) -> float:
-    if args.half_length is not None:
-        return max(48.0, 1.5 * float(args.half_length))
-    return 48.0
+    L = _half_length(args)
+    return 48.0 if L is None else max(48.0, 1.5 * float(L))
 
 
 def _config_from_args(args, grid: GridSpec) -> SolveConfig:
@@ -199,7 +220,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_check(args) -> int:
     curve = load_curve(args.curve, _hint_from_args(args))
-    L = args.half_length if args.half_length is not None else 24.0
+    L = _half_length(args, 24.0)
     n = args.samples
     if n < 2:
         raise ConfigError(f"--samples must be at least 2, got {n}")

@@ -27,6 +27,12 @@ Discretization:
   diagonal set to 0, the continuous extension (the kernel vanishes linearly
   on the diagonal for C^2 curves, B(s, s+u) ~ k(s)^2 u / (96 pi)).
 
+Assembly: there is one builder and one reference.  ``OperatorCache.q_matrix``
+builds every Q the solvers use, so a change of quadrature rule is made
+there alone.  ``assemble_T(grid, kappa) + grid.delta *
+bending_kernel_matrix(curve, grid, kappa)`` is the independent pointwise
+reference: the tests hold the cache to it, and the oracles use its parts.
+
 Free-line constants:
 
     m_kappa(p) = (1/2pi) (psi(1) + ln 2 - ln sqrt(p^2 + kappa^2))
@@ -82,28 +88,6 @@ class GridSpec:
     def momenta(self) -> np.ndarray:
         """Grid momenta pi*n/L, n = -N/2 .. N/2 - 1, in FFT ordering."""
         return TWO_PI * np.fft.fftfreq(self.N, d=self.delta)
-
-
-@dataclass
-class DiscretizedOperator:
-    """Real symmetric finite section of T, B or Q on a grid."""
-
-    grid: GridSpec
-    kappa: float
-    matrix: np.ndarray
-    kind: str  # "T" | "B" | "Q"
-
-    def __post_init__(self):
-        if self.kind not in ("T", "B", "Q"):
-            raise GeometryError(f"unknown operator kind {self.kind!r}")
-        m = self.matrix
-        if m.shape != (self.grid.N, self.grid.N):
-            raise GeometryError("matrix shape does not match the grid")
-        scale = float(np.max(np.abs(m))) or 1.0
-        asym = float(np.max(np.abs(m - m.T)))
-        if asym > 1e-12 * scale:
-            raise InvalidKernelError(
-                f"{self.kind} matrix asymmetry {asym:.3e} exceeds 1e-12 * {scale:.3e}")
 
 
 def s_kappa(kappa) -> float:
@@ -180,14 +164,13 @@ def bending_kernel_matrix(curve: Curve, grid: GridSpec, kappa: float) -> np.ndar
     return _kernel_from_distances(rho, sigma, kappa)
 
 
-def assemble_T(grid: GridSpec, kappa: float) -> DiscretizedOperator:
+def assemble_T(grid: GridSpec, kappa: float) -> np.ndarray:
     """Symmetric circulant with eigenvalues m_kappa(p_n) on the grid momenta.
 
     The constant vector is an exact eigenvector with eigenvalue
     m_kappa(0) = s_kappa.
     """
-    matrix = _symmetric_toeplitz(_t_first_row(grid, kappa)).copy()
-    return DiscretizedOperator(grid=grid, kappa=float(kappa), matrix=matrix, kind="T")
+    return _symmetric_toeplitz(_t_first_row(grid, kappa)).copy()
 
 
 def _symmetric_toeplitz(row: np.ndarray) -> np.ndarray:
@@ -209,41 +192,22 @@ def _t_first_row(grid: GridSpec, kappa: float) -> np.ndarray:
     return 0.5 * (row + rev)
 
 
-def assemble_B(curve: Curve, grid: GridSpec, kappa: float) -> DiscretizedOperator:
-    """Midpoint-quadrature section of the bending kernel: Delta * B(s_i, s_j)."""
-    if isinstance(curve, StraightLine):
-        matrix = np.zeros((grid.N, grid.N))
-    else:
-        matrix = grid.delta * bending_kernel_matrix(curve, grid, kappa)
-    return DiscretizedOperator(grid=grid, kappa=float(kappa), matrix=matrix, kind="B")
-
-
-def assemble_Q(curve: Curve, grid: GridSpec, kappa: float) -> DiscretizedOperator:
-    """Q = T + B."""
-    t = assemble_T(grid, kappa)
-    b = assemble_B(curve, grid, kappa)
-    return DiscretizedOperator(grid=grid, kappa=float(kappa),
-                               matrix=t.matrix + b.matrix, kind="Q")
-
-
-def hs_norm(op: DiscretizedOperator) -> float:
+def hs_norm(b: np.ndarray) -> float:
     """Grid estimate of the Hilbert-Schmidt norm (integral of the squared
-    kernel); for the midpoint matrix this is its Frobenius norm."""
-    if op.kind != "B":
-        raise InvalidKernelError("hs_norm is defined for bending operators only")
-    return float(np.sqrt(np.sum(op.matrix ** 2)))
+    kernel) of a weighted bending matrix Delta * B(s_i, s_j); for the
+    midpoint matrix this is its Frobenius norm."""
+    return float(np.sqrt(np.sum(b ** 2)))
 
 
-def schur_holmgren_norm(op: DiscretizedOperator) -> float:
+def schur_holmgren_norm(b: np.ndarray) -> float:
     """Row-integral bound sup_s int B(s, s') ds' for a positive kernel: the
-    largest row sum of the midpoint matrix.  Dominates the operator 2-norm."""
-    if op.kind != "B":
-        raise InvalidKernelError("schur_holmgren_norm is defined for bending operators only")
-    if float(op.matrix.min()) < -KERNEL_NEGATIVITY_TOL:
-        i, j = np.unravel_index(int(np.argmin(op.matrix)), op.matrix.shape)
+    largest row sum of the weighted bending matrix Delta * B(s_i, s_j).
+    Dominates the operator 2-norm."""
+    if float(b.min()) < -KERNEL_NEGATIVITY_TOL:
+        i, j = np.unravel_index(int(np.argmin(b)), b.shape)
         raise InvalidKernelError(
-            f"kernel entry ({i}, {j}) = {op.matrix[i, j]:.3e} is negative beyond tolerance")
-    return float(np.max(np.sum(op.matrix, axis=1)))
+            f"kernel entry ({i}, {j}) = {b[i, j]:.3e} is negative beyond tolerance")
+    return float(np.max(np.sum(b, axis=1)))
 
 
 class OperatorCache:

@@ -250,8 +250,7 @@ def kappa_independence_check(grid: GridSpec, kappa_pair=(1.0, 2.0),
         return 2.0 * val
 
     def multiplier_form(kap):
-        t_op = assemble_T(grid, kap)
-        return grid.delta * float(f @ (t_op.matrix @ f))
+        return grid.delta * float(f @ (assemble_T(grid, kap) @ f))
 
     d1 = renormalized_pairing(k1) - multiplier_form(k1)
     d2 = renormalized_pairing(k2) - multiplier_form(k2)

@@ -19,7 +19,7 @@ import scipy.linalg
 
 from .curve import Curve
 from .errors import GeometryError, NumericalFailureError
-from .operators import DiscretizedOperator, GridSpec, OperatorCache, s_kappa
+from .operators import GridSpec, OperatorCache, s_kappa
 
 
 #: largest grid solved by dense decomposition; above this the top of the
@@ -122,13 +122,6 @@ def top_eigen(matrix: np.ndarray, m: int, vectors: bool = False):
         raise NumericalFailureError(
             f"eigenpair {j} residual {resid[j]:.3e} exceeds 1e-9 * ||Q|| (N={n})")
     return vals, np.column_stack([_fix_sign(vecs[:, j]) for j in range(m)])
-
-
-def top_eigenpairs(op: DiscretizedOperator, m: int):
-    """The m largest eigenpairs of an assembled operator as a descending list
-    of (value, vector) pairs; see top_eigen."""
-    vals, vecs = top_eigen(op.matrix, m, vectors=True)
-    return [(float(vals[j]), vecs[:, j]) for j in range(m)]
 
 
 def lambda_curve(curve: Curve, grid: GridSpec, kappa_list, m: int = 8) -> SpectralCurve:

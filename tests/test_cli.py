@@ -224,6 +224,22 @@ class TestArgumentErrors:
         ["scan", "--curve", "straight", "-L", "8", "-N", "64",
          "--kappa-min", "2", "--kappa-max", "1"],
         ["scan", "--curve", "straight", "-L", "8", "-N", "64", "--kappa-min", "-1"],
+        # alpha must be finite with a finite negative continuum edge zeta0(alpha);
+        # without -L the check must also precede the default-L audit
+        ["solve", "--curve", "straight", "-L", "8", "-N", "64", "--alpha", "nan"],
+        ["solve", "--curve", "bump:a=1,w=1", "-N", "64", "--alpha", "nan"],
+        ["scan", "--curve", "bump:a=1,w=1", "-N", "64", "--alpha", "inf"],
+        ["converge", "--curve", "bump:a=1,w=1", "-N", "64", "--alpha=-inf"],
+        ["solve", "--curve", "straight", "-L", "8", "-N", "64", "--alpha", "-200"],
+        ["bc-verify", "--curve", "bump:a=1,w=1", "-N", "64", "--alpha", "-200"],
+        ["solve", "--curve", "straight", "-N", "64", "--alpha", "200"],
+        # -L must be finite and positive on every command
+        ["check", "--curve", "straight", "-L", "-1"],
+        ["check", "--curve", "bump:a=1,w=1", "-L", "nan"],
+        ["check", "--curve", "straight", "-L", "inf"],
+        ["solve", "--curve", "straight", "-L", "nan", "-N", "64"],
+        ["solve", "--curve", "bump:a=1,w=1", "-L", "inf", "-N", "64"],
+        ["scan", "--curve", "straight", "-L=-inf", "-N", "64"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
     def test_exits_3_before_any_search(self, argv, capsys, monkeypatch):
         import leakywire.cli as cli_mod

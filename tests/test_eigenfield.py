@@ -18,7 +18,7 @@ from leakywire.eigenfield import (
     trace_values,
 )
 from leakywire.errors import FitError, NearSingularityError
-from leakywire.operators import GridSpec, assemble_Q, s_kappa
+from leakywire.operators import GridSpec, OperatorCache, s_kappa
 
 from conftest import bump_solution
 
@@ -150,8 +150,7 @@ class TestExtractXiOmega:
         g = GridSpec(16.0, 512)
         h = np.exp(-g.nodes ** 2 / 4.0)
         kappa = 1.3
-        q = assemble_Q(straight, g, kappa)
-        qh = q.matrix @ h
+        qh = OperatorCache(straight, g).q_matrix(kappa) @ h
         s = 0.4
         tf = fit_trace(trace_on_shifted(straight, g, kappa, h, s, RADII))
         idx = int(round((s - g.nodes[0]) / g.delta))

@@ -100,16 +100,16 @@ class TestExports:
 
 class TestIterativeEigenPath:
     def test_lanczos_matches_dense(self, bump):
-        from leakywire.operators import OperatorCache, assemble_Q
-        from leakywire.spectral import _iterative_top, top_eigenpairs
+        from leakywire.operators import OperatorCache
+        from leakywire.spectral import _iterative_top, top_eigen
 
         g = GridSpec(16.0, 512)
-        q = assemble_Q(bump, g, 1.2)
-        dense = top_eigenpairs(q, 5)
-        vals, vecs = _iterative_top(q.matrix, 5, want_vectors=True)
-        for j, (lam, v) in enumerate(dense):
-            assert vals[j] == pytest.approx(lam, abs=1e-10)
-            assert abs(abs(np.dot(vecs[:, j], v)) - 1.0) < 1e-8
+        q = OperatorCache(bump, g).q_matrix(1.2)
+        dense_vals, dense_vecs = top_eigen(q, 5, vectors=True)
+        vals, vecs = _iterative_top(q, 5, want_vectors=True)
+        for j in range(5):
+            assert vals[j] == pytest.approx(dense_vals[j], abs=1e-10)
+            assert abs(abs(np.dot(vecs[:, j], dense_vecs[:, j])) - 1.0) < 1e-8
 
     @pytest.mark.parametrize("path", ["lambda_curve", "find_bound_states"])
     def test_large_grid_dispatch(self, bump, monkeypatch, path):

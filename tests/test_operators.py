@@ -3,15 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from leakywire.curve import Curve, SampledParametric, StraightLine
+from leakywire.curve import Curve, PlanarCurvatureProfile, SampledParametric, StraightLine
 from leakywire.errors import GeometryError, InvalidKernelError, SingularGeometryError
 from leakywire.operators import (
     PSI_ONE,
-    DiscretizedOperator,
     GridSpec,
     OperatorCache,
-    assemble_B,
-    assemble_Q,
     assemble_T,
     b_kernel,
     bending_kernel_matrix,
@@ -125,7 +122,7 @@ class TestAssembleT:
     def test_two_point_grid_eigenvalues(self):
         g = GridSpec(3.0, 2)
         t = assemble_T(g, 2.0)
-        eig = np.sort(np.linalg.eigvalsh(t.matrix))
+        eig = np.sort(np.linalg.eigvalsh(t))
         expected = np.sort([t_multiplier(0.0, 2.0), t_multiplier(np.pi / 3.0, 2.0)])
         assert np.allclose(eig, expected, atol=1e-14)
 
@@ -133,13 +130,13 @@ class TestAssembleT:
         g = GridSpec(16.0, 512)
         t = assemble_T(g, 2.0)
         ones = np.ones(g.N) / math.sqrt(g.N)
-        resid = t.matrix @ ones - s_kappa(2.0) * ones
+        resid = t @ ones - s_kappa(2.0) * ones
         assert np.max(np.abs(resid)) < 1e-14
 
     def test_row_sums_constant(self):
         g = GridSpec(12.0, 128)
         t = assemble_T(g, 1.4)
-        sums = t.matrix.sum(axis=1)
+        sums = t.sum(axis=1)
         assert np.ptp(sums) < 1e-13
         assert sums[0] == pytest.approx(s_kappa(1.4), abs=1e-13)
 
@@ -147,71 +144,61 @@ class TestAssembleT:
         g = GridSpec(16.0, 256)
         kap = 2.0 * math.exp(PSI_ONE)
         t = assemble_T(g, kap)
-        assert abs(np.linalg.eigvalsh(t.matrix)[-1]) < 1e-13
+        assert abs(np.linalg.eigvalsh(t)[-1]) < 1e-13
 
     def test_symmetry_exact(self):
         g = GridSpec(16.0, 128)
         t = assemble_T(g, 1.0)
-        assert np.array_equal(t.matrix, t.matrix.T)
+        assert np.array_equal(t, t.T)
 
 
 class TestAssembleB:
     def test_straight_is_zero_matrix(self, straight):
         g = GridSpec(16.0, 64)
-        b = assemble_B(straight, g, 1.2)
-        assert np.all(b.matrix == 0.0)
+        b = g.delta * bending_kernel_matrix(straight, g, 1.2)
+        assert np.all(b == 0.0)
 
     def test_entrywise_floor_and_symmetry(self, bump):
         g = GridSpec(20.0, 256)
-        b = assemble_B(bump, g, 1.2)
-        assert b.matrix.min() >= -1e-14
-        assert np.array_equal(b.matrix, b.matrix.T)
+        b = g.delta * bending_kernel_matrix(bump, g, 1.2)
+        assert b.min() >= -1e-14
+        assert np.array_equal(b, b.T)
 
     def test_support_pattern(self, bump):
         # the near-diagonal (curvature-driven) part lives where the bump is;
         # pairs on the same side of the bump with min |s| >= 6 are dead,
         # while opposite-side pairs keep an exponentially small shortcut term
         g = GridSpec(20.0, 256)
-        b = assemble_B(bump, g, 1.2)
+        b = g.delta * bending_kernel_matrix(bump, g, 1.2)
         s = g.nodes
         si, sj = np.meshgrid(s, s, indexing="ij")
-        live = b.matrix > 1e-12
+        live = b > 1e-12
         same_side = si * sj > 0
         far = np.minimum(np.abs(si), np.abs(sj)) >= 6.0
         assert not np.any(live & same_side & far)
-        i, j = np.unravel_index(int(b.matrix.argmax()), b.matrix.shape)
+        i, j = np.unravel_index(int(b.argmax()), b.shape)
         assert abs(s[i]) < 6.0 and abs(s[j]) < 6.0
 
     def test_quadratic_quadrature_convergence(self, bump):
         vals = []
         for n in (128, 256, 512, 1024):
             g = GridSpec(20.0, n)
-            b = assemble_B(bump, g, 1.2)
+            b = g.delta * bending_kernel_matrix(bump, g, 1.2)
             phi = np.exp(-g.nodes ** 2 / 2.0)
-            vals.append(g.delta * float(phi @ b.matrix @ phi))
+            vals.append(g.delta * float(phi @ b @ phi))
         d = np.abs(np.diff(vals))
         ratios = d[:-1] / d[1:]
         assert np.all(ratios > 3.0) and np.all(ratios < 5.0)
 
-    def test_q_is_t_plus_b(self, bump):
-        g = GridSpec(16.0, 128)
-        kap = 1.3
-        q = assemble_Q(bump, g, kap)
-        t = assemble_T(g, kap)
-        b = assemble_B(bump, g, kap)
-        assert np.array_equal(q.matrix, t.matrix + b.matrix)
-
     def test_straight_q_equals_t(self, straight):
         g = GridSpec(16.0, 128)
-        q = assemble_Q(straight, g, 1.1)
-        t = assemble_T(g, 1.1)
-        assert np.array_equal(q.matrix, t.matrix)
+        assert np.array_equal(OperatorCache(straight, g).q_matrix(1.1), assemble_T(g, 1.1))
 
 
 class TestNorms:
     def test_straight_norms_vanish(self, straight):
         g = GridSpec(16.0, 64)
-        b = assemble_B(straight, g, 1.0)
+        b = g.delta * bending_kernel_matrix(straight, g, 1.0)
         assert hs_norm(b) == 0.0
         assert schur_holmgren_norm(b) == 0.0
 
@@ -219,7 +206,7 @@ class TestNorms:
         g = GridSpec(16.0, 256)
         hs_vals, sh_vals = [], []
         for kap in (1.2, 1.5, 2.0):
-            b = assemble_B(bump, g, kap)
+            b = g.delta * bending_kernel_matrix(bump, g, kap)
             hs_vals.append(hs_norm(b))
             sh_vals.append(schur_holmgren_norm(b))
         assert hs_vals[0] >= hs_vals[1] >= hs_vals[2] > 0
@@ -228,13 +215,14 @@ class TestNorms:
     def test_two_norm_below_row_bound(self, bump):
         g = GridSpec(16.0, 256)
         for kap in (1.2, 2.0):
-            b = assemble_B(bump, g, kap)
-            assert np.linalg.norm(b.matrix, 2) <= schur_holmgren_norm(b) + 1e-8
+            b = g.delta * bending_kernel_matrix(bump, g, kap)
+            assert np.linalg.norm(b, 2) <= schur_holmgren_norm(b) + 1e-8
 
     def test_norms_stable_under_box_doubling(self, bump):
         kap = 1.2
-        b1 = assemble_B(bump, GridSpec(16.0, 256), kap)
-        b2 = assemble_B(bump, GridSpec(32.0, 512), kap)
+        g1, g2 = GridSpec(16.0, 256), GridSpec(32.0, 512)
+        b1 = g1.delta * bending_kernel_matrix(bump, g1, kap)
+        b2 = g2.delta * bending_kernel_matrix(bump, g2, kap)
         assert abs(hs_norm(b1) - hs_norm(b2)) / hs_norm(b2) < 1e-3
         assert abs(schur_holmgren_norm(b1) - schur_holmgren_norm(b2)) \
             / schur_holmgren_norm(b2) < 1e-3
@@ -242,28 +230,20 @@ class TestNorms:
     def test_uniformly_bounded_above_kappa0(self, bump):
         g = GridSpec(16.0, 256)
         k0 = kappa0(0.0)
-        b0 = assemble_B(bump, g, k0)
+        b0 = g.delta * bending_kernel_matrix(bump, g, k0)
         hs_cap, sh_cap = hs_norm(b0), schur_holmgren_norm(b0)
         for kap in np.geomspace(k0, 10 * k0, 6):
-            b = assemble_B(bump, g, float(kap))
+            b = g.delta * bending_kernel_matrix(bump, g, float(kap))
             assert hs_norm(b) <= hs_cap + 1e-12
             assert schur_holmgren_norm(b) <= sh_cap + 1e-12
 
-    def test_wrong_kind_rejected(self):
-        g = GridSpec(8.0, 32)
-        t = assemble_T(g, 1.0)
-        with pytest.raises(InvalidKernelError):
-            hs_norm(t)
-
     def test_negative_kernel_rejected(self, bump):
         g = GridSpec(8.0, 32)
-        b = assemble_B(bump, g, 1.2)
-        bad = b.matrix.copy()
+        bad = g.delta * bending_kernel_matrix(bump, g, 1.2)
         bad[3, 7] = -1e-6
         bad[7, 3] = -1e-6
-        broken = DiscretizedOperator(grid=g, kappa=1.2, matrix=bad, kind="B")
         with pytest.raises(InvalidKernelError):
-            schur_holmgren_norm(broken)
+            schur_holmgren_norm(bad)
 
 
 class TestInvariants:
@@ -280,13 +260,6 @@ class TestInvariants:
             dev = np.max(np.abs(t_multiplier(p, kap) - t_multiplier(p, kap2)))
             assert dev <= abs(math.log(kap / kap2)) / TWO_PI + 1e-12
 
-    def test_asymmetric_matrix_rejected(self):
-        g = GridSpec(8.0, 32)
-        m = np.zeros((32, 32))
-        m[0, 1] = 1.0
-        with pytest.raises(InvalidKernelError):
-            DiscretizedOperator(grid=g, kappa=1.0, matrix=m, kind="Q")
-
 
 class _Hairpin(Curve):
     """Unit-speed wire folded back onto itself at s = 0: gamma(s) = (|s|, 0, 0),
@@ -299,15 +272,23 @@ class _Hairpin(Curve):
         return out
 
 
+@pytest.fixture(scope="module")
+def power():
+    # curvature 1 on |s| < 1 and |s|^-2 outside: a kink at |s| = 1
+    return PlanarCurvatureProfile.power_tail(1.0, 2.0)
+
+
 class TestOperatorCache:
-    @pytest.mark.parametrize("family", ["bump", "helix", "straight"])
+    @pytest.mark.parametrize("family", ["bump", "helix", "straight", "power"])
     def test_matches_direct_assembly(self, family, request):
+        # the cache against the pointwise reference T + Delta * B(s_i, s_j)
         curve = request.getfixturevalue(family)
         g = GridSpec(8.0, 128)
         cache = OperatorCache(curve, g)
         for kap in (0.6, 1.4, 2.5):
             q = cache.q_matrix(kap)
-            assert np.max(np.abs(q - assemble_Q(curve, g, kap).matrix)) <= 1e-15
+            reference = assemble_T(g, kap) + g.delta * bending_kernel_matrix(curve, g, kap)
+            assert np.max(np.abs(q - reference)) <= 1e-15
             assert np.array_equal(q, q.T)
         # the chord distances are the only N x N array a cache keeps
         square = [v for v in vars(cache).values()
