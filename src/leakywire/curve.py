@@ -34,6 +34,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import (
+    ConfigError,
     CurveFormatError,
     DegenerateFrameError,
     GeometryError,
@@ -42,6 +43,10 @@ from .errors import (
 
 _GL_NODES, _GL_WEIGHTS = leggauss(12)
 _CELL_WIDTH = 0.05      # requested planar cell width; rounded down to 2^-m
+# peak bytes per planar cell while the cache is built: about four 12 x 12
+# float64 node arrays (3.7 KB measured for the Gaussian bump)
+_CELL_BUILD_BYTES = 4 * 12 * 12 * 8
+_CELL_BUILD_MAX_BYTES = 2 ** 31  # larger planar builds are refused up front
 _PLANAR_CHORD_COLS = 256  # columns per block of the planar chord matrix
 _FLAT = 1e-8            # curvature below which a sampled point counts as straight
 _COMPLETIONS = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # binormals of straight data
@@ -267,6 +272,12 @@ class PlanarCurvatureProfile(Curve):
         n_half = max(64, int(math.ceil(self.domain_hint / delta)))
         S = n_half * delta
         n_cells = 2 * n_half
+        if n_cells * _CELL_BUILD_BYTES > _CELL_BUILD_MAX_BYTES:
+            raise ConfigError(
+                f"a planar profile over [-{S:.6g}, {S:.6g}] needs {n_cells} cells, "
+                f"about {n_cells * _CELL_BUILD_BYTES / 2 ** 30:.3g} GiB to build, "
+                f"above the {_CELL_BUILD_MAX_BYTES / 2 ** 30:.3g} GiB limit; "
+                "lower -L (the domain hint)")
         bounds = (np.arange(n_cells + 1) - n_half) * delta
         half = delta / 2.0
         mids = bounds[:-1, None] + half * (_GL_NODES[None, :] + 1.0)

@@ -13,6 +13,15 @@ eigenvalue), and the offset keeps that degeneracy out of the bracket.
 Branches that bend the spectrum up but fail to clear alpha at the bracket
 start are reported as threshold-uncertain records instead of being dropped:
 a finite box cannot distinguish a weakly bound state from the edge.
+
+Roots are searched in u = ln kappa.  The free-line top
+s_kappa = (psi(1) - ln(kappa/2)) / (2 pi) is exactly linear in u with slope
+-1/(2 pi), so the first upper end of the bracket is predicted from the
+start value, kappa_hi = kappa_lo * exp(2 pi (lambda_j(kappa_lo) - alpha)).
+While lambda_j(kappa_hi) still exceeds alpha the lower end moves up to it
+and the step ratio grows by BRACKET_GROWTH, up to BRACKET_MAX_FACTOR * kappa0.
+Brent's method keeps its bracket guarantee in any monotone
+reparametrization, and a tolerance on u is a relative tolerance on kappa.
 """
 
 from __future__ import annotations
@@ -35,10 +44,10 @@ from .errors import (
 from .operators import GridSpec, OperatorCache, kappa0, s_kappa, zeta0
 # _iterative_top is not called here: perfbench/tracing.py wraps the
 # eigensolvers at solver._iterative_top and solver.scipy, so both stay bound.
-from .spectral import SpectralCurve, _iterative_top, top_eigen  # noqa: F401
+from .spectral import SpectralCurve, _iterative_top, eigensolver, top_eigen  # noqa: F401
 
 BRACKET_START_OFFSET = 1e-4  # the bracket starts at kappa0 * (1 + offset)
-BRACKET_GROWTH = 2.0         # factor by which the bracket's upper end grows
+BRACKET_GROWTH = 2.0         # factor by which the bracket's step ratio grows
 BRACKET_MAX_FACTOR = 1e6     # no sign change up to this multiple of kappa0 fails
 THRESHOLD_GAP_FRAC = 1e-6    # gaps below this fraction of |zeta0| are uncertain
 
@@ -107,6 +116,7 @@ class _BranchEvaluator:
     def __init__(self, curve, grid, m):
         self.cache = OperatorCache(curve, grid)
         self.m = m
+        self.eigensolver = eigensolver(grid.N, m)
         self._vals = {}
         self.evaluations = 0
 
@@ -185,7 +195,8 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
                     diagnostics={"reason": "branch lifted above the free line but "
                                            "below alpha at the bracket start",
                                  "lambda_start": float(lam_start[j]),
-                                 "s_kappa_start": float(s_start)},
+                                 "s_kappa_start": float(s_start),
+                                 "eigensolver": ev.eigensolver},
                 ))
     if not ground_only and states and states[-1].branch == m - 1:
         raise ConfigError(
@@ -196,19 +207,38 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
     return states
 
 
+def _root_in_log_kappa(ev, j, alpha, k_lo, k_hi, tol):
+    """Brent's root of lambda_j(kappa) = alpha on [k_lo, k_hi], searched in
+    u = ln kappa to the relative kappa tolerance ``tol``.
+
+    Returns (kappa~, brentq's RootResults).  The ends map back to the exact
+    kappa floats given, so their values come from the evaluator's memo.
+    """
+    ends = {math.log(k_lo): k_lo, math.log(k_hi): k_hi}
+    kappa = lambda u: ends.get(u, math.exp(u))
+    u, res = scipy.optimize.brentq(
+        lambda u: ev.values(kappa(u))[j] - alpha, math.log(k_lo), math.log(k_hi),
+        xtol=max(tol, 4 * np.finfo(float).eps), rtol=4 * np.finfo(float).eps,
+        full_output=True)
+    return kappa(u), res
+
+
 def _solve_branch(ev, j, alpha, k_start, k0, z0, config) -> BoundState:
-    k_hi = k_start
     k_max = BRACKET_MAX_FACTOR * k0
+    k_lo = k_start
+    # the free line falls by 1/(2 pi) per unit of u = ln kappa; the log step
+    # is capped only so that exp cannot overflow (k_hi stops at k_max anyway)
+    ratio = math.exp(min(2 * math.pi * (ev.values(k_lo)[j] - alpha), math.log(k_max)))
+    k_hi = min(k_lo * ratio, k_max)
     while ev.values(k_hi)[j] > alpha:
-        k_hi *= BRACKET_GROWTH
-        if k_hi > k_max:
+        if k_hi >= k_max:
             raise BracketFailureError(
                 f"branch {j}: no sign change of lambda - alpha up to "
                 f"kappa = {k_max:.3e}")
-    kt, res = scipy.optimize.brentq(
-        lambda k: ev.values(k)[j] - alpha, k_start, k_hi,
-        rtol=max(config.tol_kappa_rel, 4 * np.finfo(float).eps),
-        xtol=1e-300, full_output=True)
+        k_lo = k_hi
+        ratio *= BRACKET_GROWTH
+        k_hi = min(k_lo * ratio, k_max)
+    kt, res = _root_in_log_kappa(ev, j, alpha, k_lo, k_hi, config.tol_kappa_rel)
     lam_val, h = ev.eigenpair(kt, j)
     if abs(lam_val - alpha) > config.tol_lambda:
         raise NumericalFailureError(
@@ -225,9 +255,10 @@ def _solve_branch(ev, j, alpha, k_start, k0, z0, config) -> BoundState:
         gap=float(gap),
         residual=abs(lam_val - alpha),
         threshold_uncertain=bool(gap < THRESHOLD_GAP_FRAC * abs(z0)),
-        diagnostics={"bracket": [float(k_start), float(k_hi)],
+        diagnostics={"bracket": [float(k_lo), float(k_hi)],
                      "iterations": int(res.iterations),
-                     "evaluations": int(ev.evaluations)},
+                     "evaluations": int(ev.evaluations),
+                     "eigensolver": ev.eigensolver},
     )
 
 
@@ -247,15 +278,12 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
         curve_data = SpectralCurve.sample(kappas, ev.values, config.grid)
         for j in range(config.m_branches):
             f = curve_data.lambdas[:, j] - config.alpha
-            for i in range(len(kappas) - 1):
+            for i in range(len(kappas)):
                 if f[i] == 0.0:
                     crossings.append(Crossing(branch=j, kappa=float(kappas[i])))
-                elif f[i] * f[i + 1] < 0:
-                    kc = scipy.optimize.brentq(
-                        lambda k: ev.values(k)[j] - config.alpha,
-                        kappas[i], kappas[i + 1],
-                        rtol=max(config.tol_kappa_rel, 4 * np.finfo(float).eps),
-                        xtol=1e-300)
+                elif i + 1 < len(kappas) and f[i] * f[i + 1] < 0:
+                    kc, _ = _root_in_log_kappa(ev, j, config.alpha, kappas[i],
+                                               kappas[i + 1], config.tol_kappa_rel)
                     crossings.append(Crossing(branch=j, kappa=float(kc)))
     return curve_data, crossings
 

@@ -2,11 +2,26 @@
 dependence on the spectral parameter kappa.
 
 ``top_eigen`` is the one eigensolve entry point: every caller that needs the
-top of a spectrum goes through it.  Desk-scale grids (N <= DENSE_EIGEN_LIMIT)
-make a dense symmetric eigensolve the most robust choice; only the top few
-eigenvalues are ever needed, so the subset driver is used.  Larger grids use
-a deterministic Lanczos iteration.  Eigensolves at distinct kappa run one
-after another: the BLAS underneath each one already uses every core.
+top of a spectrum goes through it, and ``eigensolver`` names the path it
+takes.  Desk-scale grids make a dense symmetric eigensolve the most robust
+choice; only the top few eigenvalues are ever needed, so the subset driver
+is used.  Larger grids use a deterministic Lanczos iteration.  Where the
+switch lies depends on how many eigenvalues are wanted.  Measured on bump
+operators (2 vCPU, OpenBLAS, min of 3 runs; eigenvalues agree to 2e-16):
+
+==============================  ============  ======================
+case                            dense         Lanczos
+==============================  ============  ======================
+m=1, N=1152, L=36               0.067 s       0.04-0.16 s
+m=1, N=1536, L=24 / 36 / 60     0.18-0.20 s   0.065 / 0.084 / 0.143 s
+m=8, N=1536, L=48 / 60          0.18 s        0.26 / 0.30 s
+==============================  ============  ======================
+
+So one eigenvalue goes to Lanczos above N = 1152 (DENSE_TOP1_LIMIT), where
+it wins clearly, while m > 1 stays dense up to N = 2048
+(DENSE_EIGEN_LIMIT): Lanczos pays for every extra Ritz vector it converges.
+Eigensolves at distinct kappa run one after another: the BLAS underneath
+each one already uses every core.
 """
 
 from __future__ import annotations
@@ -22,9 +37,14 @@ from .errors import GeometryError, NumericalFailureError
 from .operators import GridSpec, OperatorCache, s_kappa
 
 
-#: largest grid solved by dense decomposition; above this the top of the
-#: spectrum comes from a deterministic Lanczos iteration
+#: largest grid solved by dense decomposition when m > 1 eigenvalues are
+#: wanted; above it Lanczos runs.  At m=8, N=1536 dense still wins (0.18 s
+#: against 0.26-0.30 s for Lanczos; table in the module docstring)
 DENSE_EIGEN_LIMIT = 2048
+#: the same limit for the top eigenvalue alone (m = 1).  Lanczos wins from
+#: N=1536 on (0.065-0.143 s against 0.18-0.20 s dense); at N=1152 the two
+#: are level (0.067 s dense, 0.04-0.16 s Lanczos), so 1152 stays dense
+DENSE_TOP1_LIMIT = 1152
 
 
 def _iterative_top(matrix: np.ndarray, m: int, want_vectors: bool):
@@ -92,10 +112,17 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[idx] < 0 else v
 
 
+def eigensolver(n: int, m: int) -> str:
+    """``"dense"`` or ``"lanczos"``: the path ``top_eigen`` takes for the top
+    m eigenvalues of an n x n matrix."""
+    limit = DENSE_TOP1_LIMIT if m == 1 else DENSE_EIGEN_LIMIT
+    return "lanczos" if n > limit else "dense"
+
+
 def top_eigen(matrix: np.ndarray, m: int, vectors: bool = False):
     """The m largest eigenvalues of a symmetric matrix, descending.
 
-    Up to DENSE_EIGEN_LIMIT the dense subset driver runs, above it Lanczos.
+    ``eigensolver(N, m)`` picks the dense subset driver or Lanczos.
     With ``vectors=True`` returns ``(values, vectors)``: orthonormal
     eigenvectors as columns, sign-fixed, with residuals ||Q v - lambda v||
     verified against 1e-9 * ||Q||.
@@ -103,7 +130,7 @@ def top_eigen(matrix: np.ndarray, m: int, vectors: bool = False):
     n = matrix.shape[0]
     if not 1 <= m <= n:
         raise GeometryError(f"need 1 <= m <= N, got m={m}, N={n}")
-    if n > DENSE_EIGEN_LIMIT:
+    if eigensolver(n, m) == "lanczos":
         vals, vecs = _iterative_top(matrix, m, vectors)
     elif vectors:
         vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[n - m, n - 1])

@@ -255,6 +255,22 @@ class TestArgumentErrors:
         assert "configuration error" in captured.err
         assert "Traceback" not in captured.err + captured.out
 
+    def test_oversized_planar_build_exits_3(self, capsys, monkeypatch):
+        # -L 1e8 asks for a planar profile of 9.6e9 cells, tens of TiB; the
+        # refusal states the estimate, and comes before any array is allocated
+        import leakywire.curve as curve_mod
+
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("cell arrays allocated before the size check")
+
+        monkeypatch.setattr(curve_mod.np, "arange", no_arrays)
+        code = run_cli("check", "--curve", "bump:a=1,w=1", "-L", "1e8")
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "configuration error" in captured.err
+        assert "9600000000 cells, about 4.12e+04 GiB" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
     @pytest.mark.parametrize("option", [
         ["-N", "64"], ["--alpha", "0.5"], ["-m", "0"], ["--tol-kappa", "-1"],
         ["--tol-lambda", "1"],

@@ -141,6 +141,41 @@ class TestIterativeEigenPath:
         assert dense.size and dense.shape == iterative.shape
         assert np.allclose(dense, iterative, rtol=0, atol=1e-9)
 
+    def test_one_eigenvalue_runs_lanczos_above_1152(self, bump, monkeypatch):
+        # a ground-state search at N=1536 asks for one eigenvalue: Lanczos,
+        # with the dense path's energy
+        import leakywire.spectral as spectral_mod
+
+        config = SolveConfig(alpha=0.0, grid=GridSpec(24.0, 1536))
+        lanczos = spectral_mod._iterative_top
+        calls = []
+
+        def spy(matrix, m, want_vectors):
+            calls.append((matrix.shape[0], m))
+            return lanczos(matrix, m, want_vectors)
+
+        monkeypatch.setattr(spectral_mod, "_iterative_top", spy)
+        (st,) = find_bound_states(bump, config, ground_only=True)
+        assert calls and set(calls) == {(1536, 1)}
+        assert st.diagnostics["eigensolver"] == "lanczos"
+        calls.clear()
+        monkeypatch.setattr(spectral_mod, "DENSE_TOP1_LIMIT", 1536)
+        (dense,) = find_bound_states(bump, config, ground_only=True)
+        assert not calls
+        assert dense.diagnostics["eigensolver"] == "dense"
+        assert st.energy == pytest.approx(dense.energy, rel=1e-12, abs=0.0)
+
+    def test_eight_eigenvalues_stay_dense_at_1536(self, bump, monkeypatch):
+        import leakywire.spectral as spectral_mod
+
+        def no_lanczos(*args):
+            raise AssertionError("an m = 8 solve at N = 1536 ran Lanczos")
+
+        monkeypatch.setattr(spectral_mod, "_iterative_top", no_lanczos)
+        states = find_bound_states(bump, SolveConfig(alpha=0.0, grid=GridSpec(24.0, 1536)))
+        assert states
+        assert {s.diagnostics["eigensolver"] for s in states} == {"dense"}
+
 
 class TestCliEdges:
     def test_help_exits_clean(self, capsys):

@@ -1,12 +1,18 @@
 import gc
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from leakywire.curve import PlanarCurvatureProfile, SampledParametric
-from leakywire.errors import AssumptionError, ConfigError, GeometryError
+from leakywire.errors import (
+    AssumptionError,
+    BracketFailureError,
+    ConfigError,
+    GeometryError,
+)
 from leakywire.operators import GridSpec, kappa0, zeta0
 import leakywire.solver as solver_mod
 import leakywire.spectral as spectral_mod
@@ -18,7 +24,7 @@ from leakywire.solver import (
     states_to_dict,
 )
 
-from conftest import bump_solution
+from conftest import bump_curve, bump_solution
 
 
 class TestStraightLineNullity:
@@ -118,6 +124,7 @@ class TestBumpBinding:
                                                                  dense_limit):
         if dense_limit is not None:
             monkeypatch.setattr(spectral_mod, "DENSE_EIGEN_LIMIT", dense_limit)
+            monkeypatch.setattr(spectral_mod, "DENSE_TOP1_LIMIT", dense_limit)
         curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
         grid = GridSpec(24.0, 512)
         full = find_bound_states(curve, SolveConfig(alpha=0.0, grid=grid, m_branches=6))
@@ -182,6 +189,120 @@ class TestSpectrumScan:
         config = SolveConfig(alpha=0.0, grid=GridSpec(8.0, 64))
         with pytest.raises(GeometryError):
             spectrum_scan(straight, config, (2.0, 1.0), 5)
+
+    def test_crossing_on_the_last_sample_recorded(self, bump):
+        # alpha equal to lambda_0 at the last sample: branch 0 crosses exactly
+        # there, with no later sample to bracket it
+        grid = GridSpec(16.0, 256)
+        alpha = float(spectral_mod.lambda_curve(bump, grid, [3.0], m=2).lambdas[0, 0])
+        config = SolveConfig(alpha=alpha, grid=grid, m_branches=2)
+        sc, crossings = spectrum_scan(bump, config, (0.5, 3.0), 8)
+        assert sc.kappas[-1] == 3.0 and sc.lambdas[-1, 0] == alpha
+        assert [(c.branch, c.kappa) for c in crossings if c.branch == 0] == [(0, 3.0)]
+        assert [c.branch for c in crossings] == [0, 1]
+
+
+def _closed_form_evaluator(monkeypatch, lam):
+    """A one-branch _BranchEvaluator whose Q is the 1 x 1 matrix [[lam(kappa)]]:
+    the real memo and eigensolve over a known lambda(kappa).  Returns it with
+    the list of kappas Q was built at."""
+    built = []
+
+    class ClosedForm:
+        def __init__(self, curve, grid):
+            pass
+
+        def q_matrix(self, kappa):
+            built.append(kappa)
+            return np.array([[lam(kappa)]])
+
+    monkeypatch.setattr(solver_mod, "OperatorCache", ClosedForm)
+    return solver_mod._BranchEvaluator(None, GridSpec(8.0, 64), 1), built
+
+
+class TestLogKappaRootSearch:
+    alpha = 0.0
+    k0 = kappa0(0.0)
+    k_start = k0 * (1.0 + solver_mod.BRACKET_START_OFFSET)
+
+    def _solve(self, ev):
+        config = SolveConfig(alpha=self.alpha, grid=GridSpec(8.0, 64), tol_kappa_rel=1e-12)
+        return solver_mod._solve_branch(ev, 0, self.alpha, self.k_start, self.k0,
+                                        zeta0(self.alpha), config)
+
+    def test_shallow_branch_grows_the_bracket(self, monkeypatch):
+        # a tenth of the free-line slope: the predicted upper end falls short
+        lift = 0.05
+        lam = lambda k: self.alpha + lift - 0.1 * math.log(k / self.k_start) / (2 * math.pi)
+        ev, built = _closed_form_evaluator(monkeypatch, lam)
+        st = self._solve(ev)
+        root = self.k_start * math.exp(20 * math.pi * lift)
+        assert st.kappa_tilde == pytest.approx(root, rel=1e-11, abs=0.0)
+        assert built[1] == pytest.approx(self.k_start * math.exp(2 * math.pi * lift),
+                                         rel=1e-15)
+        lo, hi = st.diagnostics["bracket"]
+        assert self.k_start < lo < root < hi
+        assert lam(lo) > self.alpha > lam(hi)
+        # values come from the memo; only the root's eigenvector solve rebuilds
+        assert len(set(built[:-1])) == len(built) - 1 == st.diagnostics["evaluations"]
+        assert built[-1] == st.kappa_tilde
+
+    def test_no_crossing_raises(self, monkeypatch):
+        ev, built = _closed_form_evaluator(monkeypatch, lambda k: self.alpha + 1.0)
+        with pytest.raises(BracketFailureError):
+            self._solve(ev)
+        assert max(built) == solver_mod.BRACKET_MAX_FACTOR * self.k0
+        assert len(built) == len(set(built))
+
+    def test_no_kappa_evaluated_twice(self, monkeypatch):
+        # every Q build is at a new kappa except the eigenvector solve at each
+        # root, also when several branches share the evaluator's memo
+        built = []
+        q_matrix = solver_mod.OperatorCache.q_matrix
+
+        def counting(self, kappa):
+            built.append(float(kappa))
+            return q_matrix(self, kappa)
+
+        monkeypatch.setattr(solver_mod.OperatorCache, "q_matrix", counting)
+        curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
+        states = find_bound_states(curve, SolveConfig(alpha=0.0, grid=GridSpec(24.0, 512),
+                                                      m_branches=6))
+        roots = [s.kappa_tilde for s in states]
+        assert len(roots) == 5
+        assert Counter(built) - Counter(set(built)) == Counter(roots)
+        assert max(s.diagnostics["evaluations"] for s in states) == len(set(built))
+
+    def test_anchor_takes_at_most_five_evaluations(self):
+        _, states = bump_solution(24.0, 1024)
+        (st,) = states
+        assert st.diagnostics["evaluations"] <= 5
+        lo, hi = st.diagnostics["bracket"]
+        assert lo < st.kappa_tilde < hi
+        assert st.diagnostics["eigensolver"] == "dense"
+
+    @pytest.mark.parametrize("case", ["anchor", "bump_a3_w2", "sampled_scan"])
+    def test_roots_match_a_tight_reference(self, helix, case):
+        def roots(tol):
+            if case == "sampled_scan":
+                config = SolveConfig(alpha=0.0, grid=GridSpec(12.0, 256), m_branches=3,
+                                     tol_kappa_rel=tol)
+                k0 = kappa0(0.0)
+                _, crossings = spectrum_scan(helix, config, (0.5 * k0, 5.0 * k0), 10)
+                return [(c.branch, c.kappa) for c in crossings]
+            if case == "anchor":
+                curve, grid, m = bump_curve(), GridSpec(24.0, 1024), 8
+            else:
+                curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
+                grid, m = GridSpec(24.0, 512), 6
+            config = SolveConfig(alpha=0.0, grid=grid, m_branches=m, tol_kappa_rel=tol)
+            return [(s.branch, s.kappa_tilde) for s in find_bound_states(curve, config)]
+
+        found, reference = roots(1e-10), roots(1e-14)
+        assert len(found) >= 1
+        assert [b for b, _ in found] == [b for b, _ in reference]
+        for (_, k), (_, k_ref) in zip(found, reference):
+            assert k == pytest.approx(k_ref, rel=2e-10, abs=0.0)
 
 
 class TestConvergeStudy:
