@@ -39,7 +39,14 @@ from .curve import (
     curve_from_dict,
 )
 from .eigenfield import bc_defect, fit_trace, trace_on_shifted, trace_to_dict
-from .errors import ConfigError, CurveFormatError, GeometryError, LeakyWireError, NumericalError
+from .errors import (
+    BuildSizeError,
+    ConfigError,
+    CurveFormatError,
+    GeometryError,
+    LeakyWireError,
+    NumericalError,
+)
 from .operators import GridSpec, kappa0, zeta0
 from .oracle import default_suite
 from .solver import (
@@ -165,9 +172,20 @@ def _grid_from_args(args, curve: Curve) -> GridSpec:
     return GridSpec(float(L), int(args.grid_n))
 
 
-def _hint_from_args(args) -> float:
+def _load_curve(args) -> Curve:
+    """``--curve``, with the planar domain hint max(48, 1.5 L) set from -L.
+
+    A hint from a curve file's own ``domain_hint`` wins over -L, so only a
+    refused build at the -L hint is blamed on -L.
+    """
     L = _half_length(args)
-    return 48.0 if L is None else max(48.0, 1.5 * float(L))
+    hint = 48.0 if L is None else max(48.0, 1.5 * float(L))
+    try:
+        return load_curve(args.curve, hint)
+    except BuildSizeError as exc:
+        if exc.domain_hint != hint:
+            raise
+        raise BuildSizeError(f"{exc} (-L {L:g} sets it to 1.5 L)", hint) from exc
 
 
 def _config_from_args(args, grid: GridSpec) -> SolveConfig:
@@ -182,7 +200,7 @@ def _config_from_args(args, grid: GridSpec) -> SolveConfig:
 
 
 def _cmd_solve(args) -> int:
-    curve = load_curve(args.curve, _hint_from_args(args))
+    curve = _load_curve(args)
     grid = _grid_from_args(args, curve)
     config = _config_from_args(args, grid)
     states = find_bound_states(curve, config)
@@ -191,7 +209,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    curve = load_curve(args.curve, _hint_from_args(args))
+    curve = _load_curve(args)
     grid = _grid_from_args(args, curve)
     config = _config_from_args(args, grid)
     if args.points < 1:
@@ -219,7 +237,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    curve = load_curve(args.curve, _hint_from_args(args))
+    curve = _load_curve(args)
     L = _half_length(args, 24.0)
     n = args.samples
     if n < 2:
@@ -250,7 +268,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bc_verify(args) -> int:
-    curve = load_curve(args.curve, _hint_from_args(args))
+    curve = _load_curve(args)
     grid = _grid_from_args(args, curve)
     config = _config_from_args(args, grid)
     radii = _parse_radii(args.radii)
@@ -279,7 +297,7 @@ def _cmd_bc_verify(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    curve = load_curve(args.curve, _hint_from_args(args))
+    curve = _load_curve(args)
     grid = _grid_from_args(args, curve)
     config = _config_from_args(args, grid)
     try:

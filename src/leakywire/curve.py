@@ -34,7 +34,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import (
-    ConfigError,
+    BuildSizeError,
     CurveFormatError,
     DegenerateFrameError,
     GeometryError,
@@ -273,11 +273,11 @@ class PlanarCurvatureProfile(Curve):
         S = n_half * delta
         n_cells = 2 * n_half
         if n_cells * _CELL_BUILD_BYTES > _CELL_BUILD_MAX_BYTES:
-            raise ConfigError(
-                f"a planar profile over [-{S:.6g}, {S:.6g}] needs {n_cells} cells, "
-                f"about {n_cells * _CELL_BUILD_BYTES / 2 ** 30:.3g} GiB to build, "
-                f"above the {_CELL_BUILD_MAX_BYTES / 2 ** 30:.3g} GiB limit; "
-                "lower -L (the domain hint)")
+            raise BuildSizeError(
+                f"a planar profile with domain hint {self.domain_hint:.6g} needs "
+                f"{n_cells} cells, about {n_cells * _CELL_BUILD_BYTES / 2 ** 30:.3g} "
+                f"GiB to build, above the {_CELL_BUILD_MAX_BYTES / 2 ** 30:.3g} GiB "
+                "limit; lower the domain hint", self.domain_hint)
         bounds = (np.arange(n_cells + 1) - n_half) * delta
         half = delta / 2.0
         mids = bounds[:-1, None] + half * (_GL_NODES[None, :] + 1.0)

@@ -59,3 +59,11 @@ class ConfigError(LeakyWireError):
 
 class CurveFormatError(ConfigError):
     """Curve definition does not match the expected schema."""
+
+
+class BuildSizeError(ConfigError):
+    """A curve's domain hint asks for a build above the memory limit."""
+
+    def __init__(self, message: str, domain_hint: float):
+        super().__init__(message)
+        self.domain_hint = domain_hint

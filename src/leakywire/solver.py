@@ -226,9 +226,11 @@ def _root_in_log_kappa(ev, j, alpha, k_lo, k_hi, tol):
 def _solve_branch(ev, j, alpha, k_start, k0, z0, config) -> BoundState:
     k_max = BRACKET_MAX_FACTOR * k0
     k_lo = k_start
-    # the free line falls by 1/(2 pi) per unit of u = ln kappa; the log step
-    # is capped only so that exp cannot overflow (k_hi stops at k_max anyway)
-    ratio = math.exp(min(2 * math.pi * (ev.values(k_lo)[j] - alpha), math.log(k_max)))
+    # the free line falls by 1/(2 pi) per unit of u = ln kappa; the first
+    # step is capped at k_max / k_lo, which keeps k_lo < k_hi <= k_max and
+    # exp from overflowing
+    ratio = math.exp(min(2 * math.pi * (ev.values(k_lo)[j] - alpha),
+                         math.log(k_max / k_lo)))
     k_hi = min(k_lo * ratio, k_max)
     while ev.values(k_hi)[j] > alpha:
         if k_hi >= k_max:

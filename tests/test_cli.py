@@ -268,8 +268,21 @@ class TestArgumentErrors:
         captured = capsys.readouterr()
         assert code == 3
         assert "configuration error" in captured.err
-        assert "9600000000 cells, about 4.12e+04 GiB" in captured.err
+        assert "domain hint 1.5e+08 needs 9600000000 cells, about 4.12e+04 GiB" in captured.err
+        assert "(-L 1e+08 sets it to 1.5 L)" in captured.err
         assert "Traceback" not in captured.err + captured.out
+
+    def test_oversized_build_from_a_curve_file_names_its_hint(self, tmp_path, capsys):
+        # the file's own domain_hint wins over -L, so -L is not blamed
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({
+            "family": "planar_curvature", "domain_hint": 1e8,
+            "params": {"profile": "gaussian", "a": 1.0, "w": 1.0}}))
+        code = run_cli("check", "--curve", str(path), "-L", "8")
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "domain hint 1e+08 needs 6400000000 cells" in captured.err
+        assert "-L" not in captured.err
 
     @pytest.mark.parametrize("option", [
         ["-N", "64"], ["--alpha", "0.5"], ["-m", "0"], ["--tol-kappa", "-1"],

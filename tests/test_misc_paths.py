@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from leakywire.cli import main
-from leakywire.curve import FrenetFrame, StraightLine, eval_frame
+from leakywire.curve import FrenetFrame, PlanarCurvatureProfile, StraightLine, eval_frame
 from leakywire.eigenfield import TraceFit, trace_to_dict
 from leakywire.errors import BracketFailureError, DegenerateFrameError
 from leakywire.operators import GridSpec
@@ -141,11 +141,14 @@ class TestIterativeEigenPath:
         assert dense.size and dense.shape == iterative.shape
         assert np.allclose(dense, iterative, rtol=0, atol=1e-9)
 
-    def test_one_eigenvalue_runs_lanczos_above_1152(self, bump, monkeypatch):
+    @pytest.mark.parametrize("amplitude", [1.0, 0.3])
+    def test_one_eigenvalue_runs_lanczos_above_1152(self, monkeypatch, amplitude):
         # a ground-state search at N=1536 asks for one eigenvalue: Lanczos,
-        # with the dense path's energy
+        # with the dense path's energy.  Amplitude 0.3 is weakly bound: kappa~
+        # lies 2e-4 above kappa0, against 7e-3 for amplitude 1
         import leakywire.spectral as spectral_mod
 
+        bump = PlanarCurvatureProfile.gaussian_bump(amplitude, 1.0, 36.0)
         config = SolveConfig(alpha=0.0, grid=GridSpec(24.0, 1536))
         lanczos = spectral_mod._iterative_top
         calls = []

@@ -273,6 +273,21 @@ class TestLogKappaRootSearch:
         assert Counter(built) - Counter(set(built)) == Counter(roots)
         assert max(s.diagnostics["evaluations"] for s in states) == len(set(built))
 
+    @pytest.mark.parametrize("alpha", [3.0, 8.0])
+    def test_large_alpha_bracket_stays_above_the_start(self, alpha):
+        # kappa0(alpha) = 1.12 exp(-2 pi alpha) is tiny here (1e-22 at 8), so
+        # the step cap must be relative to k_lo: an absolute cap would put
+        # the first upper end below k_start and walk k_lo down to 0
+        curve = PlanarCurvatureProfile.gaussian_bump(1.0, 1.0, 24.0)
+        config = SolveConfig(alpha=alpha, grid=GridSpec(16.0, 128), m_branches=4)
+        (st,) = find_bound_states(curve, config, ground_only=True)
+        k_start = kappa0(alpha) * (1.0 + solver_mod.BRACKET_START_OFFSET)
+        lo, hi = st.diagnostics["bracket"]
+        assert k_start <= lo < st.kappa_tilde < hi
+        assert not st.threshold_uncertain
+        # the doubling bracket from k_start took 8 evaluations
+        assert st.diagnostics["evaluations"] <= 6
+
     def test_anchor_takes_at_most_five_evaluations(self):
         _, states = bump_solution(24.0, 1024)
         (st,) = states
