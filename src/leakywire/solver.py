@@ -116,8 +116,9 @@ class _BranchEvaluator:
     def __init__(self, curve, grid, m):
         self.cache = OperatorCache(curve, grid)
         self.m = m
-        self.eigensolver = eigensolver(grid.N, m)
+        self.eigensolver = None    # the path for the block size that ran
         self._vals = {}
+        self._parity = {}
         self.evaluations = 0
 
     def __enter__(self):
@@ -126,16 +127,25 @@ class _BranchEvaluator:
     def __exit__(self, *exc):
         self.cache = None
 
+    def _solve(self, kappa: float, vectors: bool):
+        q = self.cache.q_matrix(kappa)
+        self.eigensolver = eigensolver(q.shape[-1], self.m)
+        return top_eigen(q, self.m, vectors, parity=True)
+
     def values(self, kappa: float) -> np.ndarray:
         key = float(kappa)
         if key not in self._vals:
-            self._vals[key] = top_eigen(self.cache.q_matrix(key), self.m)
+            self._vals[key], self._parity[key] = self._solve(key, False)
             self.evaluations += 1
         return self._vals[key]
 
+    def parity(self, kappa: float, branch: int):
+        """``"even"``, ``"odd"`` or None (one block) for a memoized value."""
+        return self._parity[float(kappa)][branch]
+
     def eigenpair(self, kappa: float, branch: int):
-        vals, vecs = top_eigen(self.cache.q_matrix(float(kappa)), self.m, vectors=True)
-        return float(vals[branch]), vecs[:, branch].copy()
+        vals, vecs, parity = self._solve(float(kappa), True)
+        return float(vals[branch]), vecs[:, branch].copy(), parity[branch]
 
 
 def _require_admissible(curve: Curve, grid: GridSpec):
@@ -196,7 +206,8 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
                                            "below alpha at the bracket start",
                                  "lambda_start": float(lam_start[j]),
                                  "s_kappa_start": float(s_start),
-                                 "eigensolver": ev.eigensolver},
+                                 "eigensolver": ev.eigensolver,
+                                 "parity": ev.parity(k_start, j)},
                 ))
     if not ground_only and states and states[-1].branch == m - 1:
         raise ConfigError(
@@ -241,7 +252,7 @@ def _solve_branch(ev, j, alpha, k_start, k0, z0, config) -> BoundState:
         ratio *= BRACKET_GROWTH
         k_hi = min(k_lo * ratio, k_max)
     kt, res = _root_in_log_kappa(ev, j, alpha, k_lo, k_hi, config.tol_kappa_rel)
-    lam_val, h = ev.eigenpair(kt, j)
+    lam_val, h, parity = ev.eigenpair(kt, j)
     if abs(lam_val - alpha) > config.tol_lambda:
         raise NumericalFailureError(
             f"branch {j}: eigenvalue residual {abs(lam_val - alpha):.3e} at the "
@@ -260,7 +271,8 @@ def _solve_branch(ev, j, alpha, k_start, k0, z0, config) -> BoundState:
         diagnostics={"bracket": [float(k_lo), float(k_hi)],
                      "iterations": int(res.iterations),
                      "evaluations": int(ev.evaluations),
-                     "eigensolver": ev.eigensolver},
+                     "eigensolver": ev.eigensolver,
+                     "parity": parity},
     )
 
 

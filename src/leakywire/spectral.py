@@ -6,8 +6,10 @@ top of a spectrum goes through it, and ``eigensolver`` names the path it
 takes.  Desk-scale grids make a dense symmetric eigensolve the most robust
 choice; only the top few eigenvalues are ever needed, so the subset driver
 is used.  Larger grids use a deterministic Lanczos iteration.  Where the
-switch lies depends on how many eigenvalues are wanted.  Measured on bump
-operators (2 vCPU, OpenBLAS, min of 3 runs; eigenvalues agree to 2e-16):
+switch lies depends on how many eigenvalues are wanted, and on the size n of
+the blocks solved: N for one matrix, N/2 for parity blocks.  Measured on
+one N x N bump operator (2 vCPU, OpenBLAS, min of 3 runs; eigenvalues agree
+to 2e-16):
 
 ==============================  ============  ======================
 case                            dense         Lanczos
@@ -17,11 +19,34 @@ m=1, N=1536, L=24 / 36 / 60     0.18-0.20 s   0.065 / 0.084 / 0.143 s
 m=8, N=1536, L=48 / 60          0.18 s        0.26 / 0.30 s
 ==============================  ============  ======================
 
-So one eigenvalue goes to Lanczos above N = 1152 (DENSE_TOP1_LIMIT), where
-it wins clearly, while m > 1 stays dense up to N = 2048
+So one eigenvalue goes to Lanczos above n = 1152 (DENSE_TOP1_LIMIT), where
+it wins clearly, while m > 1 stays dense up to n = 2048
 (DENSE_EIGEN_LIMIT): Lanczos pays for every extra Ritz vector it converges.
-Eigensolves at distinct kappa run one after another: the BLAS underneath
-each one already uses every core.
+
+Parity: a persymmetric operator arrives as the (2, N/2, N/2) stack of its
+even and odd blocks (see ``operators``).  Both blocks go to one eigensolve:
+one batched LAPACK call on the stack, or one Lanczos run on the
+block-diagonal operator, and the top m of their values are merged, so each
+Q build still costs one eigensolve.  Each block costs an eighth of the full
+matrix's O(N^3) reduction.  Measured per block size on bump a=1, w=1 at
+kappa = 1.15 (same machine; the two paths agree to 4e-16):
+
+=================================  =============  ==================
+case (block n = N/2)               dense, batch   Lanczos, 2 blocks
+=================================  =============  ==================
+m=1 / 8, n=512, L=24               0.025 / 0.032  0.050 / 0.085 s
+m=1, n=1152, L=24 / 36             0.185 / 0.199  0.215 / 0.247 s
+m=8, n=1152, L=24                  0.174 s        0.300 s
+m=1, n=1536, L=24 / 60             0.50 / 0.60 s  0.37 / 0.72 s
+m=8, n=1536, L=24 / 60             0.56 / 0.48 s  0.65 / 1.15 s
+=================================  =============  ==================
+
+The same limits hold for the block size: at n = 1536 and m = 1 the two
+paths trade places with L, and dense wins every m = 8 case.  Against one
+N x N matrix, a bump's N=1024, m=8 solve falls from 0.094 s to 0.032 s, and
+the N=2304, m=1 solve of the converge tail from 0.38 s (Lanczos) to 0.20 s
+(dense on 2 x 1152).  Eigensolves at distinct kappa run one after another:
+the BLAS underneath each one already uses every core.
 """
 
 from __future__ import annotations
@@ -31,10 +56,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.linalg import LinearOperator
 
 from .curve import Curve
 from .errors import GeometryError, NumericalFailureError
 from .operators import GridSpec, OperatorCache, s_kappa
+
+#: labels of the blocks of a parity stack, in ``OperatorCache`` order
+PARITIES = ("even", "odd")
 
 
 #: largest grid solved by dense decomposition when m > 1 eigenvalues are
@@ -47,9 +76,9 @@ DENSE_EIGEN_LIMIT = 2048
 DENSE_TOP1_LIMIT = 1152
 
 
-def _iterative_top(matrix: np.ndarray, m: int, want_vectors: bool):
-    """Top-m eigenpairs by implicitly restarted Lanczos with a fixed
-    deterministic start vector.
+def _iterative_top(matrix, m: int, want_vectors: bool):
+    """Top-m eigenpairs of a symmetric array or LinearOperator by implicitly
+    restarted Lanczos with a fixed deterministic start vector.
 
     A bare shifted power iteration stalls on these operators: the top of the
     spectrum sits ~1e-3 above a dense cluster of near-edge values while the
@@ -114,41 +143,82 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 
 def eigensolver(n: int, m: int) -> str:
     """``"dense"`` or ``"lanczos"``: the path ``top_eigen`` takes for the top
-    m eigenvalues of an n x n matrix."""
+    m eigenvalues of a matrix made of n x n blocks."""
     limit = DENSE_TOP1_LIMIT if m == 1 else DENSE_EIGEN_LIMIT
     return "lanczos" if n > limit else "dense"
 
 
-def top_eigen(matrix: np.ndarray, m: int, vectors: bool = False):
+def _block_diagonal(blocks: np.ndarray) -> LinearOperator:
+    """The block-diagonal matrix of a (b, n, n) stack as a LinearOperator."""
+    b, n, _ = blocks.shape
+    product = lambda x: np.matmul(blocks, x.reshape(b, n, -1)).reshape(b * n, -1)
+    return LinearOperator((b * n, b * n), matvec=product, matmat=product, dtype=blocks.dtype)
+
+
+def top_eigen(matrix: np.ndarray, m: int, vectors: bool = False, parity: bool = False):
     """The m largest eigenvalues of a symmetric matrix, descending.
 
-    ``eigensolver(N, m)`` picks the dense subset driver or Lanczos.
+    ``matrix`` is one N x N matrix, or the (2, N/2, N/2) stack of the even
+    and odd blocks of a persymmetric one (``OperatorCache.q_matrix`` returns
+    either).  The blocks are solved together, in one batched dense call or
+    one Lanczos run on the block-diagonal operator, and their values merged;
+    ``eigensolver(n, m)`` picks the path from the block size n.
     With ``vectors=True`` returns ``(values, vectors)``: orthonormal
-    eigenvectors as columns, sign-fixed, with residuals ||Q v - lambda v||
-    verified against 1e-9 * ||Q||.
+    eigenvectors of the full N x N matrix as columns, sign-fixed, with
+    residuals ||Q v - lambda v|| verified against 1e-9 * ||Q||; a block
+    eigenvector y comes back as [y; J y]/sqrt 2 (even) or [y; -J y]/sqrt 2
+    (odd).  With ``parity=True`` the parity of each value, ``"even"``,
+    ``"odd"`` or None for one matrix, follows as the last item.
     """
-    n = matrix.shape[0]
-    if not 1 <= m <= n:
-        raise GeometryError(f"need 1 <= m <= N, got m={m}, N={n}")
+    blocks = matrix if matrix.ndim == 3 else matrix[None]
+    nb, n, _ = blocks.shape
+    if not 1 <= m <= nb * n:
+        raise GeometryError(f"need 1 <= m <= N, got m={m}, N={nb * n}")
     if eigensolver(n, m) == "lanczos":
-        vals, vecs = _iterative_top(matrix, m, vectors)
-    elif vectors:
-        vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[n - m, n - 1])
-        vals, vecs = vals[::-1], vecs[:, ::-1]
+        op = matrix if nb == 1 else _block_diagonal(blocks)
+        vals, vecs = _iterative_top(op, m, vectors or (parity and nb > 1))
+        if vecs is not None:
+            vecs = vecs.T.reshape(m, nb, n).transpose(1, 2, 0)
+            # the parity of a value is the block its Ritz vector lies in
+            block = np.argmax(np.linalg.norm(vecs, axis=1), axis=0)
     else:
-        vals = scipy.linalg.eigvalsh(matrix, subset_by_index=[n - m, n - 1])[::-1]
+        # a 2-D matrix goes to LAPACK as it is; a stack in one batched call
+        k = min(m, n)
+        if vectors:
+            w, v = scipy.linalg.eigh(matrix, subset_by_index=[n - k, n - 1])
+            v = v.reshape(nb, n, k)[:, :, ::-1]
+        else:
+            w = scipy.linalg.eigvalsh(matrix, subset_by_index=[n - k, n - 1])
+        w = w.reshape(nb, k)[:, ::-1].ravel()
+        # a stable merge: for one matrix this is the identity
+        order = np.argsort(-w, kind="stable")[:m]
+        vals, block = w[order], order // k
+        if vectors:
+            vecs = np.zeros((nb, n, m))
+            vecs[block, :, np.arange(m)] = v[block, :, order % k]
+    if parity:
+        labels = [None] * m if nb == 1 else [PARITIES[b] for b in block]
     if not vectors:
-        return vals
+        return (vals, labels) if parity else vals
     # largest |entry| without an N x N temporary
-    norm_q = max(abs(vals[0]), max(matrix.max(), -matrix.min()) * n ** 0.5)
-    # one matrix-vector product per column: a single matrix product would
-    # touch the BLAS GEMM buffers, about 7 MiB more peak memory per process
-    resid = [np.linalg.norm(matrix @ v - lam * v) for lam, v in zip(vals, vecs.T)]
+    norm_q = max(abs(vals[0]), max(blocks.max(), -blocks.min()) * (nb * n) ** 0.5)
+    # one matrix-vector product per column and block: a single matrix
+    # product would touch the BLAS GEMM buffers, about 7 MiB more peak
+    # memory per process
+    resid = [math.sqrt(sum(np.linalg.norm(q @ y - lam * y) ** 2
+                           for q, y in zip(blocks, vecs[:, :, j])))
+             for j, lam in enumerate(vals)]
     j = int(np.argmax(resid))
     if resid[j] > 1e-9 * max(norm_q, 1e-30):
         raise NumericalFailureError(
-            f"eigenpair {j} residual {resid[j]:.3e} exceeds 1e-9 * ||Q|| (N={n})")
-    return vals, np.column_stack([_fix_sign(vecs[:, j]) for j in range(m)])
+            f"eigenpair {j} residual {resid[j]:.3e} exceeds 1e-9 * ||Q|| (N={nb * n})")
+    if nb == 1:
+        full = vecs[0]
+    else:
+        even, odd = vecs
+        full = np.concatenate((even + odd, (even - odd)[::-1])) / math.sqrt(2.0)
+    vecs = np.column_stack([_fix_sign(full[:, j]) for j in range(m)])
+    return (vals, vecs, labels) if parity else (vals, vecs)
 
 
 def lambda_curve(curve: Curve, grid: GridSpec, kappa_list, m: int = 8) -> SpectralCurve:

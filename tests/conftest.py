@@ -13,6 +13,25 @@ _SOLVE_CACHE = {}
 BUMP_HINT = 56.0
 
 
+def unfold(q):
+    """The N x N matrix of an ``OperatorCache.q_matrix`` result: a (2, N/2,
+    N/2) stack of even and odd blocks is mapped back through
+    Q11 = (even + odd)/2 and Q12 J = (even - odd)/2, Q persymmetric."""
+    if q.ndim == 2:
+        return q
+    even, odd = q
+    left, right = (even + odd) / 2, (even - odd) / 2
+    top = np.hstack([left, right[:, ::-1]])
+    return np.vstack([top, top[::-1, ::-1]])
+
+
+def parity_blocks(full):
+    """The (even, odd) stack Q11 + Q12 J, Q11 - Q12 J of an N x N matrix."""
+    h = full.shape[0] // 2
+    left, right = full[:h, :h], full[:h, ::-1][:, :h]
+    return np.stack([left + right, left - right])
+
+
 def bump_curve():
     key = "bump"
     if key not in _SOLVE_CACHE:

@@ -268,7 +268,7 @@ class TestArgumentErrors:
         captured = capsys.readouterr()
         assert code == 3
         assert "configuration error" in captured.err
-        assert "domain hint 1.5e+08 needs 9600000000 cells, about 4.12e+04 GiB" in captured.err
+        assert "domain hint 1.5e+08 needs 9600000000 cells, about 1.72e+03 GiB" in captured.err
         assert "(-L 1e+08 sets it to 1.5 L)" in captured.err
         assert "Traceback" not in captured.err + captured.out
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline, PPoly
 
+import leakywire.curve as curve_mod
 from leakywire.curve import (
     CURVATURE_DECAY_THRESHOLD,
     PlanarCurvatureProfile,
@@ -272,6 +273,55 @@ class TestPairwiseChords:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * rho.nbytes
+
+
+def _dd_prefix_by_rows(increments):
+    """The compensated prefix sums as numpy ran them, one row at a time."""
+    n, d = increments.shape
+    hi = np.zeros((n + 1, d))
+    lo = np.zeros((n + 1, d))
+    h = np.zeros(d)
+    l = np.zeros(d)
+    for i in range(n):
+        s, e = curve_mod._two_sum(h, increments[i])
+        h, l = curve_mod._fast_two_sum(s, l + e)
+        hi[i + 1] = h
+        lo[i + 1] = l
+    return hi, lo
+
+
+class TestPlanarBuild:
+    def test_prefix_sums_match_the_row_loop(self):
+        rng = np.random.default_rng(7)
+        incr = rng.standard_normal((3072, 2)) * 0.03
+        incr[::97] *= 1e12      # magnitudes far apart exercise the compensation
+        for got, want in zip(curve_mod._dd_prefix(incr), _dd_prefix_by_rows(incr)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("hint", [48.0, 480.0])
+    def test_chunked_build_is_bit_identical(self, monkeypatch, hint):
+        # a chunk covering every cell is the unchunked build
+        def build(chunk):
+            monkeypatch.setattr(curve_mod, "_CELL_CHUNK", chunk)
+            c = PlanarCurvatureProfile.power_tail(1.0, 2.0, hint)
+            return c._pos_hi, c._pos_lo, c._theta_b, c._kmax
+
+        whole = build(10 ** 9)
+        for got, want in zip(build(1000), whole):
+            assert np.array_equal(got, want)
+
+    def test_build_guard_covers_the_peak_per_cell(self):
+        # the guard's bytes per cell bound the growth of the build's peak
+        peaks, cells = [], []
+        for hint in (480.0, 960.0):
+            tracemalloc.start()
+            try:
+                c = PlanarCurvatureProfile.gaussian_bump(1.0, 1.0, hint)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            cells.append(len(c._bounds) - 1)
+        assert (peaks[1] - peaks[0]) / (cells[1] - cells[0]) <= curve_mod._CELL_BUILD_BYTES
 
 
 class TestAsymptoticSet:

@@ -20,7 +20,7 @@ from leakywire.eigenfield import (
 from leakywire.errors import FitError, NearSingularityError
 from leakywire.operators import GridSpec, OperatorCache, s_kappa
 
-from conftest import bump_solution
+from conftest import bump_solution, unfold
 
 RADII = default_radii()
 ANGLES = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
@@ -150,7 +150,7 @@ class TestExtractXiOmega:
         g = GridSpec(16.0, 512)
         h = np.exp(-g.nodes ** 2 / 4.0)
         kappa = 1.3
-        qh = OperatorCache(straight, g).q_matrix(kappa) @ h
+        qh = unfold(OperatorCache(straight, g).q_matrix(kappa)) @ h
         s = 0.4
         tf = fit_trace(trace_on_shifted(straight, g, kappa, h, s, RADII))
         idx = int(round((s - g.nodes[0]) / g.delta))

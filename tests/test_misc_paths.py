@@ -16,6 +16,8 @@ from leakywire import solver
 from leakywire.solver import SolveConfig, _BranchEvaluator, find_bound_states
 from leakywire.spectral import lambda_curve
 
+from conftest import unfold
+
 
 class TestVerifyCommand:
     def test_suite_green_and_json(self, tmp_path):
@@ -99,17 +101,27 @@ class TestExports:
 
 
 class TestIterativeEigenPath:
-    def test_lanczos_matches_dense(self, bump):
+    def test_lanczos_matches_dense(self, bump, monkeypatch):
+        import leakywire.spectral as spectral_mod
         from leakywire.operators import OperatorCache
         from leakywire.spectral import _iterative_top, top_eigen
 
         g = GridSpec(16.0, 512)
         q = OperatorCache(bump, g).q_matrix(1.2)
-        dense_vals, dense_vecs = top_eigen(q, 5, vectors=True)
-        vals, vecs = _iterative_top(q, 5, want_vectors=True)
+        dense_vals, dense_vecs, dense_parity = top_eigen(q, 5, vectors=True, parity=True)
+        # Lanczos on the full matrix against the dense solve of its blocks
+        vals, vecs = _iterative_top(unfold(q), 5, want_vectors=True)
         for j in range(5):
             assert vals[j] == pytest.approx(dense_vals[j], abs=1e-10)
             assert abs(abs(np.dot(vecs[:, j], dense_vecs[:, j])) - 1.0) < 1e-8
+        # and Lanczos on the block-diagonal operator, which labels each Ritz
+        # vector by its block
+        monkeypatch.setattr(spectral_mod, "DENSE_EIGEN_LIMIT", 100)
+        vals, vecs, parity = top_eigen(q, 5, vectors=True, parity=True)
+        assert parity == dense_parity and "odd" in parity
+        for j in range(5):
+            assert vals[j] == pytest.approx(dense_vals[j], abs=1e-10)
+            assert abs(np.dot(vecs[:, j], dense_vecs[:, j]) - 1.0) < 1e-8
 
     @pytest.mark.parametrize("path", ["lambda_curve", "find_bound_states"])
     def test_large_grid_dispatch(self, bump, monkeypatch, path):
@@ -145,10 +157,11 @@ class TestIterativeEigenPath:
     def test_one_eigenvalue_runs_lanczos_above_1152(self, monkeypatch, amplitude):
         # a ground-state search at N=1536 asks for one eigenvalue: Lanczos,
         # with the dense path's energy.  Amplitude 0.3 is weakly bound: kappa~
-        # lies 2e-4 above kappa0, against 7e-3 for amplitude 1
+        # lies 2e-4 above kappa0, against 7e-3 for amplitude 1.  The bump is
+        # centred off the grid's midpoint, so Q stays one 1536 x 1536 block
         import leakywire.spectral as spectral_mod
 
-        bump = PlanarCurvatureProfile.gaussian_bump(amplitude, 1.0, 36.0)
+        bump = _off_centre_bump(amplitude)
         config = SolveConfig(alpha=0.0, grid=GridSpec(24.0, 1536))
         lanczos = spectral_mod._iterative_top
         calls = []
@@ -161,6 +174,7 @@ class TestIterativeEigenPath:
         (st,) = find_bound_states(bump, config, ground_only=True)
         assert calls and set(calls) == {(1536, 1)}
         assert st.diagnostics["eigensolver"] == "lanczos"
+        assert st.diagnostics["parity"] is None
         calls.clear()
         monkeypatch.setattr(spectral_mod, "DENSE_TOP1_LIMIT", 1536)
         (dense,) = find_bound_states(bump, config, ground_only=True)
@@ -168,16 +182,48 @@ class TestIterativeEigenPath:
         assert dense.diagnostics["eigensolver"] == "dense"
         assert st.energy == pytest.approx(dense.energy, rel=1e-12, abs=0.0)
 
-    def test_eight_eigenvalues_stay_dense_at_1536(self, bump, monkeypatch):
+    def test_eight_eigenvalues_stay_dense_at_1536(self, monkeypatch):
         import leakywire.spectral as spectral_mod
 
         def no_lanczos(*args):
             raise AssertionError("an m = 8 solve at N = 1536 ran Lanczos")
 
         monkeypatch.setattr(spectral_mod, "_iterative_top", no_lanczos)
-        states = find_bound_states(bump, SolveConfig(alpha=0.0, grid=GridSpec(24.0, 1536)))
+        states = find_bound_states(_off_centre_bump(1.0),
+                                   SolveConfig(alpha=0.0, grid=GridSpec(24.0, 1536)))
         assert states
         assert {s.diagnostics["eigensolver"] for s in states} == {"dense"}
+        assert {s.diagnostics["parity"] for s in states} == {None}
+
+    @pytest.mark.parametrize("n, path", [(200, "dense"), (256, "lanczos")])
+    def test_path_follows_the_block_size(self, bump, monkeypatch, n, path):
+        # a split wire's path is chosen for its N/2 x N/2 blocks, and both
+        # blocks go to one eigensolve per Q build
+        import leakywire.spectral as spectral_mod
+
+        lanczos = spectral_mod._iterative_top
+        calls = []
+
+        def spy(matrix, m, want_vectors):
+            calls.append(matrix.shape)
+            return lanczos(matrix, m, want_vectors)
+
+        monkeypatch.setattr(spectral_mod, "DENSE_TOP1_LIMIT", 100)
+        monkeypatch.setattr(spectral_mod, "_iterative_top", spy)
+        config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, n))
+        (st,) = find_bound_states(bump, config, ground_only=True)
+        assert st.diagnostics["eigensolver"] == path
+        assert st.diagnostics["parity"] == "even"
+        if path == "dense":
+            assert not calls
+        else:
+            assert calls == [(n, n)] * (st.diagnostics["evaluations"] + 1)
+
+
+def _off_centre_bump(amplitude):
+    """k(s) = a exp(-(s - 1/2)^2): a bump whose chords are not persymmetric
+    on grids centred at s = 0."""
+    return PlanarCurvatureProfile(lambda s: amplitude * np.exp(-(s - 0.5) ** 2), 36.0)
 
 
 class TestCliEdges:

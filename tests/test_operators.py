@@ -20,6 +20,8 @@ from leakywire.operators import (
     zeta0,
 )
 
+from conftest import parity_blocks, unfold
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -191,8 +193,10 @@ class TestAssembleB:
         assert np.all(ratios > 3.0) and np.all(ratios < 5.0)
 
     def test_straight_q_equals_t(self, straight):
+        # T is persymmetric, so the straight line splits into parity blocks
         g = GridSpec(16.0, 128)
-        assert np.array_equal(OperatorCache(straight, g).q_matrix(1.1), assemble_T(g, 1.1))
+        assert np.array_equal(OperatorCache(straight, g).q_matrix(1.1),
+                              parity_blocks(assemble_T(g, 1.1)))
 
 
 class TestNorms:
@@ -278,23 +282,46 @@ def power():
     return PlanarCurvatureProfile.power_tail(1.0, 2.0)
 
 
+@pytest.fixture(scope="module")
+def scan_wire():
+    # a non-planar sampled wire like the benchmark's scan curves: a Gaussian
+    # bump in y and an odd bump in z, sampled every 0.1 on [-22, 22]
+    t = np.linspace(-22.0, 22.0, 441)
+    return SampledParametric(np.column_stack(
+        [t, t, np.exp(-(t / 1.5) ** 2), 0.8 * (t / 2.0) * np.exp(-(t / 2.0) ** 2)]))
+
+
 class TestOperatorCache:
-    @pytest.mark.parametrize("family", ["bump", "helix", "straight", "power"])
+    @pytest.mark.parametrize("family", ["bump", "helix", "straight", "power", "scan_wire"])
     def test_matches_direct_assembly(self, family, request):
-        # the cache against the pointwise reference T + Delta * B(s_i, s_j)
+        # the cache against the pointwise reference T + Delta * B(s_i, s_j);
+        # planar profiles and the straight line split into parity blocks,
+        # sampled wires stay one block
         curve = request.getfixturevalue(family)
         g = GridSpec(8.0, 128)
         cache = OperatorCache(curve, g)
+        split = family in ("bump", "straight", "power")
+        assert cache.parity == split
         for kap in (0.6, 1.4, 2.5):
             q = cache.q_matrix(kap)
+            assert q.shape == ((2, g.N // 2, g.N // 2) if split else (g.N, g.N))
             reference = assemble_T(g, kap) + g.delta * bending_kernel_matrix(curve, g, kap)
-            assert np.max(np.abs(q - reference)) <= 1e-15
-            assert np.array_equal(q, q.T)
-        # the chord distances are the only N x N array a cache keeps
+            assert np.max(np.abs(unfold(q) - reference)) <= 1e-15
+            assert np.array_equal(q, np.swapaxes(q, -1, -2))
+        # the chords are the only square arrays a cache keeps: N^2 / 2 floats
+        # in two halves for a split wire, N^2 otherwise
         square = [v for v in vars(cache).values()
-                  if isinstance(v, np.ndarray) and v.shape == (g.N, g.N)]
-        assert len(square) == (0 if family == "straight" else 1)
+                  if isinstance(v, np.ndarray) and v.ndim == 2]
+        assert sum(v.size for v in square) == (
+            0 if family == "straight" else g.N ** 2 // 2 if split else g.N ** 2)
         assert all(v.dtype == np.float64 for v in square)
+
+    def test_parity_test_reads_the_chords(self, bump):
+        # a bump centred off the grid's midpoint is not persymmetric
+        g = GridSpec(8.0, 128)
+        shifted = PlanarCurvatureProfile(lambda s: np.exp(-(s - 0.25) ** 2), 12.0)
+        assert OperatorCache(bump, g).parity
+        assert not OperatorCache(shifted, g).parity
 
     def test_coincident_nodes_raise_at_construction(self):
         with pytest.raises(SingularGeometryError, match="chord-arc condition"):

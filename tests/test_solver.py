@@ -104,14 +104,34 @@ class TestBumpBinding:
         assert len(states) == 5
         assert sorted(s.branch for s in states) == [0, 1, 2, 3, 4]
 
+    def test_each_state_records_its_parity(self):
+        # the bump is even, so Q splits into parity blocks; the merged values
+        # give the one-block search's 5 states with its evaluation counts
+        curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
+        states = find_bound_states(curve, SolveConfig(alpha=0.0, grid=GridSpec(24.0, 512),
+                                                      m_branches=6))
+        by_branch = sorted(states, key=lambda s: s.branch)
+        assert [s.diagnostics["evaluations"] for s in by_branch] == [8, 14, 20, 28, 36]
+        assert [s.diagnostics["parity"] for s in by_branch] == [
+            "even", "even", "even", "odd", "even"]
+        for s in states:
+            mirrored = s.h[::-1] if s.diagnostics["parity"] == "even" else -s.h[::-1]
+            assert np.array_equal(s.h, mirrored)
+
+    def test_asymmetric_wire_records_no_parity(self, helix):
+        config = SolveConfig(alpha=0.0, grid=GridSpec(10.0, 128), m_branches=3)
+        states = find_bound_states(helix, config)
+        assert states
+        assert {s.diagnostics["parity"] for s in states} == {None}
+
     def test_ground_only_asks_for_one_eigenvalue(self, bump, monkeypatch):
         # a ground-state search tracks branch 0 alone, whatever m_branches is
         asked = []
         top_eigen = solver_mod.top_eigen
 
-        def spy(matrix, m, vectors=False):
+        def spy(matrix, m, vectors=False, **kwargs):
             asked.append(m)
-            return top_eigen(matrix, m, vectors)
+            return top_eigen(matrix, m, vectors, **kwargs)
 
         monkeypatch.setattr(solver_mod, "top_eigen", spy)
         config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 128), m_branches=8)
@@ -287,6 +307,12 @@ class TestLogKappaRootSearch:
         assert not st.threshold_uncertain
         # the doubling bracket from k_start took 8 evaluations
         assert st.diagnostics["evaluations"] <= 6
+
+    def test_anchor_ground_state_is_exactly_even(self):
+        _, states = bump_solution(24.0, 1024)
+        (st,) = states
+        assert st.diagnostics["parity"] == "even"
+        assert np.array_equal(st.h, st.h[::-1])
 
     def test_anchor_takes_at_most_five_evaluations(self):
         _, states = bump_solution(24.0, 1024)

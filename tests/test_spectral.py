@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from leakywire.curve import PlanarCurvatureProfile
 from leakywire.errors import GeometryError
 from leakywire.operators import (
     GridSpec,
@@ -13,6 +15,8 @@ from leakywire.operators import (
     s_kappa,
 )
 from leakywire.spectral import lambda_curve, top_eigen
+
+from conftest import unfold
 
 
 class TestTopEigenpairs:
@@ -39,6 +43,21 @@ class TestTopEigenpairs:
         g = GridSpec(16.0, 256)
         vals, _ = top_eigen(OperatorCache(bump, g).q_matrix(1.2), 5, vectors=True)
         assert all(vals[i] >= vals[i + 1] for i in range(4))
+
+    def test_parity_blocks_match_the_full_matrix(self):
+        # the merged top of the even and odd blocks is the top of Q, and the
+        # unfolded vectors are eigenvectors of Q with the block's symmetry
+        curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
+        g = GridSpec(24.0, 512)
+        q = OperatorCache(curve, g).q_matrix(1.3)
+        full = unfold(q)
+        vals, vecs, parity = top_eigen(q, 6, vectors=True, parity=True)
+        assert np.max(np.abs(vals - scipy.linalg.eigvalsh(full)[::-1][:6])) <= 1e-14
+        assert set(parity) == {"even", "odd"}
+        for lam, v, p in zip(vals, vecs.T, parity):
+            assert np.linalg.norm(full @ v - lam * v) < 1e-13
+            assert np.array_equal(v[::-1], v if p == "even" else -v)
+        assert np.array_equal(top_eigen(q, 6), vals)
 
     def test_bad_m_rejected(self):
         with pytest.raises(GeometryError):
