@@ -24,12 +24,14 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .curve import (
     CURVATURE_DECAY_THRESHOLD,
+    MAX_BUILD_BYTES,
     Curve,
     PlanarCurvatureProfile,
     StraightLine,
@@ -52,7 +54,6 @@ from .oracle import default_suite
 from .solver import (
     SolveConfig,
     converge_study,
-    convergence_to_dict,
     find_bound_states,
     refinement_ladder,
     spectrum_scan,
@@ -63,6 +64,12 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_NUMERICAL = 2
 EXIT_CONFIG = 3
+
+#: peak bytes per entry of a run's n x n arrays (tracemalloc, growth of the
+#: peak from n = 512 to 1024): 24.3 for a search on a one-block wire (16 on a
+#: split one), 65.0 for the audits of ``check``
+_SEARCH_BYTES_PER_ENTRY = 26
+_AUDIT_BYTES_PER_ENTRY = 68
 
 
 def load_curve(source: str, domain_hint: float = 48.0) -> Curve:
@@ -151,6 +158,14 @@ def _half_length(args, default=None):
     return L
 
 
+def _refuse_oversized(n: int, per_entry: int, what: str) -> None:
+    """ConfigError, before any n x n array exists, above MAX_BUILD_BYTES."""
+    gib = n * n * per_entry / 2 ** 30
+    if gib > MAX_BUILD_BYTES / 2 ** 30:
+        raise ConfigError(f"{what} needs {n} x {n} arrays of about {gib:.3g} GiB, "
+                          f"above the {MAX_BUILD_BYTES / 2 ** 30:.3g} GiB limit")
+
+
 def _check_alpha(alpha: float) -> None:
     """The solvers need a finite alpha with a finite continuum edge below 0."""
     try:
@@ -165,6 +180,7 @@ def _check_alpha(alpha: float) -> None:
 def _grid_from_args(args, curve: Curve) -> GridSpec:
     if args.grid_n <= 0 or args.grid_n % 2:
         raise ConfigError(f"-N must be a positive even integer, got {args.grid_n}")
+    _refuse_oversized(args.grid_n, _SEARCH_BYTES_PER_ENTRY, f"-N {args.grid_n}")
     _check_alpha(args.alpha)
     L = _half_length(args)
     if L is None:
@@ -242,6 +258,7 @@ def _cmd_check(args) -> int:
     n = args.samples
     if n < 2:
         raise ConfigError(f"--samples must be at least 2, got {n}")
+    _refuse_oversized(n, _AUDIT_BYTES_PER_ENTRY, f"--samples {n}")
     rep1 = check_a1(curve, (-L, L), n)
     rep2 = check_a2(curve, args.omega, args.epsilon, args.mu, (-L, L), n)
     beta = check_curvature_decay(curve, (-L, L), n)
@@ -271,7 +288,7 @@ def _cmd_bc_verify(args) -> int:
     curve = _load_curve(args)
     grid = _grid_from_args(args, curve)
     config = _config_from_args(args, grid)
-    radii = _parse_radii(args.radii)
+    radii = _parse_radii(args.radii, curve.max_shift_radius())
     if args.angles < 4:
         raise ConfigError(f"--angles must be at least 4, got {args.angles}")
     states = [s for s in find_bound_states(curve, config, ground_only=True)
@@ -304,11 +321,13 @@ def _cmd_converge(args) -> int:
         refinement_ladder(grid.N, args.levels)
     except GeometryError as exc:
         raise ConfigError(f"-N {grid.N} with --levels {args.levels}: {exc}") from exc
+    # the box-enlarged tail run solves on 1.5 N points
+    _refuse_oversized(grid.N + grid.N // 2, _SEARCH_BYTES_PER_ENTRY, f"converge -N {grid.N}")
     report = converge_study(curve, config)
     payload = {
         "alpha": float(args.alpha),
         "grid": {"L": grid.L, "N": grid.N},
-        "convergence": convergence_to_dict(report),
+        "convergence": asdict(report),
     }
     _emit(args, payload)
     return EXIT_OK
@@ -321,7 +340,8 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_DOMAIN
 
 
-def _parse_radii(spec: str) -> np.ndarray:
+def _parse_radii(spec: str, r0: float) -> np.ndarray:
+    """The radii of a --radii spec, positive and below the shift radius r0."""
     try:
         if ":" in spec:
             lo, hi, n = spec.split(":")
@@ -333,6 +353,9 @@ def _parse_radii(spec: str) -> np.ndarray:
                           "use 'min:max:count' or a comma list") from exc
     if radii.size < 2 or not np.all(np.isfinite(radii) & (radii > 0)):
         raise ConfigError(f"--radii needs at least two positive radii, got {spec!r}")
+    if radii.max() >= r0:
+        raise ConfigError(f"--radii must stay below the curve's safe shift radius "
+                          f"r0 = {r0:.6g}, got {spec!r}")
     return radii
 
 

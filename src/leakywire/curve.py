@@ -47,7 +47,7 @@ _CELL_WIDTH = 0.05      # requested planar cell width; rounded down to 2^-m
 # running a chunk of cells at a time: 179 B measured (tracemalloc) for the
 # Gaussian bump and the power tail at domain hint 4800, chunk included
 _CELL_BUILD_BYTES = 192
-_CELL_BUILD_MAX_BYTES = 2 ** 31  # larger planar builds are refused up front
+MAX_BUILD_BYTES = 2 ** 31  # larger planar builds and grids are refused up front
 _CELL_CHUNK = 2048      # cells per chunk of the nested quadrature rule
 _PLANAR_CHORD_COLS = 256  # columns per block of the planar chord matrix
 _FLAT = 1e-8            # curvature below which a sampled point counts as straight
@@ -134,15 +134,13 @@ class A2Certificate:
 
 @dataclass
 class AssumptionReport:
-    """Outcome of the sampled admissibility audits.
+    """Outcome of one sampled admissibility audit.
 
-    Fields are optional because each check fills in only its own part;
-    the CLI merges them into one report.
+    Fields are optional because each check fills in only its own part.
     """
 
     c_estimate: Optional[float] = None
     a2_certificate: Optional[A2Certificate] = None
-    beta_fit: Optional[float] = None
     pass_a1: Optional[bool] = None
     pass_a2: Optional[bool] = None
     sample_grid: dict = field(default_factory=dict)
@@ -280,11 +278,11 @@ class PlanarCurvatureProfile(Curve):
         n_half = max(64, int(math.ceil(self.domain_hint / delta)))
         S = n_half * delta
         n_cells = 2 * n_half
-        if n_cells * _CELL_BUILD_BYTES > _CELL_BUILD_MAX_BYTES:
+        if n_cells * _CELL_BUILD_BYTES > MAX_BUILD_BYTES:
             raise BuildSizeError(
                 f"a planar profile with domain hint {self.domain_hint:.6g} needs "
                 f"{n_cells} cells, about {n_cells * _CELL_BUILD_BYTES / 2 ** 30:.3g} "
-                f"GiB to build, above the {_CELL_BUILD_MAX_BYTES / 2 ** 30:.3g} GiB "
+                f"GiB to build, above the {MAX_BUILD_BYTES / 2 ** 30:.3g} GiB "
                 "limit; lower the domain hint", self.domain_hint)
         bounds = (np.arange(n_cells + 1) - n_half) * delta
         half = delta / 2.0

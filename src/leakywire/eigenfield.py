@@ -109,7 +109,8 @@ def trace_values(curve: Curve, grid: GridSpec, kappa: float, h, s: float,
                  radii, angles, window_cells: int = 6) -> np.ndarray:
     """Trace of the reconstructed field on shifted copies of the curve.
 
-    Returns an array of shape (len(radii), len(angles)).  The quadrature is
+    Returns an array of shape (len(radii), len(angles)); every radius must
+    lie below ``curve.max_shift_radius()``.  The quadrature is
     exact enough for radii far below the grid spacing (see module docstring);
     a warning still flags such radii because the result then measures the
     interpolated density rather than raw grid data.
@@ -121,6 +122,9 @@ def trace_values(curve: Curve, grid: GridSpec, kappa: float, h, s: float,
     angles = np.asarray(angles, dtype=float)
     if np.any(radii <= 0):
         raise GeometryError("radii must be positive")
+    r0 = curve.max_shift_radius()
+    if float(radii.max()) >= r0:
+        raise GeometryError(f"radius {radii.max():g} is not below the safe bound r0 = {r0:.6g}")
     if float(radii.min()) < grid.delta / 2.0:
         warnings.warn(
             f"radii below Delta/2 = {grid.delta / 2:.3e}: trace resolves the "

@@ -33,11 +33,12 @@ persymmetric Q, Q = J Q J with J the index reversal.  With Q11 the top-left
 and Q12 the top-right N/2 x N/2 block, the orthogonal basis
 [y; J y]/sqrt 2, [y; -J y]/sqrt 2 splits Q exactly into the even block
 Q11 + Q12 J and the odd block Q11 - Q12 J (Cantoni & Butler, Linear Algebra
-Appl. 13, 1976).  ``OperatorCache`` tests the chords for this once and then
-builds Q as the (2, N/2, N/2) stack of these blocks; T is symmetric
-Toeplitz and splits on every wire, the straight line included.  Wires that
-fail the test (sampled curves, whose arc-length map breaks the symmetry by
-tens to hundreds of ulps) keep the one N x N matrix.  A split cache keeps
+Appl. 13, 1976).  ``OperatorCache`` tests the chords for this and folds
+them into halves in one chunked pass, then builds Q as the (2, N/2, N/2)
+stack of these blocks; T is symmetric Toeplitz and splits on every wire,
+the straight line included.  Wires that fail the test (sampled curves,
+whose arc-length map breaks the symmetry by tens to hundreds of ulps, in
+the first 64 rows already) keep the one N x N matrix.  A split cache keeps
 half the chords and computes half the exponentials per kappa.  Measured on
 bump a=1, w=1 at kappa = 1.15 (2 vCPU, OpenBLAS, min of 3 runs):
 
@@ -242,33 +243,26 @@ def schur_holmgren_norm(b: np.ndarray) -> float:
 #: persymmetric; planar profiles measure at most 8 ulps (N = 128 .. 2304),
 #: sampled curves 30 (a helix) to 290
 PERSYMMETRY_ULPS = 16
-_ROW_CHUNK = 64  # rows per chunk of the chord persymmetry test and split
+_ROW_CHUNK = 64  # rows per chunk of the chord persymmetry test and fold
 
 
-def _persymmetric(rho: np.ndarray) -> bool:
-    """max |rho - J rho J| <= PERSYMMETRY_ULPS eps max rho, over rows in
-    chunks (rho is finite here, with a zero diagonal)."""
-    n = rho.shape[0]
-    tol = PERSYMMETRY_ULPS * np.finfo(float).eps * float(rho.max())
-    for a in range(0, n // 2, _ROW_CHUNK):
-        b = min(a + _ROW_CHUNK, n // 2)
-        mirror = rho[n - 1 - a:n - 1 - b:-1, ::-1]
-        if float(np.max(np.abs(rho[a:b] - mirror))) > tol:
-            return False
-    return True
-
-
-def _symmetrized_halves(rho: np.ndarray):
+def _persymmetric_halves(rho: np.ndarray):
     """The top-left and the column-reversed top-right N/2 x N/2 blocks of
-    (rho + J rho J) / 2, built in row chunks without an N x N temporary."""
+    (rho + J rho J) / 2, or None if max |rho - J rho J| exceeds
+    PERSYMMETRY_ULPS eps max rho (rho is finite, with a zero diagonal).
+    One pass over row chunks tests and folds, with no N x N temporary, and
+    stops at the first chunk that fails: unwritten pages cost no memory."""
     n = rho.shape[0]
     h = n // 2
+    tol = PERSYMMETRY_ULPS * np.finfo(float).eps * float(rho.max())
     left = np.empty((h, h))
     right_rev = np.empty((h, h))
     for a in range(0, h, _ROW_CHUNK):
         b = min(a + _ROW_CHUNK, h)
         top = rho[a:b]
         bottom = rho[n - 1 - a:n - 1 - b:-1]   # rows N - 1 - i
+        if float(np.max(np.abs(top - bottom[:, ::-1]))) > tol:
+            return None
         np.add(top[:, :h], bottom[:, :h - 1:-1], out=left[a:b])
         np.add(top[:, :h - 1:-1], bottom[:, :h], out=right_rev[a:b])
     left *= 0.5
@@ -314,9 +308,10 @@ class OperatorCache:
             rho = curve.pairwise_chords(grid.nodes)
             close = np.argwhere(rho < 1e-12)
             _check_chord_arc(close[np.abs(close[:, 0] - close[:, 1]) * grid.delta > 1e-9])
-            self.parity = _persymmetric(rho)
+            halves = _persymmetric_halves(rho)
+            self.parity = halves is not None
             if self.parity:
-                self._rho_left, self._rho_right = _symmetrized_halves(rho)
+                self._rho_left, self._rho_right = halves
                 np.fill_diagonal(self._rho_left, np.inf)
             else:
                 np.fill_diagonal(rho, np.inf)

@@ -12,7 +12,7 @@ side-effect free; no randomness anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -22,7 +22,6 @@ from .curve import Curve, StraightLine
 from .errors import GeometryError
 from .operators import (
     GridSpec,
-    _kernel_from_distances,
     assemble_T,
     bending_kernel_matrix,
     kappa0,
@@ -41,14 +40,7 @@ class OracleReport:
     details: str
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "measured": self.measured,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def straight_line_oracle(alpha: float, grid: GridSpec,
@@ -103,16 +95,14 @@ def scaling_inequality_check(curve: Curve, kappa: float,
         val, _ = quad(f, 0.0, np.inf, epsabs=1e-14, epsrel=1e-12)
         return -2.0 * val / (4.0 * math.pi)
 
-    # direct midpoint quadrature on a dedicated grid, independent of the
-    # operator assembly path
-    d = 2.0 * quad_halfwidth / quad_points
-    s = -quad_halfwidth + (np.arange(quad_points) + 0.5) * d
-    kern = _kernel_from_distances(curve.pairwise_chords(s),
-                                  np.abs(s[:, None] - s[None, :]), kappa)
+    # midpoint quadrature of the pointwise kernel on a dedicated grid,
+    # independent of the operator assembly path
+    grid = GridSpec(quad_halfwidth, quad_points)
+    kern = bending_kernel_matrix(curve, grid, kappa)
 
     def bend_term(lam):
-        phi = np.exp(-((lam * s) ** 2) / 2.0)
-        return lam * d * d * float(phi @ kern @ phi)
+        phi = np.exp(-((lam * grid.nodes) ** 2) / 2.0)
+        return lam * grid.delta * grid.delta * float(phi @ kern @ phi)
 
     t1 = {lam: log_term(lam) for lam in lams}
     t2 = {lam: bend_term(lam) for lam in lams}

@@ -27,7 +27,7 @@ reparametrization, and a tolerance on u is a relative tolerance on kappa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -41,10 +41,10 @@ from .errors import (
     GeometryError,
     NumericalFailureError,
 )
-from .operators import GridSpec, OperatorCache, kappa0, s_kappa, zeta0
+from .operators import GridSpec, kappa0, s_kappa, zeta0
 # _iterative_top is not called here: perfbench/tracing.py wraps the
 # eigensolvers at solver._iterative_top and solver.scipy, so both stay bound.
-from .spectral import SpectralCurve, _iterative_top, eigensolver, top_eigen  # noqa: F401
+from .spectral import SpectralCurve, _BranchEvaluator, _iterative_top  # noqa: F401
 
 BRACKET_START_OFFSET = 1e-4  # the bracket starts at kappa0 * (1 + offset)
 BRACKET_GROWTH = 2.0         # factor by which the bracket's step ratio grows
@@ -104,50 +104,6 @@ class ConvergenceReport:
     warnings: list
 
 
-class _BranchEvaluator:
-    """lambda_j(kappa) with per-kappa caching of the top-m eigenvalues.
-
-    Used as a context manager: leaving the block drops the operator cache.
-    scipy's brentq keeps the objective in a self-referencing wrapper, so a
-    root-search closure over the evaluator would otherwise hold the cache's
-    N x N arrays until the cyclic garbage collector next runs.
-    """
-
-    def __init__(self, curve, grid, m):
-        self.cache = OperatorCache(curve, grid)
-        self.m = m
-        self.eigensolver = None    # the path for the block size that ran
-        self._vals = {}
-        self._parity = {}
-        self.evaluations = 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.cache = None
-
-    def _solve(self, kappa: float, vectors: bool):
-        q = self.cache.q_matrix(kappa)
-        self.eigensolver = eigensolver(q.shape[-1], self.m)
-        return top_eigen(q, self.m, vectors, parity=True)
-
-    def values(self, kappa: float) -> np.ndarray:
-        key = float(kappa)
-        if key not in self._vals:
-            self._vals[key], self._parity[key] = self._solve(key, False)
-            self.evaluations += 1
-        return self._vals[key]
-
-    def parity(self, kappa: float, branch: int):
-        """``"even"``, ``"odd"`` or None (one block) for a memoized value."""
-        return self._parity[float(kappa)][branch]
-
-    def eigenpair(self, kappa: float, branch: int):
-        vals, vecs, parity = self._solve(float(kappa), True)
-        return float(vals[branch]), vecs[:, branch].copy(), parity[branch]
-
-
 def _require_admissible(curve: Curve, grid: GridSpec):
     report = check_a1(curve, (-grid.L, grid.L), 256)
     if not report.pass_a1:
@@ -187,12 +143,11 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
     m = 1 if ground_only else config.m_branches
     states = []
     with _BranchEvaluator(curve, config.grid, m) as ev:
-        lam_start = ev.values(k_start)
-        for j in range(m):
-            if lam_start[j] > alpha:
-                state = _solve_branch(ev, j, alpha, k_start, k0, z0, config)
-                states.append(state)
-            elif lam_start[j] - s_start > lift_floor:
+        start = ev.record(k_start)
+        for j, lam_start in enumerate(start.values):
+            if lam_start > alpha:
+                states.append(_solve_branch(ev, j, alpha, k_start, k0, z0, config))
+            elif lam_start - s_start > lift_floor:
                 # bent branch hugging the continuum edge: report, don't drop
                 states.append(BoundState(
                     kappa_tilde=k_start,
@@ -200,14 +155,14 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
                     branch=j,
                     h=None,
                     gap=z0 - (-k_start ** 2),
-                    residual=abs(lam_start[j] - alpha),
+                    residual=abs(lam_start - alpha),
                     threshold_uncertain=True,
                     diagnostics={"reason": "branch lifted above the free line but "
                                            "below alpha at the bracket start",
-                                 "lambda_start": float(lam_start[j]),
+                                 "lambda_start": float(lam_start),
                                  "s_kappa_start": float(s_start),
-                                 "eigensolver": ev.eigensolver,
-                                 "parity": ev.parity(k_start, j)},
+                                 "eigensolver": start.path,
+                                 "parity": start.parity[j]},
                 ))
     if not ground_only and states and states[-1].branch == m - 1:
         raise ConfigError(
@@ -252,7 +207,8 @@ def _solve_branch(ev, j, alpha, k_start, k0, z0, config) -> BoundState:
         ratio *= BRACKET_GROWTH
         k_hi = min(k_lo * ratio, k_max)
     kt, res = _root_in_log_kappa(ev, j, alpha, k_lo, k_hi, config.tol_kappa_rel)
-    lam_val, h, parity = ev.eigenpair(kt, j)
+    root = ev.eigenpair(kt)
+    lam_val = float(root.values[j])
     if abs(lam_val - alpha) > config.tol_lambda:
         raise NumericalFailureError(
             f"branch {j}: eigenvalue residual {abs(lam_val - alpha):.3e} at the "
@@ -264,15 +220,15 @@ def _solve_branch(ev, j, alpha, k_start, k0, z0, config) -> BoundState:
         kappa_tilde=float(kt),
         energy=float(energy),
         branch=j,
-        h=h,
+        h=root.vectors[:, j].copy(),
         gap=float(gap),
         residual=abs(lam_val - alpha),
         threshold_uncertain=bool(gap < THRESHOLD_GAP_FRAC * abs(z0)),
         diagnostics={"bracket": [float(k_lo), float(k_hi)],
                      "iterations": int(res.iterations),
                      "evaluations": int(ev.evaluations),
-                     "eigensolver": ev.eigensolver,
-                     "parity": parity},
+                     "eigensolver": root.path,
+                     "parity": root.parity[j]},
     )
 
 
@@ -289,7 +245,7 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
     crossings = []
     with _BranchEvaluator(curve, config.grid, config.m_branches) as ev:
         # sampling through the memo lets Brent reuse the bracketing samples
-        curve_data = SpectralCurve.sample(kappas, ev.values, config.grid)
+        curve_data = SpectralCurve.sample(kappas, ev.values)
         for j in range(config.m_branches):
             f = curve_data.lambdas[:, j] - config.alpha
             for i in range(len(kappas)):
@@ -402,17 +358,6 @@ def states_to_dict(alpha: float, grid: GridSpec, states,
         ],
     }
     if convergence is not None:
-        out["convergence"] = convergence_to_dict(convergence)
+        out["convergence"] = asdict(convergence)
     return out
 
-
-def convergence_to_dict(report: ConvergenceReport) -> dict:
-    return {
-        "levels": [{"N": lv.N, "L": lv.L, "energy": lv.energy} for lv in report.levels],
-        "diffs": list(report.diffs),
-        "observed_order": report.observed_order,
-        "richardson_energy": report.richardson_energy,
-        "tail_change": report.tail_change,
-        "accepted": bool(report.accepted),
-        "warnings": list(report.warnings),
-    }

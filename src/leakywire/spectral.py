@@ -1,13 +1,14 @@
 """Top eigenvalues of the discretized boundary-integral operator and their
 dependence on the spectral parameter kappa.
 
-``top_eigen`` is the one eigensolve entry point: every caller that needs the
-top of a spectrum goes through it, and ``eigensolver`` names the path it
-takes.  Desk-scale grids make a dense symmetric eigensolve the most robust
-choice; only the top few eigenvalues are ever needed, so the subset driver
-is used.  Larger grids use a deterministic Lanczos iteration.  Where the
-switch lies depends on how many eigenvalues are wanted, and on the size n of
-the blocks solved: N for one matrix, N/2 for parity blocks.  Measured on
+``top_eigen`` is the one eigensolve entry point and returns one ``Eigen``
+record; ``_BranchEvaluator`` is the one place that pairs it with
+``OperatorCache.q_matrix``.  Desk-scale grids make a dense symmetric
+eigensolve the most robust choice; only the top few eigenvalues are ever
+needed, so the subset driver is used.  Larger grids use a deterministic
+Lanczos iteration.  Where the switch lies depends on how many eigenvalues
+are wanted, and on the size n of the blocks solved: N for one matrix, N/2
+for parity blocks.  Measured on
 one N x N bump operator (2 vCPU, OpenBLAS, min of 3 runs; eigenvalues agree
 to 2e-16):
 
@@ -27,9 +28,13 @@ Parity: a persymmetric operator arrives as the (2, N/2, N/2) stack of its
 even and odd blocks (see ``operators``).  Both blocks go to one eigensolve:
 one batched LAPACK call on the stack, or one Lanczos run on the
 block-diagonal operator, and the top m of their values are merged, so each
-Q build still costs one eigensolve.  Each block costs an eighth of the full
-matrix's O(N^3) reduction.  Measured per block size on bump a=1, w=1 at
-kappa = 1.15 (same machine; the two paths agree to 4e-16):
+Q build still costs one eigensolve.  Both paths give (value, block, block
+eigenvector y) triples, unfolded to y, [y; J y]/sqrt 2 (even) or
+[y; -J y]/sqrt 2 (odd); a Lanczos Ritz vector keeps only its own block's
+part, renormalized, an exact block eigenvector as the operator is
+block-diagonal.  Each block costs an eighth of the full matrix's O(N^3)
+reduction.  Measured per block size on bump a=1, w=1 at kappa = 1.15 (same
+machine; the two paths agree to 4e-16):
 
 =================================  =============  ==================
 case (block n = N/2)               dense, batch   Lanczos, 2 blocks
@@ -53,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -109,10 +115,9 @@ class SpectralCurve:
     kappas: np.ndarray          # ascending, shape (nk,)
     lambdas: np.ndarray         # shape (nk, m), each row descending
     s_k_values: np.ndarray      # s_kappa at each sample
-    grid: GridSpec
 
     @classmethod
-    def sample(cls, kappa_list, values, grid: GridSpec) -> "SpectralCurve":
+    def sample(cls, kappa_list, values) -> "SpectralCurve":
         """The curve of ``values(kappa)`` (top eigenvalues, descending) over
         a positive, strictly ascending kappa list."""
         kappas = np.asarray(kappa_list, dtype=float)
@@ -120,8 +125,7 @@ class SpectralCurve:
             raise GeometryError("kappa_list must be a non-empty 1D sequence")
         if np.any(kappas <= 0) or np.any(np.diff(kappas) <= 0):
             raise GeometryError("kappa_list must be positive and strictly ascending")
-        return cls(kappas=kappas, lambdas=np.array([values(k) for k in kappas]),
-                   s_k_values=np.asarray(s_kappa(kappas)), grid=grid)
+        return cls(kappas, np.array([values(k) for k in kappas]), np.asarray(s_kappa(kappas)))
 
     def csv_text(self) -> str:
         """CSV with LF line endings.  Columns: kappa, s_kappa, lambda_1 .. lambda_m."""
@@ -155,73 +159,113 @@ def _block_diagonal(blocks: np.ndarray) -> LinearOperator:
     return LinearOperator((b * n, b * n), matvec=product, matmat=product, dtype=blocks.dtype)
 
 
-def top_eigen(matrix: np.ndarray, m: int, vectors: bool = False, parity: bool = False):
+class Eigen(NamedTuple):
+    """The top m eigenpairs of one Q, as ``top_eigen`` returns them."""
+
+    values: np.ndarray              # shape (m,), descending
+    parity: list                    # "even", "odd" or None (one block) per value
+    path: str                       # "dense" or "lanczos"
+    vectors: Optional[np.ndarray]   # (N, m) columns; None unless asked for
+
+
+def top_eigen(matrix: np.ndarray, m: int, vectors: bool = False) -> Eigen:
     """The m largest eigenvalues of a symmetric matrix, descending.
 
     ``matrix`` is one N x N matrix, or the (2, N/2, N/2) stack of the even
     and odd blocks of a persymmetric one (``OperatorCache.q_matrix`` returns
     either).  The blocks are solved together, in one batched dense call or
     one Lanczos run on the block-diagonal operator, and their values merged;
-    ``eigensolver(n, m)`` picks the path from the block size n.
-    With ``vectors=True`` returns ``(values, vectors)``: orthonormal
-    eigenvectors of the full N x N matrix as columns, sign-fixed, with
-    residuals ||Q v - lambda v|| verified against 1e-9 * ||Q||; a block
-    eigenvector y comes back as [y; J y]/sqrt 2 (even) or [y; -J y]/sqrt 2
-    (odd).  With ``parity=True`` the parity of each value, ``"even"``,
-    ``"odd"`` or None for one matrix, follows as the last item.
+    ``eigensolver(n, m)`` picks the path from the block size n.  The parity
+    of a value is the block it comes from.  With ``vectors=True`` the record
+    holds orthonormal eigenvectors of the full N x N matrix as columns,
+    sign-fixed, with residuals ||Q v - lambda v|| verified against
+    1e-9 * ||Q||; a block eigenvector y comes back as y (one matrix),
+    [y; J y]/sqrt 2 (even) or [y; -J y]/sqrt 2 (odd).
     """
     blocks = matrix if matrix.ndim == 3 else matrix[None]
     nb, n, _ = blocks.shape
     if not 1 <= m <= nb * n:
         raise GeometryError(f"need 1 <= m <= N, got m={m}, N={nb * n}")
-    if eigensolver(n, m) == "lanczos":
-        op = matrix if nb == 1 else _block_diagonal(blocks)
-        vals, vecs = _iterative_top(op, m, vectors or (parity and nb > 1))
-        if vecs is not None:
-            vecs = vecs.T.reshape(m, nb, n).transpose(1, 2, 0)
-            # the parity of a value is the block its Ritz vector lies in
-            block = np.argmax(np.linalg.norm(vecs, axis=1), axis=0)
+    path = eigensolver(n, m)
+    if path == "lanczos":
+        # the parity of a value is the block its Ritz vector lies in
+        vals, ritz = _iterative_top(_block_diagonal(blocks), m, vectors or nb > 1)
+        if ritz is not None:
+            ritz = ritz.T.reshape(m, nb, n)
+            block = np.argmax(np.linalg.norm(ritz, axis=2), axis=1)
+            ys = ritz[np.arange(m), block]
+            if nb > 1:   # the other block's part is rounding noise
+                ys /= np.linalg.norm(ys, axis=1, keepdims=True)
     else:
         # a 2-D matrix goes to LAPACK as it is; a stack in one batched call
         k = min(m, n)
         if vectors:
             w, v = scipy.linalg.eigh(matrix, subset_by_index=[n - k, n - 1])
-            v = v.reshape(nb, n, k)[:, :, ::-1]
         else:
             w = scipy.linalg.eigvalsh(matrix, subset_by_index=[n - k, n - 1])
         w = w.reshape(nb, k)[:, ::-1].ravel()
         # a stable merge: for one matrix this is the identity
         order = np.argsort(-w, kind="stable")[:m]
         vals, block = w[order], order // k
-        if vectors:
-            vecs = np.zeros((nb, n, m))
-            vecs[block, :, np.arange(m)] = v[block, :, order % k]
-    if parity:
-        labels = [None] * m if nb == 1 else [PARITIES[b] for b in block]
+        if vectors:   # LAPACK's columns ascend
+            ys = v.reshape(nb, n, k)[block, :, k - 1 - order % k]
+    parity = [None] * m if nb == 1 else [PARITIES[b] for b in block]
     if not vectors:
-        return (vals, labels) if parity else vals
+        return Eigen(vals, parity, path, None)
     # largest |entry| without an N x N temporary
     norm_q = max(abs(vals[0]), max(blocks.max(), -blocks.min()) * (nb * n) ** 0.5)
-    # one matrix-vector product per column and block: a single matrix
-    # product would touch the BLAS GEMM buffers, about 7 MiB more peak
-    # memory per process
-    resid = [math.sqrt(sum(np.linalg.norm(q @ y - lam * y) ** 2
-                           for q, y in zip(blocks, vecs[:, :, j])))
-             for j, lam in enumerate(vals)]
+    # one matrix-vector product per value: a single matrix product would
+    # touch the BLAS GEMM buffers, about 7 MiB more peak memory per process
+    resid = [np.linalg.norm(blocks[b] @ y - lam * y) for lam, b, y in zip(vals, block, ys)]
     j = int(np.argmax(resid))
     if resid[j] > 1e-9 * max(norm_q, 1e-30):
         raise NumericalFailureError(
             f"eigenpair {j} residual {resid[j]:.3e} exceeds 1e-9 * ||Q|| (N={nb * n})")
-    if nb == 1:
-        full = vecs[0]
-    else:
-        even, odd = vecs
-        full = np.concatenate((even + odd, (even - odd)[::-1])) / math.sqrt(2.0)
-    vecs = np.column_stack([_fix_sign(full[:, j]) for j in range(m)])
-    return (vals, vecs, labels) if parity else (vals, vecs)
+    if nb > 1:
+        mirror = np.where(block == 0, 1.0, -1.0)[:, None] * ys[:, ::-1]
+        ys = np.hstack((ys, mirror)) / math.sqrt(2.0)
+    return Eigen(vals, parity, path, np.column_stack([_fix_sign(y) for y in ys]))
+
+
+class _BranchEvaluator:
+    """lambda_j(kappa): the top-m ``Eigen`` record of Q_kappa, memoized per
+    kappa, from ``OperatorCache.q_matrix`` and ``top_eigen``.
+
+    Used as a context manager: leaving the block drops the operator cache.
+    scipy's brentq keeps the objective in a self-referencing wrapper, so a
+    root-search closure over the evaluator would otherwise hold the cache's
+    N x N arrays until the cyclic garbage collector next runs.
+    """
+
+    def __init__(self, curve: Curve, grid: GridSpec, m: int):
+        self.cache = OperatorCache(curve, grid)
+        self.m = m
+        self._records = {}
+        self.evaluations = 0    # values-only solves, one per distinct kappa
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.cache = None
+
+    def record(self, kappa: float) -> Eigen:
+        """The values-only record at kappa, solved once per kappa."""
+        key = float(kappa)
+        if key not in self._records:
+            self._records[key] = self.eigenpair(key, vectors=False)
+            self.evaluations += 1
+        return self._records[key]
+
+    def values(self, kappa: float) -> np.ndarray:
+        return self.record(kappa).values
+
+    def eigenpair(self, kappa: float, vectors: bool = True) -> Eigen:
+        """A fresh record at kappa, not memoized: the one Q build and solve."""
+        return top_eigen(self.cache.q_matrix(float(kappa)), self.m, vectors)
 
 
 def lambda_curve(curve: Curve, grid: GridSpec, kappa_list, m: int = 8) -> SpectralCurve:
     """Top-m eigenvalue curves lambda_j(kappa) over an ascending kappa list."""
-    cache = OperatorCache(curve, grid)
-    return SpectralCurve.sample(kappa_list, lambda k: top_eigen(cache.q_matrix(k), m), grid)
+    with _BranchEvaluator(curve, grid, m) as ev:
+        return SpectralCurve.sample(kappa_list, ev.values)

@@ -240,6 +240,15 @@ class TestArgumentErrors:
         ["solve", "--curve", "straight", "-L", "nan", "-N", "64"],
         ["solve", "--curve", "bump:a=1,w=1", "-L", "inf", "-N", "64"],
         ["scan", "--curve", "straight", "-L=-inf", "-N", "64"],
+        # shift radii must stay below the curve's safe radius (0.5 here)
+        ["bc-verify", "--curve", "bump:a=1,w=1", "-L", "16", "-N", "256",
+         "--radii", "0.3:3:6"],
+        ["bc-verify", "--curve", "bump:a=1,w=1", "-L", "16", "-N", "256",
+         "--radii", "0.01,0.5"],
+        # grids whose N x N arrays exceed the memory limit
+        ["check", "--curve", "straight", "--samples", "20000"],
+        ["solve", "--curve", "bump:a=1,w=1", "-L", "24", "-N", "40000"],
+        ["converge", "--curve", "bump:a=1,w=1", "-L", "24", "-N", "8000"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
     def test_exits_3_before_any_search(self, argv, capsys, monkeypatch):
         import leakywire.cli as cli_mod
@@ -271,6 +280,56 @@ class TestArgumentErrors:
         assert "domain hint 1.5e+08 needs 9600000000 cells, about 1.72e+03 GiB" in captured.err
         assert "(-L 1e+08 sets it to 1.5 L)" in captured.err
         assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("argv, estimate", [
+        (["check", "--curve", "straight", "--samples", "20000"],
+         "--samples 20000 needs 20000 x 20000 arrays of about 25.3 GiB"),
+        (["solve", "--curve", "bump:a=1,w=1", "-L", "24", "-N", "40000"],
+         "-N 40000 needs 40000 x 40000 arrays of about 38.7 GiB"),
+    ], ids=["check", "solve"])
+    def test_oversized_grid_exits_3(self, capsys, monkeypatch, argv, estimate):
+        # the refusal states the estimate, and comes before any N x N array
+        # is allocated
+        real_empty = np.empty
+
+        def small_empty(shape, *args, **kwargs):
+            if np.prod(shape) >= 10 ** 8:
+                raise AssertionError("an N x N array was allocated before the size check")
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", small_empty)
+        code = run_cli(*argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert f"configuration error: {estimate}, above the 2 GiB limit" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    @pytest.mark.parametrize("argv, per_entry", [
+        (["solve", "--curve", "{sampled}", "-L", "20"], "_SEARCH_BYTES_PER_ENTRY"),
+        (["solve", "--curve", "bump:a=1,w=1", "-L", "24"], "_SEARCH_BYTES_PER_ENTRY"),
+        (["check", "--curve", "bump:a=1,w=1"], "_AUDIT_BYTES_PER_ENTRY"),
+    ], ids=["solve_one_block", "solve_split", "check"])
+    def test_size_guard_covers_the_peak_per_entry(self, tmp_path, argv, per_entry):
+        # the guard's bytes per entry bound the growth of the run's peak
+        import tracemalloc
+
+        import leakywire.cli as cli_mod
+
+        t = np.linspace(-22.0, 22.0, 441)
+        samples = np.column_stack([t, t, np.exp(-(t / 1.5) ** 2), 0.3 * np.tanh(t)])
+        curve_file = tmp_path / "curve.json"
+        curve_file.write_text(json.dumps({"family": "sampled", "samples": samples.tolist()}))
+        argv = [a.format(sampled=curve_file) for a in argv]
+        size = "--samples" if argv[0] == "check" else "-N"
+        peaks = []
+        for n in (512, 1024):
+            tracemalloc.start()
+            try:
+                assert run_cli(*argv, size, str(n), "-o", str(tmp_path / "out.json")) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (1024 ** 2 - 512 ** 2) <= getattr(cli_mod, per_entry)
 
     def test_oversized_build_from_a_curve_file_names_its_hint(self, tmp_path, capsys):
         # the file's own domain_hint wins over -L, so -L is not blamed

@@ -17,7 +17,7 @@ from leakywire.eigenfield import (
     trace_on_shifted,
     trace_values,
 )
-from leakywire.errors import FitError, NearSingularityError
+from leakywire.errors import FitError, GeometryError, NearSingularityError
 from leakywire.operators import GridSpec, OperatorCache, s_kappa
 
 from conftest import bump_solution, unfold
@@ -115,6 +115,17 @@ class TestTraceOnShifted:
                             np.array([0.01]), ANGLES)
         spread = float(np.ptp(vals[0]) / np.mean(vals[0]))
         assert spread < 0.05
+
+    @pytest.mark.parametrize("radius", [0.5, 3.0])
+    def test_radius_at_or_beyond_the_safe_bound_rejected(self, radius):
+        # the bump's largest curvature is 1, so r0 = min(0.5, 0.5 / 1) = 0.5:
+        # a shifted copy at r >= r0 may touch the wire
+        config, states = bump_solution(24.0, 1024)
+        st_ = states[0]
+        assert _bump().max_shift_radius() == 0.5
+        with pytest.raises(GeometryError, match="safe bound"):
+            trace_values(_bump(), config.grid, st_.kappa_tilde, st_.h, 0.5,
+                         np.array([0.01, radius]), ANGLES)
 
 
 def _bump():

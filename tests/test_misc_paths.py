@@ -13,8 +13,8 @@ from leakywire.eigenfield import TraceFit, trace_to_dict
 from leakywire.errors import BracketFailureError, DegenerateFrameError
 from leakywire.operators import GridSpec
 from leakywire import solver
-from leakywire.solver import SolveConfig, _BranchEvaluator, find_bound_states
-from leakywire.spectral import lambda_curve
+from leakywire.solver import SolveConfig, find_bound_states
+from leakywire.spectral import _BranchEvaluator, lambda_curve
 
 from conftest import unfold
 
@@ -108,7 +108,7 @@ class TestIterativeEigenPath:
 
         g = GridSpec(16.0, 512)
         q = OperatorCache(bump, g).q_matrix(1.2)
-        dense_vals, dense_vecs, dense_parity = top_eigen(q, 5, vectors=True, parity=True)
+        dense_vals, dense_parity, _, dense_vecs = top_eigen(q, 5, vectors=True)
         # Lanczos on the full matrix against the dense solve of its blocks
         vals, vecs = _iterative_top(unfold(q), 5, want_vectors=True)
         for j in range(5):
@@ -117,7 +117,8 @@ class TestIterativeEigenPath:
         # and Lanczos on the block-diagonal operator, which labels each Ritz
         # vector by its block
         monkeypatch.setattr(spectral_mod, "DENSE_EIGEN_LIMIT", 100)
-        vals, vecs, parity = top_eigen(q, 5, vectors=True, parity=True)
+        vals, parity, path, vecs = top_eigen(q, 5, vectors=True)
+        assert path == "lanczos"
         assert parity == dense_parity and "odd" in parity
         for j in range(5):
             assert vals[j] == pytest.approx(dense_vals[j], abs=1e-10)
@@ -126,13 +127,15 @@ class TestIterativeEigenPath:
     @pytest.mark.parametrize("path", ["lambda_curve", "find_bound_states"])
     def test_large_grid_dispatch(self, bump, monkeypatch, path):
         # force the iterative branch on a small grid and compare branches;
-        # find_bound_states also takes the Lanczos eigenvector path at roots
+        # find_bound_states also takes the Lanczos eigenvector path at roots.
+        # lambda_curve runs on a one-block wire: Lanczos reads the parity of
+        # two blocks from the Ritz vectors, so there it always asks for them
         import leakywire.spectral as spectral_mod
 
         g = GridSpec(16.0, 256)
         if path == "lambda_curve":
             kappas = np.geomspace(1.1, 2.0, 3)
-            run = lambda: lambda_curve(bump, g, kappas, m=3).lambdas
+            run = lambda: lambda_curve(_off_centre_bump(1.0), g, kappas, m=3).lambdas
         else:
             config = SolveConfig(alpha=0.0, grid=g, m_branches=3)
             run = lambda: np.array([np.r_[s.energy, s.residual, s.h]

@@ -127,13 +127,13 @@ class TestBumpBinding:
     def test_ground_only_asks_for_one_eigenvalue(self, bump, monkeypatch):
         # a ground-state search tracks branch 0 alone, whatever m_branches is
         asked = []
-        top_eigen = solver_mod.top_eigen
+        top_eigen = spectral_mod.top_eigen
 
-        def spy(matrix, m, vectors=False, **kwargs):
+        def spy(matrix, m, vectors=False):
             asked.append(m)
-            return top_eigen(matrix, m, vectors, **kwargs)
+            return top_eigen(matrix, m, vectors)
 
-        monkeypatch.setattr(solver_mod, "top_eigen", spy)
+        monkeypatch.setattr(spectral_mod, "top_eigen", spy)
         config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 128), m_branches=8)
         states = find_bound_states(bump, config, ground_only=True)
         assert len(states) == 1
@@ -191,13 +191,13 @@ class TestSpectrumScan:
         # Brent's bracket endpoints are scan samples; they must come from the
         # evaluator's memo, not from a second build of Q
         built = []
-        q_matrix = solver_mod.OperatorCache.q_matrix
+        q_matrix = spectral_mod.OperatorCache.q_matrix
 
         def counting(self, kappa):
             built.append(float(kappa))
             return q_matrix(self, kappa)
 
-        monkeypatch.setattr(solver_mod.OperatorCache, "q_matrix", counting)
+        monkeypatch.setattr(spectral_mod.OperatorCache, "q_matrix", counting)
         config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 128), m_branches=2)
         k0 = kappa0(0.0)
         sc, crossings = spectrum_scan(bump, config, (0.5 * k0, 4.0 * k0), 10)
@@ -236,8 +236,8 @@ def _closed_form_evaluator(monkeypatch, lam):
             built.append(kappa)
             return np.array([[lam(kappa)]])
 
-    monkeypatch.setattr(solver_mod, "OperatorCache", ClosedForm)
-    return solver_mod._BranchEvaluator(None, GridSpec(8.0, 64), 1), built
+    monkeypatch.setattr(spectral_mod, "OperatorCache", ClosedForm)
+    return spectral_mod._BranchEvaluator(None, GridSpec(8.0, 64), 1), built
 
 
 class TestLogKappaRootSearch:
@@ -278,13 +278,13 @@ class TestLogKappaRootSearch:
         # every Q build is at a new kappa except the eigenvector solve at each
         # root, also when several branches share the evaluator's memo
         built = []
-        q_matrix = solver_mod.OperatorCache.q_matrix
+        q_matrix = spectral_mod.OperatorCache.q_matrix
 
         def counting(self, kappa):
             built.append(float(kappa))
             return q_matrix(self, kappa)
 
-        monkeypatch.setattr(solver_mod.OperatorCache, "q_matrix", counting)
+        monkeypatch.setattr(spectral_mod.OperatorCache, "q_matrix", counting)
         curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
         states = find_bound_states(curve, SolveConfig(alpha=0.0, grid=GridSpec(24.0, 512),
                                                       m_branches=6))
@@ -408,12 +408,12 @@ class TestCacheLifetime:
         # leave the N x N operator arrays reachable from it
         caches = []
 
-        class TrackedCache(solver_mod.OperatorCache):
+        class TrackedCache(spectral_mod.OperatorCache):
             def __init__(self, *args):
                 super().__init__(*args)
                 caches.append(weakref.ref(self))
 
-        monkeypatch.setattr(solver_mod, "OperatorCache", TrackedCache)
+        monkeypatch.setattr(spectral_mod, "OperatorCache", TrackedCache)
         config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 128), m_branches=2)
         was_enabled = gc.isenabled()
         gc.disable()
