@@ -67,9 +67,8 @@ EXIT_CONFIG = 3
 
 #: peak bytes per entry of a run's n x n arrays (tracemalloc, growth of the
 #: peak from n = 512 to 1024): 24.3 for a search on a one-block wire (16 on a
-#: split one), 65.0 for the audits of ``check``
-_SEARCH_BYTES_PER_ENTRY = 26
-_AUDIT_BYTES_PER_ENTRY = 68
+#: split one), about 9 for the audits of ``check`` (10.0 on a sampled curve)
+_BYTES_PER_ENTRY = 26
 
 
 def load_curve(source: str, domain_hint: float = 48.0) -> Curve:
@@ -158,9 +157,9 @@ def _half_length(args, default=None):
     return L
 
 
-def _refuse_oversized(n: int, per_entry: int, what: str) -> None:
+def _refuse_oversized(n: int, what: str) -> None:
     """ConfigError, before any n x n array exists, above MAX_BUILD_BYTES."""
-    gib = n * n * per_entry / 2 ** 30
+    gib = n * n * _BYTES_PER_ENTRY / 2 ** 30
     if gib > MAX_BUILD_BYTES / 2 ** 30:
         raise ConfigError(f"{what} needs {n} x {n} arrays of about {gib:.3g} GiB, "
                           f"above the {MAX_BUILD_BYTES / 2 ** 30:.3g} GiB limit")
@@ -180,7 +179,7 @@ def _check_alpha(alpha: float) -> None:
 def _grid_from_args(args, curve: Curve) -> GridSpec:
     if args.grid_n <= 0 or args.grid_n % 2:
         raise ConfigError(f"-N must be a positive even integer, got {args.grid_n}")
-    _refuse_oversized(args.grid_n, _SEARCH_BYTES_PER_ENTRY, f"-N {args.grid_n}")
+    _refuse_oversized(args.grid_n, f"-N {args.grid_n}")
     _check_alpha(args.alpha)
     L = _half_length(args)
     if L is None:
@@ -258,7 +257,10 @@ def _cmd_check(args) -> int:
     n = args.samples
     if n < 2:
         raise ConfigError(f"--samples must be at least 2, got {n}")
-    _refuse_oversized(n, _AUDIT_BYTES_PER_ENTRY, f"--samples {n}")
+    if not (0 < args.omega < 1 and 0 < args.epsilon < math.inf and 0 <= args.mu < math.inf):
+        raise ConfigError("need 0 < --omega < 1, 0 < --epsilon < inf and 0 <= --mu < inf, "
+                          f"got {args.omega}, {args.epsilon} and {args.mu}")
+    _refuse_oversized(n, f"--samples {n}")
     rep1 = check_a1(curve, (-L, L), n)
     rep2 = check_a2(curve, args.omega, args.epsilon, args.mu, (-L, L), n)
     beta = check_curvature_decay(curve, (-L, L), n)
@@ -268,13 +270,7 @@ def _cmd_check(args) -> int:
         "n_samples": n,
         "c_estimate": rep1.c_estimate,
         "pass_a1": rep1.pass_a1,
-        "a2": {
-            "omega": rep2.a2_certificate.omega,
-            "epsilon": rep2.a2_certificate.epsilon,
-            "mu": rep2.a2_certificate.mu,
-            "d": rep2.a2_certificate.d,
-            "max_violation": rep2.a2_certificate.max_violation,
-        },
+        "a2": asdict(rep2.a2_certificate),
         "pass_a2": rep2.pass_a2,
         "decay_beta": None if math.isinf(beta) else beta,
         "decay_beta_superpolynomial": bool(math.isinf(beta)),
@@ -322,7 +318,7 @@ def _cmd_converge(args) -> int:
     except GeometryError as exc:
         raise ConfigError(f"-N {grid.N} with --levels {args.levels}: {exc}") from exc
     # the box-enlarged tail run solves on 1.5 N points
-    _refuse_oversized(grid.N + grid.N // 2, _SEARCH_BYTES_PER_ENTRY, f"converge -N {grid.N}")
+    _refuse_oversized(grid.N + grid.N // 2, f"converge -N {grid.N}")
     report = converge_study(curve, config)
     payload = {
         "alpha": float(args.alpha),
@@ -464,6 +460,10 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except OSError as exc:
         print(f"leakywire: I/O error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a run inside the size guards, in a smaller process
+        print(f"leakywire: configuration error: out of memory ({exc}); "
+              "lower -N or --samples", file=sys.stderr)
         return EXIT_CONFIG
 
 

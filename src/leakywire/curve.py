@@ -20,13 +20,14 @@ The admissibility audits are sampled checks, not certificates: the chord-arc
 constant (``check_a1``), the quantified asymptotic-straightness inequality on
 the two-branch pair set (``check_a2``) and the curvature-decay exponent
 (``check_curvature_decay``) are all evaluated on dense grids whose resolution
-is part of the report.
+is part of the report.  The audits keep one N x N array, the chords, and walk
+it ``PAIR_ROWS`` rows at a time, as the chords and the parity fold are built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,7 +50,8 @@ _CELL_WIDTH = 0.05      # requested planar cell width; rounded down to 2^-m
 _CELL_BUILD_BYTES = 192
 MAX_BUILD_BYTES = 2 ** 31  # larger planar builds and grids are refused up front
 _CELL_CHUNK = 2048      # cells per chunk of the nested quadrature rule
-_PLANAR_CHORD_COLS = 256  # columns per block of the planar chord matrix
+PAIR_ROWS = 64          # rows per block of every walk over an N x N pair matrix
+_CHORD_ARC_MIN = 1e-3   # c_estimate below which the (a1) audit fails
 _FLAT = 1e-8            # curvature below which a sampled point counts as straight
 _COMPLETIONS = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # binormals of straight data
 
@@ -143,7 +145,6 @@ class AssumptionReport:
     a2_certificate: Optional[A2Certificate] = None
     pass_a1: Optional[bool] = None
     pass_a2: Optional[bool] = None
-    sample_grid: dict = field(default_factory=dict)
 
 
 class Curve:
@@ -183,14 +184,14 @@ class Curve:
         return np.linalg.norm(np.atleast_2d(pa) - np.atleast_2d(pb), axis=-1)
 
     def pairwise_chords(self, s):
-        """Full matrix rho[i, j] = |gamma(s_i) - gamma(s_j)|, built 64 rows
-        at a time so no N x N x 3 difference array is allocated."""
+        """Full matrix rho[i, j] = |gamma(s_i) - gamma(s_j)|, built PAIR_ROWS
+        rows at a time so no N x N x 3 difference array is allocated."""
         p = np.atleast_2d(self.point(np.asarray(s, dtype=float)))
         n = p.shape[0]
         rho = np.empty((n, n))
-        for start in range(0, n, 64):
-            diff = p[start:start + 64, None, :] - p[None, :, :]
-            np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=rho[start:start + 64])
+        for a in range(0, n, PAIR_ROWS):
+            diff = p[a:a + PAIR_ROWS, None, :] - p[None, :, :]
+            np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=rho[a:a + PAIR_ROWS])
         return rho
 
 
@@ -433,13 +434,11 @@ class PlanarCurvatureProfile(Curve):
         hi, lo = self._positions_dd(s)
         n = s.size
         rho = np.empty((n, n))
-        for start in range(0, n, _PLANAR_CHORD_COLS):
-            stop = min(start + _PLANAR_CHORD_COLS, n)
-            dx = _dd_sub(hi[None, start:stop, 0], lo[None, start:stop, 0],
-                         hi[:, None, 0], lo[:, None, 0])
-            dy = _dd_sub(hi[None, start:stop, 1], lo[None, start:stop, 1],
-                         hi[:, None, 1], lo[:, None, 1])
-            rho[:, start:stop] = np.hypot(dx, dy)
+        for a in range(0, n, PAIR_ROWS):
+            rows = slice(a, a + PAIR_ROWS)
+            dx = _dd_sub(hi[None, :, 0], lo[None, :, 0], hi[rows, None, 0], lo[rows, None, 0])
+            dy = _dd_sub(hi[None, :, 1], lo[None, :, 1], hi[rows, None, 1], lo[rows, None, 1])
+            np.hypot(dx, dy, out=rho[rows])
         return rho
 
 
@@ -627,59 +626,56 @@ def _sample_range(s_range, n_samples):
     return np.linspace(lo, hi, int(n_samples))
 
 
-def check_a1(curve: Curve, s_range, n_samples: int, c_min: float = 1e-3) -> AssumptionReport:
-    """Sampled chord-arc audit: c_estimate = min rho/sigma over the grid."""
+def _pair_rows(s, rho):
+    """(s rows, rho rows, sigma rows) of an audit grid's pair matrix, PAIR_ROWS
+    rows at a time, with sigma = |s - s'|."""
+    for a in range(0, s.size, PAIR_ROWS):
+        s_rows = s[a:a + PAIR_ROWS, None]
+        yield s_rows, rho[a:a + PAIR_ROWS], np.abs(s_rows - s[None, :])
+
+
+def check_a1(curve: Curve, s_range, n_samples: int) -> AssumptionReport:
+    """Sampled chord-arc audit: c_estimate = min(1, rho/sigma off the diagonal)."""
     s = _sample_range(s_range, n_samples)
-    rho = curve.pairwise_chords(s)
-    sigma = np.abs(s[:, None] - s[None, :])
-    off = sigma > 0
-    ratio = np.ones_like(rho)
-    ratio[off] = rho[off] / sigma[off]
-    c_est = float(np.min(ratio))
-    return AssumptionReport(
-        c_estimate=c_est,
-        pass_a1=bool(c_est >= c_min),
-        sample_grid={"s_range": [float(s_range[0]), float(s_range[1])],
-                     "n_samples": int(n_samples)},
-    )
+    c_est = 1.0
+    for _, rho, sigma in _pair_rows(s, curve.pairwise_chords(s)):
+        off = sigma > 0
+        c_est = float(np.min(rho[off] / sigma[off], initial=c_est))
+    return AssumptionReport(c_estimate=c_est, pass_a1=bool(c_est >= _CHORD_ARC_MIN))
+
+
+def _a2_members(s, rho, omega, eps, mu):
+    """Per block of rows, 1 - rho/sigma and its weight sigma / ((sigma + 1)
+    sqrt(1 + (s^2 + s'^2)^mu)) on the member pairs (never the diagonal)."""
+    for s_rows, rho_b, sigma_b in _pair_rows(s, rho):
+        member = in_asymptotic_set(s_rows, s[None, :], omega, eps) & (sigma_b > 0)
+        sigma = sigma_b[member]
+        ssq = (s_rows ** 2 + s[None, :] ** 2)[member]
+        yield (1.0 - rho_b[member] / sigma,
+               sigma / ((sigma + 1.0) * np.sqrt(1.0 + ssq ** mu)))
 
 
 def check_a2(curve: Curve, omega: float, eps: float, mu: float, s_range,
              n_samples: int, d_max: float = 1e3) -> AssumptionReport:
     """Search the smallest d certifying the straightness inequality on the
-    sampled pair set; failure is reported through pass_a2, not raised."""
-    if mu < 0:
-        raise GeometryError("mu must be nonnegative")
+    sampled pair set (d_max, failing, if it is larger); pairs outside the set
+    count as 0.  Failure is reported through pass_a2, not raised."""
+    if not (math.isfinite(mu) and mu >= 0 and math.isfinite(eps)):
+        raise GeometryError(f"need a finite mu >= 0 and a finite eps, got {mu} and {eps}")
     s = _sample_range(s_range, n_samples)
     rho = curve.pairwise_chords(s)
-    sigma = np.abs(s[:, None] - s[None, :])
-    member = in_asymptotic_set(s[:, None], s[None, :], omega, eps) & (sigma > 0)
-    lhs = np.zeros_like(rho)
-    lhs[member] = 1.0 - rho[member] / sigma[member]
-    weight = np.zeros_like(rho)
-    ssq = s[:, None] ** 2 + s[None, :] ** 2
-    weight[member] = sigma[member] / (
-        (sigma[member] + 1.0) * np.sqrt(1.0 + ssq[member] ** mu)
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(member & (weight > 0), lhs / np.where(weight > 0, weight, 1.0), 0.0)
-    d_star = float(np.max(ratios)) if np.any(member) else 0.0
-    d_star = max(d_star, 0.0)
-    if d_star <= d_max:
-        violation = float(np.max(lhs - d_star * weight)) if np.any(member) else 0.0
-        cert = A2Certificate(omega=omega, epsilon=eps, mu=mu, d=d_star,
-                             max_violation=violation)
-        passed = violation <= 1e-12
-    else:
-        violation = float(np.max(lhs - d_max * weight))
-        cert = A2Certificate(omega=omega, epsilon=eps, mu=mu, d=d_max,
-                             max_violation=violation)
-        passed = False
+    d_star = 0.0
+    for lhs, weight in _a2_members(s, rho, omega, eps, mu):
+        pos = weight > 0
+        d_star = float(np.max(lhs[pos] / weight[pos], initial=d_star))
+    d = d_star if d_star <= d_max else d_max
+    violation = 0.0
+    for lhs, weight in _a2_members(s, rho, omega, eps, mu):
+        violation = float(np.max(lhs - d * weight, initial=violation))
     return AssumptionReport(
-        a2_certificate=cert,
-        pass_a2=bool(passed),
-        sample_grid={"s_range": [float(s_range[0]), float(s_range[1])],
-                     "n_samples": int(n_samples)},
+        a2_certificate=A2Certificate(omega=omega, epsilon=eps, mu=mu, d=d,
+                                     max_violation=violation),
+        pass_a2=bool(d_star <= d_max and violation <= 1e-12),
     )
 
 

@@ -34,11 +34,12 @@ and Q12 the top-right N/2 x N/2 block, the orthogonal basis
 [y; J y]/sqrt 2, [y; -J y]/sqrt 2 splits Q exactly into the even block
 Q11 + Q12 J and the odd block Q11 - Q12 J (Cantoni & Butler, Linear Algebra
 Appl. 13, 1976).  ``OperatorCache`` tests the chords for this and folds
-them into halves in one chunked pass, then builds Q as the (2, N/2, N/2)
-stack of these blocks; T is symmetric Toeplitz and splits on every wire,
+them into halves in one pass over blocks of ``curve.PAIR_ROWS`` rows, then
+builds Q as the (2, N/2, N/2) stack of these blocks, summed and differenced
+by the same blocks; T is symmetric Toeplitz and splits on every wire,
 the straight line included.  Wires that fail the test (sampled curves,
 whose arc-length map breaks the symmetry by tens to hundreds of ulps, in
-the first 64 rows already) keep the one N x N matrix.  A split cache keeps
+the first block already) keep the one N x N matrix.  A split cache keeps
 half the chords and computes half the exponentials per kappa.  Measured on
 bump a=1, w=1 at kappa = 1.15 (2 vCPU, OpenBLAS, min of 3 runs):
 
@@ -74,7 +75,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curve import Curve, StraightLine
+from .curve import PAIR_ROWS, Curve, StraightLine
 from .errors import GeometryError, InvalidKernelError, SingularGeometryError
 
 PSI_ONE = -0.57721566490153286
@@ -243,22 +244,22 @@ def schur_holmgren_norm(b: np.ndarray) -> float:
 #: persymmetric; planar profiles measure at most 8 ulps (N = 128 .. 2304),
 #: sampled curves 30 (a helix) to 290
 PERSYMMETRY_ULPS = 16
-_ROW_CHUNK = 64  # rows per chunk of the chord persymmetry test and fold
 
 
 def _persymmetric_halves(rho: np.ndarray):
     """The top-left and the column-reversed top-right N/2 x N/2 blocks of
     (rho + J rho J) / 2, or None if max |rho - J rho J| exceeds
     PERSYMMETRY_ULPS eps max rho (rho is finite, with a zero diagonal).
-    One pass over row chunks tests and folds, with no N x N temporary, and
-    stops at the first chunk that fails: unwritten pages cost no memory."""
+    One pass over blocks of PAIR_ROWS rows tests and folds, with no N x N
+    temporary, and stops at the first block that fails: unwritten pages
+    cost no memory."""
     n = rho.shape[0]
     h = n // 2
     tol = PERSYMMETRY_ULPS * np.finfo(float).eps * float(rho.max())
     left = np.empty((h, h))
     right_rev = np.empty((h, h))
-    for a in range(0, h, _ROW_CHUNK):
-        b = min(a + _ROW_CHUNK, h)
+    for a in range(0, h, PAIR_ROWS):
+        b = min(a + PAIR_ROWS, h)
         top = rho[a:b]
         bottom = rho[n - 1 - a:n - 1 - b:-1]   # rows N - 1 - i
         if float(np.max(np.abs(top - bottom[:, ::-1]))) > tol:
@@ -341,8 +342,9 @@ class OperatorCache:
             left += _symmetric_toeplitz(row)[:h, :h]
             _chord_part(self._rho_right, kappa, weight, right)
             right += _hankel_reversed(row)
-        for a in range(0, h, _ROW_CHUNK):
-            q11 = left[a:a + _ROW_CHUNK].copy()
-            left[a:a + _ROW_CHUNK] += right[a:a + _ROW_CHUNK]
-            np.subtract(q11, right[a:a + _ROW_CHUNK], out=right[a:a + _ROW_CHUNK])
+        for a in range(0, h, PAIR_ROWS):
+            rows = slice(a, a + PAIR_ROWS)
+            q11 = left[rows].copy()
+            left[rows] += right[rows]
+            np.subtract(q11, right[rows], out=right[rows])
         return q

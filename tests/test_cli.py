@@ -249,6 +249,13 @@ class TestArgumentErrors:
         ["check", "--curve", "straight", "--samples", "20000"],
         ["solve", "--curve", "bump:a=1,w=1", "-L", "24", "-N", "40000"],
         ["converge", "--curve", "bump:a=1,w=1", "-L", "24", "-N", "8000"],
+        # the audit options: omega in (0, 1), a finite epsilon > 0, a finite mu >= 0
+        ["check", "--curve", "bump:a=1,w=1", "--omega", "1.5"],
+        ["check", "--curve", "bump:a=1,w=1", "--omega", "nan"],
+        ["check", "--curve", "bump:a=1,w=1", "--epsilon", "0"],
+        ["check", "--curve", "bump:a=1,w=1", "--epsilon", "nan"],
+        ["check", "--curve", "bump:a=1,w=1", "--mu=-1"],
+        ["check", "--curve", "bump:a=1,w=1", "--mu", "nan"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[3:]))
     def test_exits_3_before_any_search(self, argv, capsys, monkeypatch):
         import leakywire.cli as cli_mod
@@ -256,7 +263,8 @@ class TestArgumentErrors:
         def no_search(*args, **kwargs):
             raise AssertionError("a search ran before the arguments were checked")
 
-        for name in ("find_bound_states", "spectrum_scan", "converge_study", "check_a1"):
+        for name in ("find_bound_states", "spectrum_scan", "converge_study", "check_a1",
+                     "check_a2"):
             monkeypatch.setattr(cli_mod, name, no_search)
         code = run_cli(*argv)
         captured = capsys.readouterr()
@@ -283,7 +291,7 @@ class TestArgumentErrors:
 
     @pytest.mark.parametrize("argv, estimate", [
         (["check", "--curve", "straight", "--samples", "20000"],
-         "--samples 20000 needs 20000 x 20000 arrays of about 25.3 GiB"),
+         "--samples 20000 needs 20000 x 20000 arrays of about 9.69 GiB"),
         (["solve", "--curve", "bump:a=1,w=1", "-L", "24", "-N", "40000"],
          "-N 40000 needs 40000 x 40000 arrays of about 38.7 GiB"),
     ], ids=["check", "solve"])
@@ -305,9 +313,9 @@ class TestArgumentErrors:
         assert "Traceback" not in captured.err + captured.out
 
     @pytest.mark.parametrize("argv, per_entry", [
-        (["solve", "--curve", "{sampled}", "-L", "20"], "_SEARCH_BYTES_PER_ENTRY"),
-        (["solve", "--curve", "bump:a=1,w=1", "-L", "24"], "_SEARCH_BYTES_PER_ENTRY"),
-        (["check", "--curve", "bump:a=1,w=1"], "_AUDIT_BYTES_PER_ENTRY"),
+        (["solve", "--curve", "{sampled}", "-L", "20"], "_BYTES_PER_ENTRY"),
+        (["solve", "--curve", "bump:a=1,w=1", "-L", "24"], "_BYTES_PER_ENTRY"),
+        (["check", "--curve", "bump:a=1,w=1"], "_BYTES_PER_ENTRY"),
     ], ids=["solve_one_block", "solve_split", "check"])
     def test_size_guard_covers_the_peak_per_entry(self, tmp_path, argv, per_entry):
         # the guard's bytes per entry bound the growth of the run's peak
@@ -330,6 +338,24 @@ class TestArgumentErrors:
             finally:
                 tracemalloc.stop()
         assert (peaks[1] - peaks[0]) / (1024 ** 2 - 512 ** 2) <= getattr(cli_mod, per_entry)
+
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch):
+        # a run inside the size guard can still meet a process with less
+        # memory than the guard's limit; the chord array's allocation fails
+        real_empty = np.empty
+
+        def no_memory(shape, *args, **kwargs):
+            if np.prod(shape) >= 64 * 64:
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", no_memory)
+        code = run_cli("solve", "--curve", "bump:a=1,w=1", "-L", "8", "-N", "64")
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "configuration error: out of memory" in captured.err
+        assert "lower -N or --samples" in captured.err
+        assert "Traceback" not in captured.err + captured.out
 
     def test_oversized_build_from_a_curve_file_names_its_hint(self, tmp_path, capsys):
         # the file's own domain_hint wins over -L, so -L is not blamed

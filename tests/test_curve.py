@@ -274,6 +274,23 @@ class TestPairwiseChords:
             tracemalloc.stop()
         assert peak < 1.5 * rho.nbytes
 
+    @pytest.mark.parametrize("n", [600, 1000, 1024])
+    def test_planar_rows_match_one_shot_dd_formula(self, bump, n):
+        s = np.linspace(-20.0, 20.0, n)
+        hi, lo = bump._positions_dd(s)
+        d = curve_mod._dd_sub(hi[None, :, :], lo[None, :, :], hi[:, None, :], lo[:, None, :])
+        assert np.array_equal(bump.pairwise_chords(s), np.hypot(d[..., 0], d[..., 1]))
+
+    def test_planar_peak_stays_near_the_result(self, bump):
+        s = np.linspace(-20.0, 20.0, 1024)
+        tracemalloc.start()
+        try:
+            rho = bump.pairwise_chords(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * rho.nbytes
+
 
 def _dd_prefix_by_rows(increments):
     """The compensated prefix sums as numpy ran them, one row at a time."""
@@ -364,6 +381,79 @@ class TestStraightnessAudit:
         slow = PlanarCurvatureProfile.power_tail(1.0, 1.0, domain_hint=400.0)
         rep = check_a2(slow, 0.5, 1.0, 1.0, (-380, 380), 1200, d_max=2.0)
         assert not rep.pass_a2
+
+    @pytest.mark.parametrize("eps, mu", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                         (1.0, math.inf), (0.0, 1.0), (1.0, -1.0)])
+    def test_rejects_a_vacuous_pair_set_or_weight(self, bump, eps, mu):
+        # a NaN eps puts no pair in the set, which would certify any curve
+        with pytest.raises(GeometryError):
+            check_a2(bump, 0.5, eps, mu, (-24, 24), 64)
+
+    def test_peak_stays_near_the_chords(self, bump):
+        tracemalloc.start()
+        try:
+            check_a2(bump, 0.5, 1.0, 1.0, (-24, 24), 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * 1024 ** 2
+
+
+def _one_shot_a1(curve, s_range, n):
+    """The chord-arc audit over the whole pair matrix at once."""
+    s = np.linspace(s_range[0], s_range[1], n)
+    rho = curve.pairwise_chords(s)
+    sigma = np.abs(s[:, None] - s[None, :])
+    off = sigma > 0
+    ratio = np.ones_like(rho)
+    ratio[off] = rho[off] / sigma[off]
+    c_est = float(np.min(ratio))
+    return c_est, c_est >= 1e-3
+
+
+def _one_shot_a2(curve, omega, eps, mu, s_range, n, d_max):
+    """The straightness audit over the whole pair matrix at once."""
+    s = np.linspace(s_range[0], s_range[1], n)
+    rho = curve.pairwise_chords(s)
+    sigma = np.abs(s[:, None] - s[None, :])
+    member = in_asymptotic_set(s[:, None], s[None, :], omega, eps) & (sigma > 0)
+    lhs = np.zeros_like(rho)
+    lhs[member] = 1.0 - rho[member] / sigma[member]
+    weight = np.zeros_like(rho)
+    ssq = s[:, None] ** 2 + s[None, :] ** 2
+    weight[member] = sigma[member] / (
+        (sigma[member] + 1.0) * np.sqrt(1.0 + ssq[member] ** mu))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(member & (weight > 0), lhs / np.where(weight > 0, weight, 1.0), 0.0)
+    d_star = max(float(np.max(ratios)) if np.any(member) else 0.0, 0.0)
+    if d_star <= d_max:
+        violation = float(np.max(lhs - d_star * weight)) if np.any(member) else 0.0
+        return d_star, violation, violation <= 1e-12
+    return d_max, float(np.max(lhs - d_max * weight)), False
+
+
+_AUDIT_CASES = {
+    "bump": (bump_curve, (-24.0, 24.0), 1e3),
+    "bump_a3_w2": (lambda: PlanarCurvatureProfile.gaussian_bump(3.0, 2.0), (-24.0, 24.0), 1e3),
+    "straight": (StraightLine, (-24.0, 24.0), 1e3),
+    "helix": (None, (-8.0, 8.0), 1e3),
+    "power_tail_d_max_2": (lambda: PlanarCurvatureProfile.power_tail(1.0, 1.0, 400.0),
+                           (-380.0, 380.0), 2.0),
+}
+
+
+class TestRowBlockAudits:
+    @pytest.mark.parametrize("n", [600, 1000])
+    @pytest.mark.parametrize("case", list(_AUDIT_CASES))
+    def test_blocks_equal_the_one_shot_audits(self, helix, case, n):
+        make, s_range, d_max = _AUDIT_CASES[case]
+        curve = helix if make is None else make()
+        rep1 = check_a1(curve, s_range, n)
+        assert (rep1.c_estimate, rep1.pass_a1) == _one_shot_a1(curve, s_range, n)
+        rep2 = check_a2(curve, 0.5, 1.0, 1.0, s_range, n, d_max=d_max)
+        cert = rep2.a2_certificate
+        assert (cert.d, cert.max_violation, rep2.pass_a2) == \
+            _one_shot_a2(curve, 0.5, 1.0, 1.0, s_range, n, d_max)
 
 
 class TestCurvatureDecay:
