@@ -19,21 +19,17 @@ from .curve import (
     check_a1,
     check_a2,
     check_curvature_decay,
-    curvature_at,
     curve_from_dict,
     eval_frame,
     eval_point,
     in_asymptotic_set,
-    shifted_point,
     xi_threshold,
 )
 from .eigenfield import (
-    FieldSample,
     TraceFit,
     bc_residual,
     extract_xi_omega,
     macdonald_identity,
-    reconstruct_field,
     trace_on_shifted,
 )
 from .operators import (

@@ -5,7 +5,7 @@ Subcommands
 solve      find bound states for a curve and coupling
 scan       sample the eigenvalue curves over a kappa range, with crossings
 check      run the geometric admissibility audits
-bc-verify  reconstruct the ground state and test its boundary condition
+bc-verify  test the boundary condition of the ground state on shifted curves
 converge   grid-refinement study of the ground-state energy
 verify     run the built-in oracle suite
 
@@ -34,13 +34,14 @@ from .curve import (
     MAX_BUILD_BYTES,
     Curve,
     PlanarCurvatureProfile,
+    SampledParametric,
     StraightLine,
     check_a1,
     check_a2,
     check_curvature_decay,
     curve_from_dict,
 )
-from .eigenfield import bc_defect, fit_trace, trace_on_shifted, trace_to_dict
+from .eigenfield import bc_residual, trace_to_dict
 from .errors import (
     BuildSizeError,
     ConfigError,
@@ -107,15 +108,9 @@ def load_curve(source: str, domain_hint: float = 48.0) -> Curve:
     return curve_from_dict(spec)
 
 
-def write_results(payload, path, fmt: str = "json") -> None:
-    """Atomic write (temp file + rename) with a timestamp sidecar."""
+def write_results(text: str, path) -> None:
+    """Atomic write (temp file + rename) of rendered text, with a timestamp sidecar."""
     path = Path(path)
-    if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        text = payload  # already rendered
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
@@ -132,13 +127,12 @@ def write_results(payload, path, fmt: str = "json") -> None:
 
 
 def _emit(args, payload, fmt="json"):
+    """The payload as JSON, or as the CSV text it already is, to -o or stdout."""
+    text = payload if fmt == "csv" else json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.output:
-        write_results(payload, args.output, fmt)
+        write_results(text, args.output)
     else:
-        if fmt == "json":
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            sys.stdout.write(payload)
+        sys.stdout.write(text)
 
 
 def _default_L(curve: Curve, alpha: float) -> float:
@@ -253,7 +247,9 @@ def _cmd_scan(args) -> int:
 
 def _cmd_check(args) -> int:
     curve = _load_curve(args)
-    L = _half_length(args, 24.0)
+    # a sampled curve shorter than the default window is audited over its whole range
+    window = min(24.0, curve.domain_hint) if isinstance(curve, SampledParametric) else 24.0
+    L = _half_length(args, window)
     n = args.samples
     if n < 2:
         raise ConfigError(f"--samples must be at least 2, got {n}")
@@ -294,14 +290,13 @@ def _cmd_bc_verify(args) -> int:
                      "note": "no accepted bound state; nothing to verify"})
         return EXIT_DOMAIN
     st = states[0]
-    fits = [fit_trace(trace_on_shifted(curve, grid, st.kappa_tilde, st.h,
-                                       float(s), radii, args.angles))
-            for s in np.linspace(-2.0, 2.0, 5)]
+    residual, fits = bc_residual(curve, grid, st.kappa_tilde, st.h, args.alpha,
+                                 np.linspace(-2.0, 2.0, 5), radii, args.angles)
     payload = {
         "alpha": float(args.alpha),
         "kappa": st.kappa_tilde,
         "energy": st.energy,
-        "bc_residual": bc_defect(fits, args.alpha),
+        "bc_residual": residual,
         "radii": [float(r) for r in radii],
         "traces": [trace_to_dict(tf) for tf in fits],
     }
@@ -405,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("check", help="geometric admissibility audits")
-    curve_options(p, "half-width of the audit window (default 24)")
+    curve_options(p, "half-width of the audit window (default 24, or the "
+                     "half-length of a shorter sampled curve)")
     p.add_argument("--mu", type=float, default=1.0,
                    help="decay exponent in the straightness audit (default 1)")
     p.add_argument("--omega", type=float, default=0.5,

@@ -573,23 +573,6 @@ def eval_frame(curve: Curve, s: float) -> FrenetFrame:
     return fr
 
 
-def curvature_at(curve: Curve, s: float) -> float:
-    """|gamma''(s)| for the unit-speed parametrization."""
-    return float(curve.curvature(float(s)))
-
-
-def shifted_point(curve: Curve, s: float, r: float, angle: float) -> np.ndarray:
-    """Point of the shifted curve: gamma(s) + r cos(angle) b + r sin(angle) n."""
-    if r <= 0:
-        raise GeometryError("shift radius must be positive")
-    r0 = curve.max_shift_radius()
-    if r >= r0:
-        raise GeometryError(f"shift radius {r} exceeds the safe bound r0 = {r0:.6g}")
-    fr = eval_frame(curve, s)
-    base = eval_point(curve, s)
-    return base + r * math.cos(angle) * fr.b + r * math.sin(angle) * fr.n
-
-
 def xi_threshold(omega: float) -> float:
     """Branch-splitting factor xi(omega) = (1 + omega) / (1 - omega)."""
     if not 0.0 < omega < 1.0:

@@ -1,4 +1,4 @@
-"""3D eigenfunction reconstruction and generalized boundary values.
+"""Traces of the 3D eigenfunction near the wire and its generalized boundary values.
 
 The eigenvector h of the boundary operator at the root kappa~ generates the
 spatial eigenfunction through the single-layer potential
@@ -21,8 +21,7 @@ is useless (the nearest source dominates), so the trace evaluation splits
 the line integral: cells far from the foot point keep the midpoint rule,
 while a window around it integrates the cubic interpolant of h against the
 exact kernel with a sinh-stretched Gauss rule that resolves the width-r
-peak.  ``reconstruct_field`` itself stays the documented plain midpoint sum
-and refuses points closer than Delta/10 to the wire.
+peak.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -39,70 +37,23 @@ from scipy.interpolate import CubicSpline
 from scipy.special import k0 as bessel_k0
 
 from .curve import Curve, eval_frame, eval_point
-from .errors import FitError, GeometryError, NearSingularityError
+from .errors import FitError, GeometryError
 from .operators import GridSpec
 
 _GLV_NODES, _GLV_WEIGHTS = leggauss(96)
 
 
 @dataclass
-class FieldSample:
-    point: np.ndarray
-    value: float
-
-
-@dataclass
 class TraceFit:
-    """Direction-averaged trace values on shifted curves at one foot point,
-    with the log-fit coefficients once ``extract_xi_omega`` has run."""
+    """Direction-averaged trace values on shifted curves at one foot point
+    and their log-fit values(r) ~ -xi ln r + omega."""
 
     s: float
     radii: np.ndarray
     values: np.ndarray
-    xi: Optional[float] = None
-    omega: Optional[float] = None
-    fit_residual: Optional[float] = None
-
-
-def _source_points(curve: Curve, grid: GridSpec) -> np.ndarray:
-    return np.asarray(curve.point(grid.nodes), dtype=float)
-
-
-def _distance_to_polyline(x: np.ndarray, src: np.ndarray) -> float:
-    """Distance from x to the polyline through the source points."""
-    a = src[:-1]
-    seg = src[1:] - a
-    seg_len2 = np.einsum("ij,ij->i", seg, seg)
-    t = np.clip(np.einsum("ij,ij->i", x[None, :] - a, seg) / seg_len2, 0.0, 1.0)
-    foot = a + t[:, None] * seg
-    return float(np.min(np.linalg.norm(x[None, :] - foot, axis=1)))
-
-
-def reconstruct_field(curve: Curve, grid: GridSpec, kappa: float, h,
-                      points) -> list:
-    """Midpoint-quadrature single-layer potential at points off the wire.
-
-    f(x) = Delta * sum_i exp(-kappa d_i)/(4 pi d_i) h_i with
-    d_i = |x - gamma(s_i)|.  Points closer than Delta/10 to the sampled wire
-    raise ``NearSingularityError``; use the trace machinery there instead.
-    """
-    h = np.asarray(h, dtype=float)
-    if h.shape != (grid.N,):
-        raise GeometryError(f"h must have shape ({grid.N},)")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    src = _source_points(curve, grid)
-    out = []
-    floor = grid.delta / 10.0
-    for x in pts:
-        d = np.linalg.norm(x[None, :] - src, axis=1)
-        dmin = _distance_to_polyline(x, src)
-        if dmin <= floor:
-            raise NearSingularityError(
-                f"point {x.tolist()} is {dmin:.3e} from the wire "
-                f"(< Delta/10 = {floor:.3e})")
-        val = grid.delta * float(np.sum(np.exp(-kappa * d) / (4.0 * math.pi * d) * h))
-        out.append(FieldSample(point=x.copy(), value=val))
-    return out
+    xi: float
+    omega: float
+    fit_residual: float
 
 
 def trace_values(curve: Curve, grid: GridSpec, kappa: float, h, s: float,
@@ -133,13 +84,14 @@ def trace_values(curve: Curve, grid: GridSpec, kappa: float, h, s: float,
 
     nodes = grid.nodes
     delta = grid.delta
-    src = _source_points(curve, grid)
+    src = np.asarray(curve.point(nodes), dtype=float)
     dens = CubicSpline(nodes, h)
     j0 = int(np.clip(round((s - nodes[0]) / delta), 0, grid.N - 1))
     jlo = max(0, j0 - window_cells)
     jhi = min(grid.N - 1, j0 + window_cells)
     far = np.ones(grid.N, dtype=bool)
     far[jlo:jhi + 1] = False
+    src_far, h_far = src[far], h[far]
     win_lo = nodes[jlo] - delta / 2.0
     win_hi = nodes[jhi] + delta / 2.0
 
@@ -159,27 +111,28 @@ def trace_values(curve: Curve, grid: GridSpec, kappa: float, h, s: float,
         sprime = s + u
         gpts = np.asarray(curve.point(sprime), dtype=float)
         hvals = dens(sprime)
-        for ia in range(angles.size):
-            x = base + r * dirs[ia]
-            dfar = np.linalg.norm(x[None, :] - src[far], axis=1)
-            far_sum = delta * float(np.sum(np.exp(-kappa * dfar)
-                                           / (4.0 * math.pi * dfar) * h[far]))
-            dnear = np.linalg.norm(x[None, :] - gpts, axis=1)
-            near = float(np.sum(_GLV_WEIGHTS * jac * np.exp(-kappa * dnear)
-                                / (4.0 * math.pi * dnear) * hvals))
-            out[ir, ia] = far_sum + near
+        # all directions at once: points (angles, 3), distances (angles, sources)
+        x = base + r * dirs
+        dfar = np.linalg.norm(x[:, None, :] - src_far[None, :, :], axis=2)
+        far_sum = delta * np.sum(np.exp(-kappa * dfar) / (4.0 * math.pi * dfar) * h_far,
+                                 axis=1)
+        dnear = np.linalg.norm(x[:, None, :] - gpts[None, :, :], axis=2)
+        near = np.sum(_GLV_WEIGHTS * jac * np.exp(-kappa * dnear)
+                      / (4.0 * math.pi * dnear) * hvals, axis=1)
+        out[ir] = far_sum + near
     return out
 
 
 def trace_on_shifted(curve: Curve, grid: GridSpec, kappa: float, h, s: float,
                      radii, n_angles: int = 8) -> TraceFit:
-    """Direction-averaged trace over n_angles equally spaced directions."""
+    """Direction-averaged trace over n_angles equally spaced directions,
+    log-fitted by ``extract_xi_omega``."""
     if n_angles < 4:
         raise GeometryError("need at least 4 directions")
     radii = np.sort(np.asarray(radii, dtype=float))[::-1]
     angles = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
-    vals = trace_values(curve, grid, kappa, h, s, radii, angles)
-    return TraceFit(s=float(s), radii=radii, values=vals.mean(axis=1))
+    values = trace_values(curve, grid, kappa, h, s, radii, angles).mean(axis=1)
+    return TraceFit(float(s), radii, values, *extract_xi_omega(values, radii))
 
 
 def extract_xi_omega(values, radii):
@@ -197,12 +150,6 @@ def extract_xi_omega(values, radii):
     coef, *_ = np.linalg.lstsq(design, values, rcond=None)
     resid = float(np.sqrt(np.mean((design @ coef - values) ** 2)))
     return float(coef[0]), float(coef[1]), resid
-
-
-def fit_trace(trace: TraceFit) -> TraceFit:
-    xi, omega, resid = extract_xi_omega(trace.values, trace.radii)
-    trace.xi, trace.omega, trace.fit_residual = xi, omega, resid
-    return trace
 
 
 def default_radii(n: int = 8, r_min: float = 1e-3, r_max: float = 1e-2) -> np.ndarray:
@@ -227,13 +174,13 @@ def bc_defect(fits, alpha: float) -> float:
 
 
 def bc_residual(curve: Curve, grid: GridSpec, kappa: float, h, alpha: float,
-                s_list, radii=None, n_angles: int = 8) -> float:
-    """``bc_defect`` of the traces fitted at the foot points s_list."""
+                s_list, radii=None, n_angles: int = 8):
+    """(``bc_defect``, fitted traces) at the foot points s_list."""
     if radii is None:
         radii = default_radii()
-    return bc_defect([fit_trace(trace_on_shifted(curve, grid, kappa, h, float(s),
-                                                 radii, n_angles))
-                      for s in s_list], alpha)
+    fits = [trace_on_shifted(curve, grid, kappa, h, float(s), radii, n_angles)
+            for s in s_list]
+    return bc_defect(fits, alpha), fits
 
 
 # ---------------------------------------------------------------------------

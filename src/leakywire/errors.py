@@ -49,10 +49,6 @@ class InvalidKernelError(NumericalError):
     """Kernel matrix violates a structural requirement (sign, symmetry)."""
 
 
-class NearSingularityError(NumericalError):
-    """Field evaluation requested too close to the source curve."""
-
-
 class ConfigError(LeakyWireError):
     """Bad configuration or malformed input file (exit code 3)."""
 

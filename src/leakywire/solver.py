@@ -27,7 +27,7 @@ reparametrization, and a tolerance on u is a relative tolerance on kappa.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -339,9 +339,8 @@ def _ground_energy(curve, config) -> Optional[float]:
 # serialization
 
 
-def states_to_dict(alpha: float, grid: GridSpec, states,
-                   convergence: Optional[ConvergenceReport] = None) -> dict:
-    out = {
+def states_to_dict(alpha: float, grid: GridSpec, states) -> dict:
+    return {
         "alpha": float(alpha),
         "zeta0": zeta0(alpha),
         "grid": {"L": float(grid.L), "N": int(grid.N)},
@@ -357,7 +356,4 @@ def states_to_dict(alpha: float, grid: GridSpec, states,
             for st in states
         ],
     }
-    if convergence is not None:
-        out["convergence"] = asdict(convergence)
-    return out
 

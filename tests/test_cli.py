@@ -147,6 +147,21 @@ class TestCheckCommand:
         doc = json.loads(out.read_text())
         assert doc["c_estimate"] == 1.0
 
+    def test_sampled_curve_shorter_than_the_default_window(self, tmp_path):
+        # half-length about 10.2 < 24: the default window is the sampled range
+        t = np.linspace(-10.0, 10.0, 201)
+        samples = np.column_stack([t, t, 0.8 * np.exp(-(t / 1.5) ** 2), 0.3 * np.tanh(t)])
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"family": "sampled", "samples": samples.tolist()}))
+        out = tmp_path / "check.json"
+        assert run_cli("check", "--curve", str(path), "-o", str(out)) == 0
+        lo, hi = json.loads(out.read_text())["s_range"]
+        assert 10.0 < hi < 24.0 and lo == -hi
+        # the window ends are the ends of the samples
+        curve = load_curve(str(path))
+        assert np.allclose(curve.point(np.array([lo, hi])), samples[[0, -1], 1:],
+                           rtol=0, atol=1e-9)
+
 
 class TestConvergeCommand:
     def test_straight_vacuous(self, tmp_path):
@@ -183,15 +198,11 @@ class TestDeterminism:
 class TestWriteResults:
     def test_atomic_no_partial_file(self, tmp_path):
         target = tmp_path / "sub" / "out.json"
-        write_results({"x": 1}, target)
+        write_results('{"x": 1}\n', target)
         assert json.loads(target.read_text()) == {"x": 1}
         leftovers = [p for p in target.parent.iterdir()
                      if p.name.endswith(".tmp")]
         assert leftovers == []
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            write_results({"x": 1}, tmp_path / "out.bin", fmt="parquet")
 
 
 class TestArgumentErrors:
@@ -312,12 +323,13 @@ class TestArgumentErrors:
         assert f"configuration error: {estimate}, above the 2 GiB limit" in captured.err
         assert "Traceback" not in captured.err + captured.out
 
-    @pytest.mark.parametrize("argv, per_entry", [
-        (["solve", "--curve", "{sampled}", "-L", "20"], "_BYTES_PER_ENTRY"),
-        (["solve", "--curve", "bump:a=1,w=1", "-L", "24"], "_BYTES_PER_ENTRY"),
-        (["check", "--curve", "bump:a=1,w=1"], "_BYTES_PER_ENTRY"),
+    @pytest.mark.parametrize("argv, per_entry, sizes", [
+        (["solve", "--curve", "{sampled}", "-L", "20"], "_BYTES_PER_ENTRY", (512, 1024)),
+        (["solve", "--curve", "bump:a=1,w=1", "-L", "24"], "_BYTES_PER_ENTRY", (512, 1024)),
+        # at 512 samples the planar curve build, not the audit, sets the peak
+        (["check", "--curve", "bump:a=1,w=1"], "_BYTES_PER_ENTRY", (1024, 2048)),
     ], ids=["solve_one_block", "solve_split", "check"])
-    def test_size_guard_covers_the_peak_per_entry(self, tmp_path, argv, per_entry):
+    def test_size_guard_covers_the_peak_per_entry(self, tmp_path, argv, per_entry, sizes):
         # the guard's bytes per entry bound the growth of the run's peak
         import tracemalloc
 
@@ -330,14 +342,14 @@ class TestArgumentErrors:
         argv = [a.format(sampled=curve_file) for a in argv]
         size = "--samples" if argv[0] == "check" else "-N"
         peaks = []
-        for n in (512, 1024):
+        for n in sizes:
             tracemalloc.start()
             try:
                 assert run_cli(*argv, size, str(n), "-o", str(tmp_path / "out.json")) == 0
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / (1024 ** 2 - 512 ** 2) <= getattr(cli_mod, per_entry)
+        assert (peaks[1] - peaks[0]) / (sizes[1] ** 2 - sizes[0] ** 2) <= getattr(cli_mod, per_entry)
 
     def test_out_of_memory_exits_3(self, capsys, monkeypatch):
         # a run inside the size guard can still meet a process with less

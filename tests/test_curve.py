@@ -16,12 +16,10 @@ from leakywire.curve import (
     check_a1,
     check_a2,
     check_curvature_decay,
-    curvature_at,
     curve_from_dict,
     eval_frame,
     eval_point,
     in_asymptotic_set,
-    shifted_point,
     xi_threshold,
 )
 from leakywire.errors import CurveFormatError, GeometryError, OutOfDomainError
@@ -151,14 +149,14 @@ class TestSampledFrames:
 
 class TestCurvature:
     def test_straight(self, straight):
-        assert curvature_at(straight, 3.0) == 0.0
+        assert straight.curvature(3.0) == 0.0
 
     def test_bump_peak(self):
         c = PlanarCurvatureProfile.gaussian_bump(0.8, 1.0)
-        assert abs(curvature_at(c, 0.0) - 0.8) < 1e-14
+        assert abs(c.curvature(0.0) - 0.8) < 1e-14
 
     def test_sampled_circle_radius_two(self, half_circle_r2):
-        assert abs(curvature_at(half_circle_r2, 0.3) - 0.5) < 1e-4
+        assert abs(half_circle_r2.curvature(0.3) - 0.5) < 1e-4
 
     def test_sampled_array_matches_scalar_and_loop_reference(self):
         samples = _wire_samples()
@@ -192,28 +190,6 @@ class TestCurvature:
         curve = _sampled(t, t, np.sin(t), 0.5 * np.cos(t))
         assert len(calls) <= 8
         assert curve.max_curvature() > 0.0
-
-
-class TestShiftedPoint:
-    def test_straight_along_binormal(self, straight):
-        assert np.allclose(shifted_point(straight, 0.0, 0.1, 0.0), [0.0, 0.0, 0.1])
-
-    def test_straight_along_normal(self, straight):
-        assert np.allclose(shifted_point(straight, 1.0, 0.2, math.pi / 2), [1.0, 0.2, 0.0])
-
-    def test_radius_bound_enforced(self, bump):
-        # max curvature 1 -> r0 = 0.5
-        with pytest.raises(GeometryError):
-            shifted_point(bump, 0.0, 0.6, 0.0)
-
-    @given(s=st.floats(-5, 5), r=st.floats(1e-4, 0.4),
-           angle=st.floats(0, 2 * math.pi))
-    @settings(max_examples=40, deadline=None)
-    def test_orthogonal_offset_of_norm_r(self, s, r, angle):
-        curve = bump_curve()
-        dv = shifted_point(curve, s, r, angle) - eval_point(curve, s)
-        assert abs(np.linalg.norm(dv) - r) < 1e-12
-        assert abs(np.dot(dv, curve.tangent(s))) < 1e-8
 
 
 class TestChordArcAudit:
@@ -496,12 +472,12 @@ class TestCurveFromDict:
         c = curve_from_dict({"family": "planar_curvature",
                              "params": {"profile": "gaussian", "a": 0.5, "w": 2.0},
                              "domain_hint": 30.0})
-        assert abs(curvature_at(c, 0.0) - 0.5) < 1e-14
+        assert abs(c.curvature(0.0) - 0.5) < 1e-14
 
     def test_power_tail_profile(self):
         c = curve_from_dict({"family": "planar_curvature",
                              "params": {"profile": "power_tail", "a": 1.0, "beta": 2.0}})
-        assert abs(curvature_at(c, 2.0) - 0.25) < 1e-14
+        assert abs(c.curvature(2.0) - 0.25) < 1e-14
 
     def test_sampled(self):
         ang = np.linspace(0, 1, 9)

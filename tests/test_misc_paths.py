@@ -65,7 +65,6 @@ class TestBcVerifyCommand:
 
     def test_each_trace_fitted_once(self, tmp_path, monkeypatch):
         # the residual reuses the five fitted traces of the payload
-        import leakywire.cli as cli_mod
         import leakywire.eigenfield as eigenfield_mod
 
         calls = []
@@ -75,7 +74,6 @@ class TestBcVerifyCommand:
             calls.append(args[4])
             return trace_on_shifted(*args, **kwargs)
 
-        monkeypatch.setattr(cli_mod, "trace_on_shifted", counting)
         monkeypatch.setattr(eigenfield_mod, "trace_on_shifted", counting)
         out = tmp_path / "bc.json"
         assert main(["bc-verify", "--curve", "bump:a=1,w=1", "--alpha", "0",
