@@ -114,6 +114,18 @@ class TestReconstructField:
         vals = trace_values(straight, g, 1.0, np.zeros(g.N), 0.3, RADII, ANGLES)
         assert np.all(vals == 0.0)
 
+    def test_line_source_profile(self, straight):
+        # constant density on a straight wire: transverse profile K0(kr)/2pi
+        # at line-source distances, below the safe bound r0 = 0.5
+        g = GridSpec(16.0, 512)
+        h = np.ones(g.N)
+        radii = np.array([0.4, 0.1])
+        vals = trace_values(straight, g, 1.0, h, 0.3, radii, ANGLES)
+        for i, r in enumerate(radii):
+            exact = bessel_k0(1.0 * r) / (2.0 * math.pi)
+            assert abs(vals[i].mean() - exact) / exact < 1e-3
+            assert np.ptp(vals[i]) < 1e-12 * exact
+
     @given(seed=st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=10, deadline=None)
     def test_linear_in_density(self, straight, seed):
@@ -129,13 +141,10 @@ class TestReconstructField:
 
 class TestTraceOnShifted:
     def test_straight_constant_density_is_k0(self, straight):
-        # constant density on a straight wire: transverse profile K0(kr)/2pi,
-        # below the grid spacing and at line-source distances
         g = GridSpec(16.0, 512)
         h = np.ones(g.N)
-        radii = np.concatenate([RADII, [0.1, 0.4]])
-        vals = trace_values(straight, g, 1.0, h, 0.3, radii, ANGLES)
-        for i, r in enumerate(radii):
+        vals = trace_values(straight, g, 1.0, h, 0.3, RADII, ANGLES)
+        for i, r in enumerate(RADII):
             exact = bessel_k0(1.0 * r) / (2.0 * math.pi)
             assert abs(vals[i].mean() - exact) / exact < 1e-3
             # rotational symmetry: all directions identical
