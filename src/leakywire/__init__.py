@@ -35,7 +35,6 @@ from .eigenfield import (
 from .operators import (
     GridSpec,
     assemble_T,
-    b_kernel,
     hs_norm,
     kappa0,
     s_kappa,

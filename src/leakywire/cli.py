@@ -33,8 +33,6 @@ from .curve import (
     CURVATURE_DECAY_THRESHOLD,
     MAX_BUILD_BYTES,
     Curve,
-    PlanarCurvatureProfile,
-    SampledParametric,
     StraightLine,
     check_a1,
     check_a2,
@@ -56,6 +54,7 @@ from .solver import (
     SolveConfig,
     converge_study,
     find_bound_states,
+    ground_state,
     refinement_ladder,
     spectrum_scan,
     states_to_dict,
@@ -70,6 +69,10 @@ EXIT_CONFIG = 3
 #: peak from n = 512 to 1024): 24.3 for a search on a one-block wire (16 on a
 #: split one), about 9 for the audits of ``check`` (10.0 on a sampled curve)
 _BYTES_PER_ENTRY = 26
+
+#: inline family -> its planar profile (a key of curve.PROFILES) and defaults
+_INLINE = {"bump": ("gaussian", {"a": 1.0, "w": 1.0}),
+           "power": ("power_tail", {"a": 1.0, "beta": 2.0})}
 
 
 def load_curve(source: str, domain_hint: float = 48.0) -> Curve:
@@ -88,23 +91,23 @@ def load_curve(source: str, domain_hint: float = 48.0) -> Curve:
             args = {k: float(v) for k, v in kv.items()}
         except ValueError as exc:
             raise CurveFormatError(f"cannot parse inline curve spec {source!r}") from exc
-        if name == "bump":
-            return PlanarCurvatureProfile.gaussian_bump(
-                args.get("a", 1.0), args.get("w", 1.0), domain_hint)
-        if name == "power":
-            return PlanarCurvatureProfile.power_tail(
-                args.get("a", 1.0), args.get("beta", 2.0), domain_hint)
-        raise CurveFormatError(f"unknown inline curve family {name!r}")
-    try:
-        with open(source) as fh:
-            spec = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read curve file {source!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CurveFormatError(
-            f"curve file {source!r} is not valid JSON "
-            f"(line {exc.lineno}, column {exc.colno}: {exc.msg})") from exc
-    spec.setdefault("domain_hint", domain_hint)
+        if name not in _INLINE:
+            raise CurveFormatError(f"unknown inline curve family {name!r}")
+        profile, defaults = _INLINE[name]
+        spec = {"family": "planar_curvature",
+                "params": {**defaults, **args, "profile": profile}}
+    else:
+        try:
+            with open(source) as fh:
+                spec = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read curve file {source!r}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise CurveFormatError(
+                f"curve file {source!r} is not valid JSON "
+                f"(line {exc.lineno}, column {exc.colno}: {exc.msg})") from exc
+    if isinstance(spec, dict):
+        spec.setdefault("domain_hint", domain_hint)
     return curve_from_dict(spec)
 
 
@@ -135,10 +138,14 @@ def _emit(args, payload, fmt="json"):
         sys.stdout.write(text)
 
 
-def _default_L(curve: Curve, alpha: float) -> float:
-    rep = check_a1(curve, (-16.0, 16.0), 128)
+def _default_L(curve: Curve, alpha: float, reach: float) -> float:
+    """max(16, 10 / (kappa0 c)), c audited over min(16, half-length), and at
+    most the curve's half-length / reach, where reach L is the widest box
+    the command solves on (1.5 L for converge's tail)."""
+    window = min(16.0, curve.half_length)
+    rep = check_a1(curve, (-window, window), 128)
     c = max(rep.c_estimate or 0.0, 1e-6)
-    return max(16.0, 10.0 / (kappa0(alpha) * c))
+    return min(max(16.0, 10.0 / (kappa0(alpha) * c)), curve.half_length / reach)
 
 
 def _half_length(args, default=None):
@@ -170,17 +177,6 @@ def _check_alpha(alpha: float) -> None:
                           f"edge zeta0(alpha), got {alpha}")
 
 
-def _grid_from_args(args, curve: Curve) -> GridSpec:
-    if args.grid_n <= 0 or args.grid_n % 2:
-        raise ConfigError(f"-N must be a positive even integer, got {args.grid_n}")
-    _refuse_oversized(args.grid_n, f"-N {args.grid_n}")
-    _check_alpha(args.alpha)
-    L = _half_length(args)
-    if L is None:
-        L = _default_L(curve, args.alpha)
-    return GridSpec(float(L), int(args.grid_n))
-
-
 def _load_curve(args) -> Curve:
     """``--curve``, with the planar domain hint max(48, 1.5 L) set from -L.
 
@@ -197,30 +193,37 @@ def _load_curve(args) -> Curve:
         raise BuildSizeError(f"{exc} (-L {L:g} sets it to 1.5 L)", hint) from exc
 
 
-def _config_from_args(args, grid: GridSpec) -> SolveConfig:
-    if not 1 <= args.branches <= grid.N:
-        raise ConfigError(f"-m must lie in 1 .. N = {grid.N}, got {args.branches}")
+def _solver_inputs(args, reach: float = 1.0):
+    """(curve, SolveConfig) of a solver command, checking -L, -N, alpha, then
+    the default L (an audit; ``reach`` as in ``_default_L``), -m and tolerances."""
+    curve = _load_curve(args)
+    n = args.grid_n
+    if n <= 0 or n % 2:
+        raise ConfigError(f"-N must be a positive even integer, got {n}")
+    _refuse_oversized(n, f"-N {n}")
+    _check_alpha(args.alpha)
+    L = _half_length(args)
+    if L is None:
+        L = _default_L(curve, args.alpha, reach)
+    if not 1 <= args.branches <= n:
+        raise ConfigError(f"-m must lie in 1 .. N = {n}, got {args.branches}")
     if not (args.tol_kappa > 0 and args.tol_lambda > 0):
         raise ConfigError("--tol-kappa and --tol-lambda must be positive, got "
                           f"{args.tol_kappa} and {args.tol_lambda}")
-    return SolveConfig(alpha=args.alpha, grid=grid, m_branches=args.branches,
-                       tol_kappa_rel=args.tol_kappa, tol_lambda=args.tol_lambda,
-                       refine_levels=getattr(args, "levels", 3))
+    return curve, SolveConfig(alpha=args.alpha, grid=GridSpec(float(L), int(n)),
+                              m_branches=args.branches, tol_kappa_rel=args.tol_kappa,
+                              tol_lambda=args.tol_lambda)
 
 
 def _cmd_solve(args) -> int:
-    curve = _load_curve(args)
-    grid = _grid_from_args(args, curve)
-    config = _config_from_args(args, grid)
+    curve, config = _solver_inputs(args)
     states = find_bound_states(curve, config)
-    _emit(args, states_to_dict(args.alpha, grid, states))
+    _emit(args, states_to_dict(args.alpha, config.grid, states))
     return EXIT_OK
 
 
 def _cmd_scan(args) -> int:
-    curve = _load_curve(args)
-    grid = _grid_from_args(args, curve)
-    config = _config_from_args(args, grid)
+    curve, config = _solver_inputs(args)
     if args.points < 1:
         raise ConfigError(f"--points must be at least 1, got {args.points}")
     k0 = kappa0(args.alpha)
@@ -235,7 +238,7 @@ def _cmd_scan(args) -> int:
         payload = {
             "alpha": float(args.alpha),
             "zeta0": zeta0(args.alpha),
-            "grid": {"L": grid.L, "N": grid.N},
+            "grid": {"L": config.grid.L, "N": config.grid.N},
             "kappas": [float(k) for k in spectral.kappas],
             "s_kappa": [float(v) for v in spectral.s_k_values],
             "lambdas": [[float(x) for x in row] for row in spectral.lambdas],
@@ -248,8 +251,7 @@ def _cmd_scan(args) -> int:
 def _cmd_check(args) -> int:
     curve = _load_curve(args)
     # a sampled curve shorter than the default window is audited over its whole range
-    window = min(24.0, curve.domain_hint) if isinstance(curve, SampledParametric) else 24.0
-    L = _half_length(args, window)
+    L = _half_length(args, min(24.0, curve.half_length))
     n = args.samples
     if n < 2:
         raise ConfigError(f"--samples must be at least 2, got {n}")
@@ -277,20 +279,16 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bc_verify(args) -> int:
-    curve = _load_curve(args)
-    grid = _grid_from_args(args, curve)
-    config = _config_from_args(args, grid)
+    curve, config = _solver_inputs(args)
     radii = _parse_radii(args.radii, curve.max_shift_radius())
     if args.angles < 4:
         raise ConfigError(f"--angles must be at least 4, got {args.angles}")
-    states = [s for s in find_bound_states(curve, config, ground_only=True)
-              if not s.threshold_uncertain]
-    if not states:
+    st = ground_state(curve, config)
+    if st is None:
         _emit(args, {"alpha": args.alpha, "states": [],
                      "note": "no accepted bound state; nothing to verify"})
         return EXIT_DOMAIN
-    st = states[0]
-    residual, fits = bc_residual(curve, grid, st.kappa_tilde, st.h, args.alpha,
+    residual, fits = bc_residual(curve, config.grid, st.kappa_tilde, st.h, args.alpha,
                                  np.linspace(-2.0, 2.0, 5), radii, args.angles)
     payload = {
         "alpha": float(args.alpha),
@@ -305,16 +303,15 @@ def _cmd_bc_verify(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    curve = _load_curve(args)
-    grid = _grid_from_args(args, curve)
-    config = _config_from_args(args, grid)
+    # the box-enlarged tail run solves on 1.5 L with 1.5 N points
+    curve, config = _solver_inputs(args, reach=1.5)
+    grid = config.grid
     try:
         refinement_ladder(grid.N, args.levels)
     except GeometryError as exc:
         raise ConfigError(f"-N {grid.N} with --levels {args.levels}: {exc}") from exc
-    # the box-enlarged tail run solves on 1.5 N points
     _refuse_oversized(grid.N + grid.N // 2, f"converge -N {grid.N}")
-    report = converge_study(curve, config)
+    report = converge_study(curve, config, args.levels)
     payload = {
         "alpha": float(args.alpha),
         "grid": {"L": grid.L, "N": grid.N},
@@ -368,8 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default="json", help="output format")
 
     def common(p, formats=("json",)):
-        curve_options(p, "half-length of the truncated interval "
-                         "(default max(16, 10/(kappa0 c)))", formats)
+        curve_options(p, "half-length of the truncated interval (default "
+                         "max(16, 10/(kappa0 c)), at most a sampled curve's "
+                         "half-length, its two-thirds for converge)", formats)
         p.add_argument("--alpha", type=float, default=0.0,
                        help="coupling strength (default 0)")
         p.add_argument("-N", "--grid-n", type=int, default=1024,
@@ -442,7 +440,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, CurveFormatError) as exc:
+    except ConfigError as exc:
         print(f"leakywire: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GeometryError as exc:

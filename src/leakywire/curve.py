@@ -148,14 +148,13 @@ class AssumptionReport:
 
 
 class Curve:
-    """Base class; subclasses provide vectorized point/tangent/curvature."""
+    """Base class; subclasses provide vectorized point/curvature and frames.
+    Arc length runs over [-half_length, half_length]: all of R unless sampled."""
 
     family = "abstract"
+    half_length = math.inf
 
     def point(self, s):
-        raise NotImplementedError
-
-    def tangent(self, s):
         raise NotImplementedError
 
     def curvature(self, s):
@@ -176,12 +175,6 @@ class Curve:
         if kmax <= 0.0:
             return 0.5
         return min(0.5, 0.5 / kmax)
-
-    def chord_between(self, sa, sb):
-        """|gamma(sa) - gamma(sb)| elementwise for broadcastable arrays."""
-        pa = self.point(np.asarray(sa, dtype=float))
-        pb = self.point(np.asarray(sb, dtype=float))
-        return np.linalg.norm(np.atleast_2d(pa) - np.atleast_2d(pb), axis=-1)
 
     def pairwise_chords(self, s):
         """Full matrix rho[i, j] = |gamma(s_i) - gamma(s_j)|, built PAIR_ROWS
@@ -205,12 +198,6 @@ class StraightLine(Curve):
         s = np.asarray(s, dtype=float)
         out = np.zeros(s.shape + (3,))
         out[..., 0] = s
-        return out
-
-    def tangent(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros(s.shape + (3,))
-        out[..., 0] = 1.0
         return out
 
     def curvature(self, s):
@@ -400,13 +387,6 @@ class PlanarCurvatureProfile(Curve):
         out = out.reshape(np.atleast_1d(s).shape + (3,))
         return out[0] if scalar else out
 
-    def tangent(self, s):
-        th = np.asarray(self.theta(s))
-        out = np.zeros(th.shape + (3,))
-        out[..., 0] = np.cos(th)
-        out[..., 1] = np.sin(th)
-        return out
-
     def curvature(self, s):
         return np.abs(np.asarray(self.k_signed(np.asarray(s, dtype=float))))
 
@@ -419,15 +399,6 @@ class PlanarCurvatureProfile(Curve):
 
     def max_curvature(self):
         return self._kmax
-
-    def chord_between(self, sa, sb):
-        sa = np.atleast_1d(np.asarray(sa, dtype=float))
-        sb = np.atleast_1d(np.asarray(sb, dtype=float))
-        sa, sb = np.broadcast_arrays(sa, sb)
-        ha, la = self._positions_dd(sa.ravel())
-        hb, lb = self._positions_dd(sb.ravel())
-        d = _dd_sub(ha, la, hb, lb)
-        return np.hypot(d[:, 0], d[:, 1]).reshape(sa.shape)
 
     def pairwise_chords(self, s):
         s = np.asarray(s, dtype=float)
@@ -470,7 +441,6 @@ class SampledParametric(Curve):
         self._d1 = self._xyz.derivative()
         self._d2 = self._xyz.derivative(2)
         self._build_arclength(t)
-        self.domain_hint = self._half_length
 
     def _build_arclength(self, t):
         # dense sub-grid: 8 panels per sample interval, 12-pt GL each
@@ -487,7 +457,7 @@ class SampledParametric(Curve):
             raise CurveFormatError("degenerate samples: arc length is not increasing")
         self._t_of_ell = PchipInterpolator(ell, tdense)
         self._total = float(ell[-1])
-        self._half_length = self._total / 2.0
+        self.half_length = self._total / 2.0
         kdense = self._curvature_t(tdense)
         self._kmax = float(np.max(kdense))
         # binormals at the curved dense nodes, borrowed by frames on straight parts
@@ -495,17 +465,17 @@ class SampledParametric(Curve):
         d1 = self._d1(tdense[curved])
         t_hat = d1 / np.sqrt(np.vecdot(d1, d1))[:, None]
         a_perp, norm = _normal_part(t_hat, self._d2(tdense[curved]))
-        self._curved_s = ell[curved] - self._half_length
+        self._curved_s = ell[curved] - self.half_length
         self._curved_b = np.cross(t_hat, a_perp / norm[:, None])
 
     def _t_param(self, s):
         s = np.asarray(s, dtype=float)
-        if np.any(s < -self._half_length - 1e-9) or np.any(s > self._half_length + 1e-9):
+        if np.any(s < -self.half_length - 1e-9) or np.any(s > self.half_length + 1e-9):
             raise OutOfDomainError(
                 f"arc length {float(np.max(np.abs(s))):.6g} outside sampled range "
-                f"[-{self._half_length:.6g}, {self._half_length:.6g}]"
+                f"[-{self.half_length:.6g}, {self.half_length:.6g}]"
             )
-        return self._t_of_ell(np.clip(s + self._half_length, 0.0, self._total))
+        return self._t_of_ell(np.clip(s + self.half_length, 0.0, self._total))
 
     def _curvature_t(self, t):
         """|d1 x d2| / |d1|^3 at spline parameters t (any shape), 0 where d1 = 0."""
@@ -521,17 +491,14 @@ class SampledParametric(Curve):
     def point(self, s):
         return self._xyz(self._t_param(s))
 
-    def tangent(self, s):
-        d1 = self._d1(self._t_param(s))
-        return d1 / np.linalg.norm(d1, axis=-1, keepdims=True)
-
     def curvature(self, s):
         return self._curvature_t(self._t_param(s))
 
     def frame(self, s):
         s = float(s)
-        t_hat = self.tangent(s)
         tv = float(self._t_param(s))
+        d1 = self._d1(tv)
+        t_hat = d1 / np.linalg.norm(d1, axis=-1, keepdims=True)
         d2 = self._d2(tv)
         a_perp, norm = _normal_part(t_hat, d2)
         if norm > 1e-8 * max(1.0, np.linalg.norm(d2)) and self._curvature_t(tv) > _FLAT:
@@ -691,13 +658,19 @@ def check_curvature_decay(curve: Curve, s_range, n_samples: int) -> float:
 # ---------------------------------------------------------------------------
 # curve-definition JSON schema
 
+#: planar profile name -> (constructor, its fields in argument order)
+PROFILES = {
+    "gaussian": (PlanarCurvatureProfile.gaussian_bump, ("a", "w")),
+    "power_tail": (PlanarCurvatureProfile.power_tail, ("a", "beta")),
+}
+
 
 def curve_from_dict(spec: dict) -> Curve:
     """Build a curve from its JSON definition.
 
     Schema: {"family": "straight" | "planar_curvature" | "sampled",
-             "params": {...}, "samples": [[t, x, y, z], ...],
-             "domain_hint": number}.
+             "params": {"profile": a key of PROFILES, its fields ...},
+             "samples": [[t, x, y, z], ...], "domain_hint": number}.
     """
     if not isinstance(spec, dict):
         raise CurveFormatError("curve definition must be a JSON object")
@@ -710,19 +683,14 @@ def curve_from_dict(spec: dict) -> Curve:
         if not isinstance(params, dict):
             raise CurveFormatError("planar_curvature needs a 'params' object")
         profile = params.get("profile")
-        if profile == "gaussian":
-            try:
-                return PlanarCurvatureProfile.gaussian_bump(
-                    float(params["a"]), float(params["w"]), hint)
-            except KeyError as exc:
-                raise CurveFormatError(f"gaussian profile missing field {exc}") from exc
-        if profile == "power_tail":
-            try:
-                return PlanarCurvatureProfile.power_tail(
-                    float(params["a"]), float(params["beta"]), hint)
-            except KeyError as exc:
-                raise CurveFormatError(f"power_tail profile missing field {exc}") from exc
-        raise CurveFormatError(f"unknown planar curvature profile {profile!r}")
+        if not (isinstance(profile, str) and profile in PROFILES):
+            raise CurveFormatError(f"unknown planar curvature profile {profile!r}")
+        build, fields = PROFILES[profile]
+        try:
+            values = [float(params[name]) for name in fields]
+        except KeyError as exc:
+            raise CurveFormatError(f"{profile} profile missing field {exc}") from exc
+        return build(*values, hint)
     if family == "sampled":
         samples = spec.get("samples")
         if samples is None:

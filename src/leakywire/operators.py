@@ -145,21 +145,6 @@ def t_multiplier(p, kappa):
     return float(out) if out.ndim == 0 else out
 
 
-def b_kernel(curve: Curve, s, sp, kappa):
-    """Bending kernel value(s); 0 on the diagonal (continuous extension)."""
-    if kappa <= 0:
-        raise GeometryError("kappa must be positive")
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    sp_arr = np.atleast_1d(np.asarray(sp, dtype=float))
-    s_arr, sp_arr = np.broadcast_arrays(s_arr, sp_arr)
-    sigma = np.abs(s_arr - sp_arr)
-    rho = np.asarray(curve.chord_between(s_arr, sp_arr)).reshape(sigma.shape)
-    out = _kernel_from_distances(rho, sigma, kappa)
-    if np.isscalar(s) and np.isscalar(sp):
-        return float(out.ravel()[0])
-    return out
-
-
 def _check_chord_arc(coincident_pairs: np.ndarray) -> None:
     """Raise on the first of the (i, j) index pairs whose parameters are
     distinct but whose points coincide."""

@@ -59,7 +59,6 @@ class SolveConfig:
     tol_kappa_rel: float = 1e-10
     tol_lambda: float = 1e-9
     m_branches: int = 8
-    refine_levels: int = 3
 
     def __post_init__(self):
         if self.tol_kappa_rel <= 0 or self.tol_lambda <= 0:
@@ -258,7 +257,16 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
     return curve_data, crossings
 
 
-def converge_study(curve: Curve, config: SolveConfig) -> ConvergenceReport:
+def ground_state(curve: Curve, config: SolveConfig) -> Optional[BoundState]:
+    """The lowest state clear of the threshold, from a ground_only search, or
+    None if the search finds none."""
+    for st in find_bound_states(curve, config, ground_only=True):
+        if not st.threshold_uncertain:
+            return st
+    return None
+
+
+def converge_study(curve: Curve, config: SolveConfig, levels: int = 3) -> ConvergenceReport:
     """Grid-refinement study of the ground-state energy.
 
     Runs an N-ladder N / 2^(levels-1), ..., N/2, N at fixed L (observed
@@ -268,26 +276,30 @@ def converge_study(curve: Curve, config: SolveConfig) -> ConvergenceReport:
     requires every difference to shrink by at least 3x per N-doubling;
     non-monotone refinement only warns.
     """
+    def energy(grid):
+        st = ground_state(curve, replace(config, grid=grid))
+        return None if st is None else st.energy
+
     base = config.grid
     warnings = []
-    levels = []
+    runs = []
     energies = []
-    for n_k in refinement_ladder(base.N, config.refine_levels):
-        e_k = _ground_energy(curve, replace(config, grid=GridSpec(base.L, n_k)))
-        levels.append(ConvergenceLevel(N=n_k, L=base.L, energy=e_k))
+    for n_k in refinement_ladder(base.N, levels):
+        e_k = energy(GridSpec(base.L, n_k))
+        runs.append(ConvergenceLevel(N=n_k, L=base.L, energy=e_k))
         energies.append(e_k)
 
     n_tail = base.N + base.N // 2
     n_tail += n_tail % 2
     tail_grid = GridSpec(1.5 * base.L, n_tail)
-    e_tail = _ground_energy(curve, replace(config, grid=tail_grid))
-    levels.append(ConvergenceLevel(N=n_tail, L=tail_grid.L, energy=e_tail))
+    e_tail = energy(tail_grid)
+    runs.append(ConvergenceLevel(N=n_tail, L=tail_grid.L, energy=e_tail))
 
     if any(e is None for e in energies):
         vacuous = all(e is None for e in energies) and e_tail is None
         if not vacuous:
             warnings.append("bound state appears only on some refinement levels")
-        return ConvergenceReport(levels=levels, diffs=[], observed_order=None,
+        return ConvergenceReport(levels=runs, diffs=[], observed_order=None,
                                  richardson_energy=None, tail_change=None,
                                  accepted=vacuous, warnings=warnings)
 
@@ -310,7 +322,7 @@ def converge_study(curve: Curve, config: SolveConfig) -> ConvergenceReport:
     if e_tail is None:
         warnings.append("bound state lost when enlarging the box")
         accepted = False
-    return ConvergenceReport(levels=levels, diffs=diffs,
+    return ConvergenceReport(levels=runs, diffs=diffs,
                              observed_order=observed_order,
                              richardson_energy=richardson,
                              tail_change=tail_change,
@@ -327,12 +339,6 @@ def refinement_ladder(n: int, levels: int) -> list:
         if n_k < 8 or n_k % 2:
             raise GeometryError(f"refinement level {k} gives invalid N = {n_k}")
     return sizes
-
-
-def _ground_energy(curve, config) -> Optional[float]:
-    states = [s for s in find_bound_states(curve, config, ground_only=True)
-              if not s.threshold_uncertain]
-    return states[0].energy if states else None
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,14 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def short_wire(path):
+    """Write a sampled curve of half-length about 10.2 to ``path``; its samples."""
+    t = np.linspace(-10.0, 10.0, 201)
+    samples = np.column_stack([t, t, 0.8 * np.exp(-(t / 1.5) ** 2), 0.3 * np.tanh(t)])
+    path.write_text(json.dumps({"family": "sampled", "samples": samples.tolist()}))
+    return samples
+
+
 class TestLoadCurve:
     def test_builtin_straight(self):
         assert isinstance(load_curve("straight"), StraightLine)
@@ -40,6 +48,12 @@ class TestLoadCurve:
         path = tmp_path / "curve.json"
         path.write_text(json.dumps({"family": "straight"}))
         assert isinstance(load_curve(str(path)), StraightLine)
+
+    def test_json_file_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "curve.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(CurveFormatError, match="JSON object"):
+            load_curve(str(path))
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -91,6 +105,30 @@ class TestSolveCommand:
         }))
         code = run_cli("solve", "--curve", str(path), "-L", "3.14", "-N", "64")
         assert code == 1
+
+
+class TestDefaultBox:
+    # without -L the box is at most the sampled half-length over the widest
+    # box a command solves on: L itself, or converge's tail at 1.5 L
+    @pytest.mark.parametrize("argv, reach", [
+        (["solve"], 1.0),
+        (["scan", "--points", "4"], 1.0),
+        (["bc-verify"], None),
+        (["converge", "--levels", "2"], 1.5),
+    ], ids=["solve", "scan", "bc-verify", "converge"])
+    def test_fits_a_sampled_curve_shorter_than_16(self, tmp_path, argv, reach):
+        path = tmp_path / "curve.json"
+        short_wire(path)
+        half = load_curve(str(path)).half_length
+        assert 10.0 < half < 16.0
+        out = tmp_path / "res.json"
+        assert run_cli(argv[0], "--curve", str(path), "-N", "64", *argv[1:],
+                       "-o", str(out)) == 0
+        doc = json.loads(out.read_text())
+        if reach is None:
+            assert "grid" not in doc and doc["bc_residual"] < 1e-2
+        else:
+            assert doc["grid"]["L"] == half / reach
 
 
 class TestScanCommand:
@@ -149,10 +187,8 @@ class TestCheckCommand:
 
     def test_sampled_curve_shorter_than_the_default_window(self, tmp_path):
         # half-length about 10.2 < 24: the default window is the sampled range
-        t = np.linspace(-10.0, 10.0, 201)
-        samples = np.column_stack([t, t, 0.8 * np.exp(-(t / 1.5) ** 2), 0.3 * np.tanh(t)])
         path = tmp_path / "curve.json"
-        path.write_text(json.dumps({"family": "sampled", "samples": samples.tolist()}))
+        samples = short_wire(path)
         out = tmp_path / "check.json"
         assert run_cli("check", "--curve", str(path), "-o", str(out)) == 0
         lo, hi = json.loads(out.read_text())["s_range"]
@@ -274,8 +310,8 @@ class TestArgumentErrors:
         def no_search(*args, **kwargs):
             raise AssertionError("a search ran before the arguments were checked")
 
-        for name in ("find_bound_states", "spectrum_scan", "converge_study", "check_a1",
-                     "check_a2"):
+        for name in ("find_bound_states", "ground_state", "spectrum_scan", "converge_study",
+                     "check_a1", "check_a2"):
             monkeypatch.setattr(cli_mod, name, no_search)
         code = run_cli(*argv)
         captured = capsys.readouterr()

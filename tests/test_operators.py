@@ -10,7 +10,6 @@ from leakywire.operators import (
     GridSpec,
     OperatorCache,
     assemble_T,
-    b_kernel,
     bending_kernel_matrix,
     hs_norm,
     kappa0,
@@ -82,18 +81,17 @@ class TestFreeLineConstants:
 
 
 class TestBKernel:
-    def test_straight_line_vanishes(self, straight):
-        s = np.linspace(-10, 10, 50)
-        vals = b_kernel(straight, s[:, None], s[None, :], 1.3)
-        assert np.max(np.abs(vals)) == 0.0
+    """The kernel between the two nodes +-u/2 of GridSpec(u, 2)."""
 
-    def test_diagonal_is_zero(self, bump):
-        assert b_kernel(bump, 0.7, 0.7, 1.0) == 0.0
+    @staticmethod
+    def pair(curve, u, kappa):
+        return bending_kernel_matrix(curve, GridSpec(u, 2), kappa)[0, 1]
 
     def test_diagonal_taylor_limit(self, bump):
-        # B(s, s + u) ~ k(s)^2 u / (96 pi) as u -> 0; at the bump peak k = 1
+        # B(s - u/2, s + u/2) ~ k(s)^2 u / (96 pi) as u -> 0; at the bump peak
+        # s = 0, k = 1
         target = 1.0 / (96.0 * math.pi)
-        ratios = [b_kernel(bump, 0.0, u, 1.2) / u for u in (1e-2, 1e-3, 1e-4)]
+        ratios = [self.pair(bump, u, 1.2) / u for u in (1e-1, 1e-2, 1e-3)]
         assert abs(ratios[-1] - target) / target < 1e-3
         # and the convergence is monotone toward the target
         errs = [abs(r - target) for r in ratios]
@@ -104,7 +102,7 @@ class TestBKernel:
         ang = np.linspace(-np.pi / 2, np.pi / 2, 401)
         circle = SampledParametric(
             np.column_stack([ang, np.cos(ang), np.sin(ang), np.zeros_like(ang)]))
-        val = b_kernel(circle, 0.0, math.pi / 2, 1.0)
+        val = self.pair(circle, math.pi / 2, 1.0)
         rho, sigma = math.sqrt(2.0), math.pi / 2
         expected = (math.exp(-rho) / rho - math.exp(-sigma) / sigma) / (4 * math.pi)
         assert val == pytest.approx(expected, rel=1e-6)
@@ -113,11 +111,11 @@ class TestBKernel:
 
     def test_coincident_points_raise(self):
         class BrokenCurve(StraightLine):
-            def chord_between(self, sa, sb):
-                return np.zeros_like(np.asarray(sa, dtype=float))
+            def pairwise_chords(self, s):
+                return np.zeros((s.size, s.size))
 
         with pytest.raises(SingularGeometryError):
-            b_kernel(BrokenCurve(), 0.0, 3.0, 1.0)
+            self.pair(BrokenCurve(), 3.0, 1.0)
 
 
 class TestAssembleT:
@@ -165,6 +163,7 @@ class TestAssembleB:
         b = g.delta * bending_kernel_matrix(bump, g, 1.2)
         assert b.min() >= -1e-14
         assert np.array_equal(b, b.T)
+        assert np.all(np.diag(b) == 0)
 
     def test_support_pattern(self, bump):
         # the near-diagonal (curvature-driven) part lives where the bump is;

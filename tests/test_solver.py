@@ -348,14 +348,14 @@ class TestLogKappaRootSearch:
 
 class TestConvergeStudy:
     def test_straight_vacuous_pass(self, straight):
-        config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 128), refine_levels=2)
-        report = converge_study(straight, config)
+        config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 128))
+        report = converge_study(straight, config, levels=2)
         assert report.accepted
         assert all(lv.energy is None for lv in report.levels)
 
     def test_bump_second_order(self, bump):
-        config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 512), refine_levels=3)
-        report = converge_study(bump, config)
+        config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 512))
+        report = converge_study(bump, config, levels=3)
         assert report.accepted
         assert report.observed_order == pytest.approx(2.0, abs=0.5)
         assert report.richardson_energy is not None
@@ -365,21 +365,20 @@ class TestConvergeStudy:
     def test_one_branch_is_enough_for_the_ground_state(self, bump):
         # the ground state is branch 0, so the m_branches cap must not veto a
         # study that reads only it, although a solve with m = 1 is refused
-        one = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 256), refine_levels=2,
-                          m_branches=1)
+        one = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 256), m_branches=1)
         with pytest.raises(ConfigError, match="raise -m"):
             find_bound_states(bump, one)
-        capped = converge_study(bump, one)
-        full = converge_study(bump, SolveConfig(alpha=0.0, grid=GridSpec(16.0, 256),
-                                                refine_levels=2))
+        capped = converge_study(bump, one, levels=2)
+        full = converge_study(bump, SolveConfig(alpha=0.0, grid=GridSpec(16.0, 256)),
+                              levels=2)
         assert capped.levels[0].energy is not None
         for a, b in zip(capped.levels, full.levels):
             assert a.energy == pytest.approx(b.energy, rel=1e-12, abs=0.0)
 
     def test_too_few_levels_rejected(self, straight):
-        config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 128), refine_levels=1)
+        config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 128))
         with pytest.raises(GeometryError):
-            converge_study(straight, config)
+            converge_study(straight, config, levels=1)
 
 
 class TestSerialization:
