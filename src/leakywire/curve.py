@@ -424,9 +424,16 @@ class SampledParametric(Curve):
     family = "sampled"
 
     def __init__(self, samples):
-        samples = np.asarray(samples, dtype=float)
+        try:
+            samples = np.asarray(samples, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise CurveFormatError(f"samples must be an (n, 4) array of numbers: {exc}") from exc
         if samples.ndim != 2 or samples.shape[1] != 4:
             raise CurveFormatError("samples must be an (n, 4) array of [t, x, y, z]")
+        bad = np.flatnonzero(~np.all(np.isfinite(samples), axis=1))
+        if bad.size:
+            raise CurveFormatError(
+                f"samples must be finite; violated at sample index {int(bad[0])}")
         if samples.shape[0] < 4:
             raise CurveFormatError("need at least 4 samples for a C1 interpolant")
         t = samples[:, 0]
@@ -451,13 +458,17 @@ class SampledParametric(Curve):
         nodes = starts[:, None] + half[:, None] * (_GL_NODES + 1.0)
         speed = np.sqrt(np.sum(self._d1(nodes) ** 2, axis=-1))
         seg = half * (speed @ _GL_WEIGHTS)
-        ell = np.concatenate(([0.0], np.cumsum(seg)))
+        # centred arc length, the mean of the sums from either end: mirror-image
+        # nodes of mirror-symmetric data get mirror-image values up to rounding
+        # in seg alone, so their grid chords stay persymmetric
+        forward = np.concatenate(([0.0], np.cumsum(seg)))
+        backward = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
+        ell = (forward - backward) / 2.0
         tdense = np.concatenate((starts, [stops[-1]]))
         if np.any(np.diff(ell) <= 0):
             raise CurveFormatError("degenerate samples: arc length is not increasing")
         self._t_of_ell = PchipInterpolator(ell, tdense)
-        self._total = float(ell[-1])
-        self.half_length = self._total / 2.0
+        self.half_length = float(min(-ell[0], ell[-1]))
         kdense = self._curvature_t(tdense)
         self._kmax = float(np.max(kdense))
         # binormals at the curved dense nodes, borrowed by frames on straight parts
@@ -465,7 +476,7 @@ class SampledParametric(Curve):
         d1 = self._d1(tdense[curved])
         t_hat = d1 / np.sqrt(np.vecdot(d1, d1))[:, None]
         a_perp, norm = _normal_part(t_hat, self._d2(tdense[curved]))
-        self._curved_s = ell[curved] - self.half_length
+        self._curved_s = ell[curved]
         self._curved_b = np.cross(t_hat, a_perp / norm[:, None])
 
     def _t_param(self, s):
@@ -475,7 +486,7 @@ class SampledParametric(Curve):
                 f"arc length {float(np.max(np.abs(s))):.6g} outside sampled range "
                 f"[-{self.half_length:.6g}, {self.half_length:.6g}]"
             )
-        return self._t_of_ell(np.clip(s + self.half_length, 0.0, self._total))
+        return self._t_of_ell(np.clip(s, -self.half_length, self.half_length))
 
     def _curvature_t(self, t):
         """|d1 x d2| / |d1|^3 at spline parameters t (any shape), 0 where d1 = 0."""
@@ -665,6 +676,16 @@ PROFILES = {
 }
 
 
+def _number(value, field: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise CurveFormatError(f"field {field!r} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise CurveFormatError(f"field {field!r} must be finite, got {value!r}")
+    return number
+
+
 def curve_from_dict(spec: dict) -> Curve:
     """Build a curve from its JSON definition.
 
@@ -675,7 +696,7 @@ def curve_from_dict(spec: dict) -> Curve:
     if not isinstance(spec, dict):
         raise CurveFormatError("curve definition must be a JSON object")
     family = spec.get("family")
-    hint = float(spec.get("domain_hint", 48.0))
+    hint = _number(spec.get("domain_hint", 48.0), "domain_hint")
     if family == "straight":
         return StraightLine()
     if family == "planar_curvature":
@@ -687,7 +708,7 @@ def curve_from_dict(spec: dict) -> Curve:
             raise CurveFormatError(f"unknown planar curvature profile {profile!r}")
         build, fields = PROFILES[profile]
         try:
-            values = [float(params[name]) for name in fields]
+            values = [_number(params[name], name) for name in fields]
         except KeyError as exc:
             raise CurveFormatError(f"{profile} profile missing field {exc}") from exc
         return build(*values, hint)

@@ -28,20 +28,25 @@ Discretization:
   on the diagonal for C^2 curves, B(s, s+u) ~ k(s)^2 u / (96 pi)).
 
 Parity: a wire whose chords satisfy rho(s_i, s_j) = rho(s_(N-1-i), s_(N-1-j))
-on the grid (any bump or power tail: an even curvature profile) has a
-persymmetric Q, Q = J Q J with J the index reversal.  With Q11 the top-left
-and Q12 the top-right N/2 x N/2 block, the orthogonal basis
-[y; J y]/sqrt 2, [y; -J y]/sqrt 2 splits Q exactly into the even block
-Q11 + Q12 J and the odd block Q11 - Q12 J (Cantoni & Butler, Linear Algebra
-Appl. 13, 1976).  ``OperatorCache`` tests the chords for this and folds
-them into halves in one pass over blocks of ``curve.PAIR_ROWS`` rows, then
-builds Q as the (2, N/2, N/2) stack of these blocks, summed and differenced
-by the same blocks; T is symmetric Toeplitz and splits on every wire,
-the straight line included.  Wires that fail the test (sampled curves,
-whose arc-length map breaks the symmetry by tens to hundreds of ulps, in
-the first block already) keep the one N x N matrix.  A split cache keeps
-half the chords and computes half the exponentials per kappa.  Measured on
-bump a=1, w=1 at kappa = 1.15 (2 vCPU, OpenBLAS, min of 3 runs):
+on the grid (any bump or power tail: an even curvature profile; a sampled
+wire that is the same after a rotation by pi, such as x and z odd and y
+even in t) has a persymmetric Q, Q = J Q J with J the index reversal.
+With Q11 the top-left and Q12 the top-right N/2 x N/2 block, the
+orthogonal basis [y; J y]/sqrt 2, [y; -J y]/sqrt 2 splits Q exactly into
+the even block Q11 + Q12 J and the odd block Q11 - Q12 J (Cantoni &
+Butler, Linear Algebra Appl. 13, 1976).  ``OperatorCache`` tests the
+chords for this and folds them into halves in one pass over blocks of
+``curve.PAIR_ROWS`` rows, then builds Q as the (2, N/2, N/2) stack of
+these blocks, summed and differenced by the same blocks; T is symmetric
+Toeplitz and splits on every wire, the straight line included.  A sampled
+curve centres its arc length as the mean of the sums from either end, so
+mirror-image samples get mirror-image arc lengths up to rounding and a
+symmetric sampled wire splits too.  Wires that fail the test (sampled
+data that are asymmetric themselves, such as a one-sided cumulative
+Simpson sum, miss by 150 ulps or more, in the first block already) keep
+the one N x N matrix.  A split cache keeps half the chords and computes
+half the exponentials per kappa.  Measured on bump a=1, w=1 at
+kappa = 1.15 (2 vCPU, OpenBLAS, min of 3 runs):
 
 =============  ==========  ============  ===========================
 Q build        one matrix  parity stack  chords kept (one / split)
@@ -227,7 +232,8 @@ def schur_holmgren_norm(b: np.ndarray) -> float:
 
 #: chords within this many ulps of max rho of their mirror images count as
 #: persymmetric; planar profiles measure at most 8 ulps (N = 128 .. 2304),
-#: sampled curves 30 (a helix) to 290
+#: mirror-symmetric sampled wires at most 11.4 (the benchmark's scan wires,
+#: N = 512 .. 2048), sampled data that are asymmetric themselves 150 and more
 PERSYMMETRY_ULPS = 16
 
 

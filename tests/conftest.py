@@ -75,3 +75,17 @@ def helix():
     turn = np.exp(-(t / 4.0) ** 2)
     return SampledParametric(np.column_stack(
         [t, t + 2.0 * turn * np.sin(t), 2.0 * turn * np.cos(t), 0.5 * turn * t]))
+
+
+def off_centre_samples():
+    """Samples of a non-planar wire with no mirror symmetry: a Gaussian bump
+    in y centred at t = 1 and an odd bump in z centred at t = 0, sampled
+    every 0.1 on [-22, 22]."""
+    t = np.linspace(-22.0, 22.0, 441)
+    return np.column_stack([t, t, np.exp(-((t - 1.0) / 1.5) ** 2),
+                            0.8 * (t / 2.0) * np.exp(-(t / 2.0) ** 2)])
+
+
+@pytest.fixture(scope="session")
+def off_centre_wire():
+    return SampledParametric(off_centre_samples())

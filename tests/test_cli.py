@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,10 +10,12 @@ import pytest
 
 import leakywire
 from leakywire.cli import load_curve, main, write_results
-from leakywire.curve import PlanarCurvatureProfile, StraightLine
+from leakywire.curve import PlanarCurvatureProfile, SampledParametric, StraightLine
 from leakywire.errors import ConfigError, CurveFormatError
-from leakywire.operators import GridSpec
+from leakywire.operators import GridSpec, OperatorCache
 from leakywire.solver import SolveConfig, spectrum_scan
+
+from conftest import off_centre_samples
 
 
 def run_cli(*argv):
@@ -94,6 +97,29 @@ class TestSolveCommand:
         code = run_cli("solve", "--curve", str(bad))
         assert code == 3
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"family": "planar_curvature",
+          "params": {"profile": "gaussian", "a": "x", "w": 1}}, "field 'a'"),
+        ({"family": "straight", "domain_hint": "wide"}, "field 'domain_hint'"),
+        ({"family": "sampled",
+          "samples": [[0, 0, 0, 0], [1, 1, 0, 0], [2, "x", 0, 0], [3, 3, 0, 0]]},
+         "samples must be an (n, 4) array of numbers"),
+        ({"family": "planar_curvature",
+          "params": {"profile": "gaussian", "a": 1, "w": 1}, "domain_hint": math.nan},
+         "field 'domain_hint' must be finite"),
+        ({"family": "sampled",
+          "samples": [[0, 0, 0, 0], [1, 1, 0, 0], [2, math.inf, 0, 0], [3, 3, 0, 0]]},
+         "samples must be finite; violated at sample index 2"),
+    ], ids=["profile", "domain_hint", "samples", "nan_domain_hint", "inf_sample"])
+    def test_non_numeric_or_non_finite_field_exits_3(self, tmp_path, capsys, spec, field):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(spec))
+        code = run_cli("solve", "--curve", str(path), "-L", "4", "-N", "32")
+        captured = capsys.readouterr()
+        assert code == 3
+        assert f"configuration error: {field}" in captured.err
+        assert "Traceback" not in captured.err + captured.out
 
     def test_inadmissible_curve_exits_1(self, tmp_path):
         ang = np.linspace(-np.pi, np.pi, 401)
@@ -371,8 +397,9 @@ class TestArgumentErrors:
 
         import leakywire.cli as cli_mod
 
-        t = np.linspace(-22.0, 22.0, 441)
-        samples = np.column_stack([t, t, np.exp(-(t / 1.5) ** 2), 0.3 * np.tanh(t)])
+        # the sampled wire has no mirror symmetry, so its Q stays one block
+        samples = off_centre_samples()
+        assert not OperatorCache(SampledParametric(samples), GridSpec(20.0, 512)).parity
         curve_file = tmp_path / "curve.json"
         curve_file.write_text(json.dumps({"family": "sampled", "samples": samples.tolist()}))
         argv = [a.format(sampled=curve_file) for a in argv]

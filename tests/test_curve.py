@@ -24,7 +24,7 @@ from leakywire.curve import (
 )
 from leakywire.errors import CurveFormatError, GeometryError, OutOfDomainError
 
-from conftest import bump_curve
+from conftest import bump_curve, off_centre_samples
 
 # adaptive-quadrature oracle for the unit Gaussian bump, frozen:
 # theta(s) = int_0^s exp(-u^2) du,  gamma(1) = (int_0^1 cos theta, int_0^1 sin theta)
@@ -456,6 +456,38 @@ class TestSampledValidation:
     def test_too_few_samples(self):
         with pytest.raises(CurveFormatError):
             SampledParametric([[0, 0, 0, 0], [1, 1, 0, 0]])
+
+
+class TestCentredArcLength:
+    @pytest.mark.parametrize("make", [_wire_samples, off_centre_samples],
+                             ids=["mirror", "off_centre"])
+    def test_half_length_is_half_the_spline_length(self, make):
+        # reference: the spline's length by a 20-point Gauss-Legendre rule on
+        # each sample interval, summed pairwise; the wire's running sums over
+        # 8 panels per interval carry rounding of up to 4.3e-14 relative
+        # (9.6e-13 on the off-centre wire, as the one-sided sum did before)
+        samples = make()
+        t = samples[:, 0]
+        wire = SampledParametric(samples)
+        x, w = np.polynomial.legendre.leggauss(20)
+        mid, rad = (t[1:] + t[:-1]) / 2, (t[1:] - t[:-1]) / 2
+        speed = np.linalg.norm(CubicSpline(t, samples[:, 1:])(mid[:, None] + rad[:, None] * x, 1),
+                               axis=-1)
+        total = np.sum(rad * (speed @ w))
+        half = wire.half_length
+        assert half == pytest.approx(total / 2, rel=1e-13, abs=0)
+        wire.point(np.array([-half, half]))
+        for s in (-half - 1e-6, half + 1e-6):
+            with pytest.raises(OutOfDomainError):
+                wire.point(s)
+
+    def test_mirror_image_nodes_get_mirror_image_arc_lengths(self):
+        # x and z odd, y even in t: s = 0 is the symmetry point, and
+        # gamma(-s) is gamma(s) turned by pi about the y axis
+        wire = SampledParametric(_wire_samples())
+        s = np.linspace(0.0, wire.half_length, 97)
+        assert np.allclose(wire.point(-s), wire.point(s) * [-1.0, 1.0, -1.0],
+                           rtol=0, atol=1e-13)
 
 
 class TestCurveFromDict:

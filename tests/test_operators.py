@@ -18,6 +18,7 @@ from leakywire.operators import (
     t_multiplier,
     zeta0,
 )
+from leakywire.spectral import top_eigen
 
 from conftest import parity_blocks, unfold
 
@@ -291,20 +292,27 @@ def scan_wire():
 
 
 class TestOperatorCache:
-    @pytest.mark.parametrize("family", ["bump", "helix", "straight", "power", "scan_wire"])
+    @pytest.mark.parametrize("family", ["bump", "helix", "straight", "power", "scan_wire",
+                                        "off_centre_wire"])
     def test_matches_direct_assembly(self, family, request):
         # the cache against the pointwise reference T + Delta * B(s_i, s_j);
-        # planar profiles and the straight line split into parity blocks,
-        # sampled wires stay one block
+        # mirror-symmetric wires, sampled ones included, split into parity
+        # blocks, and the off-centre sampled wire stays one block.  A split
+        # is exact for the persymmetric part (R + J R J) / 2 of the reference
+        # R, from the mean of mirror-image chords; a sampled wire's R misses
+        # persymmetry by up to 7e-15 next to the diagonal, where the kernel
+        # scales the chords' rounding by 1 / rho^2
         curve = request.getfixturevalue(family)
         g = GridSpec(8.0, 128)
         cache = OperatorCache(curve, g)
-        split = family in ("bump", "straight", "power")
+        split = family != "off_centre_wire"
         assert cache.parity == split
         for kap in (0.6, 1.4, 2.5):
             q = cache.q_matrix(kap)
             assert q.shape == ((2, g.N // 2, g.N // 2) if split else (g.N, g.N))
             reference = assemble_T(g, kap) + g.delta * bending_kernel_matrix(curve, g, kap)
+            if split:
+                reference = (reference + reference[::-1, ::-1]) / 2
             assert np.max(np.abs(unfold(q) - reference)) <= 1e-15
             assert np.array_equal(q, np.swapaxes(q, -1, -2))
         # the chords are the only square arrays a cache keeps: N^2 / 2 floats
@@ -321,6 +329,26 @@ class TestOperatorCache:
         shifted = PlanarCurvatureProfile(lambda s: np.exp(-(s - 0.25) ** 2), 12.0)
         assert OperatorCache(bump, g).parity
         assert not OperatorCache(shifted, g).parity
+
+    @pytest.mark.parametrize("n", [128, 512, 1024, 2304])
+    def test_mirror_symmetric_sampled_wire_splits(self, scan_wire, n):
+        # the centred arc length keeps the chords of a wire that is the same
+        # after a rotation by pi within rounding of the segment lengths
+        g = GridSpec(20.0, n)
+        rho = scan_wire.pairwise_chords(g.nodes)
+        assert np.max(np.abs(rho - rho[::-1, ::-1])) <= 12 * np.finfo(float).eps * rho.max()
+        assert OperatorCache(scan_wire, g).parity
+
+    def test_split_sampled_values_match_the_one_matrix_reference(self, scan_wire):
+        # the merged top values of the even and odd blocks are the top of
+        # the spectrum of the pointwise N x N reference
+        g = GridSpec(20.0, 256)
+        cache = OperatorCache(scan_wire, g)
+        assert cache.parity
+        for kap in (0.9, 1.3):
+            values = top_eigen(cache.q_matrix(kap), 6).values
+            reference = assemble_T(g, kap) + g.delta * bending_kernel_matrix(scan_wire, g, kap)
+            assert np.max(np.abs(values - np.linalg.eigvalsh(reference)[:-7:-1])) <= 1e-13
 
     def test_coincident_nodes_raise_at_construction(self):
         with pytest.raises(SingularGeometryError, match="chord-arc condition"):

@@ -118,9 +118,9 @@ class TestBumpBinding:
             mirrored = s.h[::-1] if s.diagnostics["parity"] == "even" else -s.h[::-1]
             assert np.array_equal(s.h, mirrored)
 
-    def test_asymmetric_wire_records_no_parity(self, helix):
+    def test_asymmetric_wire_records_no_parity(self, off_centre_wire):
         config = SolveConfig(alpha=0.0, grid=GridSpec(10.0, 128), m_branches=3)
-        states = find_bound_states(helix, config)
+        states = find_bound_states(off_centre_wire, config)
         assert states
         assert {s.diagnostics["parity"] for s in states} == {None}
 
