@@ -77,15 +77,21 @@ def helix():
         [t, t + 2.0 * turn * np.sin(t), 2.0 * turn * np.cos(t), 0.5 * turn * t]))
 
 
-def off_centre_samples():
-    """Samples of a non-planar wire with no mirror symmetry: a Gaussian bump
-    in y centred at t = 1 and an odd bump in z centred at t = 0, sampled
-    every 0.1 on [-22, 22]."""
+def scan_samples(centre=0.0):
+    """Samples of a non-planar wire like the benchmark's scan curves: a
+    Gaussian bump in y centred at t = centre and an odd bump in z centred at
+    t = 0, sampled every 0.1 on [-22, 22].  At centre 0 the wire is the same
+    after a rotation by pi; off centre it has no mirror symmetry."""
     t = np.linspace(-22.0, 22.0, 441)
-    return np.column_stack([t, t, np.exp(-((t - 1.0) / 1.5) ** 2),
+    return np.column_stack([t, t, np.exp(-((t - centre) / 1.5) ** 2),
                             0.8 * (t / 2.0) * np.exp(-(t / 2.0) ** 2)])
 
 
 @pytest.fixture(scope="session")
+def scan_wire():
+    return SampledParametric(scan_samples())
+
+
+@pytest.fixture(scope="session")
 def off_centre_wire():
-    return SampledParametric(off_centre_samples())
+    return SampledParametric(scan_samples(1.0))

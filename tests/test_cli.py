@@ -15,7 +15,7 @@ from leakywire.errors import ConfigError, CurveFormatError
 from leakywire.operators import GridSpec, OperatorCache
 from leakywire.solver import SolveConfig, spectrum_scan
 
-from conftest import off_centre_samples
+from conftest import scan_samples
 
 
 def run_cli(*argv):
@@ -397,9 +397,11 @@ class TestArgumentErrors:
 
         import leakywire.cli as cli_mod
 
-        # the sampled wire has no mirror symmetry, so its Q stays one block
-        samples = off_centre_samples()
-        assert not OperatorCache(SampledParametric(samples), GridSpec(20.0, 512)).parity
+        samples = scan_samples(1.0)
+        if "{sampled}" in argv:
+            # the sampled wire has no mirror symmetry, so its Q stays one block
+            wire = SampledParametric(samples)
+            assert not any(OperatorCache(wire, GridSpec(20.0, n)).parity for n in sizes)
         curve_file = tmp_path / "curve.json"
         curve_file.write_text(json.dumps({"family": "sampled", "samples": samples.tolist()}))
         argv = [a.format(sampled=curve_file) for a in argv]

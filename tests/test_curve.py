@@ -24,7 +24,7 @@ from leakywire.curve import (
 )
 from leakywire.errors import CurveFormatError, GeometryError, OutOfDomainError
 
-from conftest import bump_curve, off_centre_samples
+from conftest import bump_curve, scan_samples
 
 # adaptive-quadrature oracle for the unit Gaussian bump, frozen:
 # theta(s) = int_0^s exp(-u^2) du,  gamma(1) = (int_0^1 cos theta, int_0^1 sin theta)
@@ -459,7 +459,7 @@ class TestSampledValidation:
 
 
 class TestCentredArcLength:
-    @pytest.mark.parametrize("make", [_wire_samples, off_centre_samples],
+    @pytest.mark.parametrize("make", [_wire_samples, lambda: scan_samples(1.0)],
                              ids=["mirror", "off_centre"])
     def test_half_length_is_half_the_spline_length(self, make):
         # reference: the spline's length by a 20-point Gauss-Legendre rule on

@@ -282,38 +282,36 @@ def power():
     return PlanarCurvatureProfile.power_tail(1.0, 2.0)
 
 
-@pytest.fixture(scope="module")
-def scan_wire():
-    # a non-planar sampled wire like the benchmark's scan curves: a Gaussian
-    # bump in y and an odd bump in z, sampled every 0.1 on [-22, 22]
-    t = np.linspace(-22.0, 22.0, 441)
-    return SampledParametric(np.column_stack(
-        [t, t, np.exp(-(t / 1.5) ** 2), 0.8 * (t / 2.0) * np.exp(-(t / 2.0) ** 2)]))
-
-
 class TestOperatorCache:
     @pytest.mark.parametrize("family", ["bump", "helix", "straight", "power", "scan_wire",
                                         "off_centre_wire"])
     def test_matches_direct_assembly(self, family, request):
-        # the cache against the pointwise reference T + Delta * B(s_i, s_j);
+        # the cache against the pointwise reference R = T + Delta * B(s_i, s_j);
         # mirror-symmetric wires, sampled ones included, split into parity
         # blocks, and the off-centre sampled wire stays one block.  A split
-        # is exact for the persymmetric part (R + J R J) / 2 of the reference
-        # R, from the mean of mirror-image chords; a sampled wire's R misses
-        # persymmetry by up to 7e-15 next to the diagonal, where the kernel
-        # scales the chords' rounding by 1 / rho^2
+        # computes the persymmetric part (R + J R J) / 2 of R, from the mean
+        # of mirror-image chords.  A planar profile's or the straight line's
+        # R is persymmetric to the bit; a sampled wire's R misses persymmetry
+        # by up to 7e-15 next to the diagonal, where the kernel scales the
+        # chords' rounding by Delta / rho^2, so its split is held to R within
+        # 5e-15 and to R's persymmetric part within 1e-15
         curve = request.getfixturevalue(family)
         g = GridSpec(8.0, 128)
         cache = OperatorCache(curve, g)
         split = family != "off_centre_wire"
+        sampled_split = family in ("helix", "scan_wire")
         assert cache.parity == split
         for kap in (0.6, 1.4, 2.5):
             q = cache.q_matrix(kap)
             assert q.shape == ((2, g.N // 2, g.N // 2) if split else (g.N, g.N))
             reference = assemble_T(g, kap) + g.delta * bending_kernel_matrix(curve, g, kap)
-            if split:
-                reference = (reference + reference[::-1, ::-1]) / 2
-            assert np.max(np.abs(unfold(q) - reference)) <= 1e-15
+            gap = np.max(np.abs(unfold(q) - reference))
+            if sampled_split:
+                persymmetric = (reference + reference[::-1, ::-1]) / 2
+                assert np.max(np.abs(unfold(q) - persymmetric)) <= 1e-15
+                assert gap <= 5e-15
+            else:
+                assert gap <= 1e-15
             assert np.array_equal(q, np.swapaxes(q, -1, -2))
         # the chords are the only square arrays a cache keeps: N^2 / 2 floats
         # in two halves for a split wire, N^2 otherwise
@@ -339,15 +337,17 @@ class TestOperatorCache:
         assert np.max(np.abs(rho - rho[::-1, ::-1])) <= 12 * np.finfo(float).eps * rho.max()
         assert OperatorCache(scan_wire, g).parity
 
-    def test_split_sampled_values_match_the_one_matrix_reference(self, scan_wire):
+    @pytest.mark.parametrize("family, L", [("scan_wire", 20.0), ("helix", 12.0)])
+    def test_split_sampled_values_match_the_one_matrix_reference(self, family, L, request):
         # the merged top values of the even and odd blocks are the top of
         # the spectrum of the pointwise N x N reference
-        g = GridSpec(20.0, 256)
-        cache = OperatorCache(scan_wire, g)
+        curve = request.getfixturevalue(family)
+        g = GridSpec(L, 256)
+        cache = OperatorCache(curve, g)
         assert cache.parity
         for kap in (0.9, 1.3):
             values = top_eigen(cache.q_matrix(kap), 6).values
-            reference = assemble_T(g, kap) + g.delta * bending_kernel_matrix(scan_wire, g, kap)
+            reference = assemble_T(g, kap) + g.delta * bending_kernel_matrix(curve, g, kap)
             assert np.max(np.abs(values - np.linalg.eigvalsh(reference)[:-7:-1])) <= 1e-13
 
     def test_coincident_nodes_raise_at_construction(self):
