@@ -69,6 +69,10 @@ EXIT_CONFIG = 3
 #: peak from n = 512 to 1024): 24.3 for a search on a one-block wire (16 on a
 #: split one), about 9 for the audits of ``check`` (10.0 on a sampled curve)
 _BYTES_PER_ENTRY = 26
+#: peak bytes per (direction, grid node) of a bc-verify trace, which sums all
+#: directions of one radius at once: 72.0 (tracemalloc, growth of the peak
+#: from 64 to 256 directions at N = 256 .. 1024)
+_BYTES_PER_TRACE = 80
 
 #: inline family -> its planar profile (a key of curve.PROFILES) and defaults
 _INLINE = {"bump": ("gaussian", {"a": 1.0, "w": 1.0}),
@@ -158,11 +162,12 @@ def _half_length(args, default=None):
     return L
 
 
-def _refuse_oversized(n: int, what: str) -> None:
-    """ConfigError, before any n x n array exists, above MAX_BUILD_BYTES."""
-    gib = n * n * _BYTES_PER_ENTRY / 2 ** 30
+def _refuse_oversized(what: str, rows: int, cols: int,
+                      per_entry: int = _BYTES_PER_ENTRY) -> None:
+    """ConfigError, before any rows x cols array exists, above MAX_BUILD_BYTES."""
+    gib = rows * cols * per_entry / 2 ** 30
     if gib > MAX_BUILD_BYTES / 2 ** 30:
-        raise ConfigError(f"{what} needs {n} x {n} arrays of about {gib:.3g} GiB, "
+        raise ConfigError(f"{what} needs {rows} x {cols} arrays of about {gib:.3g} GiB, "
                           f"above the {MAX_BUILD_BYTES / 2 ** 30:.3g} GiB limit")
 
 
@@ -200,7 +205,7 @@ def _solver_inputs(args, reach: float = 1.0):
     n = args.grid_n
     if n <= 0 or n % 2:
         raise ConfigError(f"-N must be a positive even integer, got {n}")
-    _refuse_oversized(n, f"-N {n}")
+    _refuse_oversized(f"-N {n}", n, n)
     _check_alpha(args.alpha)
     L = _half_length(args)
     if L is None:
@@ -258,7 +263,7 @@ def _cmd_check(args) -> int:
     if not (0 < args.omega < 1 and 0 < args.epsilon < math.inf and 0 <= args.mu < math.inf):
         raise ConfigError("need 0 < --omega < 1, 0 < --epsilon < inf and 0 <= --mu < inf, "
                           f"got {args.omega}, {args.epsilon} and {args.mu}")
-    _refuse_oversized(n, f"--samples {n}")
+    _refuse_oversized(f"--samples {n}", n, n)
     rep1 = check_a1(curve, (-L, L), n)
     rep2 = check_a2(curve, args.omega, args.epsilon, args.mu, (-L, L), n)
     beta = check_curvature_decay(curve, (-L, L), n)
@@ -283,6 +288,7 @@ def _cmd_bc_verify(args) -> int:
     radii = _parse_radii(args.radii, curve.max_shift_radius())
     if args.angles < 4:
         raise ConfigError(f"--angles must be at least 4, got {args.angles}")
+    _refuse_oversized(f"--angles {args.angles}", args.angles, config.grid.N, _BYTES_PER_TRACE)
     st = ground_state(curve, config)
     if st is None:
         _emit(args, {"alpha": args.alpha, "states": [],
@@ -310,7 +316,8 @@ def _cmd_converge(args) -> int:
         refinement_ladder(grid.N, args.levels)
     except GeometryError as exc:
         raise ConfigError(f"-N {grid.N} with --levels {args.levels}: {exc}") from exc
-    _refuse_oversized(grid.N + grid.N // 2, f"converge -N {grid.N}")
+    tail = grid.N + grid.N // 2
+    _refuse_oversized(f"converge -N {grid.N}", tail, tail)
     report = converge_study(curve, config, args.levels)
     payload = {
         "alpha": float(args.alpha),

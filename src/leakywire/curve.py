@@ -45,7 +45,7 @@ from .errors import (
 _GL_NODES, _GL_WEIGHTS = leggauss(12)
 _CELL_WIDTH = 0.05      # requested planar cell width; rounded down to 2^-m
 # peak bytes per planar cell while the cache is built, the nested rule
-# running a chunk of cells at a time: 179 B measured (tracemalloc) for the
+# running a chunk of cells at a time: 177 B measured (tracemalloc) for the
 # Gaussian bump and the power tail at domain hint 4800, chunk included
 _CELL_BUILD_BYTES = 192
 MAX_BUILD_BYTES = 2 ** 31  # larger planar builds and grids are refused up front
@@ -104,6 +104,14 @@ def _dd_prefix(increments):
     return hi, lo
 
 
+def _panel(f, start, stop):
+    """int_start^stop f on one 12-point Gauss-Legendre panel per entry of the
+    broadcast (start, stop).  f maps the panel's nodes, on a new last axis,
+    to values with that axis last; their leading axes broadcast with start."""
+    half = (stop - start) / 2.0
+    return half * (f(start[..., None] + half[..., None] * (_GL_NODES + 1.0)) @ _GL_WEIGHTS)
+
+
 def _normal_part(t_hat, v):
     """v minus its component along the unit tangent(s) t_hat, and its length
     (last axis of length 3); for v = gamma'' this is the principal normal."""
@@ -151,7 +159,6 @@ class Curve:
     """Base class; subclasses provide vectorized point/curvature and frames.
     Arc length runs over [-half_length, half_length]: all of R unless sampled."""
 
-    family = "abstract"
     half_length = math.inf
 
     def point(self, s):
@@ -192,8 +199,6 @@ class StraightLine(Curve):
     """gamma(s) = (s, 0, 0) with the fixed completion b=(0,0,1), n=(0,1,0);
     the base-class chords are exactly |s - s'|, as sqrt(x * x) == |x|."""
 
-    family = "straight"
-
     def point(self, s):
         s = np.asarray(s, dtype=float)
         out = np.zeros(s.shape + (3,))
@@ -218,15 +223,16 @@ class PlanarCurvatureProfile(Curve):
     """Planar curve built from a curvature profile k(s).
 
     theta(s) = int_0^s k(u) du and gamma(s) = (int_0^s cos theta,
-    int_0^s sin theta, 0).  Integrals are accumulated per cell with
-    12-point Gauss-Legendre rules over a core window [-S, S]; beyond the
-    core the curve continues as an exact straight ray along the frozen
-    end tangent.  Cumulative positions are stored compensated so chord
-    differences of nearby points do not lose the tiny arc-chord defect
-    to rounding.
+    int_0^s sin theta, 0).  Over a core window [-S, S] of dyadic cells the
+    build and every evaluation share one 12-point Gauss-Legendre panel rule
+    (``_panel``) and one locator (``_locate``): theta and gamma at s are
+    their values at the start bound of s's cell plus one panel from there,
+    gamma's panel running on theta at its nodes from a nested panel.  Beyond
+    the core the curve continues as an exact straight ray along the frozen
+    end tangent, anchored at the end bound.  Cumulative positions are stored
+    compensated so chord differences of nearby points do not lose the tiny
+    arc-chord defect to rounding.
     """
-
-    family = "planar_curvature"
 
     def __init__(self, curvature_fn: Callable, domain_hint: float = 48.0,
                  params: Optional[dict] = None):
@@ -273,107 +279,75 @@ class PlanarCurvatureProfile(Curve):
                 f"GiB to build, above the {MAX_BUILD_BYTES / 2 ** 30:.3g} GiB "
                 "limit; lower the domain hint", self.domain_hint)
         bounds = (np.arange(n_cells + 1) - n_half) * delta
-        half = delta / 2.0
         chunks = [slice(a, min(a + _CELL_CHUNK, n_cells))
                   for a in range(0, n_cells, _CELL_CHUNK)]
-        mids = lambda c: bounds[c, None] + half * (_GL_NODES[None, :] + 1.0)
-
-        dtheta = np.empty(n_cells)
         kmax = 0.0
-        for c in chunks:
-            k = np.asarray(self.k_signed(mids(c)))
-            dtheta[c] = half * (k @ _GL_WEIGHTS)
+
+        def k_kept(u):      # k at the whole-cell nodes also gives max |k|
+            nonlocal kmax
+            k = np.asarray(self.k_signed(u))
             kmax = max(kmax, float(np.max(np.abs(k))))
+            return k
+
+        # whole cells, a chunk at a time: bounds[c] + delta is exactly the
+        # next bound, both being integers times 2^-m
+        dtheta = np.concatenate([_panel(k_kept, bounds[c], bounds[c] + delta)
+                                 for c in chunks])
         theta_b = np.concatenate(([0.0], np.cumsum(dtheta)))
         i0 = n_cells // 2
-        theta_b = theta_b - theta_b[i0]
-
-        # theta at the quadrature nodes of every cell (nested partial rule),
-        # a chunk of cells at a time
-        incr = np.empty((n_cells, 2))
-        for c in chunks:
-            m_c = mids(c)
-            start = bounds[c, None]
-            inner = start[:, :, None] + (
-                (m_c - start)[:, :, None] * (_GL_NODES[None, None, :] + 1.0) / 2.0)
-            partial = ((m_c - start) / 2.0) * (np.asarray(self.k_signed(inner)) @ _GL_WEIGHTS)
-            theta_nodes = theta_b[c, None] + partial
-            incr[c, 0] = half * (np.cos(theta_nodes) @ _GL_WEIGHTS)
-            incr[c, 1] = half * (np.sin(theta_nodes) @ _GL_WEIGHTS)
-        hi, lo = _dd_prefix(incr)
-        # re-anchor at s = 0 so gamma(0) = 0 exactly
-        sa, ea = _two_sum(hi, -hi[i0])
-        hi_a, lo_a = _fast_two_sum(sa, ea + (lo - lo[i0]))
-
         self._S = S
         self._delta = delta
         self._bounds = bounds
-        self._theta_b = theta_b
-        self._pos_hi = hi_a
-        self._pos_lo = lo_a
+        self._theta_b = theta_b - theta_b[i0]
         self._kmax = kmax
+        hi, lo = _dd_prefix(np.concatenate([self._increment(c, bounds[c] + delta)
+                                            for c in chunks]))
+        # re-anchor at s = 0 so gamma(0) = 0 exactly
+        sa, ea = _two_sum(hi, -hi[i0])
+        self._pos_hi, self._pos_lo = _fast_two_sum(sa, ea + (lo - lo[i0]))
 
     # -- internals ----------------------------------------------------------
 
-    def _cell(self, s):
-        """Index and left edge of the core cell holding each s in [-S, S]."""
-        cell = np.clip(((s + self._S) / self._delta).astype(int), 0,
-                       len(self._bounds) - 2)
-        return cell, self._bounds[cell]
+    def _locate(self, s):
+        """(anchor, core) of each s: a core s, in [-S, S], anchors at the start
+        bound of its cell; the left ray at bound 0, the right ray at bound -1."""
+        right = s > self._S
+        cell = ((np.clip(s, -self._S, self._S) + self._S) / self._delta).astype(int)
+        return (np.where(right, -1, np.clip(cell, 0, len(self._bounds) - 2)),
+                ~(right | (s < -self._S)))
 
-    def _theta_partial(self, start, s):
-        """int_start^s k with a single 12-point rule (|s - start| <= cell)."""
-        half = (s - start) / 2.0
-        nodes = start[..., None] + half[..., None] * (_GL_NODES + 1.0)
-        return half * (np.asarray(self.k_signed(nodes)) @ _GL_WEIGHTS)
+    def _increment(self, cell, s):
+        """gamma(s) - gamma(bounds[cell]), shape (n, 2), for s in that cell
+        (``cell`` holds n cell indices, as an index array or a slice)."""
+        start = self._bounds[cell]
+
+        def tangent(u):     # theta at the panel's nodes, by a nested panel
+            th = self._theta_b[cell][:, None] + _panel(self.k_signed, start[:, None], u)
+            return np.stack([np.cos(th), np.sin(th)])
+
+        return _panel(tangent, start, s).T
 
     def theta(self, s):
         """Tangent angle theta(s) = int_0^s k."""
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
         s = np.atleast_1d(s)
-        out = np.empty_like(s)
-        left = s < -self._S
-        right = s > self._S
-        core = ~(left | right)
-        out[left] = self._theta_b[0]
-        out[right] = self._theta_b[-1]
-        if np.any(core):
-            cell, start = self._cell(s[core])
-            out[core] = self._theta_b[cell] + self._theta_partial(start, s[core])
+        anchor, core = self._locate(s)
+        out = self._theta_b[anchor]
+        out[core] += _panel(self.k_signed, self._bounds[anchor[core]], s[core])
         return out[0] if scalar else out
 
     def _positions_dd(self, s):
         """Compensated planar positions: (hi, lo) arrays of shape (n, 2)."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        hi = np.empty((s.size, 2))
-        lo = np.empty((s.size, 2))
-        left = s < -self._S
-        right = s > self._S
-        core = ~(left | right)
-        if np.any(core):
-            sc = s[core]
-            cell, start = self._cell(sc)
-            half = (sc - start) / 2.0
-            nodes = start[:, None] + half[:, None] * (_GL_NODES + 1.0)
-            # theta at the rule's nodes: the nested rule from the cell start
-            th_nodes = (self._theta_b[cell][:, None]
-                        + self._theta_partial(start[:, None], nodes))
-            px = half * (np.cos(th_nodes) @ _GL_WEIGHTS)
-            py = half * (np.sin(th_nodes) @ _GL_WEIGHTS)
-            h, e = _two_sum(self._pos_hi[cell], np.stack([px, py], axis=1))
-            hi[core] = h
-            lo[core] = e + self._pos_lo[cell]
-        for mask, idx in ((left, 0), (right, -1)):
-            if np.any(mask):
-                ds = s[mask] - self._bounds[idx]
-                theta_end = self._theta_b[idx]
-                ray = np.stack([ds * math.cos(theta_end),
-                                ds * math.sin(theta_end)], axis=1)
-                h, e = _two_sum(self._pos_hi[idx], ray)
-                hi[mask] = h
-                lo[mask] = e + self._pos_lo[idx]
-        return hi, lo
+        anchor, core = self._locate(s)
+        step = np.empty((s.size, 2))
+        step[core] = self._increment(anchor[core], s[core])
+        ray = ~core     # beyond the core: the straight ray along the end tangent
+        ends = np.array([[math.cos(t), math.sin(t)] for t in self._theta_b[[0, -1]]])
+        step[ray] = (s[ray] - self._bounds[anchor[ray]])[:, None] * ends[anchor[ray]]
+        h, e = _two_sum(self._pos_hi[anchor], step)
+        return h, e + self._pos_lo[anchor]
 
     # -- Curve interface ----------------------------------------------------
 
@@ -421,8 +395,6 @@ class SampledParametric(Curve):
     ``OutOfDomainError``.
     """
 
-    family = "sampled"
-
     def __init__(self, samples):
         try:
             samples = np.asarray(samples, dtype=float)
@@ -454,10 +426,7 @@ class SampledParametric(Curve):
         sub = np.linspace(t[:-1], t[1:], 9, axis=1)
         starts = sub[:, :-1].ravel()
         stops = sub[:, 1:].ravel()
-        half = (stops - starts) / 2.0
-        nodes = starts[:, None] + half[:, None] * (_GL_NODES + 1.0)
-        speed = np.sqrt(np.sum(self._d1(nodes) ** 2, axis=-1))
-        seg = half * (speed @ _GL_WEIGHTS)
+        seg = _panel(lambda u: np.sqrt(np.sum(self._d1(u) ** 2, axis=-1)), starts, stops)
         # centred arc length, the mean of the sums from either end: mirror-image
         # nodes of mirror-symmetric data get mirror-image values up to rounding
         # in seg alone, so their grid chords stay persymmetric

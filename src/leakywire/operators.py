@@ -150,31 +150,29 @@ def t_multiplier(p, kappa):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_chord_arc(coincident_pairs: np.ndarray) -> None:
-    """Raise on the first of the (i, j) index pairs whose parameters are
-    distinct but whose points coincide."""
-    if len(coincident_pairs):
+def _check_chord_arc(rho: np.ndarray, delta: float) -> None:
+    """Raise on the first pair (i, j) of distinct grid nodes, node spacing
+    delta, whose chord rho[i, j] is below 1e-12: their points coincide."""
+    close = np.argwhere(rho < 1e-12)
+    close = close[np.abs(close[:, 0] - close[:, 1]) * delta > 1e-9]
+    if len(close):
         raise SingularGeometryError(
             f"distinct parameters map to the same point (pair index "
-            f"{tuple(coincident_pairs[0])}); the curve violates the chord-arc condition")
-
-
-def _kernel_from_distances(rho, sigma, kappa):
-    _check_chord_arc(np.argwhere((rho < 1e-12) & (sigma > 1e-9)))
-    off = sigma > 0
-    out = np.zeros_like(sigma)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = (np.exp(-kappa * rho) / rho - np.exp(-kappa * sigma) / sigma) / (4.0 * math.pi)
-    out[off] = vals[off]
-    return out
+            f"{tuple(close[0])}); the curve violates the chord-arc condition")
 
 
 def bending_kernel_matrix(curve: Curve, grid: GridSpec, kappa: float) -> np.ndarray:
     """Kernel values B_kappa(s_i, s_j) on the grid nodes (no quadrature weight)."""
     nodes = grid.nodes
     rho = curve.pairwise_chords(nodes)
+    _check_chord_arc(rho, grid.delta)
     sigma = np.abs(nodes[:, None] - nodes[None, :])
-    return _kernel_from_distances(rho, sigma, kappa)
+    off = sigma > 0
+    out = np.zeros_like(sigma)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = (np.exp(-kappa * rho) / rho - np.exp(-kappa * sigma) / sigma) / (4.0 * math.pi)
+    out[off] = vals[off]
+    return out
 
 
 def assemble_T(grid: GridSpec, kappa: float) -> np.ndarray:
@@ -298,8 +296,7 @@ class OperatorCache:
         self.parity = True
         if not self._straight:
             rho = curve.pairwise_chords(grid.nodes)
-            close = np.argwhere(rho < 1e-12)
-            _check_chord_arc(close[np.abs(close[:, 0] - close[:, 1]) * grid.delta > 1e-9])
+            _check_chord_arc(rho, grid.delta)
             halves = _persymmetric_halves(rho)
             self.parity = halves is not None
             if self.parity:

@@ -446,6 +446,45 @@ class TestArgumentErrors:
         assert "domain hint 1e+08 needs 6400000000 cells" in captured.err
         assert "-L" not in captured.err
 
+    def test_oversized_angles_exit_3_before_the_search(self, capsys, monkeypatch):
+        # 40000 directions at N = 1024 ask the trace of each radius for about
+        # 3 GiB; the refusal states the estimate, and comes before the search
+        import leakywire.cli as cli_mod
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("ground state searched before the size check")
+
+        monkeypatch.setattr(cli_mod, "ground_state", no_search)
+        code = run_cli("bc-verify", "--curve", "bump:a=1,w=1", "-L", "24", "-N", "1024",
+                       "--angles", "40000")
+        captured = capsys.readouterr()
+        assert code == 3
+        assert ("configuration error: --angles 40000 needs 40000 x 1024 arrays of about "
+                "3.05 GiB, above the 2 GiB limit") in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_trace_guard_covers_the_peak_per_direction_and_node(self, bump):
+        # the guard's bytes per (direction, grid node) bound the growth of the
+        # trace's peak with the number of directions
+        import tracemalloc
+
+        import leakywire.cli as cli_mod
+        from leakywire.eigenfield import trace_values
+
+        grid = GridSpec(24.0, 256)
+        h = np.cos(grid.nodes / 8.0)
+        radii = np.geomspace(0.1, 0.4, 3)
+        peaks, sizes = [], (32, 128)
+        for n in sizes:
+            angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+            tracemalloc.start()
+            try:
+                trace_values(bump, grid, 1.0, h, 0.3, radii, angles)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / ((sizes[1] - sizes[0]) * grid.N) <= cli_mod._BYTES_PER_TRACE
+
     @pytest.mark.parametrize("option", [
         ["-N", "64"], ["--alpha", "0.5"], ["-m", "0"], ["--tol-kappa", "-1"],
         ["--tol-lambda", "1"],

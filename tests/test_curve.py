@@ -312,6 +312,37 @@ class TestPlanarBuild:
         assert (peaks[1] - peaks[0]) / (cells[1] - cells[0]) <= curve_mod._CELL_BUILD_BYTES
 
 
+class TestPlanarRays:
+    """Beyond the core [-S, S] a planar profile is the straight ray along its
+    end tangent; an off-centre bump makes the two end angles differ."""
+
+    @pytest.fixture(scope="class")
+    def off_centre(self):
+        return PlanarCurvatureProfile(lambda s: np.exp(-(s - 0.25) ** 2), domain_hint=8.0)
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["left", "right"])
+    def test_rays_continue_along_the_end_tangent(self, off_centre, side):
+        end = off_centre._bounds[-1] * side
+        theta_end = off_centre.theta(end)
+        assert abs(theta_end + off_centre.theta(-end)) > 0.1   # not mirror images
+        s = end * np.linspace(1.0, 3.0, 41)[1:]
+        tangent = np.array([math.cos(theta_end), math.sin(theta_end), 0.0])
+        step = off_centre.point(s) - off_centre.point(end)
+        assert np.all(np.abs(step - (s - end)[:, None] * tangent) <= 1e-14 * np.abs(s)[:, None])
+        assert np.all(off_centre.theta(s) == theta_end)
+        for x in s[::8]:
+            assert np.array_equal(off_centre.frame(x).t, tangent)
+
+    def test_rays_do_not_bend_where_the_profile_still_does(self):
+        # k(S) = 1/64: continuing the profile past S would keep turning
+        tail = PlanarCurvatureProfile.power_tail(1.0, 2.0, domain_hint=8.0)
+        for end in tail._bounds[[0, -1]]:
+            s = end * np.linspace(1.0, 3.0, 41)[1:]
+            assert np.all(tail.theta(s) == tail.theta(s[0]))
+            p = tail.point(s)
+            assert np.max(np.abs(p[2:] - 2.0 * p[1:-1] + p[:-2])) <= 1e-13
+
+
 class TestAsymptoticSet:
     def test_xi_closed_form(self):
         assert xi_threshold(1.0 / 3.0) == pytest.approx(2.0, abs=1e-15)
