@@ -115,8 +115,9 @@ def load_curve(source: str, domain_hint: float = 48.0) -> Curve:
     return curve_from_dict(spec)
 
 
-def write_results(text: str, path) -> None:
-    """Atomic write (temp file + rename) of rendered text, with a timestamp sidecar."""
+def write_results(text: str, path, meta=None) -> None:
+    """Atomic write (temp file + rename) of rendered text, with a sidecar
+    ``<path>.meta.json`` holding a timestamp, the version and ``meta``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -128,16 +129,18 @@ def write_results(text: str, path) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    meta = {"written_at_unix": time.time(), "tool_version": __import__("leakywire").__version__}
+    meta = {"written_at_unix": time.time(), "tool_version": __import__("leakywire").__version__,
+            **(meta or {})}
     with open(f"{path}.meta.json", "w") as fh:
         json.dump(meta, fh, indent=2)
 
 
-def _emit(args, payload, fmt="json"):
-    """The payload as JSON, or as the CSV text it already is, to -o or stdout."""
+def _emit(args, payload, fmt="json", meta=None):
+    """The payload as JSON, or as the CSV text it already is, to -o or stdout;
+    ``meta`` goes to the sidecar of -o."""
     text = payload if fmt == "csv" else json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.output:
-        write_results(text, args.output)
+        write_results(text, args.output, meta)
     else:
         sys.stdout.write(text)
 
@@ -223,7 +226,8 @@ def _solver_inputs(args, reach: float = 1.0):
 def _cmd_solve(args) -> int:
     curve, config = _solver_inputs(args)
     states = find_bound_states(curve, config)
-    _emit(args, states_to_dict(args.alpha, config.grid, states))
+    _emit(args, states_to_dict(args.alpha, config.grid, states),
+          meta={"states": [st.diagnostics for st in states]})
     return EXIT_OK
 
 

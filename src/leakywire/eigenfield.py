@@ -27,7 +27,6 @@ peak.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +60,9 @@ def trace_values(curve: Curve, grid: GridSpec, kappa: float, h, s: float,
     """Trace of the reconstructed field on shifted copies of the curve.
 
     Returns an array of shape (len(radii), len(angles)); every radius must
-    lie below ``curve.max_shift_radius()``.  The quadrature is
-    exact enough for radii far below the grid spacing (see module docstring);
-    a warning still flags such radii because the result then measures the
-    interpolated density rather than raw grid data.
+    lie below ``curve.max_shift_radius()``.  The quadrature resolves radii
+    far below the grid spacing (see module docstring): near the foot point it
+    integrates the cubic interpolant of h, not the raw grid values.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != (grid.N,):
@@ -76,11 +74,6 @@ def trace_values(curve: Curve, grid: GridSpec, kappa: float, h, s: float,
     r0 = curve.max_shift_radius()
     if float(radii.max()) >= r0:
         raise GeometryError(f"radius {radii.max():g} is not below the safe bound r0 = {r0:.6g}")
-    if float(radii.min()) < grid.delta / 2.0:
-        warnings.warn(
-            f"radii below Delta/2 = {grid.delta / 2:.3e}: trace resolves the "
-            "interpolated density, not the raw grid",
-            RuntimeWarning, stacklevel=2)
 
     nodes = grid.nodes
     delta = grid.delta

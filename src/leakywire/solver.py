@@ -22,6 +22,16 @@ While lambda_j(kappa_hi) still exceeds alpha the lower end moves up to it
 and the step ratio grows by BRACKET_GROWTH, up to BRACKET_MAX_FACTOR * kappa0.
 Brent's method keeps its bracket guarantee in any monotone
 reparametrization, and a tolerance on u is a relative tolerance on kappa.
+
+On a mirror-symmetric wire Q splits into an even and an odd block, and each
+branch lives in one of them: branch j of the bracket-start record, the k-th
+value of its block p, is searched as lambda_(p,k)(kappa) = alpha with that
+block alone solved at each bracket end and Brent point.  Only the bracket
+start and the root solve both blocks.  The state is labelled by the rank of
+(p, k) in the root record, the number of values above alpha there: the
+merged index whose crossing lies at that kappa, which can differ from j
+when branches of the two blocks cross on the way.  Wires that do not split
+follow the merged values lambda_j as they are.
 """
 
 from __future__ import annotations
@@ -145,7 +155,7 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
         start = ev.record(k_start)
         for j, lam_start in enumerate(start.values):
             if lam_start > alpha:
-                states.append(_solve_branch(ev, j, alpha, k_start, k0, z0, config))
+                states.append(_solve_branch(ev, start, j, alpha, k_start, k0, z0, config))
             elif lam_start - s_start > lift_floor:
                 # bent branch hugging the continuum edge: report, don't drop
                 states.append(BoundState(
@@ -163,7 +173,8 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
                                  "eigensolver": start.path,
                                  "parity": start.parity[j]},
                 ))
-    if not ground_only and states and states[-1].branch == m - 1:
+    lam_last = start.values[-1]
+    if not ground_only and (lam_last > alpha or lam_last - s_start > lift_floor):
         raise ConfigError(
             f"the last of the {m} tracked branches gives a bound or threshold-"
             "uncertain state, so states beyond it would be dropped; raise -m "
@@ -172,8 +183,8 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
     return states
 
 
-def _root_in_log_kappa(ev, j, alpha, k_lo, k_hi, tol):
-    """Brent's root of lambda_j(kappa) = alpha on [k_lo, k_hi], searched in
+def _root_in_log_kappa(f, k_lo, k_hi, tol):
+    """Brent's root of f(kappa) = 0 on [k_lo, k_hi], searched in
     u = ln kappa to the relative kappa tolerance ``tol``.
 
     Returns (kappa~, brentq's RootResults).  The ends map back to the exact
@@ -182,22 +193,25 @@ def _root_in_log_kappa(ev, j, alpha, k_lo, k_hi, tol):
     ends = {math.log(k_lo): k_lo, math.log(k_hi): k_hi}
     kappa = lambda u: ends.get(u, math.exp(u))
     u, res = scipy.optimize.brentq(
-        lambda u: ev.values(kappa(u))[j] - alpha, math.log(k_lo), math.log(k_hi),
+        lambda u: f(kappa(u)), math.log(k_lo), math.log(k_hi),
         xtol=max(tol, 4 * np.finfo(float).eps), rtol=4 * np.finfo(float).eps,
         full_output=True)
     return kappa(u), res
 
 
-def _solve_branch(ev, j, alpha, k_start, k0, z0, config) -> BoundState:
+def _solve_branch(ev, start, j, alpha, k_start, k0, z0, config) -> BoundState:
+    """The root of branch j of the bracket-start record ``start``, followed
+    in its own parity block; labelled by its rank in the root record."""
+    block, k = start.branch(j)
+    f = lambda kappa: ev.values(kappa, block)[k] - alpha
     k_max = BRACKET_MAX_FACTOR * k0
     k_lo = k_start
     # the free line falls by 1/(2 pi) per unit of u = ln kappa; the first
     # step is capped at k_max / k_lo, which keeps k_lo < k_hi <= k_max and
     # exp from overflowing
-    ratio = math.exp(min(2 * math.pi * (ev.values(k_lo)[j] - alpha),
-                         math.log(k_max / k_lo)))
+    ratio = math.exp(min(2 * math.pi * f(k_lo), math.log(k_max / k_lo)))
     k_hi = min(k_lo * ratio, k_max)
-    while ev.values(k_hi)[j] > alpha:
+    while f(k_hi) > 0:
         if k_hi >= k_max:
             raise BracketFailureError(
                 f"branch {j}: no sign change of lambda - alpha up to "
@@ -205,9 +219,16 @@ def _solve_branch(ev, j, alpha, k_start, k0, z0, config) -> BoundState:
         k_lo = k_hi
         ratio *= BRACKET_GROWTH
         k_hi = min(k_lo * ratio, k_max)
-    kt, res = _root_in_log_kappa(ev, j, alpha, k_lo, k_hi, config.tol_kappa_rel)
+    kt, res = _root_in_log_kappa(f, k_lo, k_hi, config.tol_kappa_rel)
     root = ev.eigenpair(kt)
-    lam_val = float(root.values[j])
+    ranks = root.indices(block)
+    if k >= len(ranks):
+        # at least m values exceed alpha at the root, so more than m states exist
+        raise ConfigError(
+            f"branch {j} lies below the top {ev.m} eigenvalues at its root, so "
+            "states above it would be dropped; raise -m (m_branches)")
+    branch = ranks[k]
+    lam_val = float(root.values[branch])
     if abs(lam_val - alpha) > config.tol_lambda:
         raise NumericalFailureError(
             f"branch {j}: eigenvalue residual {abs(lam_val - alpha):.3e} at the "
@@ -218,16 +239,17 @@ def _solve_branch(ev, j, alpha, k_start, k0, z0, config) -> BoundState:
     return BoundState(
         kappa_tilde=float(kt),
         energy=float(energy),
-        branch=j,
-        h=root.vectors[:, j].copy(),
+        branch=branch,
+        h=root.vectors[:, branch].copy(),
         gap=float(gap),
         residual=abs(lam_val - alpha),
         threshold_uncertain=bool(gap < THRESHOLD_GAP_FRAC * abs(z0)),
         diagnostics={"bracket": [float(k_lo), float(k_hi)],
                      "iterations": int(res.iterations),
                      "evaluations": int(ev.evaluations),
+                     "block_evaluations": int(ev.block_evaluations),
                      "eigensolver": root.path,
-                     "parity": root.parity[j]},
+                     "parity": root.parity[branch]},
     )
 
 
@@ -251,8 +273,8 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
                 if f[i] == 0.0:
                     crossings.append(Crossing(branch=j, kappa=float(kappas[i])))
                 elif i + 1 < len(kappas) and f[i] * f[i + 1] < 0:
-                    kc, _ = _root_in_log_kappa(ev, j, config.alpha, kappas[i],
-                                               kappas[i + 1], config.tol_kappa_rel)
+                    kc, _ = _root_in_log_kappa(lambda k: ev.values(k)[j] - config.alpha,
+                                               kappas[i], kappas[i + 1], config.tol_kappa_rel)
                     crossings.append(Crossing(branch=j, kappa=float(kc)))
     return curve_data, crossings
 

@@ -25,10 +25,13 @@ it wins clearly, while m > 1 stays dense up to n = 2048
 (DENSE_EIGEN_LIMIT): Lanczos pays for every extra Ritz vector it converges.
 
 Parity: a persymmetric operator arrives as the (2, N/2, N/2) stack of its
-even and odd blocks (see ``operators``).  Both blocks go to one eigensolve:
-one batched LAPACK call on the stack, or one Lanczos run on the
-block-diagonal operator, and the top m of their values are merged, so each
-Q build still costs one eigensolve.  Both paths give (value, block, block
+even and odd blocks (see ``operators``), or as one of them alone.  A stack
+goes to one eigensolve: one batched LAPACK call, or one Lanczos run on the
+block-diagonal operator, and the top m of their values are merged.  A root
+search follows one branch, which lives in one block, so the evaluator
+builds and solves that block alone wherever the other is not needed (see
+``_BranchEvaluator``); either way each Q build, of a stack or of one
+block, costs one eigensolve.  Both paths give (value, block, block
 eigenvector y) triples, unfolded to y, [y; J y]/sqrt 2 (even) or
 [y; -J y]/sqrt 2 (odd); a Lanczos Ritz vector keeps only its own block's
 part, renormalized, an exact block eigenvector as the operator is
@@ -167,6 +170,20 @@ class Eigen(NamedTuple):
     path: str                       # "dense" or "lanczos"
     vectors: Optional[np.ndarray]   # (N, m) columns; None unless asked for
 
+    def branch(self, j: int):
+        """(block, k): value j is the k-th of its parity block (0 even, 1
+        odd), or (None, j) on one matrix."""
+        label = self.parity[j]
+        if label is None:
+            return None, j
+        return PARITIES.index(label), self.parity[:j].count(label)
+
+    def indices(self, block) -> list:
+        """The indices of the values of parity block ``block`` (0 even, 1
+        odd), ascending; with None, of all values of one matrix."""
+        label = None if block is None else PARITIES[block]
+        return [j for j, p in enumerate(self.parity) if p == label]
+
 
 def top_eigen(matrix: np.ndarray, m: int, vectors: bool = False) -> Eigen:
     """The m largest eigenvalues of a symmetric matrix, descending.
@@ -228,8 +245,17 @@ def top_eigen(matrix: np.ndarray, m: int, vectors: bool = False) -> Eigen:
 
 
 class _BranchEvaluator:
-    """lambda_j(kappa): the top-m ``Eigen`` record of Q_kappa, memoized per
-    kappa, from ``OperatorCache.q_matrix`` and ``top_eigen``.
+    """lambda_j(kappa): the top-m values of Q_kappa, or of one parity block
+    of it, memoized per (kappa, block), from ``OperatorCache.q_matrix`` and
+    ``top_eigen``.
+
+    A root search follows one branch, and on a split cache each branch lives
+    in one block, so ``values(kappa, block)`` builds and solves that
+    N/2 x N/2 block alone, half the work of the stack.  Its subset size
+    min(m, N/2) is the batched call's, so a dense block solve gives the
+    stack's values bit for bit.  At a kappa that already has the values of
+    both blocks (the bracket start), a block's values are read from that
+    record.
 
     Used as a context manager: leaving the block drops the operator cache.
     scipy's brentq keeps the objective in a self-referencing wrapper, so a
@@ -241,7 +267,9 @@ class _BranchEvaluator:
         self.cache = OperatorCache(curve, grid)
         self.m = m
         self._records = {}
-        self.evaluations = 0    # values-only solves, one per distinct kappa
+        self._block_values = {}
+        self.evaluations = 0        # values-only solves, one per distinct (kappa, block)
+        self.block_evaluations = 0  # those of them that solved one parity block
 
     def __enter__(self):
         return self
@@ -250,18 +278,34 @@ class _BranchEvaluator:
         self.cache = None
 
     def record(self, kappa: float) -> Eigen:
-        """The values-only record at kappa, solved once per kappa."""
+        """The values-only record of both blocks at kappa, solved once per kappa."""
         key = float(kappa)
         if key not in self._records:
             self._records[key] = self.eigenpair(key, vectors=False)
             self.evaluations += 1
         return self._records[key]
 
-    def values(self, kappa: float) -> np.ndarray:
-        return self.record(kappa).values
+    def values(self, kappa: float, block=None) -> np.ndarray:
+        """The top values at kappa, descending: of Q with ``block`` None, else
+        of parity block ``block`` (0 even, 1 odd) of a split cache."""
+        key = float(kappa)
+        if block is None:
+            return self.record(key).values
+        if (key, block) not in self._block_values:
+            if key in self._records:
+                both = self._records[key]
+                vals = both.values[both.indices(block)]
+            else:
+                q = self.cache.q_matrix(key, block)
+                vals = top_eigen(q, min(self.m, q.shape[0])).values
+                self.evaluations += 1
+                self.block_evaluations += 1
+            self._block_values[key, block] = vals
+        return self._block_values[key, block]
 
     def eigenpair(self, kappa: float, vectors: bool = True) -> Eigen:
-        """A fresh record at kappa, not memoized: the one Q build and solve."""
+        """A fresh record of both blocks at kappa, not memoized: the one Q
+        build and solve."""
         return top_eigen(self.cache.q_matrix(float(kappa)), self.m, vectors)
 
 

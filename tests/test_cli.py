@@ -91,6 +91,23 @@ class TestSolveCommand:
         assert len(doc["states"]) >= 1
         assert doc["states"][0]["energy"] < -1.26095 * (1 - 1e-3)
 
+    def test_sidecar_holds_each_states_diagnostics(self, tmp_path):
+        # the payload keeps only the states; how each was found goes to the
+        # sidecar, in the payload's order
+        out = tmp_path / "res.json"
+        assert run_cli("solve", "--curve", "bump:a=3,w=2", "-L", "24", "-N", "256",
+                       "-m", "6", "-o", str(out)) == 0
+        states = json.loads(out.read_text())["states"]
+        meta = json.loads(Path(f"{out}.meta.json").read_text())
+        assert {"written_at_unix", "tool_version", "states"} <= set(meta)
+        assert len(meta["states"]) == len(states) > 1
+        for state, diag in zip(states, meta["states"]):
+            assert set(diag) == {"bracket", "iterations", "evaluations", "block_evaluations",
+                                 "eigensolver", "parity"}
+            assert diag["bracket"][0] < state["kappa"] < diag["bracket"][1]
+            assert 0 < diag["block_evaluations"] < diag["evaluations"]
+        assert "evaluations" not in out.read_text()
+
     def test_malformed_json_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

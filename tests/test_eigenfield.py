@@ -27,15 +27,6 @@ RADII = default_radii()
 ANGLES = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
 
 
-@pytest.fixture(autouse=True)
-def _quiet_subgrid_radii_warning():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        yield
-
-
 class TestMacdonaldIdentity:
     @pytest.mark.parametrize("r,u,kappa", [(1.0, 0.0, 1.0), (0.5, 1.0, 2.0),
                                            (2.0, 0.3, 0.7)])

@@ -3,6 +3,7 @@ export helpers, and rare error paths."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,17 @@ class TestBcVerifyCommand:
         assert len(doc["traces"]) == 5
         tr = doc["traces"][0]
         assert {"s", "radii", "values", "xi", "omega", "fit_residual"} <= set(tr)
+
+    def test_default_radii_raise_no_warning(self, tmp_path):
+        # the default radii lie far below Delta/2 = 0.0625 here, which the
+        # trace's interpolated quadrature resolves: nothing to warn about
+        out = tmp_path / "bc.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["bc-verify", "--curve", "bump:a=1,w=1", "-L", "16", "-N", "256",
+                         "-o", str(out)]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert json.loads(out.read_text())["radii"][0] == pytest.approx(1e-3)
 
     def test_one_branch_is_enough_for_the_ground_state(self, bump, tmp_path):
         # bc-verify reads only the ground state (branch 0), so -m 1 must not
@@ -198,8 +210,9 @@ class TestIterativeEigenPath:
 
     @pytest.mark.parametrize("n, path", [(200, "dense"), (256, "lanczos")])
     def test_path_follows_the_block_size(self, bump, monkeypatch, n, path):
-        # a split wire's path is chosen for its N/2 x N/2 blocks, and both
-        # blocks go to one eigensolve per Q build
+        # a split wire's path is chosen for its N/2 x N/2 blocks; the bracket
+        # start and the root solve both blocks in one eigensolve, and every
+        # other evaluation solves branch 0's block alone
         import leakywire.spectral as spectral_mod
 
         lanczos = spectral_mod._iterative_top
@@ -218,7 +231,9 @@ class TestIterativeEigenPath:
         if path == "dense":
             assert not calls
         else:
-            assert calls == [(n, n)] * (st.diagnostics["evaluations"] + 1)
+            blocks = st.diagnostics["block_evaluations"]
+            assert blocks == st.diagnostics["evaluations"] - 1
+            assert calls == [(n, n)] + [(n // 2, n // 2)] * blocks + [(n, n)]
 
 
 def _off_centre_bump(amplitude):
@@ -256,6 +271,6 @@ class TestErrorPaths:
         config = SolveConfig(alpha=0.0, grid=GridSpec(8.0, 64), m_branches=1)
         monkeypatch.setattr(solver, "BRACKET_MAX_FACTOR", 4.0)
         monkeypatch.setattr(_BranchEvaluator, "values",
-                            lambda self, kappa: np.array([math.inf]))
+                            lambda self, kappa, block=None: np.array([math.inf]))
         with pytest.raises(BracketFailureError):
             find_bound_states(bump, config)

@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from leakywire.curve import PlanarCurvatureProfile, SampledParametric
 from leakywire.errors import (
@@ -104,14 +105,25 @@ class TestBumpBinding:
         assert len(states) == 5
         assert sorted(s.branch for s in states) == [0, 1, 2, 3, 4]
 
+    def test_branch_beyond_the_cap_at_its_root_raises(self):
+        # the top 4 values at the bracket start are even, but at the root of
+        # the 4th the odd branch is still above alpha: its rank there is 4,
+        # outside the tracked top 4, so more than 4 states exist
+        curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
+        with pytest.raises(ConfigError, match="branch 3 lies below the top 4"):
+            find_bound_states(curve, SolveConfig(alpha=0.0, grid=GridSpec(24.0, 512),
+                                                 m_branches=4))
+
     def test_each_state_records_its_parity(self):
-        # the bump is even, so Q splits into parity blocks; the merged values
-        # give the one-block search's 5 states with its evaluation counts
+        # the bump is even, so Q splits into parity blocks and each branch is
+        # followed in its own block.  The even branch that starts 4th crosses
+        # the odd one below alpha: it is searched before it but is labelled 4,
+        # its rank at its root, as the one-block search labels it
         curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
         states = find_bound_states(curve, SolveConfig(alpha=0.0, grid=GridSpec(24.0, 512),
                                                       m_branches=6))
         by_branch = sorted(states, key=lambda s: s.branch)
-        assert [s.diagnostics["evaluations"] for s in by_branch] == [8, 14, 20, 28, 36]
+        assert [s.diagnostics["evaluations"] for s in by_branch] == [8, 14, 20, 35, 27]
         assert [s.diagnostics["parity"] for s in by_branch] == [
             "even", "even", "even", "odd", "even"]
         for s in states:
@@ -247,8 +259,8 @@ class TestLogKappaRootSearch:
 
     def _solve(self, ev):
         config = SolveConfig(alpha=self.alpha, grid=GridSpec(8.0, 64), tol_kappa_rel=1e-12)
-        return solver_mod._solve_branch(ev, 0, self.alpha, self.k_start, self.k0,
-                                        zeta0(self.alpha), config)
+        return solver_mod._solve_branch(ev, ev.record(self.k_start), 0, self.alpha,
+                                        self.k_start, self.k0, zeta0(self.alpha), config)
 
     def test_shallow_branch_grows_the_bracket(self, monkeypatch):
         # a tenth of the free-line slope: the predicted upper end falls short
@@ -280,9 +292,9 @@ class TestLogKappaRootSearch:
         built = []
         q_matrix = spectral_mod.OperatorCache.q_matrix
 
-        def counting(self, kappa):
+        def counting(self, kappa, block=None):
             built.append(float(kappa))
-            return q_matrix(self, kappa)
+            return q_matrix(self, kappa, block)
 
         monkeypatch.setattr(spectral_mod.OperatorCache, "q_matrix", counting)
         curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
@@ -344,6 +356,96 @@ class TestLogKappaRootSearch:
         assert [b for b, _ in found] == [b for b, _ in reference]
         for (_, k), (_, k_ref) in zip(found, reference):
             assert k == pytest.approx(k_ref, rel=2e-10, abs=0.0)
+
+
+def _counting_solves(monkeypatch):
+    """Count Q builds and eigensolves the way the benchmark's tracer does: at
+    ``OperatorCache.q_matrix``, the dense LAPACK drivers and Lanczos."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectral_mod.OperatorCache, "q_matrix",
+                        counted("q", spectral_mod.OperatorCache.q_matrix))
+    for driver in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(scipy.linalg, driver, counted("solve", getattr(scipy.linalg, driver)))
+    monkeypatch.setattr(spectral_mod, "_iterative_top",
+                        counted("solve", spectral_mod._iterative_top))
+    return counts
+
+
+class TestBlockSearch:
+    # each branch is followed in its own parity block: only the bracket start
+    # and the root solve both blocks
+    def test_strong_bump_keeps_the_one_matrix_states(self):
+        # the one-matrix search's 5 states (energies as it found them), with
+        # the same branch labels and parities
+        curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
+        states = find_bound_states(curve, SolveConfig(alpha=0.0, grid=GridSpec(24.0, 512),
+                                                      m_branches=6))
+        one_matrix = [(0, "even", -1708.5957135355532), (1, "even", -44.000515450465535),
+                      (2, "even", -2.773106894056741), (3, "odd", -1.7732572896065935),
+                      (4, "even", -1.643113904013527)]
+        assert [(s.branch, s.diagnostics["parity"]) for s in states] == [
+            (b, p) for b, p, _ in one_matrix]
+        for s, (_, _, energy) in zip(states, one_matrix):
+            assert s.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
+            assert s.diagnostics["block_evaluations"] == s.diagnostics["evaluations"] - 1
+
+    def test_asymmetric_wire_takes_the_merged_path(self, off_centre_wire):
+        config = SolveConfig(alpha=0.0, grid=GridSpec(10.0, 128), m_branches=3)
+        (st,) = find_bound_states(off_centre_wire, config)
+        assert st.diagnostics["evaluations"] == 5
+        assert st.diagnostics["block_evaluations"] == 0
+        assert st.energy == -1.274518578458271
+
+    def test_ground_only_runs_lanczos_on_one_block(self, bump, monkeypatch):
+        grid = GridSpec(16.0, 512)
+        (dense,) = find_bound_states(bump, SolveConfig(alpha=0.0, grid=grid), ground_only=True)
+        shapes = []
+        lanczos = spectral_mod._iterative_top
+
+        def spy(matrix, m, want_vectors):
+            shapes.append(matrix.shape[0])
+            return lanczos(matrix, m, want_vectors)
+
+        monkeypatch.setattr(spectral_mod, "DENSE_TOP1_LIMIT", 100)
+        monkeypatch.setattr(spectral_mod, "_iterative_top", spy)
+        (st,) = find_bound_states(bump, SolveConfig(alpha=0.0, grid=grid), ground_only=True)
+        assert st.diagnostics["eigensolver"] == "lanczos"
+        blocks = st.diagnostics["block_evaluations"]
+        assert blocks == st.diagnostics["evaluations"] - 1 > 0
+        assert shapes == [512] + [256] * blocks + [512]
+        assert st.energy == pytest.approx(dense.energy, rel=1e-9, abs=0.0)
+        assert st.branch == dense.branch == 0
+
+    @pytest.mark.parametrize("case", ["split_dense", "one_block", "split_lanczos"])
+    def test_builds_and_solves_match_the_reported_evaluations(self, monkeypatch, case,
+                                                              off_centre_wire):
+        # the identity the benchmark's trace cross-check relies on: one Q build
+        # and one eigensolve per reported evaluation, plus one per root
+        if case == "split_lanczos":
+            monkeypatch.setattr(spectral_mod, "DENSE_EIGEN_LIMIT", 100)
+            monkeypatch.setattr(spectral_mod, "DENSE_TOP1_LIMIT", 100)
+        if case == "one_block":
+            curve, config = off_centre_wire, SolveConfig(
+                alpha=0.0, grid=GridSpec(10.0, 128), m_branches=3)
+        else:
+            curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
+            config = SolveConfig(alpha=0.0, grid=GridSpec(24.0, 512), m_branches=6)
+        counts = _counting_solves(monkeypatch)
+        states = find_bound_states(curve, config)
+        evaluations = [s.diagnostics["evaluations"] for s in states]
+        expected = max(evaluations) + len(evaluations)
+        assert counts == {"q": expected, "solve": expected}
+        path = "lanczos" if case == "split_lanczos" else "dense"
+        assert {s.diagnostics["eigensolver"] for s in states} == {path}
+        blocks = max(s.diagnostics["block_evaluations"] for s in states)
+        assert blocks == (0 if case == "one_block" else max(evaluations) - 1)
 
 
 class TestConvergeStudy:

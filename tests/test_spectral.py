@@ -104,6 +104,39 @@ class TestEigenRecord:
         for lam, v in zip(rec.values, rec.vectors.T):
             assert np.linalg.norm(full @ v - lam * v) < 1e-12
 
+    @pytest.mark.parametrize("m", [1, 6, 8])
+    def test_one_block_solve_gives_the_stacks_values(self, m):
+        # at the batched call's subset size min(m, N/2) a dense solve of one
+        # block gives the bits of that block's values in the stack's record
+        curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
+        cache = OperatorCache(curve, GridSpec(24.0, 512))
+        for kap in (1.13, 1.3, 2.0):
+            both = top_eigen(cache.q_matrix(kap), m)
+            for block, label in enumerate(spectral_mod.PARITIES):
+                mine = both.values[[p == label for p in both.parity]]
+                alone = top_eigen(cache.q_matrix(kap, block), m)
+                assert alone.path == both.path == "dense"
+                assert np.array_equal(alone.values[:mine.size], mine)
+
+    def test_block_values_come_from_a_record_at_the_same_kappa(self, bump, monkeypatch):
+        # a kappa solved for both blocks is not built again for one of them,
+        # and each (kappa, block) is built once
+        ev = spectral_mod._BranchEvaluator(bump, GridSpec(16.0, 256), 4)
+        built = []
+        q_matrix = ev.cache.q_matrix
+        monkeypatch.setattr(ev.cache, "q_matrix",
+                            lambda kappa, block=None: built.append((kappa, block))
+                            or q_matrix(kappa, block))
+        both = ev.record(1.2)
+        for block, label in enumerate(spectral_mod.PARITIES):
+            assert list(ev.values(1.2, block)) == [
+                v for v, p in zip(both.values, both.parity) if p == label]
+        odd = ev.values(1.5, 1)
+        assert ev.values(1.5, 1) is odd
+        assert built == [(1.2, None), (1.5, 1)]
+        assert (ev.evaluations, ev.block_evaluations) == (2, 1)
+        assert odd.size == 4
+
     def test_two_block_lanczos_vectors_have_exact_parity(self, monkeypatch):
         # a Ritz vector keeps only its own block, so its unfolded vector is
         # exactly even or odd, as on the dense path
