@@ -37,9 +37,7 @@ the even block Q11 + Q12 J and the odd block Q11 - Q12 J (Cantoni &
 Butler, Linear Algebra Appl. 13, 1976).  ``OperatorCache`` tests the
 chords for this and folds them into halves in one pass over blocks of
 ``curve.PAIR_ROWS`` rows, then builds Q as the (2, N/2, N/2) stack of
-these blocks, summed and differenced by the same blocks, or one of the two
-alone by the same arithmetic, for a root search that follows one branch
-(see ``spectral``); T is symmetric
+these blocks, summed and differenced by the same blocks; T is symmetric
 Toeplitz and splits on every wire, the straight line included.  A sampled
 curve centres its arc length as the mean of the sums from either end, so
 mirror-image samples get mirror-image arc lengths up to rounding and a
@@ -308,13 +306,10 @@ class OperatorCache:
                 np.fill_diagonal(rho, np.inf)
                 self._rho = rho
 
-    def q_matrix(self, kappa: float, block=None) -> np.ndarray:
+    def q_matrix(self, kappa: float) -> np.ndarray:
         """Q_kappa as one N x N matrix or, when ``parity`` is set, as the
         (2, N/2, N/2) stack of its even block Q11 + Q12 J and its odd block
-        Q11 - Q12 J.  ``block`` 0 (even) or 1 (odd) on a split cache returns
-        that N/2 x N/2 block alone, equal to ``q_matrix(kappa)[block]``."""
-        if block is not None and not self.parity:
-            raise GeometryError("only a persymmetric operator has parity blocks")
+        Q11 - Q12 J."""
         row = _t_first_row(self.grid, kappa)
         weight = self.grid.delta / (4.0 * math.pi)
         if not self._straight:
@@ -325,11 +320,8 @@ class OperatorCache:
             q += _symmetric_toeplitz(row)
             return q
         h = self.grid.N // 2
-        if block is None:
-            q = np.empty((2, h, h))
-            left, right = q      # Q11 and Q12 J first, then the two blocks
-        else:
-            left, right = np.empty((h, h)), np.empty((h, h))
+        q = np.empty((2, h, h))
+        left, right = q      # Q11 and Q12 J first, then the two blocks
         if self._straight:
             left[...] = _symmetric_toeplitz(row)[:h, :h]
             right[...] = _hankel_reversed(row)
@@ -338,9 +330,6 @@ class OperatorCache:
             left += _symmetric_toeplitz(row)[:h, :h]
             _chord_part(self._rho_right, kappa, weight, right)
             right += _hankel_reversed(row)
-        if block is not None:
-            combine = np.add if block == 0 else np.subtract
-            return combine(left, right, out=left)
         for a in range(0, h, PAIR_ROWS):
             rows = slice(a, a + PAIR_ROWS)
             q11 = left[rows].copy()

@@ -153,6 +153,12 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
     states = []
     with _BranchEvaluator(curve, config.grid, m) as ev:
         start = ev.record(k_start)
+        lam_last = start.values[-1]
+        if not ground_only and (lam_last > alpha or lam_last - s_start > lift_floor):
+            raise ConfigError(
+                f"the last of the {m} tracked branches gives a bound or threshold-"
+                "uncertain state, so states beyond it would be dropped; raise -m "
+                "(m_branches)")
         for j, lam_start in enumerate(start.values):
             if lam_start > alpha:
                 states.append(_solve_branch(ev, start, j, alpha, k_start, k0, z0, config))
@@ -173,12 +179,6 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
                                  "eigensolver": start.path,
                                  "parity": start.parity[j]},
                 ))
-    lam_last = start.values[-1]
-    if not ground_only and (lam_last > alpha or lam_last - s_start > lift_floor):
-        raise ConfigError(
-            f"the last of the {m} tracked branches gives a bound or threshold-"
-            "uncertain state, so states beyond it would be dropped; raise -m "
-            "(m_branches)")
     states.sort(key=lambda st: st.energy)
     return states
 
@@ -221,12 +221,10 @@ def _solve_branch(ev, start, j, alpha, k_start, k0, z0, config) -> BoundState:
         k_hi = min(k_lo * ratio, k_max)
     kt, res = _root_in_log_kappa(f, k_lo, k_hi, config.tol_kappa_rel)
     root = ev.eigenpair(kt)
+    # branches fall with kappa, so a value above this one at its root was
+    # above alpha at the start, where the cap check has it tracked
     ranks = root.indices(block)
-    if k >= len(ranks):
-        # at least m values exceed alpha at the root, so more than m states exist
-        raise ConfigError(
-            f"branch {j} lies below the top {ev.m} eigenvalues at its root, so "
-            "states above it would be dropped; raise -m (m_branches)")
+    assert k < len(ranks), f"branch {j} fell out of the top {ev.m} at its root"
     branch = ranks[k]
     lam_val = float(root.values[branch])
     if abs(lam_val - alpha) > config.tol_lambda:

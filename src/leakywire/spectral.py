@@ -25,13 +25,13 @@ it wins clearly, while m > 1 stays dense up to n = 2048
 (DENSE_EIGEN_LIMIT): Lanczos pays for every extra Ritz vector it converges.
 
 Parity: a persymmetric operator arrives as the (2, N/2, N/2) stack of its
-even and odd blocks (see ``operators``), or as one of them alone.  A stack
-goes to one eigensolve: one batched LAPACK call, or one Lanczos run on the
+even and odd blocks (see ``operators``).  Both blocks go to one eigensolve:
+one batched LAPACK call on the stack, or one Lanczos run on the
 block-diagonal operator, and the top m of their values are merged.  A root
-search follows one branch, which lives in one block, so the evaluator
-builds and solves that block alone wherever the other is not needed (see
-``_BranchEvaluator``); either way each Q build, of a stack or of one
-block, costs one eigensolve.  Both paths give (value, block, block
+search follows one branch, which lives in one block, so wherever the other
+block is not needed the evaluator solves the branch's block of the stack
+alone (see ``_BranchEvaluator``); either way each Q build costs one
+eigensolve.  Both paths give (value, block, block
 eigenvector y) triples, unfolded to y, [y; J y]/sqrt 2 (even) or
 [y; -J y]/sqrt 2 (odd); a Lanczos Ritz vector keeps only its own block's
 part, renormalized, an exact block eigenvector as the operator is
@@ -250,8 +250,8 @@ class _BranchEvaluator:
     ``top_eigen``.
 
     A root search follows one branch, and on a split cache each branch lives
-    in one block, so ``values(kappa, block)`` builds and solves that
-    N/2 x N/2 block alone, half the work of the stack.  Its subset size
+    in one block, so ``values(kappa, block)`` builds the stack and solves
+    that N/2 x N/2 block of it alone, half the eigensolve.  Its subset size
     min(m, N/2) is the batched call's, so a dense block solve gives the
     stack's values bit for bit.  At a kappa that already has the values of
     both blocks (the bracket start), a block's values are read from that
@@ -296,7 +296,7 @@ class _BranchEvaluator:
                 both = self._records[key]
                 vals = both.values[both.indices(block)]
             else:
-                q = self.cache.q_matrix(key, block)
+                q = self.cache.q_matrix(key)[block]
                 vals = top_eigen(q, min(self.m, q.shape[0])).values
                 self.evaluations += 1
                 self.block_evaluations += 1

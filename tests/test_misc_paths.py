@@ -272,5 +272,7 @@ class TestErrorPaths:
         monkeypatch.setattr(solver, "BRACKET_MAX_FACTOR", 4.0)
         monkeypatch.setattr(_BranchEvaluator, "values",
                             lambda self, kappa, block=None: np.array([math.inf]))
+        # ground_only: with one tracked branch the -m cap check, which runs
+        # before any search, would refuse the solve first
         with pytest.raises(BracketFailureError):
-            find_bound_states(bump, config)
+            find_bound_states(bump, config, ground_only=True)

@@ -321,24 +321,6 @@ class TestOperatorCache:
             0 if family == "straight" else g.N ** 2 // 2 if split else g.N ** 2)
         assert all(v.dtype == np.float64 for v in square)
 
-    @pytest.mark.parametrize("family", ["bump", "straight", "scan_wire"])
-    def test_one_block_is_the_stacks_block(self, family, request):
-        # one parity block alone is built by the stack's arithmetic, to the bit
-        cache = OperatorCache(request.getfixturevalue(family), GridSpec(16.0, 512))
-        assert cache.parity
-        for kap in (0.6, 1.4):
-            q = cache.q_matrix(kap)
-            for block in (0, 1):
-                alone = cache.q_matrix(kap, block)
-                assert alone.shape == (256, 256)
-                assert np.array_equal(alone, q[block])
-
-    def test_one_block_needs_a_split(self, off_centre_wire):
-        cache = OperatorCache(off_centre_wire, GridSpec(8.0, 128))
-        assert not cache.parity
-        with pytest.raises(GeometryError, match="parity blocks"):
-            cache.q_matrix(1.0, 0)
-
     def test_parity_test_reads_the_chords(self, bump):
         # a bump centred off the grid's midpoint is not persymmetric
         g = GridSpec(8.0, 128)

@@ -93,26 +93,22 @@ class TestBumpBinding:
             else:
                 assert st.energy < zeta0(0.0)
 
-    def test_branch_cap_raises_instead_of_dropping(self):
-        # this strong bend binds 5 states; tracking 3 branches must not return
-        # 3 of them as if they were all
+    def test_branch_cap_raises_instead_of_dropping(self, monkeypatch):
+        # this strong bend binds 5 states; tracking 3 or 4 branches must not
+        # return 3 or 4 of them as if they were all.  The cap is read off the
+        # bracket start, so it is refused before any branch is searched
         curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
-        with pytest.raises(ConfigError, match="raise -m"):
-            find_bound_states(curve, SolveConfig(alpha=0.0, grid=GridSpec(24.0, 512),
-                                                 m_branches=3))
+        for m in (3, 4):
+            counts = _counting_solves(monkeypatch)
+            with pytest.raises(ConfigError, match=f"the last of the {m} tracked branches"):
+                find_bound_states(curve, SolveConfig(alpha=0.0, grid=GridSpec(24.0, 512),
+                                                     m_branches=m))
+            assert counts == {"q": 1, "solve": 1}
+            monkeypatch.undo()
         states = find_bound_states(curve, SolveConfig(alpha=0.0, grid=GridSpec(24.0, 512),
                                                       m_branches=6))
         assert len(states) == 5
         assert sorted(s.branch for s in states) == [0, 1, 2, 3, 4]
-
-    def test_branch_beyond_the_cap_at_its_root_raises(self):
-        # the top 4 values at the bracket start are even, but at the root of
-        # the 4th the odd branch is still above alpha: its rank there is 4,
-        # outside the tracked top 4, so more than 4 states exist
-        curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
-        with pytest.raises(ConfigError, match="branch 3 lies below the top 4"):
-            find_bound_states(curve, SolveConfig(alpha=0.0, grid=GridSpec(24.0, 512),
-                                                 m_branches=4))
 
     def test_each_state_records_its_parity(self):
         # the bump is even, so Q splits into parity blocks and each branch is
@@ -292,9 +288,9 @@ class TestLogKappaRootSearch:
         built = []
         q_matrix = spectral_mod.OperatorCache.q_matrix
 
-        def counting(self, kappa, block=None):
+        def counting(self, kappa):
             built.append(float(kappa))
-            return q_matrix(self, kappa, block)
+            return q_matrix(self, kappa)
 
         monkeypatch.setattr(spectral_mod.OperatorCache, "q_matrix", counting)
         curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)

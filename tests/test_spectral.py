@@ -114,7 +114,7 @@ class TestEigenRecord:
             both = top_eigen(cache.q_matrix(kap), m)
             for block, label in enumerate(spectral_mod.PARITIES):
                 mine = both.values[[p == label for p in both.parity]]
-                alone = top_eigen(cache.q_matrix(kap, block), m)
+                alone = top_eigen(cache.q_matrix(kap)[block], m)
                 assert alone.path == both.path == "dense"
                 assert np.array_equal(alone.values[:mine.size], mine)
 
@@ -125,15 +125,14 @@ class TestEigenRecord:
         built = []
         q_matrix = ev.cache.q_matrix
         monkeypatch.setattr(ev.cache, "q_matrix",
-                            lambda kappa, block=None: built.append((kappa, block))
-                            or q_matrix(kappa, block))
+                            lambda kappa: built.append(kappa) or q_matrix(kappa))
         both = ev.record(1.2)
         for block, label in enumerate(spectral_mod.PARITIES):
             assert list(ev.values(1.2, block)) == [
                 v for v, p in zip(both.values, both.parity) if p == label]
         odd = ev.values(1.5, 1)
         assert ev.values(1.5, 1) is odd
-        assert built == [(1.2, None), (1.5, 1)]
+        assert built == [1.2, 1.5]
         assert (ev.evaluations, ev.block_evaluations) == (2, 1)
         assert odd.size == 4
 
