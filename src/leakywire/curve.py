@@ -234,13 +234,11 @@ class PlanarCurvatureProfile(Curve):
     arc-chord defect to rounding.
     """
 
-    def __init__(self, curvature_fn: Callable, domain_hint: float = 48.0,
-                 params: Optional[dict] = None):
+    def __init__(self, curvature_fn: Callable, domain_hint: float = 48.0):
         if domain_hint <= 0:
             raise CurveFormatError("domain_hint must be positive")
         self.k_signed = curvature_fn
         self.domain_hint = float(domain_hint)
-        self.params = dict(params or {})
         self._build_cache()
 
     @classmethod
@@ -248,17 +246,14 @@ class PlanarCurvatureProfile(Curve):
         """k(s) = a * exp(-(s/w)^2)."""
         if w <= 0:
             raise CurveFormatError("gaussian profile needs w > 0")
-        return cls(lambda s: a * np.exp(-((s / w) ** 2)), domain_hint,
-                   params={"profile": "gaussian", "a": a, "w": w})
+        return cls(lambda s: a * np.exp(-((s / w) ** 2)), domain_hint)
 
     @classmethod
     def power_tail(cls, a: float, beta: float, domain_hint: float = 48.0):
         """k(s) = a for |s| < 1 and a * |s|^(-beta) outside."""
         if beta <= 0:
             raise CurveFormatError("power_tail profile needs beta > 0")
-        return cls(lambda s: a * np.maximum(1.0, np.abs(s)) ** (-beta),
-                   domain_hint,
-                   params={"profile": "power_tail", "a": a, "beta": beta})
+        return cls(lambda s: a * np.maximum(1.0, np.abs(s)) ** (-beta), domain_hint)
 
     # -- construction -------------------------------------------------------
 

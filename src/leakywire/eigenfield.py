@@ -40,6 +40,8 @@ from .errors import FitError, GeometryError
 from .operators import GridSpec
 
 _GLV_NODES, _GLV_WEIGHTS = leggauss(96)
+#: grid cells on each side of the foot point integrated by the window rule
+WINDOW_CELLS = 6
 
 
 @dataclass
@@ -56,7 +58,7 @@ class TraceFit:
 
 
 def trace_values(curve: Curve, grid: GridSpec, kappa: float, h, s: float,
-                 radii, angles, window_cells: int = 6) -> np.ndarray:
+                 radii, angles) -> np.ndarray:
     """Trace of the reconstructed field on shifted copies of the curve.
 
     Returns an array of shape (len(radii), len(angles)); every radius must
@@ -80,8 +82,8 @@ def trace_values(curve: Curve, grid: GridSpec, kappa: float, h, s: float,
     src = np.asarray(curve.point(nodes), dtype=float)
     dens = CubicSpline(nodes, h)
     j0 = int(np.clip(round((s - nodes[0]) / delta), 0, grid.N - 1))
-    jlo = max(0, j0 - window_cells)
-    jhi = min(grid.N - 1, j0 + window_cells)
+    jlo = max(0, j0 - WINDOW_CELLS)
+    jhi = min(grid.N - 1, j0 + WINDOW_CELLS)
     far = np.ones(grid.N, dtype=bool)
     far[jlo:jhi + 1] = False
     src_far, h_far = src[far], h[far]

@@ -99,8 +99,8 @@ class GridSpec:
     N: int
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise GeometryError("grid half-length L must be positive")
+        if not 0 < self.L < math.inf:   # NaN fails too
+            raise GeometryError("grid half-length L must be positive and finite")
         if self.N <= 0 or self.N % 2 != 0:
             raise GeometryError("grid size N must be a positive even integer")
 

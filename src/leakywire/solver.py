@@ -26,12 +26,14 @@ reparametrization, and a tolerance on u is a relative tolerance on kappa.
 On a mirror-symmetric wire Q splits into an even and an odd block, and each
 branch lives in one of them: branch j of the bracket-start record, the k-th
 value of its block p, is searched as lambda_(p,k)(kappa) = alpha with that
-block alone solved at each bracket end and Brent point.  Only the bracket
-start and the root solve both blocks.  The state is labelled by the rank of
-(p, k) in the root record, the number of values above alpha there: the
-merged index whose crossing lies at that kappa, which can differ from j
-when branches of the two blocks cross on the way.  Wires that do not split
-follow the merged values lambda_j as they are.
+block alone solved at each bracket end, Brent point and the root.  Only the
+bracket start solves both blocks.  Wires that do not split follow the
+merged values lambda_j as they are.  A state's ``branch`` is its rank in
+energy: branches fall with kappa, so the values above branch j's at its
+root are those of the states below it, each of which was above alpha at the
+bracket start and so is tracked.  This is the merged index whose crossing
+lies at that kappa, which can differ from j when branches of the two blocks
+cross on the way.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ class SolveConfig:
     m_branches: int = 8
 
     def __post_init__(self):
-        if self.tol_kappa_rel <= 0 or self.tol_lambda <= 0:
+        # written so that NaN fails too
+        if not (self.tol_kappa_rel > 0 and self.tol_lambda > 0):
             raise GeometryError("tolerances must be positive")
         if self.m_branches < 1:
             raise GeometryError("need at least one tracked branch")
@@ -180,6 +183,10 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
                                  "parity": start.parity[j]},
                 ))
     states.sort(key=lambda st: st.energy)
+    # a state's branch is its energy rank: the index of its value at its
+    # root (see the module docstring)
+    for rank, st in enumerate(states):
+        st.branch = rank
     return states
 
 
@@ -201,7 +208,7 @@ def _root_in_log_kappa(f, k_lo, k_hi, tol):
 
 def _solve_branch(ev, start, j, alpha, k_start, k0, z0, config) -> BoundState:
     """The root of branch j of the bracket-start record ``start``, followed
-    in its own parity block; labelled by its rank in the root record."""
+    in its own parity block; ``find_bound_states`` relabels it by energy."""
     block, k = start.branch(j)
     f = lambda kappa: ev.values(kappa, block)[k] - alpha
     k_max = BRACKET_MAX_FACTOR * k0
@@ -220,13 +227,8 @@ def _solve_branch(ev, start, j, alpha, k_start, k0, z0, config) -> BoundState:
         ratio *= BRACKET_GROWTH
         k_hi = min(k_lo * ratio, k_max)
     kt, res = _root_in_log_kappa(f, k_lo, k_hi, config.tol_kappa_rel)
-    root = ev.eigenpair(kt)
-    # branches fall with kappa, so a value above this one at its root was
-    # above alpha at the start, where the cap check has it tracked
-    ranks = root.indices(block)
-    assert k < len(ranks), f"branch {j} fell out of the top {ev.m} at its root"
-    branch = ranks[k]
-    lam_val = float(root.values[branch])
+    root = ev.eigenpair(kt, block)
+    lam_val = float(root.values[k])
     if abs(lam_val - alpha) > config.tol_lambda:
         raise NumericalFailureError(
             f"branch {j}: eigenvalue residual {abs(lam_val - alpha):.3e} at the "
@@ -237,8 +239,8 @@ def _solve_branch(ev, start, j, alpha, k_start, k0, z0, config) -> BoundState:
     return BoundState(
         kappa_tilde=float(kt),
         energy=float(energy),
-        branch=branch,
-        h=root.vectors[:, branch].copy(),
+        branch=j,
+        h=root.vectors[:, k].copy(),
         gap=float(gap),
         residual=abs(lam_val - alpha),
         threshold_uncertain=bool(gap < THRESHOLD_GAP_FRAC * abs(z0)),
@@ -247,7 +249,7 @@ def _solve_branch(ev, start, j, alpha, k_start, k0, z0, config) -> BoundState:
                      "evaluations": int(ev.evaluations),
                      "block_evaluations": int(ev.block_evaluations),
                      "eigensolver": root.path,
-                     "parity": root.parity[branch]},
+                     "parity": root.parity[k]},
     )
 
 

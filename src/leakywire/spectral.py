@@ -25,19 +25,15 @@ it wins clearly, while m > 1 stays dense up to n = 2048
 (DENSE_EIGEN_LIMIT): Lanczos pays for every extra Ritz vector it converges.
 
 Parity: a persymmetric operator arrives as the (2, N/2, N/2) stack of its
-even and odd blocks (see ``operators``).  Both blocks go to one eigensolve:
-one batched LAPACK call on the stack, or one Lanczos run on the
-block-diagonal operator, and the top m of their values are merged.  A root
-search follows one branch, which lives in one block, so wherever the other
-block is not needed the evaluator solves the branch's block of the stack
-alone (see ``_BranchEvaluator``); either way each Q build costs one
-eigensolve.  Both paths give (value, block, block
-eigenvector y) triples, unfolded to y, [y; J y]/sqrt 2 (even) or
-[y; -J y]/sqrt 2 (odd); a Lanczos Ritz vector keeps only its own block's
-part, renormalized, an exact block eigenvector as the operator is
-block-diagonal.  Each block costs an eighth of the full matrix's O(N^3)
-reduction.  Measured per block size on bump a=1, w=1 at kappa = 1.15 (same
-machine; the two paths agree to 4e-16):
+even and odd blocks (see ``operators``).  A stack is solved for values
+only: one batched LAPACK call, or one Lanczos run on the block-diagonal
+operator whose Ritz vectors tell the block of each value, and the top m of
+their values are merged.  A root search needs both blocks only at its
+bracket start: a branch lives in one block, so every other evaluation and
+the root solve that N/2 x N/2 block alone (see ``_BranchEvaluator``), and
+eigenvectors are solved for one matrix only.  Each block costs an eighth
+of the full matrix's O(N^3) reduction.  Measured per block size on bump
+a=1, w=1 at kappa = 1.15 (same machine; the two paths agree to 4e-16):
 
 =================================  =============  ==================
 case (block n = N/2)               dense, batch   Lanczos, 2 blocks
@@ -178,70 +174,56 @@ class Eigen(NamedTuple):
             return None, j
         return PARITIES.index(label), self.parity[:j].count(label)
 
-    def indices(self, block) -> list:
-        """The indices of the values of parity block ``block`` (0 even, 1
-        odd), ascending; with None, of all values of one matrix."""
-        label = None if block is None else PARITIES[block]
-        return [j for j, p in enumerate(self.parity) if p == label]
-
 
 def top_eigen(matrix: np.ndarray, m: int, vectors: bool = False) -> Eigen:
     """The m largest eigenvalues of a symmetric matrix, descending.
 
     ``matrix`` is one N x N matrix, or the (2, N/2, N/2) stack of the even
     and odd blocks of a persymmetric one (``OperatorCache.q_matrix`` returns
-    either).  The blocks are solved together, in one batched dense call or
-    one Lanczos run on the block-diagonal operator, and their values merged;
-    ``eigensolver(n, m)`` picks the path from the block size n.  The parity
-    of a value is the block it comes from.  With ``vectors=True`` the record
-    holds orthonormal eigenvectors of the full N x N matrix as columns,
-    sign-fixed, with residuals ||Q v - lambda v|| verified against
-    1e-9 * ||Q||; a block eigenvector y comes back as y (one matrix),
-    [y; J y]/sqrt 2 (even) or [y; -J y]/sqrt 2 (odd).
+    either).  The blocks of a stack are solved together, in one batched
+    dense call or one Lanczos run on the block-diagonal operator, and their
+    values merged; the parity of a value is the block it comes from.
+    ``eigensolver(n, m)`` picks the path from the block size n.  Only one
+    matrix is solved with ``vectors=True``: the record then holds its
+    orthonormal eigenvectors as columns, sign-fixed, with residuals
+    ||Q v - lambda v|| verified against 1e-9 * ||Q||.
     """
     blocks = matrix if matrix.ndim == 3 else matrix[None]
     nb, n, _ = blocks.shape
     if not 1 <= m <= nb * n:
         raise GeometryError(f"need 1 <= m <= N, got m={m}, N={nb * n}")
+    if vectors and nb > 1:
+        raise ValueError("eigenvectors are solved for one matrix only")
     path = eigensolver(n, m)
     if path == "lanczos":
-        # the parity of a value is the block its Ritz vector lies in
-        vals, ritz = _iterative_top(_block_diagonal(blocks), m, vectors or nb > 1)
-        if ritz is not None:
-            ritz = ritz.T.reshape(m, nb, n)
-            block = np.argmax(np.linalg.norm(ritz, axis=2), axis=1)
-            ys = ritz[np.arange(m), block]
-            if nb > 1:   # the other block's part is rounding noise
-                ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+        vals, vecs = _iterative_top(_block_diagonal(blocks), m, vectors or nb > 1)
+        if nb > 1:   # the parity of a value is the block its Ritz vector lies in
+            block = np.argmax(np.linalg.norm(vecs.T.reshape(m, nb, n), axis=2), axis=1)
     else:
         # a 2-D matrix goes to LAPACK as it is; a stack in one batched call
         k = min(m, n)
-        if vectors:
-            w, v = scipy.linalg.eigh(matrix, subset_by_index=[n - k, n - 1])
+        if vectors:   # LAPACK's columns ascend
+            w, vecs = scipy.linalg.eigh(matrix, subset_by_index=[n - k, n - 1])
+            vecs = vecs[:, ::-1]
         else:
             w = scipy.linalg.eigvalsh(matrix, subset_by_index=[n - k, n - 1])
         w = w.reshape(nb, k)[:, ::-1].ravel()
         # a stable merge: for one matrix this is the identity
         order = np.argsort(-w, kind="stable")[:m]
         vals, block = w[order], order // k
-        if vectors:   # LAPACK's columns ascend
-            ys = v.reshape(nb, n, k)[block, :, k - 1 - order % k]
     parity = [None] * m if nb == 1 else [PARITIES[b] for b in block]
     if not vectors:
         return Eigen(vals, parity, path, None)
     # largest |entry| without an N x N temporary
-    norm_q = max(abs(vals[0]), max(blocks.max(), -blocks.min()) * (nb * n) ** 0.5)
+    norm_q = max(abs(vals[0]), max(matrix.max(), -matrix.min()) * n ** 0.5)
     # one matrix-vector product per value: a single matrix product would
     # touch the BLAS GEMM buffers, about 7 MiB more peak memory per process
-    resid = [np.linalg.norm(blocks[b] @ y - lam * y) for lam, b, y in zip(vals, block, ys)]
+    resid = [np.linalg.norm(matrix @ v - lam * v) for lam, v in zip(vals, vecs.T)]
     j = int(np.argmax(resid))
     if resid[j] > 1e-9 * max(norm_q, 1e-30):
         raise NumericalFailureError(
-            f"eigenpair {j} residual {resid[j]:.3e} exceeds 1e-9 * ||Q|| (N={nb * n})")
-    if nb > 1:
-        mirror = np.where(block == 0, 1.0, -1.0)[:, None] * ys[:, ::-1]
-        ys = np.hstack((ys, mirror)) / math.sqrt(2.0)
-    return Eigen(vals, parity, path, np.column_stack([_fix_sign(y) for y in ys]))
+            f"eigenpair {j} residual {resid[j]:.3e} exceeds 1e-9 * ||Q|| (N={n})")
+    return Eigen(vals, parity, path, np.column_stack([_fix_sign(v) for v in vecs.T]))
 
 
 class _BranchEvaluator:
@@ -253,9 +235,10 @@ class _BranchEvaluator:
     in one block, so ``values(kappa, block)`` builds the stack and solves
     that N/2 x N/2 block of it alone, half the eigensolve.  Its subset size
     min(m, N/2) is the batched call's, so a dense block solve gives the
-    stack's values bit for bit.  At a kappa that already has the values of
-    both blocks (the bracket start), a block's values are read from that
-    record.
+    stack's values bit for bit.  Only ``record``, which a search reads at
+    its bracket start, solves both blocks; at a kappa that has that record,
+    a block's values are read from it.  ``eigenpair(kappa, block)`` solves
+    the root's block again with vectors.
 
     Used as a context manager: leaving the block drops the operator cache.
     scipy's brentq keeps the objective in a self-referencing wrapper, so a
@@ -281,7 +264,7 @@ class _BranchEvaluator:
         """The values-only record of both blocks at kappa, solved once per kappa."""
         key = float(kappa)
         if key not in self._records:
-            self._records[key] = self.eigenpair(key, vectors=False)
+            self._records[key] = top_eigen(self.cache.q_matrix(key), self.m)
             self.evaluations += 1
         return self._records[key]
 
@@ -294,7 +277,7 @@ class _BranchEvaluator:
         if (key, block) not in self._block_values:
             if key in self._records:
                 both = self._records[key]
-                vals = both.values[both.indices(block)]
+                vals = both.values[[p == PARITIES[block] for p in both.parity]]
             else:
                 q = self.cache.q_matrix(key)[block]
                 vals = top_eigen(q, min(self.m, q.shape[0])).values
@@ -303,10 +286,19 @@ class _BranchEvaluator:
             self._block_values[key, block] = vals
         return self._block_values[key, block]
 
-    def eigenpair(self, kappa: float, vectors: bool = True) -> Eigen:
-        """A fresh record of both blocks at kappa, not memoized: the one Q
-        build and solve."""
-        return top_eigen(self.cache.q_matrix(float(kappa)), self.m, vectors)
+    def eigenpair(self, kappa: float, block=None) -> Eigen:
+        """A fresh record with vectors at kappa, not memoized: of Q with
+        ``block`` None, else of parity block ``block`` of a split cache, each
+        block vector y unfolded to [y; J y]/sqrt 2 (even) or [y; -J y]/sqrt 2
+        (odd), an eigenvector of Q."""
+        q = self.cache.q_matrix(float(kappa))
+        if block is None:
+            return top_eigen(q, self.m, vectors=True)
+        rec = top_eigen(q[block], min(self.m, q.shape[1]), vectors=True)
+        y = rec.vectors
+        mirror = y[::-1] if block == 0 else -y[::-1]
+        h = np.vstack((y, mirror)) / math.sqrt(2.0)
+        return rec._replace(parity=[PARITIES[block]] * len(rec.values), vectors=h)
 
 
 def lambda_curve(curve: Curve, grid: GridSpec, kappa_list, m: int = 8) -> SpectralCurve:

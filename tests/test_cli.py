@@ -35,13 +35,18 @@ class TestLoadCurve:
         assert isinstance(load_curve("straight"), StraightLine)
 
     def test_inline_bump(self):
+        # k(s) = a exp(-(s/w)^2) with the spec's a and w
         c = load_curve("bump:a=0.5,w=2")
         assert isinstance(c, PlanarCurvatureProfile)
-        assert c.params == {"profile": "gaussian", "a": 0.5, "w": 2.0}
+        assert c.curvature(0.0) == 0.5
+        assert c.curvature(2.0) == pytest.approx(0.5 / math.e, rel=1e-14, abs=0.0)
 
     def test_inline_power(self):
+        # k(s) = a for |s| < 1 and a |s|^(-beta) outside
         c = load_curve("power:a=1,beta=2")
-        assert c.params["profile"] == "power_tail"
+        assert isinstance(c, PlanarCurvatureProfile)
+        assert c.curvature(0.5) == 1.0
+        assert c.curvature(2.0) == pytest.approx(0.25, rel=1e-14, abs=0.0)
 
     def test_unknown_inline_family(self):
         with pytest.raises(CurveFormatError):

@@ -114,25 +114,30 @@ class TestIterativeEigenPath:
     def test_lanczos_matches_dense(self, bump, monkeypatch):
         import leakywire.spectral as spectral_mod
         from leakywire.operators import OperatorCache
-        from leakywire.spectral import _iterative_top, top_eigen
+        from leakywire.spectral import _BranchEvaluator, _iterative_top, top_eigen
 
         g = GridSpec(16.0, 512)
         q = OperatorCache(bump, g).q_matrix(1.2)
-        dense_vals, dense_parity, _, dense_vecs = top_eigen(q, 5, vectors=True)
+        dense = top_eigen(q, 5)
+        dense_vecs = top_eigen(unfold(q), 5, vectors=True).vectors
         # Lanczos on the full matrix against the dense solve of its blocks
         vals, vecs = _iterative_top(unfold(q), 5, want_vectors=True)
         for j in range(5):
-            assert vals[j] == pytest.approx(dense_vals[j], abs=1e-10)
+            assert vals[j] == pytest.approx(dense.values[j], abs=1e-10)
             assert abs(abs(np.dot(vecs[:, j], dense_vecs[:, j])) - 1.0) < 1e-8
-        # and Lanczos on the block-diagonal operator, which labels each Ritz
-        # vector by its block
+        # and Lanczos on the block-diagonal operator, which labels each value
+        # by the block of its Ritz vector, and on the one block a root solves
         monkeypatch.setattr(spectral_mod, "DENSE_EIGEN_LIMIT", 100)
-        vals, parity, path, vecs = top_eigen(q, 5, vectors=True)
+        vals, parity, path, _ = top_eigen(q, 5)
         assert path == "lanczos"
-        assert parity == dense_parity and "odd" in parity
-        for j in range(5):
-            assert vals[j] == pytest.approx(dense_vals[j], abs=1e-10)
-            assert abs(np.dot(vecs[:, j], dense_vecs[:, j]) - 1.0) < 1e-8
+        assert parity == dense.parity and "odd" in parity
+        with _BranchEvaluator(bump, g, 5) as ev:
+            for j in range(5):
+                assert vals[j] == pytest.approx(dense.values[j], abs=1e-10)
+                block, k = dense.branch(j)
+                root = ev.eigenpair(1.2, block)
+                assert root.path == "lanczos"
+                assert abs(np.dot(root.vectors[:, k], dense_vecs[:, j]) - 1.0) < 1e-8
 
     @pytest.mark.parametrize("path", ["lambda_curve", "find_bound_states"])
     def test_large_grid_dispatch(self, bump, monkeypatch, path):
@@ -211,8 +216,8 @@ class TestIterativeEigenPath:
     @pytest.mark.parametrize("n, path", [(200, "dense"), (256, "lanczos")])
     def test_path_follows_the_block_size(self, bump, monkeypatch, n, path):
         # a split wire's path is chosen for its N/2 x N/2 blocks; the bracket
-        # start and the root solve both blocks in one eigensolve, and every
-        # other evaluation solves branch 0's block alone
+        # start solves both blocks in one eigensolve, and every other
+        # evaluation and the root solve branch 0's block alone
         import leakywire.spectral as spectral_mod
 
         lanczos = spectral_mod._iterative_top
@@ -233,7 +238,7 @@ class TestIterativeEigenPath:
         else:
             blocks = st.diagnostics["block_evaluations"]
             assert blocks == st.diagnostics["evaluations"] - 1
-            assert calls == [(n, n)] + [(n // 2, n // 2)] * blocks + [(n, n)]
+            assert calls == [(n, n)] + [(n // 2, n // 2)] * (blocks + 1)
 
 
 def _off_centre_bump(amplitude):

@@ -42,8 +42,10 @@ class TestGridSpec:
             GridSpec(8.0, 15)
 
     def test_nonpositive_L_rejected(self):
-        with pytest.raises(GeometryError):
-            GridSpec(0.0, 16)
+        # NaN and inf would give NaN nodes
+        for L in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(GeometryError):
+                GridSpec(L, 16)
 
 
 class TestFreeLineConstants:

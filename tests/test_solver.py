@@ -114,7 +114,7 @@ class TestBumpBinding:
         # the bump is even, so Q splits into parity blocks and each branch is
         # followed in its own block.  The even branch that starts 4th crosses
         # the odd one below alpha: it is searched before it but is labelled 4,
-        # its rank at its root, as the one-block search labels it
+        # its energy rank, as the one-block search labels it
         curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
         states = find_bound_states(curve, SolveConfig(alpha=0.0, grid=GridSpec(24.0, 512),
                                                       m_branches=6))
@@ -376,7 +376,7 @@ def _counting_solves(monkeypatch):
 
 class TestBlockSearch:
     # each branch is followed in its own parity block: only the bracket start
-    # and the root solve both blocks
+    # solves both blocks
     def test_strong_bump_keeps_the_one_matrix_states(self):
         # the one-matrix search's 5 states (energies as it found them), with
         # the same branch labels and parities
@@ -391,6 +391,37 @@ class TestBlockSearch:
         for s, (_, _, energy) in zip(states, one_matrix):
             assert s.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
             assert s.diagnostics["block_evaluations"] == s.diagnostics["evaluations"] - 1
+
+    @pytest.mark.parametrize("path", ["dense", "lanczos"])
+    def test_each_root_solves_one_block(self, monkeypatch, path):
+        # the eigenvectors of a root come from its branch's N/2 x N/2 block
+        # alone
+        if path == "lanczos":
+            monkeypatch.setattr(spectral_mod, "DENSE_EIGEN_LIMIT", 100)
+            monkeypatch.setattr(spectral_mod, "DENSE_TOP1_LIMIT", 100)
+        shapes = []
+        eigh, lanczos = scipy.linalg.eigh, spectral_mod._iterative_top
+
+        def dense_spy(matrix, **kwargs):
+            shapes.append(matrix.shape)
+            return eigh(matrix, **kwargs)
+
+        def lanczos_spy(matrix, m, want_vectors):
+            if want_vectors:
+                shapes.append(matrix.shape)
+            return lanczos(matrix, m, want_vectors)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", dense_spy)
+        monkeypatch.setattr(spectral_mod, "_iterative_top", lanczos_spy)
+        curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
+        states = find_bound_states(curve, SolveConfig(alpha=0.0, grid=GridSpec(24.0, 512),
+                                                      m_branches=6))
+        assert len(states) == 5
+        assert {s.diagnostics["eigensolver"] for s in states} == {path}
+        # Lanczos on both blocks at the bracket start reads the parity of
+        # each value from its Ritz vector
+        start = [(512, 512)] if path == "lanczos" else []
+        assert shapes == start + [(256, 256)] * 5
 
     def test_asymmetric_wire_takes_the_merged_path(self, off_centre_wire):
         config = SolveConfig(alpha=0.0, grid=GridSpec(10.0, 128), m_branches=3)
@@ -415,7 +446,7 @@ class TestBlockSearch:
         assert st.diagnostics["eigensolver"] == "lanczos"
         blocks = st.diagnostics["block_evaluations"]
         assert blocks == st.diagnostics["evaluations"] - 1 > 0
-        assert shapes == [512] + [256] * blocks + [512]
+        assert shapes == [512] + [256] * (blocks + 1)
         assert st.energy == pytest.approx(dense.energy, rel=1e-9, abs=0.0)
         assert st.branch == dense.branch == 0
 
@@ -491,8 +522,11 @@ class TestSerialization:
                                   "residual", "threshold_uncertain"}
 
     def test_config_validation(self):
-        with pytest.raises(GeometryError):
-            SolveConfig(alpha=0.0, grid=GridSpec(8.0, 64), tol_lambda=-1.0)
+        # a NaN tol_lambda would switch off the root's residual check
+        for tolerance in ({"tol_lambda": -1.0}, {"tol_lambda": math.nan},
+                          {"tol_kappa_rel": math.nan}):
+            with pytest.raises(GeometryError):
+                SolveConfig(alpha=0.0, grid=GridSpec(8.0, 64), **tolerance)
 
 
 class TestCacheLifetime:

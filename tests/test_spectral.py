@@ -36,29 +36,32 @@ class TestTopEigenpairs:
 
     def test_orthonormal_vectors(self, bump):
         g = GridSpec(16.0, 256)
-        vecs = top_eigen(OperatorCache(bump, g).q_matrix(1.2), 6, vectors=True).vectors
+        q = unfold(OperatorCache(bump, g).q_matrix(1.2))
+        vecs = top_eigen(q, 6, vectors=True).vectors
         gram = vecs.T @ vecs
         assert np.max(np.abs(gram - np.eye(6))) < 1e-10
 
     def test_descending_order(self, bump):
         g = GridSpec(16.0, 256)
-        vals = top_eigen(OperatorCache(bump, g).q_matrix(1.2), 5, vectors=True).values
+        vals = top_eigen(OperatorCache(bump, g).q_matrix(1.2), 5).values
         assert all(vals[i] >= vals[i + 1] for i in range(4))
 
     def test_parity_blocks_match_the_full_matrix(self):
         # the merged top of the even and odd blocks is the top of Q, and the
-        # unfolded vectors are eigenvectors of Q with the block's symmetry
+        # unfolded block vectors are eigenvectors of Q with the block's symmetry
         curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
         g = GridSpec(24.0, 512)
         q = OperatorCache(curve, g).q_matrix(1.3)
-        full = unfold(q)
-        vals, parity, _, vecs = top_eigen(q, 6, vectors=True)
-        assert np.max(np.abs(vals - scipy.linalg.eigvalsh(full)[::-1][:6])) <= 1e-14
+        vals, parity, path, _ = top_eigen(q, 6)
+        assert np.max(np.abs(vals - scipy.linalg.eigvalsh(unfold(q))[::-1][:6])) <= 1e-14
         assert set(parity) == {"even", "odd"}
-        for lam, v, p in zip(vals, vecs.T, parity):
-            assert np.linalg.norm(full @ v - lam * v) < 1e-13
-            assert np.array_equal(v[::-1], v if p == "even" else -v)
-        assert np.array_equal(top_eigen(q, 6).values, vals)
+        _check_block_eigenpairs(curve, g, 1.3, 6, path)
+
+    def test_a_stack_is_solved_for_values_only(self, bump):
+        q = OperatorCache(bump, GridSpec(16.0, 256)).q_matrix(1.2)
+        assert q.ndim == 3
+        with pytest.raises(ValueError, match="one matrix only"):
+            top_eigen(q, 4, vectors=True)
 
     def test_bad_m_rejected(self):
         with pytest.raises(GeometryError):
@@ -71,6 +74,27 @@ class TestTopEigenpairs:
         assert v[int(np.argmax(np.abs(v) > 1e-12 * np.max(np.abs(v))))] > 0
 
 
+def _check_block_eigenpairs(curve, grid, kappa, m, path):
+    """A root's eigenpairs: each parity block of Q at kappa is solved with
+    vectors alone, with the values of the stack's record, and each block
+    vector unfolds to a unit eigenvector of Q that is exactly even or odd."""
+    with spectral_mod._BranchEvaluator(curve, grid, m) as ev:
+        q = ev.cache.q_matrix(kappa)
+        full = unfold(q)
+        both = top_eigen(q, m)
+        for block, label in enumerate(spectral_mod.PARITIES):
+            rec = ev.eigenpair(kappa, block)
+            assert rec.path == path
+            assert rec.parity == [label] * m
+            assert rec.vectors.shape == (grid.N, m)
+            mine = both.values[[p == label for p in both.parity]]
+            assert np.allclose(rec.values[:mine.size], mine, rtol=0, atol=1e-12)
+            for lam, v in zip(rec.values, rec.vectors.T):
+                assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+                assert np.array_equal(v[::-1], v if label == "even" else -v)
+                assert np.linalg.norm(full @ v - lam * v) < 1e-13
+
+
 def _lanczos_everywhere(monkeypatch):
     monkeypatch.setattr(spectral_mod, "DENSE_EIGEN_LIMIT", 8)
     monkeypatch.setattr(spectral_mod, "DENSE_TOP1_LIMIT", 8)
@@ -81,7 +105,9 @@ class TestEigenRecord:
     @pytest.mark.parametrize("split", [True, False], ids=["two_blocks", "one_block"])
     def test_record_fields(self, monkeypatch, path, split):
         # values, the parity of each, the path that ran, and vectors only
-        # when asked for, on either path for either kind of Q
+        # when asked for, on either path for either kind of Q.  A stack has
+        # no vectors of its own: a root solves its block (see
+        # _check_block_eigenpairs)
         if path == "lanczos":
             _lanczos_everywhere(monkeypatch)
         centre = 0.0 if split else 0.5
@@ -89,20 +115,19 @@ class TestEigenRecord:
         q = OperatorCache(curve, GridSpec(24.0, 256)).q_matrix(1.3)
         assert q.ndim == (3 if split else 2)
         bare = top_eigen(q, 4)
-        rec = top_eigen(q, 4, vectors=True)
         assert bare.vectors is None
+        assert bare.path == path
+        assert np.all(np.diff(bare.values) <= 0)
+        if split:
+            assert set(bare.parity) == {"even", "odd"}
+            return
+        rec = top_eigen(q, 4, vectors=True)
         assert rec.vectors.shape == (256, 4)
-        assert bare.path == rec.path == path
+        assert (rec.path, rec.parity) == (path, [None] * 4)
         assert bare.parity == rec.parity
         assert np.array_equal(bare.values, rec.values)
-        assert np.all(np.diff(rec.values) <= 0)
-        if split:
-            assert set(rec.parity) == {"even", "odd"}
-        else:
-            assert rec.parity == [None] * 4
-        full = unfold(q)
         for lam, v in zip(rec.values, rec.vectors.T):
-            assert np.linalg.norm(full @ v - lam * v) < 1e-12
+            assert np.linalg.norm(q @ v - lam * v) < 1e-12
 
     @pytest.mark.parametrize("m", [1, 6, 8])
     def test_one_block_solve_gives_the_stacks_values(self, m):
@@ -137,16 +162,15 @@ class TestEigenRecord:
         assert odd.size == 4
 
     def test_two_block_lanczos_vectors_have_exact_parity(self, monkeypatch):
-        # a Ritz vector keeps only its own block, so its unfolded vector is
-        # exactly even or odd, as on the dense path
+        # Lanczos on the block-diagonal operator reads the parity of each
+        # value from its Ritz vector; a root's Lanczos run on one block gives
+        # vectors that unfold exactly even or odd, as on the dense path
         _lanczos_everywhere(monkeypatch)
         curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
-        q = OperatorCache(curve, GridSpec(24.0, 512)).q_matrix(1.3)
-        rec = top_eigen(q, 6, vectors=True)
+        g = GridSpec(24.0, 512)
+        rec = top_eigen(OperatorCache(curve, g).q_matrix(1.3), 6)
         assert rec.path == "lanczos" and set(rec.parity) == {"even", "odd"}
-        for v, p in zip(rec.vectors.T, rec.parity):
-            assert np.array_equal(v[::-1], v if p == "even" else -v)
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+        _check_block_eigenpairs(curve, g, 1.3, 6, "lanczos")
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_one_block_lanczos_is_the_plain_matrix_run(self, monkeypatch, m):
