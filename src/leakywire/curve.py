@@ -21,7 +21,7 @@ constant (``check_a1``), the quantified asymptotic-straightness inequality on
 the two-branch pair set (``check_a2``) and the curvature-decay exponent
 (``check_curvature_decay``) are all evaluated on dense grids whose resolution
 is part of the report.  The audits keep one N x N array, the chords, and walk
-it ``PAIR_ROWS`` rows at a time, as the chords and the parity fold are built.
+it ``PAIR_ROWS`` rows at a time, as every block of chords is built.
 """
 
 from __future__ import annotations
@@ -50,7 +50,9 @@ _CELL_WIDTH = 0.05      # requested planar cell width; rounded down to 2^-m
 _CELL_BUILD_BYTES = 192
 MAX_BUILD_BYTES = 2 ** 31  # larger planar builds and grids are refused up front
 _CELL_CHUNK = 2048      # cells per chunk of the nested quadrature rule
-PAIR_ROWS = 64          # rows per block of every walk over an N x N pair matrix
+# rows per block of every walk over a pair matrix; a planar chord block makes
+# six temporaries of its size, 0.37 MiB for the 512 columns of a split N = 1024
+PAIR_ROWS = 16
 _CHORD_ARC_MIN = 1e-3   # c_estimate below which the (a1) audit fails
 _FLAT = 1e-8            # curvature below which a sampled point counts as straight
 _COMPLETIONS = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # binormals of straight data
@@ -183,14 +185,15 @@ class Curve:
             return 0.5
         return min(0.5, 0.5 / kmax)
 
-    def pairwise_chords(self, s):
-        """Full matrix rho[i, j] = |gamma(s_i) - gamma(s_j)|, built PAIR_ROWS
-        rows at a time so no N x N x 3 difference array is allocated."""
+    def pairwise_chords(self, s, t=None):
+        """Block rho[i, j] = |gamma(s_i) - gamma(t_j)|, t = s by default,
+        built PAIR_ROWS rows at a time so no difference array of 3 floats per
+        pair is allocated."""
         p = np.atleast_2d(self.point(np.asarray(s, dtype=float)))
-        n = p.shape[0]
-        rho = np.empty((n, n))
-        for a in range(0, n, PAIR_ROWS):
-            diff = p[a:a + PAIR_ROWS, None, :] - p[None, :, :]
+        q = p if t is None else np.atleast_2d(self.point(np.asarray(t, dtype=float)))
+        rho = np.empty((p.shape[0], q.shape[0]))
+        for a in range(0, p.shape[0], PAIR_ROWS):
+            diff = p[a:a + PAIR_ROWS, None, :] - q[None, :, :]
             np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=rho[a:a + PAIR_ROWS])
         return rho
 
@@ -369,15 +372,14 @@ class PlanarCurvatureProfile(Curve):
     def max_curvature(self):
         return self._kmax
 
-    def pairwise_chords(self, s):
-        s = np.asarray(s, dtype=float)
+    def pairwise_chords(self, s, t=None):
         hi, lo = self._positions_dd(s)
-        n = s.size
-        rho = np.empty((n, n))
-        for a in range(0, n, PAIR_ROWS):
+        t_hi, t_lo = (hi, lo) if t is None else self._positions_dd(t)
+        rho = np.empty((hi.shape[0], t_hi.shape[0]))
+        for a in range(0, hi.shape[0], PAIR_ROWS):
             rows = slice(a, a + PAIR_ROWS)
-            dx = _dd_sub(hi[None, :, 0], lo[None, :, 0], hi[rows, None, 0], lo[rows, None, 0])
-            dy = _dd_sub(hi[None, :, 1], lo[None, :, 1], hi[rows, None, 1], lo[rows, None, 1])
+            dx = _dd_sub(t_hi[None, :, 0], t_lo[None, :, 0], hi[rows, None, 0], lo[rows, None, 0])
+            dy = _dd_sub(t_hi[None, :, 1], t_lo[None, :, 1], hi[rows, None, 1], lo[rows, None, 1])
             np.hypot(dx, dy, out=rho[rows])
         return rho
 

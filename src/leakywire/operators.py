@@ -34,25 +34,32 @@ even in t) has a persymmetric Q, Q = J Q J with J the index reversal.
 With Q11 the top-left and Q12 the top-right N/2 x N/2 block, the
 orthogonal basis [y; J y]/sqrt 2, [y; -J y]/sqrt 2 splits Q exactly into
 the even block Q11 + Q12 J and the odd block Q11 - Q12 J (Cantoni &
-Butler, Linear Algebra Appl. 13, 1976).  ``OperatorCache`` tests the
-chords for this and folds them into halves in one pass over blocks of
-``curve.PAIR_ROWS`` rows, then builds Q as the (2, N/2, N/2) stack of
-these blocks, summed and differenced by the same blocks; T is symmetric
-Toeplitz and splits on every wire, the straight line included.  A sampled
-curve centres its arc length as the mean of the sums from either end, so
-mirror-image samples get mirror-image arc lengths up to rounding and a
-symmetric sampled wire splits too.  Wires that fail the test (sampled
-data that are asymmetric themselves, such as a one-sided cumulative
-Simpson sum, miss by 150 ulps or more, in the first block already) keep
-the one N x N matrix.  A split cache keeps half the chords and computes
-half the exponentials per kappa.  Measured on bump a=1, w=1 at
-kappa = 1.15 (2 vCPU, OpenBLAS, min of 3 runs):
+Butler, Linear Algebra Appl. 13, 1976).  ``OperatorCache`` tests the N
+positions, not the N^2 chords: it fits an isometry p(s_(N-1-i)) ~ R p(s_i)
++ t by an orthogonal Procrustes (Kabsch) fit, and a wire passes when no
+position misses by more than ``MIRROR_ULPS`` ulps of the largest distance
+between mirror nodes, which keeps mirror chords within 16 ulps of the
+largest chord.  A wire that passes gets only the chord rows i < N/2, as
+the two halves rho(s_i, s_j) and rho(s_i, s_(N-1-j)), the second made
+exactly symmetric; the cache builds Q as the (2, N/2, N/2) stack of the
+blocks, summed and differenced in blocks of ``curve.PAIR_ROWS`` rows.  T
+is symmetric Toeplitz and splits on every wire, the straight line
+included.  A sampled curve centres its arc length as the mean of the sums
+from either end, so mirror-image samples get mirror-image arc lengths up
+to rounding and a symmetric sampled wire splits too.  Wires that fail the
+test (sampled data that are asymmetric themselves, such as a one-sided
+cumulative Simpson sum, miss by 84 ulps or more) keep the one N x N
+matrix.  A split cache builds and keeps half the chords and computes half
+the exponentials per kappa.  Measured on bump a=1, w=1 at kappa = 1.15
+(2 vCPU, OpenBLAS, min of 3 runs; the set-up row from min of 7, the one
+matrix there on the same bump centred at s = 0.25, which fails the test):
 
 =============  ==========  ============  ===========================
 Q build        one matrix  parity stack  chords kept (one / split)
 =============  ==========  ============  ===========================
 N=1024, L=24   8.2 ms      4.0 ms        8 MiB / 4 MiB
 N=2304, L=24   58 ms       27 ms         40.5 MiB / 20.25 MiB
+N=2304 set-up  233 ms      131 ms        N^2 / (N^2 / 2) chords built
 =============  ==========  ============  ===========================
 
 Assembly: there is one builder and one reference.  ``OperatorCache.q_matrix``
@@ -150,22 +157,28 @@ def t_multiplier(p, kappa):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_chord_arc(rho: np.ndarray, delta: float) -> None:
+def _check_chord_arc(rho: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                     delta: float) -> None:
     """Raise on the first pair (i, j) of distinct grid nodes, node spacing
-    delta, whose chord rho[i, j] is below 1e-12: their points coincide."""
-    close = np.argwhere(rho < 1e-12)
-    close = close[np.abs(close[:, 0] - close[:, 1]) * delta > 1e-9]
-    if len(close):
+    delta, whose chord is below 1e-12: their points coincide.  rho[k, l] is
+    the chord of the grid nodes rows[k] and cols[l], and the pair is
+    reported in that grid numbering."""
+    k, l = np.nonzero(rho < 1e-12)
+    i, j = rows[k], cols[l]
+    distinct = np.flatnonzero(np.abs(i - j) * delta > 1e-9)
+    if distinct.size:
+        first = distinct[0]
         raise SingularGeometryError(
             f"distinct parameters map to the same point (pair index "
-            f"{tuple(close[0])}); the curve violates the chord-arc condition")
+            f"({i[first]}, {j[first]})); the curve violates the chord-arc condition")
 
 
 def bending_kernel_matrix(curve: Curve, grid: GridSpec, kappa: float) -> np.ndarray:
     """Kernel values B_kappa(s_i, s_j) on the grid nodes (no quadrature weight)."""
     nodes = grid.nodes
     rho = curve.pairwise_chords(nodes)
-    _check_chord_arc(rho, grid.delta)
+    index = np.arange(grid.N)
+    _check_chord_arc(rho, index, index, grid.delta)
     sigma = np.abs(nodes[:, None] - nodes[None, :])
     off = sigma > 0
     out = np.zeros_like(sigma)
@@ -228,36 +241,37 @@ def schur_holmgren_norm(b: np.ndarray) -> float:
     return float(np.max(np.sum(b, axis=1)))
 
 
-#: chords within this many ulps of max rho of their mirror images count as
-#: persymmetric; planar profiles measure at most 8 ulps (N = 128 .. 2304),
-#: mirror-symmetric sampled wires at most 11.4 (the benchmark's scan wires,
-#: N = 512 .. 2048), sampled data that are asymmetric themselves 150 and more
-PERSYMMETRY_ULPS = 16
+#: a wire is mirror-symmetric on the grid when one isometry maps every node's
+#: position onto its mirror node's within this many ulps of the largest
+#: distance between mirror nodes, itself a chord; mirror chords then agree
+#: within 16 ulps of the largest chord.  Measured (N = 128 .. 2304): planar
+#: profiles 6.4 at most, the benchmark's seeded scan wires 6.5, and a bump
+#: sampled from a one-sided cumulative Simpson sum 84 to 100
+MIRROR_ULPS = 8
 
 
-def _persymmetric_halves(rho: np.ndarray):
-    """The top-left and the column-reversed top-right N/2 x N/2 blocks of
-    (rho + J rho J) / 2, or None if max |rho - J rho J| exceeds
-    PERSYMMETRY_ULPS eps max rho (rho is finite, with a zero diagonal).
-    One pass over blocks of PAIR_ROWS rows tests and folds, with no N x N
-    temporary, and stops at the first block that fails: unwritten pages
-    cost no memory."""
-    n = rho.shape[0]
-    h = n // 2
-    tol = PERSYMMETRY_ULPS * np.finfo(float).eps * float(rho.max())
-    left = np.empty((h, h))
-    right_rev = np.empty((h, h))
-    for a in range(0, h, PAIR_ROWS):
-        b = min(a + PAIR_ROWS, h)
-        top = rho[a:b]
-        bottom = rho[n - 1 - a:n - 1 - b:-1]   # rows N - 1 - i
-        if float(np.max(np.abs(top - bottom[:, ::-1]))) > tol:
-            return None
-        np.add(top[:, :h], bottom[:, :h - 1:-1], out=left[a:b])
-        np.add(top[:, :h - 1:-1], bottom[:, :h], out=right_rev[a:b])
-    left *= 0.5
-    right_rev *= 0.5
-    return left, right_rev
+def _mirror_symmetric(p: np.ndarray) -> bool:
+    """True if an isometry x -> R x + t maps p[i] to p[N-1-i] for every row
+    i of the (N, 3) positions p within MIRROR_ULPS.  R is the orthogonal
+    Procrustes (Kabsch) fit on the centred positions, with no determinant
+    sign imposed: a reflection keeps chords as a rotation does."""
+    centred = p - p.mean(axis=0)
+    mirror = centred[::-1]
+    u, _, vt = np.linalg.svd(centred.T @ mirror)
+    residual = np.max(np.linalg.norm(centred @ (u @ vt) - mirror, axis=1))
+    spread = np.max(np.linalg.norm(p - p[::-1], axis=1))
+    return bool(residual <= MIRROR_ULPS * np.finfo(float).eps * spread)
+
+
+def _symmetrize(a: np.ndarray) -> None:
+    """a replaced in place by (a + a.T) / 2, a strip of PAIR_ROWS rows and
+    the matching columns at a time, so both triangles get the same bits."""
+    for k in range(0, a.shape[0], PAIR_ROWS):
+        strip = slice(k, k + PAIR_ROWS)
+        mean = a[strip, k:] + a[k:, strip].T
+        mean *= 0.5
+        a[strip, k:] = mean
+        a[k:, strip] = mean.T
 
 
 def _chord_part(rho: np.ndarray, kappa: float, weight: float, out: np.ndarray) -> np.ndarray:
@@ -281,11 +295,12 @@ class OperatorCache:
     value); each kappa then costs one Toeplitz row and one N x N
     exponential, written into the returned array.
 
-    Persymmetric chords (see the module docstring) set ``parity``: the
-    cache then keeps only the two N/2 x N/2 halves of (rho + J rho J)/2,
-    the top-left block and the column-reversed top-right one, and each
-    kappa costs two N/2 x N/2 exponentials.  The straight line has no
-    chords and always splits.
+    A wire whose N positions pass the mirror test (see the module
+    docstring) sets ``parity``: the cache then computes and keeps only two
+    N/2 x N/2 halves of the chords, the top-left block rho(s_i, s_j) and
+    the column-reversed top-right one rho(s_i, s_(N-1-j)), made symmetric,
+    and each kappa costs two N/2 x N/2 exponentials.  The straight line
+    has no chords and always splits.
     """
 
     def __init__(self, curve: Curve, grid: GridSpec):
@@ -294,17 +309,25 @@ class OperatorCache:
         self._straight = isinstance(curve, StraightLine)
         #: True when ``q_matrix`` returns the (even, odd) parity blocks
         self.parity = True
-        if not self._straight:
-            rho = curve.pairwise_chords(grid.nodes)
-            _check_chord_arc(rho, grid.delta)
-            halves = _persymmetric_halves(rho)
-            self.parity = halves is not None
-            if self.parity:
-                self._rho_left, self._rho_right = halves
-                np.fill_diagonal(self._rho_left, np.inf)
-            else:
-                np.fill_diagonal(rho, np.inf)
-                self._rho = rho
+        if self._straight:
+            return
+        nodes = grid.nodes
+        index = np.arange(grid.N)
+        self.parity = _mirror_symmetric(curve.point(nodes))
+        if self.parity:
+            h = grid.N // 2
+            top, bottom = index[:h], index[:h - 1:-1]    # bottom[j] = N - 1 - j
+            self._rho_left = curve.pairwise_chords(nodes[top])
+            self._rho_right = curve.pairwise_chords(nodes[top], nodes[bottom])
+            _check_chord_arc(self._rho_left, top, top, grid.delta)
+            _check_chord_arc(self._rho_right, top, bottom, grid.delta)
+            _symmetrize(self._rho_right)
+            np.fill_diagonal(self._rho_left, np.inf)
+        else:
+            rho = curve.pairwise_chords(nodes)
+            _check_chord_arc(rho, index, index, grid.delta)
+            np.fill_diagonal(rho, np.inf)
+            self._rho = rho
 
     def q_matrix(self, kappa: float) -> np.ndarray:
         """Q_kappa as one N x N matrix or, when ``parity`` is set, as the

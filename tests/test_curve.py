@@ -232,8 +232,10 @@ class TestPairwiseChords:
         s = np.linspace(-8.0, 8.0, 300)
         p = helix.point(s)
         diff = p[:, None, :] - p[None, :, :]
-        assert np.array_equal(helix.pairwise_chords(s),
-                              np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)))
+        rho = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        assert np.array_equal(helix.pairwise_chords(s), rho)
+        # a rectangular block against a second node set, here reversed
+        assert np.array_equal(helix.pairwise_chords(s[:100], s[:149:-1]), rho[:100, :149:-1])
 
     def test_no_n_by_n_by_3_temporary(self, helix):
         s = np.linspace(-8.0, 8.0, 1024)
@@ -250,7 +252,10 @@ class TestPairwiseChords:
         s = np.linspace(-20.0, 20.0, n)
         hi, lo = bump._positions_dd(s)
         d = curve_mod._dd_sub(hi[None, :, :], lo[None, :, :], hi[:, None, :], lo[:, None, :])
-        assert np.array_equal(bump.pairwise_chords(s), np.hypot(d[..., 0], d[..., 1]))
+        rho = np.hypot(d[..., 0], d[..., 1])
+        assert np.array_equal(bump.pairwise_chords(s), rho)
+        h = n // 2
+        assert np.array_equal(bump.pairwise_chords(s[:h], s[:h - 1:-1]), rho[:h, :h - 1:-1])
 
     def test_planar_peak_stays_near_the_result(self, bump):
         s = np.linspace(-20.0, 20.0, 1024)

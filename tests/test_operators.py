@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
+from scipy.special import erf
 
 from leakywire.curve import Curve, PlanarCurvatureProfile, SampledParametric, StraightLine
 from leakywire.errors import GeometryError, InvalidKernelError, SingularGeometryError
@@ -9,6 +12,7 @@ from leakywire.operators import (
     PSI_ONE,
     GridSpec,
     OperatorCache,
+    _mirror_symmetric,
     assemble_T,
     bending_kernel_matrix,
     hs_norm,
@@ -284,6 +288,31 @@ def power():
     return PlanarCurvatureProfile.power_tail(1.0, 2.0)
 
 
+@pytest.fixture(scope="module")
+def bump_a3_w2():
+    return PlanarCurvatureProfile.gaussian_bump(3.0, 2.0)
+
+
+@pytest.fixture(scope="module")
+def shifted_bump():
+    # a bump centred off the grid's midpoint has no mirror symmetry
+    return PlanarCurvatureProfile(lambda s: np.exp(-(s - 0.25) ** 2), 48.0)
+
+
+@pytest.fixture(scope="module")
+def simpson_bump():
+    # the bump k(s) = exp(-s^2) sampled every 0.1 of arc length, its tangent
+    # angle (sqrt(pi)/2) erf(s) integrated from one end by cumulative Simpson:
+    # the one-sided sums break the mirror symmetry at the rounding level
+    s = np.linspace(-26.0, 26.0, 10401)
+    theta = 0.5 * math.sqrt(math.pi) * erf(s)
+    x = cumulative_simpson(np.cos(theta), x=s, initial=0.0)
+    y = cumulative_simpson(np.sin(theta), x=s, initial=0.0)
+    keep = slice(None, None, 20)
+    return SampledParametric(np.column_stack(
+        [s[keep], x[keep] - x[5200], y[keep] - y[5200], np.zeros(s[keep].size)]))
+
+
 class TestOperatorCache:
     @pytest.mark.parametrize("family", ["bump", "helix", "straight", "power", "scan_wire",
                                         "off_centre_wire"])
@@ -291,12 +320,12 @@ class TestOperatorCache:
         # the cache against the pointwise reference R = T + Delta * B(s_i, s_j);
         # mirror-symmetric wires, sampled ones included, split into parity
         # blocks, and the off-centre sampled wire stays one block.  A split
-        # computes the persymmetric part (R + J R J) / 2 of R, from the mean
-        # of mirror-image chords.  A planar profile's or the straight line's
-        # R is persymmetric to the bit; a sampled wire's R misses persymmetry
-        # by up to 7e-15 next to the diagonal, where the kernel scales the
-        # chords' rounding by Delta / rho^2, so its split is held to R within
-        # 5e-15 and to R's persymmetric part within 1e-15
+        # computes R's top rows, and its bottom rows are their mirror image.
+        # A planar profile's or the straight line's R is persymmetric to the
+        # bit; a sampled wire's R misses persymmetry by up to 7e-15 next to
+        # the diagonal, where the kernel scales the rounding of its mirror
+        # positions by Delta / rho^2, so its split is held to R's top rows
+        # within 1e-15 and to R's persymmetric part (R + J R J) / 2 within 5e-15
         curve = request.getfixturevalue(family)
         g = GridSpec(8.0, 128)
         cache = OperatorCache(curve, g)
@@ -307,13 +336,13 @@ class TestOperatorCache:
             q = cache.q_matrix(kap)
             assert q.shape == ((2, g.N // 2, g.N // 2) if split else (g.N, g.N))
             reference = assemble_T(g, kap) + g.delta * bending_kernel_matrix(curve, g, kap)
-            gap = np.max(np.abs(unfold(q) - reference))
             if sampled_split:
+                h = g.N // 2
                 persymmetric = (reference + reference[::-1, ::-1]) / 2
-                assert np.max(np.abs(unfold(q) - persymmetric)) <= 1e-15
-                assert gap <= 5e-15
+                assert np.max(np.abs(unfold(q)[:h] - reference[:h])) <= 1e-15
+                assert np.max(np.abs(unfold(q) - persymmetric)) <= 5e-15
             else:
-                assert gap <= 1e-15
+                assert np.max(np.abs(unfold(q) - reference)) <= 1e-15
             assert np.array_equal(q, np.swapaxes(q, -1, -2))
         # the chords are the only square arrays a cache keeps: N^2 / 2 floats
         # in two halves for a split wire, N^2 otherwise
@@ -323,12 +352,35 @@ class TestOperatorCache:
             0 if family == "straight" else g.N ** 2 // 2 if split else g.N ** 2)
         assert all(v.dtype == np.float64 for v in square)
 
-    def test_parity_test_reads_the_chords(self, bump):
-        # a bump centred off the grid's midpoint is not persymmetric
-        g = GridSpec(8.0, 128)
-        shifted = PlanarCurvatureProfile(lambda s: np.exp(-(s - 0.25) ** 2), 12.0)
-        assert OperatorCache(bump, g).parity
-        assert not OperatorCache(shifted, g).parity
+    @pytest.mark.parametrize("n", [128, 512, 1024, 2304])
+    @pytest.mark.parametrize("family, L, split", [
+        ("bump", 24.0, True), ("bump_a3_w2", 24.0, True), ("power", 24.0, True),
+        ("scan_wire", 20.0, True), ("helix", 12.0, True), ("straight", 24.0, True),
+        ("off_centre_wire", 20.0, False), ("shifted_bump", 24.0, False),
+        ("simpson_bump", 24.0, False)])
+    def test_position_test_gives_the_chord_verdict(self, family, L, split, n, request):
+        # the O(N) test on the positions splits a wire exactly when its N x N
+        # chords are persymmetric within 16 ulps of the largest chord
+        curve = request.getfixturevalue(family)
+        g = GridSpec(L, n)
+        rho = curve.pairwise_chords(g.nodes)
+        chord_split = np.max(np.abs(rho - rho[::-1, ::-1])) <= 16 * np.finfo(float).eps * rho.max()
+        assert chord_split == split
+        assert _mirror_symmetric(curve.point(g.nodes)) == split
+
+    def test_split_set_up_keeps_only_the_halves(self, bump):
+        # no N x N chord array is built: the peak is the two N/2 x N/2 halves
+        # (half of 8 N^2 bytes) and a block of temporaries
+        g = GridSpec(24.0, 1024)
+        g.nodes
+        tracemalloc.start()
+        try:
+            cache = OperatorCache(bump, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cache.parity
+        assert peak < 0.6 * 8 * g.N ** 2
 
     @pytest.mark.parametrize("n", [128, 512, 1024, 2304])
     def test_mirror_symmetric_sampled_wire_splits(self, scan_wire, n):
@@ -353,5 +405,10 @@ class TestOperatorCache:
             assert np.max(np.abs(values - np.linalg.eigvalsh(reference)[:-7:-1])) <= 1e-13
 
     def test_coincident_nodes_raise_at_construction(self):
-        with pytest.raises(SingularGeometryError, match="chord-arc condition"):
-            OperatorCache(_Hairpin(), GridSpec(4.0, 16))
+        # the hairpin is its own mirror image, so it splits, and its coincident
+        # pairs (i, N - 1 - i) lie in the Hankel half alone
+        g = GridSpec(4.0, 16)
+        assert _mirror_symmetric(_Hairpin().point(g.nodes))
+        with pytest.raises(SingularGeometryError,
+                           match=r"pair index \(0, 15\).*chord-arc condition"):
+            OperatorCache(_Hairpin(), g)
