@@ -21,7 +21,8 @@ constant (``check_a1``), the quantified asymptotic-straightness inequality on
 the two-branch pair set (``check_a2``) and the curvature-decay exponent
 (``check_curvature_decay``) are all evaluated on dense grids whose resolution
 is part of the report.  The audits keep one N x N array, the chords, and walk
-it ``PAIR_ROWS`` rows at a time, as every block of chords is built.
+it ``PAIR_ROWS`` rows at a time; no chord block allocates more than a few
+strips of rows besides itself.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ _CELL_WIDTH = 0.05      # requested planar cell width; rounded down to 2^-m
 _CELL_BUILD_BYTES = 192
 MAX_BUILD_BYTES = 2 ** 31  # larger planar builds and grids are refused up front
 _CELL_CHUNK = 2048      # cells per chunk of the nested quadrature rule
-# rows per block of every walk over a pair matrix; a planar chord block makes
-# six temporaries of its size, 0.37 MiB for the 512 columns of a split N = 1024
-PAIR_ROWS = 16
+PAIR_ROWS = 64          # rows per block of every walk over a pair matrix
+# rows per strip of a planar chord block, whose double-double differences run
+# in three scratch strips: 0.19 MiB for the 512 columns of a split N = 1024
+_CHORD_ROWS = 16
 _CHORD_ARC_MIN = 1e-3   # c_estimate below which the (a1) audit fails
 _FLAT = 1e-8            # curvature below which a sampled point counts as straight
 _COMPLETIONS = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # binormals of straight data
@@ -75,11 +77,22 @@ def _fast_two_sum(a, b):
     return s, err
 
 
-def _dd_sub(h1, l1, h2, l2):
-    """(h1 + l1) - (h2 + l2) collapsed to a double, accurate relative to the
-    magnitude of the difference rather than of the operands."""
-    s, e = _two_sum(h1, -h2)
-    return s + (e + (l1 - l2))
+def _dd_sub(h1, l1, h2, l2, out, bp, tmp):
+    """(h1 + l1) - (h2 + l2) collapsed to a double into ``out``, accurate
+    relative to the magnitude of the difference rather than of the operands:
+    s + (e + (l1 - l2)) with s, e the two-sum of h1 and -h2.  ``bp`` and
+    ``tmp``, of the shape of ``out``, hold the intermediates, so a block of
+    pairs allocates nothing; each operation is the one of ``_two_sum``."""
+    b = -h2
+    np.add(h1, b, out=out)          # s
+    np.subtract(out, h1, out=bp)    # bp = s - a
+    np.subtract(out, bp, out=tmp)
+    np.subtract(h1, tmp, out=tmp)   # a - (s - bp)
+    np.subtract(b, bp, out=bp)      # b - bp
+    np.add(tmp, bp, out=tmp)        # e
+    np.subtract(l1, l2, out=bp)
+    np.add(tmp, bp, out=tmp)
+    return np.add(out, tmp, out=out)
 
 
 def _dd_prefix(increments):
@@ -373,14 +386,21 @@ class PlanarCurvatureProfile(Curve):
         return self._kmax
 
     def pairwise_chords(self, s, t=None):
+        """Block rho[i, j] = |gamma(s_i) - gamma(t_j)|, t = s by default, from
+        the compensated positions, _CHORD_ROWS rows at a time: dx goes
+        straight into rho's rows, dy into one scratch strip."""
         hi, lo = self._positions_dd(s)
         t_hi, t_lo = (hi, lo) if t is None else self._positions_dd(t)
         rho = np.empty((hi.shape[0], t_hi.shape[0]))
-        for a in range(0, hi.shape[0], PAIR_ROWS):
-            rows = slice(a, a + PAIR_ROWS)
-            dx = _dd_sub(t_hi[None, :, 0], t_lo[None, :, 0], hi[rows, None, 0], lo[rows, None, 0])
-            dy = _dd_sub(t_hi[None, :, 1], t_lo[None, :, 1], hi[rows, None, 1], lo[rows, None, 1])
-            np.hypot(dx, dy, out=rho[rows])
+        scratch = np.empty((3, min(_CHORD_ROWS, hi.shape[0]), t_hi.shape[0]))
+        for a in range(0, hi.shape[0], _CHORD_ROWS):
+            rows = slice(a, a + _CHORD_ROWS)
+            dx = rho[rows]
+            dy, bp, tmp = scratch[:, :dx.shape[0]]
+            for d, out in ((0, dx), (1, dy)):
+                _dd_sub(t_hi[None, :, d], t_lo[None, :, d], hi[rows, None, d], lo[rows, None, d],
+                        out, bp, tmp)
+            np.hypot(dx, dy, out=dx)
         return rho
 
 

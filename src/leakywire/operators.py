@@ -39,9 +39,12 @@ positions, not the N^2 chords: it fits an isometry p(s_(N-1-i)) ~ R p(s_i)
 + t by an orthogonal Procrustes (Kabsch) fit, and a wire passes when no
 position misses by more than ``MIRROR_ULPS`` ulps of the largest distance
 between mirror nodes, which keeps mirror chords within 16 ulps of the
-largest chord.  A wire that passes gets only the chord rows i < N/2, as
-the two halves rho(s_i, s_j) and rho(s_i, s_(N-1-j)), the second made
-exactly symmetric; the cache builds Q as the (2, N/2, N/2) stack of the
+largest chord.  A wire that passes gets only the two N/2 x N/2 halves of
+(rho + J rho J) / 2 that it keeps, from three chord blocks and no N x N
+array: the top-left block rho(s_i, s_j) averaged with the reversed
+bottom-right one rho(s_(N-1-i), s_(N-1-j)), and the column-reversed
+top-right block rho(s_i, s_(N-1-j)) averaged with its transpose, which is
+its mirror image.  The cache builds Q as the (2, N/2, N/2) stack of the
 blocks, summed and differenced in blocks of ``curve.PAIR_ROWS`` rows.  T
 is symmetric Toeplitz and splits on every wire, the straight line
 included.  A sampled curve centres its arc length as the mean of the sums
@@ -49,10 +52,11 @@ from either end, so mirror-image samples get mirror-image arc lengths up
 to rounding and a symmetric sampled wire splits too.  Wires that fail the
 test (sampled data that are asymmetric themselves, such as a one-sided
 cumulative Simpson sum, miss by 84 ulps or more) keep the one N x N
-matrix.  A split cache builds and keeps half the chords and computes half
-the exponentials per kappa.  Measured on bump a=1, w=1 at kappa = 1.15
-(2 vCPU, OpenBLAS, min of 3 runs; the set-up row from min of 7, the one
-matrix there on the same bump centred at s = 0.25, which fails the test):
+matrix.  A split cache builds three quarters of the chords, keeps half of
+them and computes half the exponentials per kappa.  Measured on bump a=1,
+w=1 at kappa = 1.15 (2 vCPU, OpenBLAS, min of 3 runs; the set-up row from
+min of 7, the one matrix there on the same bump centred at s = 0.25, which
+fails the test):
 
 =============  ==========  ============  ===========================
 Q build        one matrix  parity stack  chords kept (one / split)
@@ -157,28 +161,25 @@ def t_multiplier(p, kappa):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_chord_arc(rho: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                     delta: float) -> None:
+def _check_chord_arc(rho: np.ndarray, delta: float, cols: np.ndarray | None = None) -> None:
     """Raise on the first pair (i, j) of distinct grid nodes, node spacing
-    delta, whose chord is below 1e-12: their points coincide.  rho[k, l] is
-    the chord of the grid nodes rows[k] and cols[l], and the pair is
-    reported in that grid numbering."""
-    k, l = np.nonzero(rho < 1e-12)
-    i, j = rows[k], cols[l]
+    delta, whose chord rho[i, l] is below 1e-12: their points coincide.
+    Column l of rho is grid node cols[l], node l by default."""
+    i, l = np.nonzero(rho < 1e-12)
+    j = l if cols is None else cols[l]
     distinct = np.flatnonzero(np.abs(i - j) * delta > 1e-9)
     if distinct.size:
-        first = distinct[0]
+        k = distinct[0]
         raise SingularGeometryError(
             f"distinct parameters map to the same point (pair index "
-            f"({i[first]}, {j[first]})); the curve violates the chord-arc condition")
+            f"({i[k]}, {j[k]})); the curve violates the chord-arc condition")
 
 
 def bending_kernel_matrix(curve: Curve, grid: GridSpec, kappa: float) -> np.ndarray:
     """Kernel values B_kappa(s_i, s_j) on the grid nodes (no quadrature weight)."""
     nodes = grid.nodes
     rho = curve.pairwise_chords(nodes)
-    index = np.arange(grid.N)
-    _check_chord_arc(rho, index, index, grid.delta)
+    _check_chord_arc(rho, grid.delta)
     sigma = np.abs(nodes[:, None] - nodes[None, :])
     off = sigma > 0
     out = np.zeros_like(sigma)
@@ -264,14 +265,17 @@ def _mirror_symmetric(p: np.ndarray) -> bool:
 
 
 def _symmetrize(a: np.ndarray) -> None:
-    """a replaced in place by (a + a.T) / 2, a strip of PAIR_ROWS rows and
-    the matching columns at a time, so both triangles get the same bits."""
-    for k in range(0, a.shape[0], PAIR_ROWS):
-        strip = slice(k, k + PAIR_ROWS)
-        mean = a[strip, k:] + a[k:, strip].T
-        mean *= 0.5
-        a[strip, k:] = mean
-        a[k:, strip] = mean.T
+    """a replaced in place by (a + a.T) / 2, a square tile of PAIR_ROWS rows
+    and its mirror tile at a time, so both triangles get the same bits."""
+    n = a.shape[0]
+    for k in range(0, n, PAIR_ROWS):
+        rows = slice(k, k + PAIR_ROWS)
+        for c in range(k, n, PAIR_ROWS):
+            cols = slice(c, c + PAIR_ROWS)
+            mean = a[rows, cols] + a[cols, rows].T
+            mean *= 0.5
+            a[rows, cols] = mean
+            a[cols, rows] = mean.T
 
 
 def _chord_part(rho: np.ndarray, kappa: float, weight: float, out: np.ndarray) -> np.ndarray:
@@ -296,11 +300,12 @@ class OperatorCache:
     exponential, written into the returned array.
 
     A wire whose N positions pass the mirror test (see the module
-    docstring) sets ``parity``: the cache then computes and keeps only two
-    N/2 x N/2 halves of the chords, the top-left block rho(s_i, s_j) and
-    the column-reversed top-right one rho(s_i, s_(N-1-j)), made symmetric,
-    and each kappa costs two N/2 x N/2 exponentials.  The straight line
-    has no chords and always splits.
+    docstring) sets ``parity``: the cache then builds three N/2 x N/2 chord
+    blocks and keeps only the two halves of (rho + J rho J) / 2, the
+    top-left block and the column-reversed top-right one, and each kappa
+    costs two N/2 x N/2 exponentials.  Both halves are checked for
+    coincident points, pairs reported in full-grid numbering.  The
+    straight line has no chords and always splits.
     """
 
     def __init__(self, curve: Curve, grid: GridSpec):
@@ -312,20 +317,25 @@ class OperatorCache:
         if self._straight:
             return
         nodes = grid.nodes
-        index = np.arange(grid.N)
         self.parity = _mirror_symmetric(curve.point(nodes))
         if self.parity:
             h = grid.N // 2
-            top, bottom = index[:h], index[:h - 1:-1]    # bottom[j] = N - 1 - j
-            self._rho_left = curve.pairwise_chords(nodes[top])
-            self._rho_right = curve.pairwise_chords(nodes[top], nodes[bottom])
-            _check_chord_arc(self._rho_left, top, top, grid.delta)
-            _check_chord_arc(self._rho_right, top, bottom, grid.delta)
-            _symmetrize(self._rho_right)
-            np.fill_diagonal(self._rho_left, np.inf)
+            top, bottom = nodes[:h], nodes[:h - 1:-1]    # bottom[j] = s_(N-1-j)
+            # the halves of (rho + J rho J) / 2: the top-left block averaged
+            # with the reversed bottom-right one, and the reversed top-right
+            # block, whose mirror image is its transpose
+            left = curve.pairwise_chords(top)
+            left += curve.pairwise_chords(bottom)
+            left *= 0.5
+            right = curve.pairwise_chords(top, bottom)
+            _symmetrize(right)
+            _check_chord_arc(left, grid.delta)
+            _check_chord_arc(right, grid.delta, cols=np.arange(grid.N - 1, h - 1, -1))
+            np.fill_diagonal(left, np.inf)
+            self._rho_left, self._rho_right = left, right
         else:
             rho = curve.pairwise_chords(nodes)
-            _check_chord_arc(rho, index, index, grid.delta)
+            _check_chord_arc(rho, grid.delta)
             np.fill_diagonal(rho, np.inf)
             self._rho = rho
 

@@ -251,7 +251,10 @@ class TestPairwiseChords:
     def test_planar_rows_match_one_shot_dd_formula(self, bump, n):
         s = np.linspace(-20.0, 20.0, n)
         hi, lo = bump._positions_dd(s)
-        d = curve_mod._dd_sub(hi[None, :, :], lo[None, :, :], hi[:, None, :], lo[:, None, :])
+        # the double-double difference as one expression; pairwise_chords
+        # runs the same operations in place, a strip of rows at a time
+        a, e = curve_mod._two_sum(hi[None, :, :], -hi[:, None, :])
+        d = a + (e + (lo[None, :, :] - lo[:, None, :]))
         rho = np.hypot(d[..., 0], d[..., 1])
         assert np.array_equal(bump.pairwise_chords(s), rho)
         h = n // 2

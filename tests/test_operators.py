@@ -320,12 +320,12 @@ class TestOperatorCache:
         # the cache against the pointwise reference R = T + Delta * B(s_i, s_j);
         # mirror-symmetric wires, sampled ones included, split into parity
         # blocks, and the off-centre sampled wire stays one block.  A split
-        # computes R's top rows, and its bottom rows are their mirror image.
-        # A planar profile's or the straight line's R is persymmetric to the
-        # bit; a sampled wire's R misses persymmetry by up to 7e-15 next to
-        # the diagonal, where the kernel scales the rounding of its mirror
-        # positions by Delta / rho^2, so its split is held to R's top rows
-        # within 1e-15 and to R's persymmetric part (R + J R J) / 2 within 5e-15
+        # computes the persymmetric part (R + J R J) / 2 of R, from the mean
+        # of mirror-image chords.  A planar profile's or the straight line's
+        # R is persymmetric to the bit; a sampled wire's R misses persymmetry
+        # by up to 7e-15 next to the diagonal, where the kernel scales the
+        # chords' rounding by Delta / rho^2, so its split is held to R within
+        # 5e-15 and to R's persymmetric part within 1e-15
         curve = request.getfixturevalue(family)
         g = GridSpec(8.0, 128)
         cache = OperatorCache(curve, g)
@@ -336,13 +336,13 @@ class TestOperatorCache:
             q = cache.q_matrix(kap)
             assert q.shape == ((2, g.N // 2, g.N // 2) if split else (g.N, g.N))
             reference = assemble_T(g, kap) + g.delta * bending_kernel_matrix(curve, g, kap)
+            gap = np.max(np.abs(unfold(q) - reference))
             if sampled_split:
-                h = g.N // 2
                 persymmetric = (reference + reference[::-1, ::-1]) / 2
-                assert np.max(np.abs(unfold(q)[:h] - reference[:h])) <= 1e-15
-                assert np.max(np.abs(unfold(q) - persymmetric)) <= 5e-15
+                assert np.max(np.abs(unfold(q) - persymmetric)) <= 1e-15
+                assert gap <= 5e-15
             else:
-                assert np.max(np.abs(unfold(q) - reference)) <= 1e-15
+                assert gap <= 1e-15
             assert np.array_equal(q, np.swapaxes(q, -1, -2))
         # the chords are the only square arrays a cache keeps: N^2 / 2 floats
         # in two halves for a split wire, N^2 otherwise
@@ -369,8 +369,8 @@ class TestOperatorCache:
         assert _mirror_symmetric(curve.point(g.nodes)) == split
 
     def test_split_set_up_keeps_only_the_halves(self, bump):
-        # no N x N chord array is built: the peak is the two N/2 x N/2 halves
-        # (half of 8 N^2 bytes) and a block of temporaries
+        # no N x N chord array is built: the peak is two N/2 x N/2 chord
+        # blocks (half of 8 N^2 bytes) and a few strips of temporaries
         g = GridSpec(24.0, 1024)
         g.nodes
         tracemalloc.start()
