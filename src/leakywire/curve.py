@@ -175,6 +175,11 @@ class Curve:
     Arc length runs over [-half_length, half_length]: all of R unless sampled."""
 
     half_length = math.inf
+    #: True when ``pairwise_chords`` is accurate relative to each chord, so
+    #: the mirror chords of a mirror-symmetric wire agree to an ulp or two of
+    #: themselves; otherwise a chord carries the absolute rounding of its two
+    #: positions, which next to the diagonal is large relative to the chord
+    compensated_chords = False
 
     def point(self, s):
         raise NotImplementedError
@@ -249,6 +254,8 @@ class PlanarCurvatureProfile(Curve):
     compensated so chord differences of nearby points do not lose the tiny
     arc-chord defect to rounding.
     """
+
+    compensated_chords = True   # differences of double-double positions
 
     def __init__(self, curvature_fn: Callable, domain_hint: float = 48.0):
         if domain_hint <= 0:

@@ -27,24 +27,28 @@ Discretization:
   diagonal set to 0, the continuous extension (the kernel vanishes linearly
   on the diagonal for C^2 curves, B(s, s+u) ~ k(s)^2 u / (96 pi)).
 
-Parity: a wire whose chords satisfy rho(s_i, s_j) = rho(s_(N-1-i), s_(N-1-j))
-on the grid (any bump or power tail: an even curvature profile; a sampled
-wire that is the same after a rotation by pi, such as x and z odd and y
-even in t) has a persymmetric Q, Q = J Q J with J the index reversal.
-With Q11 the top-left and Q12 the top-right N/2 x N/2 block, the
-orthogonal basis [y; J y]/sqrt 2, [y; -J y]/sqrt 2 splits Q exactly into
-the even block Q11 + Q12 J and the odd block Q11 - Q12 J (Cantoni &
+Parity: a wire whose chords satisfy rho(s_i, s_j) = rho(s_(N-1-i),
+s_(N-1-j)) on the grid (any bump or power tail: an even curvature profile;
+a sampled wire that is the same after a rotation by pi, such as x and z
+odd and y even in t) has a persymmetric Q, Q = J Q J with J the index
+reversal.  With Q11 the top-left and Q12 the top-right N/2 x N/2 block,
+the orthogonal basis [y; J y]/sqrt 2, [y; -J y]/sqrt 2 splits Q exactly
+into the even block Q11 + Q12 J and the odd block Q11 - Q12 J (Cantoni &
 Butler, Linear Algebra Appl. 13, 1976).  ``OperatorCache`` tests the N
 positions, not the N^2 chords: it fits an isometry p(s_(N-1-i)) ~ R p(s_i)
 + t by an orthogonal Procrustes (Kabsch) fit, and a wire passes when no
 position misses by more than ``MIRROR_ULPS`` ulps of the largest distance
 between mirror nodes, which keeps mirror chords within 16 ulps of the
-largest chord.  A wire that passes gets only the two N/2 x N/2 halves of
-(rho + J rho J) / 2 that it keeps, from three chord blocks and no N x N
-array: the top-left block rho(s_i, s_j) averaged with the reversed
-bottom-right one rho(s_(N-1-i), s_(N-1-j)), and the column-reversed
-top-right block rho(s_i, s_(N-1-j)) averaged with its transpose, which is
-its mirror image.  The cache builds Q as the (2, N/2, N/2) stack of the
+largest chord.  A wire that passes gets only the two N/2 x N/2 halves it
+keeps, and no N x N chord array: the column-reversed top-right block
+rho(s_i, s_(N-1-j)) averaged with its mirror image, which is its
+transpose, and the top-left block rho(s_i, s_j).  A planar profile's
+chords are compensated, accurate relative to each chord, and its top-left
+block is kept as it is; any other curve's chords carry the absolute
+rounding of their positions, which the kernel scales by Delta / rho^2 next
+to the diagonal, so the block is averaged with its mirror image, the
+reversed bottom-right block, and the halves are those of
+(rho + J rho J)/2.  The cache builds Q as the (2, N/2, N/2) stack of the
 blocks, summed and differenced in blocks of ``curve.PAIR_ROWS`` rows.  T
 is symmetric Toeplitz and splits on every wire, the straight line
 included.  A sampled curve centres its arc length as the mean of the sums
@@ -52,11 +56,11 @@ from either end, so mirror-image samples get mirror-image arc lengths up
 to rounding and a symmetric sampled wire splits too.  Wires that fail the
 test (sampled data that are asymmetric themselves, such as a one-sided
 cumulative Simpson sum, miss by 84 ulps or more) keep the one N x N
-matrix.  A split cache builds three quarters of the chords, keeps half of
-them and computes half the exponentials per kappa.  Measured on bump a=1,
-w=1 at kappa = 1.15 (2 vCPU, OpenBLAS, min of 3 runs; the set-up row from
-min of 7, the one matrix there on the same bump centred at s = 0.25, which
-fails the test):
+matrix.  A split cache builds half the chords (three quarters on a curve
+whose chords are not compensated), keeps half and computes half the
+exponentials per kappa.  Measured on bump a=1, w=1 at kappa = 1.15 (2
+vCPU, OpenBLAS, min of 3 runs; the set-up row from min of 7, the one
+matrix there on the same bump centred at s = 0.25, which fails the test):
 
 =============  ==========  ============  ===========================
 Q build        one matrix  parity stack  chords kept (one / split)
@@ -300,10 +304,10 @@ class OperatorCache:
     exponential, written into the returned array.
 
     A wire whose N positions pass the mirror test (see the module
-    docstring) sets ``parity``: the cache then builds three N/2 x N/2 chord
-    blocks and keeps only the two halves of (rho + J rho J) / 2, the
-    top-left block and the column-reversed top-right one, and each kappa
-    costs two N/2 x N/2 exponentials.  Both halves are checked for
+    docstring) sets ``parity``: the cache then builds two N/2 x N/2 chord
+    blocks, or three when the curve's chords are not compensated, and keeps
+    only two halves, the top-left block and the column-reversed top-right
+    one, and each kappa costs two N/2 x N/2 exponentials.  Both halves are checked for
     coincident points, pairs reported in full-grid numbering.  The
     straight line has no chords and always splits.
     """
@@ -321,12 +325,14 @@ class OperatorCache:
         if self.parity:
             h = grid.N // 2
             top, bottom = nodes[:h], nodes[:h - 1:-1]    # bottom[j] = s_(N-1-j)
-            # the halves of (rho + J rho J) / 2: the top-left block averaged
-            # with the reversed bottom-right one, and the reversed top-right
-            # block, whose mirror image is its transpose
+            # the top-left block, averaged with its mirror image, the reversed
+            # bottom-right block, unless the chords are compensated; and the
+            # reversed top-right block, averaged with its mirror image, which
+            # is its transpose
             left = curve.pairwise_chords(top)
-            left += curve.pairwise_chords(bottom)
-            left *= 0.5
+            if not curve.compensated_chords:
+                left += curve.pairwise_chords(bottom)
+                left *= 0.5
             right = curve.pairwise_chords(top, bottom)
             _symmetrize(right)
             _check_chord_arc(left, grid.delta)

@@ -352,6 +352,28 @@ class TestOperatorCache:
             0 if family == "straight" else g.N ** 2 // 2 if split else g.N ** 2)
         assert all(v.dtype == np.float64 for v in square)
 
+    @pytest.mark.parametrize("family, L", [("bump", 24.0), ("power", 24.0),
+                                           ("scan_wire", 20.0), ("helix", 12.0)])
+    def test_split_halves_are_the_mirror_mean(self, family, L, request):
+        # a split keeps the halves of (rho + J rho J) / 2 of the full chords,
+        # bit for bit, except that compensated (planar) chords keep their
+        # top-left block as it is
+        curve = request.getfixturevalue(family)
+        assert curve.compensated_chords == (family in ("bump", "power"))
+        g = GridSpec(L, 256)
+        cache = OperatorCache(curve, g)
+        assert cache.parity
+        h = g.N // 2
+        rho = curve.pairwise_chords(g.nodes)
+        mirror = rho[::-1, ::-1]
+        left = rho[:h, :h].copy()
+        if not curve.compensated_chords:
+            left = (left + mirror[:h, :h]) * 0.5
+        np.fill_diagonal(left, np.inf)
+        assert np.array_equal(cache._rho_left, left)
+        assert np.array_equal(cache._rho_right,
+                              (rho[:h, :h - 1:-1] + mirror[:h, :h - 1:-1]) * 0.5)
+
     @pytest.mark.parametrize("n", [128, 512, 1024, 2304])
     @pytest.mark.parametrize("family, L, split", [
         ("bump", 24.0, True), ("bump_a3_w2", 24.0, True), ("power", 24.0, True),
