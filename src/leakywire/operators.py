@@ -67,7 +67,7 @@ Q build        one matrix  parity stack  chords kept (one / split)
 =============  ==========  ============  ===========================
 N=1024, L=24   8.2 ms      4.0 ms        8 MiB / 4 MiB
 N=2304, L=24   58 ms       27 ms         40.5 MiB / 20.25 MiB
-N=2304 set-up  233 ms      131 ms        N^2 / (N^2 / 2) chords built
+N=2304 set-up  151 ms      86 ms         N^2 / (N^2 / 2) chords built
 =============  ==========  ============  ===========================
 
 Assembly: there is one builder and one reference.  ``OperatorCache.q_matrix``
