@@ -307,9 +307,9 @@ class OperatorCache:
     docstring) sets ``parity``: the cache then builds two N/2 x N/2 chord
     blocks, or three when the curve's chords are not compensated, and keeps
     only two halves, the top-left block and the column-reversed top-right
-    one, and each kappa costs two N/2 x N/2 exponentials.  Both halves are checked for
-    coincident points, pairs reported in full-grid numbering.  The
-    straight line has no chords and always splits.
+    one, and each kappa costs two N/2 x N/2 exponentials.  Both halves are
+    checked for coincident points, pairs reported in full-grid numbering.
+    The straight line has no chords and always splits.
     """
 
     def __init__(self, curve: Curve, grid: GridSpec):
