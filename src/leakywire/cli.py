@@ -66,7 +66,7 @@ EXIT_NUMERICAL = 2
 EXIT_CONFIG = 3
 
 #: peak bytes per entry of a run's n x n arrays (tracemalloc, growth of the
-#: peak from n = 512 to 1024): 24.3 for a search on a one-block wire (10.1 on
+#: peak from n = 512 to 1024): 24.2 for a search on a one-block wire (4.1 on
 #: a split one), about 9 for the audits of ``check`` (10.0 on a sampled curve)
 _BYTES_PER_ENTRY = 26
 #: peak bytes per (direction, grid node) of a bc-verify trace, which sums all

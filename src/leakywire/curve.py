@@ -203,12 +203,13 @@ class Curve:
             return 0.5
         return min(0.5, 0.5 / kmax)
 
-    def pairwise_chords(self, s, t=None):
-        """Block rho[i, j] = |gamma(s_i) - gamma(t_j)|, t = s by default,
-        built PAIR_ROWS rows at a time so no difference array of 3 floats per
-        pair is allocated."""
+    def pairwise_chords(self, s, cols=None):
+        """Chords rho[i, j] = |gamma(s_i) - gamma(s_j)| for every i and for
+        j < cols (every j by default), from one evaluation of the positions
+        of s, built PAIR_ROWS rows at a time so no difference array of 3
+        floats per pair is allocated."""
         p = np.atleast_2d(self.point(np.asarray(s, dtype=float)))
-        q = p if t is None else np.atleast_2d(self.point(np.asarray(t, dtype=float)))
+        q = p[:cols]
         rho = np.empty((p.shape[0], q.shape[0]))
         for a in range(0, p.shape[0], PAIR_ROWS):
             diff = p[a:a + PAIR_ROWS, None, :] - q[None, :, :]
@@ -392,12 +393,13 @@ class PlanarCurvatureProfile(Curve):
     def max_curvature(self):
         return self._kmax
 
-    def pairwise_chords(self, s, t=None):
-        """Block rho[i, j] = |gamma(s_i) - gamma(t_j)|, t = s by default, from
-        the compensated positions, _CHORD_ROWS rows at a time: dx goes
-        straight into rho's rows, dy into one scratch strip."""
+    def pairwise_chords(self, s, cols=None):
+        """Chords rho[i, j] = |gamma(s_i) - gamma(s_j)| for every i and for
+        j < cols (every j by default), from one evaluation of the compensated
+        positions of s, _CHORD_ROWS rows at a time: dx goes straight into
+        rho's rows, dy into one scratch strip."""
         hi, lo = self._positions_dd(s)
-        t_hi, t_lo = (hi, lo) if t is None else self._positions_dd(t)
+        t_hi, t_lo = hi[:cols], lo[:cols]
         rho = np.empty((hi.shape[0], t_hi.shape[0]))
         scratch = np.empty((3, min(_CHORD_ROWS, hi.shape[0]), t_hi.shape[0]))
         for a in range(0, hi.shape[0], _CHORD_ROWS):

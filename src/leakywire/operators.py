@@ -90,6 +90,7 @@ Euler-Mascheroni constant).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -116,7 +117,7 @@ class GridSpec:
     def __post_init__(self):
         if not 0 < self.L < math.inf:   # NaN fails too
             raise GeometryError("grid half-length L must be positive and finite")
-        if self.N <= 0 or self.N % 2 != 0:
+        if not isinstance(self.N, numbers.Integral) or self.N <= 0 or self.N % 2 != 0:
             raise GeometryError("grid size N must be a positive even integer")
 
     @property
@@ -165,18 +166,19 @@ def t_multiplier(p, kappa):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_chord_arc(rho: np.ndarray, delta: float, cols: np.ndarray | None = None) -> None:
-    """Raise on the first pair (i, j) of distinct grid nodes, node spacing
-    delta, whose chord rho[i, l] is below 1e-12: their points coincide.
-    Column l of rho is grid node cols[l], node l by default."""
-    i, l = np.nonzero(rho < 1e-12)
-    j = l if cols is None else cols[l]
+def _check_chord_arc(rho: np.ndarray, delta: float, rows: np.ndarray | None = None) -> None:
+    """Raise on the first pair of distinct grid nodes, node spacing delta,
+    whose chord rho[k, j] is below 1e-12: their points coincide.  Row k of
+    rho is grid node rows[k], node k by default, and column j is node j;
+    the pair is reported as (min, max)."""
+    k, j = np.nonzero(rho < 1e-12)
+    i = k if rows is None else rows[k]
     distinct = np.flatnonzero(np.abs(i - j) * delta > 1e-9)
     if distinct.size:
-        k = distinct[0]
+        a, b = sorted((i[distinct[0]], j[distinct[0]]))
         raise SingularGeometryError(
             f"distinct parameters map to the same point (pair index "
-            f"({i[k]}, {j[k]})); the curve violates the chord-arc condition")
+            f"({a}, {b})); the curve violates the chord-arc condition")
 
 
 def bending_kernel_matrix(curve: Curve, grid: GridSpec, kappa: float) -> np.ndarray:
@@ -282,15 +284,6 @@ def _symmetrize(a: np.ndarray) -> None:
             a[cols, rows] = mean.T
 
 
-def _chord_part(rho: np.ndarray, kappa: float, weight: float, out: np.ndarray) -> np.ndarray:
-    """weight * exp(-kappa rho) / rho, written into ``out``."""
-    np.multiply(rho, -kappa, out=out)
-    np.exp(out, out=out)
-    out /= rho
-    out *= weight
-    return out
-
-
 class OperatorCache:
     """Per-(curve, grid) assembly cache for repeated kappa sweeps.
 
@@ -320,55 +313,49 @@ class OperatorCache:
         self.parity = True
         if self._straight:
             return
-        nodes = grid.nodes
+        nodes, n = grid.nodes, grid.N
         self.parity = _mirror_symmetric(curve.point(nodes))
+        h = n // 2 if self.parity else n
+        order = np.r_[0:h, n - 1:h - 1:-1]   # on a split, the bottom half reversed
+        rho = curve.pairwise_chords(nodes[order], h)
         if self.parity:
-            h = grid.N // 2
-            top, bottom = nodes[:h], nodes[:h - 1:-1]    # bottom[j] = s_(N-1-j)
-            # the top-left block, averaged with its mirror image, the reversed
-            # bottom-right block, unless the chords are compensated; and the
-            # reversed top-right block, averaged with its mirror image, which
-            # is its transpose
-            left = curve.pairwise_chords(top)
+            # rho[:h] is the top-left block and rho[h:] the transpose of the
+            # column-reversed top-right block, each averaged with its mirror
+            # image: the transpose, and the reversed bottom-right block,
+            # unless the chords are compensated
+            _symmetrize(rho[h:])
             if not curve.compensated_chords:
-                left += curve.pairwise_chords(bottom)
-                left *= 0.5
-            right = curve.pairwise_chords(top, bottom)
-            _symmetrize(right)
-            _check_chord_arc(left, grid.delta)
-            _check_chord_arc(right, grid.delta, cols=np.arange(grid.N - 1, h - 1, -1))
-            np.fill_diagonal(left, np.inf)
-            self._rho_left, self._rho_right = left, right
-        else:
-            rho = curve.pairwise_chords(nodes)
-            _check_chord_arc(rho, grid.delta)
-            np.fill_diagonal(rho, np.inf)
-            self._rho = rho
+                rho[:h] += curve.pairwise_chords(nodes[order[h:]])
+                rho[:h] *= 0.5
+        _check_chord_arc(rho, grid.delta, rows=order)
+        np.fill_diagonal(rho, np.inf)    # the top-left block's diagonal
+        self._rho = rho
 
     def q_matrix(self, kappa: float) -> np.ndarray:
         """Q_kappa as one N x N matrix or, when ``parity`` is set, as the
         (2, N/2, N/2) stack of its even block Q11 + Q12 J and its odd block
         Q11 - Q12 J."""
+        n = self.grid.N
+        h = n // 2
+        shape = (2, h, h) if self.parity else (n, n)
         row = _t_first_row(self.grid, kappa)
-        weight = self.grid.delta / (4.0 * math.pi)
-        if not self._straight:
-            sigma = np.arange(1, self.grid.N) * self.grid.delta
+        if self._straight:
+            q = np.zeros(shape)
+        else:
+            weight = self.grid.delta / (4.0 * math.pi)
+            sigma = np.arange(1, n) * self.grid.delta
             row[1:] -= weight * np.exp(-kappa * sigma) / sigma
+            rho = self._rho.reshape(shape)     # a view: the chord array is contiguous
+            q = np.multiply(rho, -kappa)       # weight * exp(-kappa rho) / rho
+            np.exp(q, out=q)
+            q /= rho
+            q *= weight
         if not self.parity:
-            q = _chord_part(self._rho, kappa, weight, np.empty_like(self._rho))
             q += _symmetric_toeplitz(row)
             return q
-        h = self.grid.N // 2
-        q = np.empty((2, h, h))
         left, right = q      # Q11 and Q12 J first, then the two blocks
-        if self._straight:
-            left[...] = _symmetric_toeplitz(row)[:h, :h]
-            right[...] = _hankel_reversed(row)
-        else:
-            _chord_part(self._rho_left, kappa, weight, left)
-            left += _symmetric_toeplitz(row)[:h, :h]
-            _chord_part(self._rho_right, kappa, weight, right)
-            right += _hankel_reversed(row)
+        left += _symmetric_toeplitz(row)[:h, :h]
+        right += _hankel_reversed(row)
         for a in range(0, h, PAIR_ROWS):
             rows = slice(a, a + PAIR_ROWS)
             q11 = left[rows].copy()

@@ -234,8 +234,8 @@ class TestPairwiseChords:
         diff = p[:, None, :] - p[None, :, :]
         rho = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         assert np.array_equal(helix.pairwise_chords(s), rho)
-        # a rectangular block against a second node set, here reversed
-        assert np.array_equal(helix.pairwise_chords(s[:100], s[:149:-1]), rho[:100, :149:-1])
+        # the first columns alone
+        assert np.array_equal(helix.pairwise_chords(s, 100), rho[:, :100])
 
     def test_no_n_by_n_by_3_temporary(self, helix):
         s = np.linspace(-8.0, 8.0, 1024)
@@ -257,8 +257,7 @@ class TestPairwiseChords:
         d = a + (e + (lo[None, :, :] - lo[:, None, :]))
         rho = np.hypot(d[..., 0], d[..., 1])
         assert np.array_equal(bump.pairwise_chords(s), rho)
-        h = n // 2
-        assert np.array_equal(bump.pairwise_chords(s[:h], s[:h - 1:-1]), rho[:h, :h - 1:-1])
+        assert np.array_equal(bump.pairwise_chords(s, n // 2), rho[:, :n // 2])
 
     def test_planar_peak_stays_near_the_result(self, bump):
         s = np.linspace(-20.0, 20.0, 1024)

@@ -45,6 +45,14 @@ class TestGridSpec:
         with pytest.raises(GeometryError):
             GridSpec(8.0, 15)
 
+    @pytest.mark.parametrize("n", [64.0, np.float64(64.0), "64"], ids=["float", "numpy-float", "str"])
+    def test_non_integral_n_rejected(self, n):
+        with pytest.raises(GeometryError, match="positive even integer"):
+            GridSpec(8.0, n)
+
+    def test_numpy_integer_n_accepted(self):
+        assert GridSpec(8.0, np.int64(64)).nodes.size == 64
+
     def test_nonpositive_L_rejected(self):
         # NaN and inf would give NaN nodes
         for L in (0.0, -1.0, math.nan, math.inf):
@@ -272,13 +280,16 @@ class TestInvariants:
 
 
 class _Hairpin(Curve):
-    """Unit-speed wire folded back onto itself at s = 0: gamma(s) = (|s|, 0, 0),
-    so the grid nodes s and -s are the same point."""
+    """Unit-speed wire folded back onto itself at s = fold: gamma(s) =
+    (|s - fold|, 0, 0), so the nodes fold + u and fold - u are the same point."""
+
+    def __init__(self, fold=0.0):
+        self.fold = fold
 
     def point(self, s):
         s = np.asarray(s, dtype=float)
         out = np.zeros(s.shape + (3,))
-        out[..., 0] = np.abs(s)
+        out[..., 0] = np.abs(s - self.fold)
         return out
 
 
@@ -370,9 +381,12 @@ class TestOperatorCache:
         if not curve.compensated_chords:
             left = (left + mirror[:h, :h]) * 0.5
         np.fill_diagonal(left, np.inf)
-        assert np.array_equal(cache._rho_left, left)
-        assert np.array_equal(cache._rho_right,
+        assert np.array_equal(cache._rho[:h], left)
+        assert np.array_equal(cache._rho[h:],
                               (rho[:h, :h - 1:-1] + mirror[:h, :h - 1:-1]) * 0.5)
+        # the one chord array reshapes to the two blocks without a copy, so
+        # each Q build runs one contiguous pass over it
+        assert np.shares_memory(cache._rho.reshape(2, h, h), cache._rho)
 
     @pytest.mark.parametrize("n", [128, 512, 1024, 2304])
     @pytest.mark.parametrize("family, L, split", [
@@ -390,19 +404,23 @@ class TestOperatorCache:
         assert chord_split == split
         assert _mirror_symmetric(curve.point(g.nodes)) == split
 
-    def test_split_set_up_keeps_only_the_halves(self, bump):
-        # no N x N chord array is built: the peak is two N/2 x N/2 chord
-        # blocks (half of 8 N^2 bytes) and a few strips of temporaries
-        g = GridSpec(24.0, 1024)
+    @pytest.mark.parametrize("family, L, bound", [("bump", 24.0, 0.6), ("scan_wire", 20.0, 1.0)])
+    def test_split_set_up_keeps_only_the_halves(self, family, L, bound, request):
+        # no N x N chord array is built: the peak is the N x N/2 chords (half
+        # of 8 N^2 bytes) and a few strips of temporaries, and on a sampled
+        # wire the mirrored N/2 x N/2 block averaged into them; both stay
+        # below the one-block set-up (1.39 x 8 N^2)
+        curve = request.getfixturevalue(family)
+        g = GridSpec(L, 1024)
         g.nodes
         tracemalloc.start()
         try:
-            cache = OperatorCache(bump, g)
+            cache = OperatorCache(curve, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert cache.parity
-        assert peak < 0.6 * 8 * g.N ** 2
+        assert peak < bound * 8 * g.N ** 2
 
     @pytest.mark.parametrize("n", [128, 512, 1024, 2304])
     def test_mirror_symmetric_sampled_wire_splits(self, scan_wire, n):
@@ -434,3 +452,13 @@ class TestOperatorCache:
         with pytest.raises(SingularGeometryError,
                            match=r"pair index \(0, 15\).*chord-arc condition"):
             OperatorCache(_Hairpin(), g)
+
+    def test_coincident_nodes_raise_on_one_block(self):
+        # folded at s = 1/2 instead, the hairpin is no mirror image of itself
+        # on the grid, so it keeps one block, whose coincident pairs (i, j)
+        # have s_i + s_j = 1
+        g = GridSpec(4.0, 16)
+        assert not _mirror_symmetric(_Hairpin(0.5).point(g.nodes))
+        with pytest.raises(SingularGeometryError,
+                           match=r"pair index \(2, 15\).*chord-arc condition"):
+            OperatorCache(_Hairpin(0.5), g)
