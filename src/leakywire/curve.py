@@ -20,9 +20,11 @@ The admissibility audits are sampled checks, not certificates: the chord-arc
 constant (``check_a1``), the quantified asymptotic-straightness inequality on
 the two-branch pair set (``check_a2``) and the curvature-decay exponent
 (``check_curvature_decay``) are all evaluated on dense grids whose resolution
-is part of the report.  The audits keep one N x N array, the chords, and walk
-it ``PAIR_ROWS`` rows at a time; no chord block allocates more than a few
-strips of rows besides itself.
+is part of the report.  ``pairwise_chords(s, cols)`` evaluates the positions
+of s once and gives the chords of every node with the first ``cols`` nodes,
+all of them by default.  The audits keep one N x N array, the chords, and
+walk it ``PAIR_ROWS`` rows at a time; no chord array allocates more than a
+few strips of rows besides itself.
 """
 
 from __future__ import annotations

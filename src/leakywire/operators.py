@@ -39,36 +39,40 @@ positions, not the N^2 chords: it fits an isometry p(s_(N-1-i)) ~ R p(s_i)
 + t by an orthogonal Procrustes (Kabsch) fit, and a wire passes when no
 position misses by more than ``MIRROR_ULPS`` ulps of the largest distance
 between mirror nodes, which keeps mirror chords within 16 ulps of the
-largest chord.  A wire that passes gets only the two N/2 x N/2 halves it
-keeps, and no N x N chord array: the column-reversed top-right block
-rho(s_i, s_(N-1-j)) averaged with its mirror image, which is its
-transpose, and the top-left block rho(s_i, s_j).  A planar profile's
-chords are compensated, accurate relative to each chord, and its top-left
-block is kept as it is; any other curve's chords carry the absolute
-rounding of their positions, which the kernel scales by Delta / rho^2 next
-to the diagonal, so the block is averaged with its mirror image, the
-reversed bottom-right block, and the halves are those of
-(rho + J rho J)/2.  The cache builds Q as the (2, N/2, N/2) stack of the
-blocks, summed and differenced in blocks of ``curve.PAIR_ROWS`` rows.  T
-is symmetric Toeplitz and splits on every wire, the straight line
-included.  A sampled curve centres its arc length as the mean of the sums
-from either end, so mirror-image samples get mirror-image arc lengths up
-to rounding and a symmetric sampled wire splits too.  Wires that fail the
-test (sampled data that are asymmetric themselves, such as a one-sided
-cumulative Simpson sum, miss by 84 ulps or more) keep the one N x N
-matrix.  A split cache builds half the chords (three quarters on a curve
-whose chords are not compensated), keeps half and computes half the
-exponentials per kappa.  Measured on bump a=1, w=1 at kappa = 1.15 (2
-vCPU, OpenBLAS, min of 3 runs; the set-up row from min of 7, the one
-matrix there on the same bump centred at s = 0.25, which fails the test):
+largest chord.  A cache keeps one chord array from one ``pairwise_chords``
+call, on the nodes s_0 .. s_(h-1), s_(N-1) .. s_h and columns the first
+h: the N x N chords (h = N) when the wire fails the test, an N x N/2
+array (h = N/2) when it passes.  Its top rows are then the top-left block
+rho(s_i, s_j), and its bottom rows the transpose of the column-reversed
+top-right block rho(s_i, s_(N-1-j)), averaged with its mirror image, its
+transpose.  A planar profile's chords are compensated, accurate relative
+to each chord, and its top-left block is kept as it is; any other curve's
+chords carry the absolute rounding of their positions, which the kernel
+scales by Delta / rho^2 next to the diagonal, so the block is averaged
+with its mirror image, the reversed bottom-right block, and the halves
+are those of (rho + J rho J)/2.  The array reshapes to the (2, N/2, N/2)
+stack of the halves without a copy, so one contiguous pass of
+exponentials builds Q11 and Q12 J, summed and differenced in blocks of
+``curve.PAIR_ROWS`` rows.  T is symmetric Toeplitz and splits on every
+wire, the straight line, which has no chords, included.  A sampled curve
+centres its arc length as the mean of the sums from either end, so
+mirror-image samples get mirror-image arc lengths up to rounding and a
+symmetric sampled wire splits too.  Wires that fail the test (sampled
+data that are asymmetric themselves, such as a one-sided cumulative
+Simpson sum, miss by 84 ulps or more) keep the one N x N matrix.  A split
+cache builds half the chords (three quarters on a curve whose chords are
+not compensated), keeps half and computes half the exponentials per
+kappa.  Measured on bump a=1, w=1 at kappa = 1.15 (2 vCPU, OpenBLAS, min
+of 3 runs; the set-up row from min of 7, the one matrix there on the same
+bump centred at s = 0.25, which fails the test):
 
-=============  ==========  ============  ===========================
-Q build        one matrix  parity stack  chords kept (one / split)
-=============  ==========  ============  ===========================
-N=1024, L=24   8.2 ms      4.0 ms        8 MiB / 4 MiB
+=============  ==========  ============  =============================
+Q build        one matrix  parity stack  chord array (one / split)
+=============  ==========  ============  =============================
+N=1024, L=24   8.2 ms      4.0 ms        N x N, 8 MiB / N x N/2, 4 MiB
 N=2304, L=24   58 ms       27 ms         40.5 MiB / 20.25 MiB
 N=2304 set-up  151 ms      86 ms         N^2 / (N^2 / 2) chords built
-=============  ==========  ============  ===========================
+=============  ==========  ============  =============================
 
 Assembly: there is one builder and one reference.  ``OperatorCache.q_matrix``
 builds every Q the solvers use, so a change of quadrature rule is made
@@ -297,12 +301,14 @@ class OperatorCache:
     exponential, written into the returned array.
 
     A wire whose N positions pass the mirror test (see the module
-    docstring) sets ``parity``: the cache then builds two N/2 x N/2 chord
-    blocks, or three when the curve's chords are not compensated, and keeps
-    only two halves, the top-left block and the column-reversed top-right
-    one, and each kappa costs two N/2 x N/2 exponentials.  Both halves are
-    checked for coincident points, pairs reported in full-grid numbering.
-    The straight line has no chords and always splits.
+    docstring) sets ``parity``: its one chord array is then N x N/2, the
+    top-left block over the transposed, column-reversed top-right block,
+    from one ``pairwise_chords`` call (and one more for the mirrored
+    bottom-right block when the curve's chords are not compensated).  It
+    reshapes to the (2, N/2, N/2) stack of the two halves without a copy,
+    so each kappa costs one pass of N^2/2 exponentials; coincident pairs
+    are reported in full-grid numbering.  The straight line has no chords
+    and always splits.
     """
 
     def __init__(self, curve: Curve, grid: GridSpec):

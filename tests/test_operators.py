@@ -355,8 +355,8 @@ class TestOperatorCache:
             else:
                 assert gap <= 1e-15
             assert np.array_equal(q, np.swapaxes(q, -1, -2))
-        # the chords are the only square arrays a cache keeps: N^2 / 2 floats
-        # in two halves for a split wire, N^2 otherwise
+        # the chords are the only 2-D arrays a cache keeps: N^2 / 2 floats,
+        # N x N/2, for a split wire, N^2 otherwise
         square = [v for v in vars(cache).values()
                   if isinstance(v, np.ndarray) and v.ndim == 2]
         assert sum(v.size for v in square) == (
