@@ -242,7 +242,7 @@ def _cmd_scan(args) -> int:
         raise ConfigError(f"need 0 < --kappa-min < --kappa-max, got {k_min} and {k_max}")
     spectral, crossings = spectrum_scan(curve, config, (k_min, k_max), args.points)
     if args.format == "csv":
-        _emit(args, spectral.csv_text(), fmt="csv")
+        _emit(args, spectral.csv_text(), fmt="csv", meta=spectral.diagnostics)
     else:
         payload = {
             "alpha": float(args.alpha),
@@ -253,7 +253,7 @@ def _cmd_scan(args) -> int:
             "lambdas": [[float(x) for x in row] for row in spectral.lambdas],
             "crossings": [{"branch": c.branch, "kappa": c.kappa} for c in crossings],
         }
-        _emit(args, payload)
+        _emit(args, payload, meta=spectral.diagnostics)
     return EXIT_OK
 
 

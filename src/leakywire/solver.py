@@ -257,25 +257,39 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
     """Eigenvalue curves over a kappa range plus refined alpha-crossings.
 
     Returns (SpectralCurve, list[Crossing]); crossings are Brent-refined to
-    the configured relative tolerance between bracketing samples.
+    the configured relative tolerance between bracketing samples.  The
+    samples are plain values solves.  In each sample interval the first
+    Brent point is solved in full with seed vectors, and every later one, of
+    any branch crossing there, takes a certified Rayleigh-Ritz step from the
+    point evaluated before it (see ``top_eigen``).  The curve's
+    ``diagnostics`` hold the evaluator's counts: ``evaluations``,
+    ``dense_solves``, ``ritz_steps``, ``ritz_fallbacks`` and
+    ``ritz_worst_bound``.
     """
     k_lo, k_hi = float(kappa_range[0]), float(kappa_range[1])
     if not (0 < k_lo < k_hi):
         raise GeometryError("kappa range must satisfy 0 < kappa_min < kappa_max")
     kappas = np.geomspace(k_lo, k_hi, int(n_points))
     crossings = []
+    alpha = config.alpha
     with _BranchEvaluator(curve, config.grid, config.m_branches) as ev:
         # sampling through the memo lets Brent reuse the bracketing samples
         curve_data = SpectralCurve.sample(kappas, ev.values)
-        for j in range(config.m_branches):
-            f = curve_data.lambdas[:, j] - config.alpha
-            for i in range(len(kappas)):
-                if f[i] == 0.0:
+        f = curve_data.lambdas - alpha
+        for i in range(len(kappas)):
+            ev.seed = None   # each sample interval seeds its Brent points anew
+            for j in range(config.m_branches):
+                if f[i, j] == 0.0:
                     crossings.append(Crossing(branch=j, kappa=float(kappas[i])))
-                elif i + 1 < len(kappas) and f[i] * f[i + 1] < 0:
-                    kc, _ = _root_in_log_kappa(lambda k: ev.values(k)[j] - config.alpha,
-                                               kappas[i], kappas[i + 1], config.tol_kappa_rel)
+                elif i + 1 < len(kappas) and f[i, j] * f[i + 1, j] < 0:
+                    kc, _ = _root_in_log_kappa(
+                        lambda k: ev.record(k, seeded=True).values[j] - alpha,
+                        kappas[i], kappas[i + 1], config.tol_kappa_rel)
                     crossings.append(Crossing(branch=j, kappa=float(kc)))
+        curve_data.diagnostics = {name: getattr(ev, name) for name in (
+            "evaluations", "dense_solves", "ritz_steps", "ritz_fallbacks", "ritz_worst_bound")}
+    # by branch, then kappa: a branch's crossings lie in distinct intervals
+    crossings.sort(key=lambda c: (c.branch, c.kappa))
     return curve_data, crossings
 
 

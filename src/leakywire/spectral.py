@@ -51,16 +51,41 @@ N x N matrix, a bump's N=1024, m=8 solve falls from 0.094 s to 0.032 s, and
 the N=2304, m=1 solve of the converge tail from 0.38 s (Lanczos) to 0.20 s
 (dense on 2 x 1152).  Eigensolves at distinct kappa run one after another:
 the BLAS underneath each one already uses every core.
+
+Ritz steps: Q changes smoothly with kappa, so the top p = min(m, n) + 4
+vectors V of a block at one kappa nearly span its top eigenvectors at a
+nearby one (eigenvector continuation, Frame et al., PRL 121, 032501
+(2018)).  ``top_eigen(..., seed=V)`` solves the projected 3p x 3p problem
+on span{V, Q V, Q^2 V} and accepts it per block under a residual-gap
+certificate (block Rayleigh-Ritz bounds, Knyazev, SIAM J. Sci. Comput. 23
+(2001)); a scan's Brent points use it (see ``_BranchEvaluator``).
+Measured at m = 8, kappa 1.3 to 1.313 (same machine, min of 9; the seed
+solve is the full solve with p vectors, and a step includes its
+certificate):
+
+=======================================  ============  ==========  =========
+case                                     values solve  seed solve  Ritz step
+=======================================  ============  ==========  =========
+2 x 512 blocks, scan wire, L=20, N=1024  27 ms         33 ms       6.1 ms
+1024 one block, Simpson bump, L=24       75 ms         84 ms       7.5 ms
+=======================================  ============  ==========  =========
+
+A Q build takes 3.6 and 4.4 ms.  On the one block the 1% step fails its
+certificate (the near-degenerate pairs of a nearly symmetric wire need a
+closer seed) and costs 89 ms with its fallback; the time given is that of
+steps from 1.3 to at most 1.3 x 1.005, which pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dsyevd
 from scipy.sparse.linalg import LinearOperator
 
 from .curve import Curve
@@ -79,6 +104,14 @@ DENSE_EIGEN_LIMIT = 2048
 #: N=1536 on (0.065-0.143 s against 0.18-0.20 s dense); at N=1152 the two
 #: are level (0.067 s dense, 0.04-0.16 s Lanczos), so 1152 stays dense
 DENSE_TOP1_LIMIT = 1152
+#: a seeded solve keeps this many vectors per block beyond the k = min(m, n)
+#: values it returns, so that the top k stay inside the stepped subspace
+RITZ_EXTRA = 4
+#: a Rayleigh-Ritz step is accepted when each of its top k values has
+#: residual r and gap g to the nearest other Ritz value with g > 2 r and
+#: r^2 / (g - r) <= RITZ_BOUND, its bound on the value's error; the values
+#: are O(0.1), and the root tolerance on lambda is 1e-9
+RITZ_BOUND = 1e-13
 
 
 def _iterative_top(matrix, m: int, want_vectors: bool):
@@ -114,6 +147,7 @@ class SpectralCurve:
     kappas: np.ndarray          # ascending, shape (nk,)
     lambdas: np.ndarray         # shape (nk, m), each row descending
     s_k_values: np.ndarray      # s_kappa at each sample
+    diagnostics: dict = field(default_factory=dict)   # how a scan solved it
 
     @classmethod
     def sample(cls, kappa_list, values) -> "SpectralCurve":
@@ -163,8 +197,9 @@ class Eigen(NamedTuple):
 
     values: np.ndarray              # shape (m,), descending
     parity: list                    # "even", "odd" or None (one block) per value
-    path: str                       # "dense" or "lanczos"
-    vectors: Optional[np.ndarray]   # (N, m) columns; None unless asked for
+    path: str                       # "dense", "lanczos" or "ritz"
+    vectors: Optional[np.ndarray]   # (N, c) columns, (2, n, c) for a stack; see top_eigen
+    bounds: tuple = ()              # per block of a seeded solve; see top_eigen
 
     def branch(self, j: int):
         """(block, k): value j is the k-th of its parity block (0 even, 1
@@ -175,55 +210,162 @@ class Eigen(NamedTuple):
         return PARITIES.index(label), self.parity[:j].count(label)
 
 
-def top_eigen(matrix: np.ndarray, m: int, vectors: bool = False) -> Eigen:
+def _product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x in scipy's BLAS, whose threads and GEMM buffers the dense solves
+    already use; ``a.T`` is the Fortran-ordered view BLAS reads without a copy.
+
+    numpy's OpenBLAS is a second thread pool, and on 2 cores the two pools'
+    spinning threads starve each other: with numpy products a Ritz step on
+    2 x 512 blocks took 21 ms inside a scan instead of 5 ms, and scan
+    requests were no faster than with no steps at all (1.7-2.1 s against
+    1.6-2.0 s).
+    """
+    return dgemm(1.0, a.T, x, trans_a=True)
+
+
+def _full_solve(blocks: np.ndarray, c: int, vectors: bool, path: str):
+    """The top c eigenvalues of each block of a (b, n, n) stack, (b, c) and
+    descending per block, and with ``vectors`` their (b, n, c) sign-fixed
+    eigenvectors, residual-checked per block against 1e-9 * ||block||."""
+    b, n, _ = blocks.shape
+    if path == "lanczos":
+        runs = [_iterative_top(_block_diagonal(a[None]), c, vectors) for a in blocks]
+        w = np.array([vals for vals, _ in runs])
+        vecs = np.array([v for _, v in runs]) if vectors else None
+    else:
+        # one 2-D matrix goes to LAPACK as it is, a stack in one batched call
+        a = blocks if b > 1 else blocks[0]
+        if vectors:   # LAPACK's columns ascend
+            w, vecs = scipy.linalg.eigh(a, subset_by_index=[n - c, n - 1])
+            vecs = vecs.reshape(b, n, c)[:, :, ::-1]
+        else:
+            w, vecs = scipy.linalg.eigvalsh(a, subset_by_index=[n - c, n - 1]), None
+        w = w.reshape(b, c)[:, ::-1]
+    if not vectors:
+        return w, None
+    for a, vals, vs in zip(blocks, w, vecs):
+        # largest |entry| without an n x n temporary
+        norm_q = max(abs(vals[0]), max(a.max(), -a.min()) * n ** 0.5)
+        resid = np.linalg.norm(_product(a, vs) - vs * vals, axis=0)
+        j = int(np.argmax(resid))
+        if resid[j] > 1e-9 * max(norm_q, 1e-30):
+            raise NumericalFailureError(
+                f"eigenpair {j} residual {resid[j]:.3e} exceeds 1e-9 * ||Q|| (N={n})")
+    return w, np.stack([np.column_stack([_fix_sign(v) for v in vs.T]) for vs in vecs])
+
+
+def _ritz_step(blocks: np.ndarray, seed: np.ndarray, k: int):
+    """One block Rayleigh-Ritz step of each block A of a (b, n, n) stack on
+    span{V, A V, A^2 V}, V its (n, p) seed vectors.
+
+    Returns the top k Ritz values of each block (b, k), descending, the top p
+    Ritz vectors (b, n, p), and per block the largest bound r^2 / (g - r) of
+    its top k values, r a value's residual and g its gap to the nearest other
+    Ritz value; the bound is inf where some g <= 2 r.
+
+    The products and factorizations run in scipy's BLAS and LAPACK (see
+    ``_product``).
+    """
+    _, n, _ = blocks.shape
+    p = seed.shape[2]
+    values, vectors, bounds = [], [], []
+    for a, v in zip(blocks, seed):
+        x = np.empty((n, 3 * p), order="F")
+        x[:, :p] = v
+        x[:, p:2 * p] = _product(a, v)
+        x[:, 2 * p:] = _product(a, x[:, p:2 * p])
+        # Householder QR keeps the basis orthonormal when V is nearly invariant
+        basis = scipy.linalg.qr(x, mode="economic", overwrite_a=True, check_finite=False)[0]
+        a_basis = _product(a, basis)
+        theta, c, info = dsyevd(dgemm(1.0, basis, a_basis, trans_a=True))
+        if info != 0:
+            raise NumericalFailureError(f"projected eigensolve failed (info={info})")
+        theta, c = theta[::-1], c[:, ::-1]
+        y = dgemm(1.0, basis, c[:, :p])
+        r = np.linalg.norm(dgemm(1.0, a_basis, c[:, :k]) - y[:, :k] * theta[:k], axis=0)
+        step = theta[:-1] - theta[1:]
+        gap = np.minimum(np.r_[np.inf, step[:k - 1]], step[:k])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.where(gap > 2 * r, r ** 2 / (gap - r), np.inf)
+        values.append(theta[:k])
+        vectors.append(y)
+        bounds.append(bound.max())
+    return np.array(values), np.array(vectors), np.array(bounds)
+
+
+def _seeded_solve(blocks: np.ndarray, k: int, seed, path: str):
+    """Per-block values (b, k), seed vectors (b, n, p) and certified bounds
+    of ``top_eigen(..., seed=seed)``."""
+    b, n, _ = blocks.shape
+    p = min(k + RITZ_EXTRA, n)
+    bound = np.full(b, np.inf)
+    if seed is not True and 3 * p < n:
+        seed = seed if seed.ndim == 3 else seed[None]
+        if seed.shape == (b, n, p):
+            w, vecs, bound = _ritz_step(blocks, seed, k)
+    full = np.flatnonzero(~(bound <= RITZ_BOUND))
+    if full.size:
+        # a stack has two blocks, so the blocks to solve are all or one
+        part = blocks if full.size == b else blocks[full[0]:full[0] + 1]
+        w_full, v_full = _full_solve(part, p, True, path)
+        if full.size == b:
+            w, vecs = w_full[:, :k], v_full
+        else:
+            w[full], vecs[full] = w_full[:, :k], v_full
+    bounds = tuple(None if i in full else float(bound[i]) for i in range(b))
+    return w, vecs, bounds
+
+
+def top_eigen(matrix: np.ndarray, m: int, vectors: bool = False, seed=None) -> Eigen:
     """The m largest eigenvalues of a symmetric matrix, descending.
 
     ``matrix`` is one N x N matrix, or the (2, N/2, N/2) stack of the even
     and odd blocks of a persymmetric one (``OperatorCache.q_matrix`` returns
     either).  The blocks of a stack are solved together, in one batched
-    dense call or one Lanczos run on the block-diagonal operator, and their
-    values merged; the parity of a value is the block it comes from.
-    ``eigensolver(n, m)`` picks the path from the block size n.  Only one
-    matrix is solved with ``vectors=True``: the record then holds its
-    orthonormal eigenvectors as columns, sign-fixed, with residuals
-    ||Q v - lambda v|| verified against 1e-9 * ||Q||.
+    dense call or one Lanczos run on the block-diagonal operator, and the
+    top k = min(m, n) values of each merged; the parity of a value is the
+    block it comes from.  ``eigensolver(n, m)`` picks the path from the
+    block size n.  With ``vectors=True`` the record holds the orthonormal,
+    sign-fixed eigenvectors of the top k values, residual-checked against
+    1e-9 * ||Q||: as (N, m) columns for one matrix and as (2, n, k) block
+    columns, each block descending, for a stack (whose Lanczos path then
+    runs once per block).
+
+    ``seed`` makes the record's ``vectors`` the top p = k + RITZ_EXTRA
+    vectors of each block (at most n), shaped as above, which a later call
+    steps from.  ``seed=True`` solves each block in full.  Seed vectors of
+    an earlier record take one Rayleigh-Ritz step (``_ritz_step``) per
+    block instead, whose Ritz values are accepted when their bound is at
+    most RITZ_BOUND; a block that fails, or every block when 3p >= n or
+    the seed has another shape, is solved in full.  ``bounds`` then holds
+    per block the accepted bound, or None where the block was solved in
+    full, and ``path`` is ``"ritz"`` when every block was stepped.
     """
     blocks = matrix if matrix.ndim == 3 else matrix[None]
     nb, n, _ = blocks.shape
     if not 1 <= m <= nb * n:
         raise GeometryError(f"need 1 <= m <= N, got m={m}, N={nb * n}")
-    if vectors and nb > 1:
-        raise ValueError("eigenvectors are solved for one matrix only")
+    k = min(m, n)
     path = eigensolver(n, m)
-    if path == "lanczos":
-        vals, vecs = _iterative_top(_block_diagonal(blocks), m, vectors or nb > 1)
-        if nb > 1:   # the parity of a value is the block its Ritz vector lies in
-            block = np.argmax(np.linalg.norm(vecs.T.reshape(m, nb, n), axis=2), axis=1)
+    bounds = ()
+    if seed is not None:
+        w, vecs, bounds = _seeded_solve(blocks, k, seed, path)
+        if None not in bounds:
+            path = "ritz"
+    elif path == "lanczos" and nb > 1 and not vectors:
+        vals, vecs = _iterative_top(_block_diagonal(blocks), m, True)
+        # the parity of a value is the block its Ritz vector lies in
+        block = np.argmax(np.linalg.norm(vecs.T.reshape(m, nb, n), axis=2), axis=1)
+        return Eigen(vals, [PARITIES[b] for b in block], path, None)
     else:
-        # a 2-D matrix goes to LAPACK as it is; a stack in one batched call
-        k = min(m, n)
-        if vectors:   # LAPACK's columns ascend
-            w, vecs = scipy.linalg.eigh(matrix, subset_by_index=[n - k, n - 1])
-            vecs = vecs[:, ::-1]
-        else:
-            w = scipy.linalg.eigvalsh(matrix, subset_by_index=[n - k, n - 1])
-        w = w.reshape(nb, k)[:, ::-1].ravel()
-        # a stable merge: for one matrix this is the identity
-        order = np.argsort(-w, kind="stable")[:m]
-        vals, block = w[order], order // k
+        w, vecs = _full_solve(blocks, k, vectors, path)
+    # a stable merge: for one matrix this is the identity
+    order = np.argsort(-w.ravel(), kind="stable")[:m]
+    vals, block = w.ravel()[order], order // k
     parity = [None] * m if nb == 1 else [PARITIES[b] for b in block]
-    if not vectors:
-        return Eigen(vals, parity, path, None)
-    # largest |entry| without an N x N temporary
-    norm_q = max(abs(vals[0]), max(matrix.max(), -matrix.min()) * n ** 0.5)
-    # one matrix-vector product per value: a single matrix product would
-    # touch the BLAS GEMM buffers, about 7 MiB more peak memory per process
-    resid = [np.linalg.norm(matrix @ v - lam * v) for lam, v in zip(vals, vecs.T)]
-    j = int(np.argmax(resid))
-    if resid[j] > 1e-9 * max(norm_q, 1e-30):
-        raise NumericalFailureError(
-            f"eigenpair {j} residual {resid[j]:.3e} exceeds 1e-9 * ||Q|| (N={n})")
-    return Eigen(vals, parity, path, np.column_stack([_fix_sign(v) for v in vecs.T]))
+    if vecs is not None and matrix.ndim == 2:
+        vecs = vecs[0]
+    return Eigen(vals, parity, path, vecs, bounds)
 
 
 class _BranchEvaluator:
@@ -240,6 +382,15 @@ class _BranchEvaluator:
     a block's values are read from it.  ``eigenpair(kappa, block)`` solves
     the root's block again with vectors.
 
+    ``record(kappa, seeded=True)`` is a scan's Brent point: it solves with
+    the one seed the evaluator keeps, the vectors of the latest seeded
+    record (``seed``, None to start again with a full solve), and replaces
+    that seed with its own; the memo keeps no vectors.  The counters say
+    how each values solve went: ``dense_solves`` solved some block in full
+    (dense or Lanczos), ``ritz_steps`` and ``ritz_fallbacks`` count blocks
+    that took or failed a Ritz step, and ``ritz_worst_bound`` is the largest
+    accepted bound.
+
     Used as a context manager: leaving the block drops the operator cache.
     scipy's brentq keeps the objective in a self-referencing wrapper, so a
     root-search closure over the evaluator would otherwise hold the cache's
@@ -251,8 +402,13 @@ class _BranchEvaluator:
         self.m = m
         self._records = {}
         self._block_values = {}
+        self.seed = None
         self.evaluations = 0        # values-only solves, one per distinct (kappa, block)
         self.block_evaluations = 0  # those of them that solved one parity block
+        self.dense_solves = 0
+        self.ritz_steps = 0
+        self.ritz_fallbacks = 0
+        self.ritz_worst_bound = None
 
     def __enter__(self):
         return self
@@ -260,11 +416,27 @@ class _BranchEvaluator:
     def __exit__(self, *exc):
         self.cache = None
 
-    def record(self, kappa: float) -> Eigen:
-        """The values-only record of both blocks at kappa, solved once per kappa."""
+    def record(self, kappa: float, seeded: bool = False) -> Eigen:
+        """The values-only record of both blocks at kappa, solved once per
+        kappa; ``seeded`` solves it from and into ``seed``."""
         key = float(kappa)
         if key not in self._records:
-            self._records[key] = top_eigen(self.cache.q_matrix(key), self.m)
+            q = self.cache.q_matrix(key)
+            if seeded:
+                rec = top_eigen(q, self.m, seed=True if self.seed is None else self.seed)
+                stepped = [b for b in rec.bounds if b is not None]
+                if stepped:
+                    self.ritz_worst_bound = max(stepped + [self.ritz_worst_bound or 0.0])
+                if self.seed is not None:
+                    self.ritz_fallbacks += len(rec.bounds) - len(stepped)
+                self.ritz_steps += len(stepped)
+                self.dense_solves += rec.path != "ritz"
+                self.seed = rec.vectors
+                rec = rec._replace(vectors=None)
+            else:
+                rec = top_eigen(q, self.m)
+                self.dense_solves += 1
+            self._records[key] = rec
             self.evaluations += 1
         return self._records[key]
 
@@ -282,6 +454,7 @@ class _BranchEvaluator:
                 q = self.cache.q_matrix(key)[block]
                 vals = top_eigen(q, min(self.m, q.shape[0])).values
                 self.evaluations += 1
+                self.dense_solves += 1
                 self.block_evaluations += 1
             self._block_values[key, block] = vals
         return self._block_values[key, block]

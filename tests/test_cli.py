@@ -212,6 +212,22 @@ class TestScanCommand:
         assert data == curve.csv_text().encode()
         assert b"\r" not in data
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sidecar_holds_the_scan_diagnostics(self, tmp_path, fmt):
+        # how the scan solved its values goes to the sidecar, in either
+        # format, and never into the payload
+        out = tmp_path / f"scan.{fmt}"
+        assert run_cli("scan", "--curve", "bump:a=1,w=1", "-L", "16", "-N", "256",
+                       "--format", fmt, "-o", str(out)) == 0
+        meta = json.loads(Path(f"{out}.meta.json").read_text())
+        keys = {"evaluations", "dense_solves", "ritz_steps", "ritz_fallbacks",
+                "ritz_worst_bound"}
+        assert keys <= set(meta)
+        assert meta["ritz_steps"] > 0
+        assert meta["evaluations"] > meta["dense_solves"] >= 20
+        assert 0 <= meta["ritz_worst_bound"] <= 1e-13
+        assert not any(key in out.read_text() for key in keys)
+
 
 class TestCheckCommand:
     def test_bump_all_pass(self, tmp_path):
@@ -269,6 +285,16 @@ class TestDeterminism:
         # timestamps live only in the sidecar
         assert os.path.exists(f"{a}.meta.json")
         assert "written_at" not in a.read_text()
+
+    def test_byte_identical_scan_reruns(self, tmp_path):
+        # a scan's crossings come from Ritz steps; reruns give the same bytes
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        args = ["scan", "--curve", "bump:a=1,w=1", "-L", "16", "-N", "256"]
+        assert run_cli(*args, "-o", str(a)) == 0
+        assert run_cli(*args, "-o", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(Path(f"{a}.meta.json").read_text())["ritz_steps"] > 0
 
     def test_round_trip_equality(self, tmp_path):
         out = tmp_path / "res.json"

@@ -229,6 +229,47 @@ class TestSpectrumScan:
         assert [(c.branch, c.kappa) for c in crossings if c.branch == 0] == [(0, 3.0)]
         assert [c.branch for c in crossings] == [0, 1]
 
+    @pytest.mark.parametrize("case", ["bump", "off_centre_wire", "helix", "straight"])
+    def test_ritz_steps_keep_the_dense_scan(self, monkeypatch, request, case):
+        # Brent's interior points take certified Ritz steps; the sampled
+        # values are the dense run's bit for bit, and each crossing keeps its
+        # branch and moves by rounding only
+        curve = request.getfixturevalue(case)
+        grid, m = {"helix": (GridSpec(12.0, 256), 3),
+                   "off_centre_wire": (GridSpec(10.0, 256), 8)}.get(case, (GridSpec(16.0, 256), 8))
+        config = SolveConfig(alpha=0.0, grid=grid, m_branches=m)
+        k0 = kappa0(0.0)
+        sc, crossings = spectrum_scan(curve, config, (0.5 * k0, 5.0 * k0), 20)
+        plain = spectral_mod.top_eigen
+        monkeypatch.setattr(spectral_mod, "top_eigen",
+                            lambda q, m, vectors=False, seed=None: plain(q, m, vectors))
+        dense_sc, dense_crossings = spectrum_scan(curve, config, (0.5 * k0, 5.0 * k0), 20)
+        assert sc.diagnostics["ritz_steps"] > 0
+        assert dense_sc.diagnostics["ritz_steps"] == 0
+        assert np.array_equal(sc.lambdas, dense_sc.lambdas)
+        assert [c.branch for c in crossings] == [c.branch for c in dense_crossings]
+        for c, d in zip(crossings, dense_crossings):
+            assert c.kappa == pytest.approx(d.kappa, rel=1e-12, abs=0.0)
+
+    def test_scan_diagnostics_count_the_solves(self, bump):
+        # the samples are full solves, and so is the first Brent point of each
+        # sample interval that holds a crossing; with no fallback every other
+        # evaluation is a record whose two blocks both took Ritz steps
+        config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 256), m_branches=8)
+        k0 = kappa0(0.0)
+        sc, crossings = spectrum_scan(bump, config, (0.5 * k0, 5.0 * k0), 20)
+        d = sc.diagnostics
+        assert set(d) == {"evaluations", "dense_solves", "ritz_steps", "ritz_fallbacks",
+                          "ritz_worst_bound"}
+        signs = np.sign(sc.lambdas - config.alpha)
+        intervals = int(np.sum(np.any(signs[:-1] * signs[1:] < 0, axis=1)))
+        assert 0 < intervals < len(crossings)
+        assert d["ritz_fallbacks"] == 0
+        assert d["dense_solves"] == 20 + intervals
+        assert d["ritz_steps"] % 2 == 0   # both blocks of each stepped point
+        assert d["evaluations"] == d["dense_solves"] + d["ritz_steps"] // 2
+        assert 0 <= d["ritz_worst_bound"] <= spectral_mod.RITZ_BOUND
+
 
 def _closed_form_evaluator(monkeypatch, lam):
     """A one-branch _BranchEvaluator whose Q is the 1 x 1 matrix [[lam(kappa)]]:

@@ -22,7 +22,7 @@ from conftest import unfold
 
 class TestTopEigenpairs:
     def test_diagonal_matrix(self):
-        vals, _, _, vecs = top_eigen(np.diag([3.0, 1.0, 0.0, -2.0]), 2, vectors=True)
+        vals, _, _, vecs, _ = top_eigen(np.diag([3.0, 1.0, 0.0, -2.0]), 2, vectors=True)
         assert vals[0] == pytest.approx(3.0, abs=1e-14)
         assert vals[1] == pytest.approx(1.0, abs=1e-14)
         assert np.allclose(np.abs(vecs[:, 0]), [1, 0, 0, 0], atol=1e-14)
@@ -30,7 +30,7 @@ class TestTopEigenpairs:
 
     def test_straight_top_mode_is_constant_vector(self, straight):
         g = GridSpec(16.0, 128)
-        vals, _, _, vecs = top_eigen(assemble_T(g, 1.7), 1, vectors=True)
+        vals, _, _, vecs, _ = top_eigen(assemble_T(g, 1.7), 1, vectors=True)
         assert vals[0] == pytest.approx(s_kappa(1.7), abs=1e-13)
         assert np.allclose(vecs[:, 0], np.ones(g.N) / math.sqrt(g.N), atol=1e-10)
 
@@ -52,16 +52,32 @@ class TestTopEigenpairs:
         curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
         g = GridSpec(24.0, 512)
         q = OperatorCache(curve, g).q_matrix(1.3)
-        vals, parity, path, _ = top_eigen(q, 6)
+        vals, parity, path = top_eigen(q, 6)[:3]
         assert np.max(np.abs(vals - scipy.linalg.eigvalsh(unfold(q))[::-1][:6])) <= 1e-14
         assert set(parity) == {"even", "odd"}
         _check_block_eigenpairs(curve, g, 1.3, 6, path)
 
-    def test_a_stack_is_solved_for_values_only(self, bump):
+    @pytest.mark.parametrize("path", ["dense", "lanczos"])
+    def test_a_stack_is_solved_per_block_with_vectors(self, bump, monkeypatch, path):
+        # a stack's vectors are the top min(m, n) eigenvectors of each block,
+        # with that block's values, orthonormal and residual-checked
+        if path == "lanczos":
+            _lanczos_everywhere(monkeypatch)
         q = OperatorCache(bump, GridSpec(16.0, 256)).q_matrix(1.2)
         assert q.ndim == 3
-        with pytest.raises(ValueError, match="one matrix only"):
-            top_eigen(q, 4, vectors=True)
+        bare = top_eigen(q, 4)
+        rec = top_eigen(q, 4, vectors=True)
+        assert rec.path == path and rec.vectors.shape == (2, 128, 4)
+        assert rec.parity == bare.parity
+        assert np.allclose(rec.values, bare.values, rtol=0, atol=1e-14)
+        for block, label in enumerate(spectral_mod.PARITIES):
+            mine = rec.values[[p == label for p in rec.parity]]
+            vecs = rec.vectors[block]
+            lams = scipy.linalg.eigvalsh(q[block])[::-1][:4]
+            assert np.allclose(lams[:mine.size], mine, rtol=0, atol=1e-13)
+            assert np.max(np.abs(vecs.T @ vecs - np.eye(4))) < 1e-12
+            for lam, v in zip(lams, vecs.T):
+                assert np.linalg.norm(q[block] @ v - lam * v) < 1e-12
 
     def test_bad_m_rejected(self):
         with pytest.raises(GeometryError):
@@ -185,6 +201,70 @@ class TestEigenRecord:
         assert np.array_equal(rec.values, vals)
         assert np.array_equal(top_eigen(q, m).values, vals)
         assert np.array_equal(rec.vectors, np.column_stack([_fix_sign(v) for v in vecs.T]))
+
+
+def _seed_and_step(curve, grid, kappa, m):
+    """The matrices at kappa and 1.02 kappa, and the seeded record at kappa."""
+    cache = OperatorCache(curve, grid)
+    q, q_next = cache.q_matrix(kappa), cache.q_matrix(1.02 * kappa)
+    return q, q_next, top_eigen(q, m, seed=True)
+
+
+class TestRitzStep:
+    @pytest.mark.parametrize("case", ["bump_stack", "off_centre_wire"])
+    @pytest.mark.parametrize("kappa", [0.8, 1.2])
+    def test_certified_step_matches_dense_within_its_bound(self, bump, off_centre_wire,
+                                                           case, kappa):
+        # the seed holds min(m, n) + RITZ_EXTRA vectors per block; a step to
+        # 1.02 kappa is certified and its values are the dense ones within the
+        # bound it reports (plus rounding, which the dense solve has too)
+        if case == "bump_stack":
+            curve, grid, m, shape = bump, GridSpec(16.0, 256), 8, (2, 128, 12)
+        else:
+            curve, grid, m, shape = off_centre_wire, GridSpec(10.0, 256), 8, (256, 12)
+        q, q_next, start = _seed_and_step(curve, grid, kappa, m)
+        assert start.vectors.shape == shape
+        assert start.bounds == (None,) * (len(shape) - 1)
+        step = top_eigen(q_next, m, seed=start.vectors)
+        dense = top_eigen(q_next, m)
+        assert step.path == "ritz"
+        assert step.vectors.shape == shape
+        assert all(b <= spectral_mod.RITZ_BOUND for b in step.bounds)
+        assert step.parity == dense.parity
+        assert np.all(np.abs(step.values - dense.values) <= max(step.bounds) + 1e-15)
+
+    def test_random_seed_falls_back_to_the_dense_solve(self, bump):
+        q, _, start = _seed_and_step(bump, GridSpec(16.0, 256), 1.2, 8)
+        noise = np.random.default_rng(7).standard_normal(start.vectors.shape)
+        rec = top_eigen(q, 8, seed=noise)
+        assert rec.path == "dense" and rec.bounds == (None, None)
+        assert np.array_equal(rec.values, start.values)
+        assert np.array_equal(rec.vectors, start.vectors)
+        assert np.allclose(rec.values, top_eigen(q, 8).values, rtol=0, atol=1e-14)
+
+    def test_small_block_is_solved_dense(self, bump):
+        # n = 32 per block and p = 12: a step space of 3p = 36 >= n vectors
+        # would be the whole block, so every block is solved in full
+        q, q_next, start = _seed_and_step(bump, GridSpec(8.0, 64), 1.2, 8)
+        assert start.vectors.shape == (2, 32, 12)
+        rec = top_eigen(q_next, 8, seed=start.vectors)
+        assert rec.path == "dense" and rec.bounds == (None, None)
+        assert np.array_equal(rec.values, top_eigen(q_next, 8, seed=True).values)
+
+    def test_lanczos_path_seed(self, bump, monkeypatch):
+        # above the dense limits the seed is solved by Lanczos per block, and
+        # a step from it is certified as on the dense path
+        _lanczos_everywhere(monkeypatch)
+        q, q_next, start = _seed_and_step(bump, GridSpec(16.0, 256), 1.2, 4)
+        assert start.path == "lanczos" and start.vectors.shape == (2, 128, 8)
+        dense = scipy.linalg.eigvalsh(unfold(q))[::-1][:4]
+        assert np.allclose(start.values, dense, rtol=0, atol=1e-10)
+        for block, vecs in enumerate(start.vectors):
+            assert np.max(np.abs(vecs.T @ vecs - np.eye(8))) < 1e-10
+        step = top_eigen(q_next, 4, seed=start.vectors)
+        assert step.path == "ritz"
+        dense_next = scipy.linalg.eigvalsh(unfold(q_next))[::-1][:4]
+        assert np.allclose(step.values, dense_next, rtol=0, atol=1e-12)
 
 
 class TestLambdaCurve:
