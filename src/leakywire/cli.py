@@ -58,6 +58,7 @@ from .solver import (
     refinement_ladder,
     spectrum_scan,
     states_to_dict,
+    tail_grid,
 )
 
 EXIT_OK = 0
@@ -320,7 +321,7 @@ def _cmd_converge(args) -> int:
         refinement_ladder(grid.N, args.levels)
     except GeometryError as exc:
         raise ConfigError(f"-N {grid.N} with --levels {args.levels}: {exc}") from exc
-    tail = grid.N + grid.N // 2
+    tail = tail_grid(grid).N
     _refuse_oversized(f"converge -N {grid.N}", tail, tail)
     report = converge_study(curve, config, args.levels)
     payload = {

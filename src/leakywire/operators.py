@@ -59,15 +59,16 @@ centres its arc length as the mean of the sums from either end, so
 mirror-image samples get mirror-image arc lengths up to rounding and a
 symmetric sampled wire splits too.  Wires that fail the test (sampled
 data that are asymmetric themselves, such as a one-sided cumulative
-Simpson sum, miss by 84 ulps or more) keep the one N x N matrix.  A split
-cache builds half the chords (three quarters on a curve whose chords are
-not compensated), keeps half and computes half the exponentials per
-kappa.  Measured on bump a=1, w=1 at kappa = 1.15 (2 vCPU, OpenBLAS, min
-of 3 runs; the set-up row from min of 7, the one matrix there on the same
-bump centred at s = 0.25, which fails the test):
+Simpson sum, miss by 84 ulps or more) keep Q whole: ``q_matrix`` returns
+every Q as a (b, n, n) stack of blocks, here the (1, N, N) stack of one
+block.  A split cache builds half the chords (three quarters on a curve
+whose chords are not compensated), keeps half and computes half the
+exponentials per kappa.  Measured on bump a=1, w=1 at kappa = 1.15 (2
+vCPU, OpenBLAS, min of 3 runs; the set-up row from min of 7, the one block
+there on the same bump centred at s = 0.25, which fails the test):
 
 =============  ==========  ============  =============================
-Q build        one matrix  parity stack  chord array (one / split)
+Q build        one block   parity stack  chord array (one / split)
 =============  ==========  ============  =============================
 N=1024, L=24   8.2 ms      4.0 ms        N x N, 8 MiB / N x N/2, 4 MiB
 N=2304, L=24   58 ms       27 ms         40.5 MiB / 20.25 MiB
@@ -298,7 +299,7 @@ class OperatorCache:
     and checked for coincident points once, with an infinite diagonal so
     that exp(-kappa rho)/rho is exactly 0 there (the kernel's diagonal
     value); each kappa then costs one Toeplitz row and one N x N
-    exponential, written into the returned array.
+    exponential, written into the returned (1, N, N) stack.
 
     A wire whose N positions pass the mirror test (see the module
     docstring) sets ``parity``: its one chord array is then N x N/2, the
@@ -338,12 +339,12 @@ class OperatorCache:
         self._rho = rho
 
     def q_matrix(self, kappa: float) -> np.ndarray:
-        """Q_kappa as one N x N matrix or, when ``parity`` is set, as the
-        (2, N/2, N/2) stack of its even block Q11 + Q12 J and its odd block
-        Q11 - Q12 J."""
+        """Q_kappa as a (b, n, n) stack of blocks: the (1, N, N) stack of Q
+        itself or, when ``parity`` is set, the (2, N/2, N/2) stack of its
+        even block Q11 + Q12 J and its odd block Q11 - Q12 J."""
         n = self.grid.N
         h = n // 2
-        shape = (2, h, h) if self.parity else (n, n)
+        shape = (2, h, h) if self.parity else (1, n, n)
         row = _t_first_row(self.grid, kappa)
         if self._straight:
             q = np.zeros(shape)
@@ -357,7 +358,7 @@ class OperatorCache:
             q /= rho
             q *= weight
         if not self.parity:
-            q += _symmetric_toeplitz(row)
+            q[0] += _symmetric_toeplitz(row)
             return q
         left, right = q      # Q11 and Q12 J first, then the two blocks
         left += _symmetric_toeplitz(row)[:h, :h]

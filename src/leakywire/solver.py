@@ -27,13 +27,13 @@ On a mirror-symmetric wire Q splits into an even and an odd block, and each
 branch lives in one of them: branch j of the bracket-start record, the k-th
 value of its block p, is searched as lambda_(p,k)(kappa) = alpha with that
 block alone solved at each bracket end, Brent point and the root.  Only the
-bracket start solves both blocks.  Wires that do not split follow the
-merged values lambda_j as they are.  A state's ``branch`` is its rank in
-energy: branches fall with kappa, so the values above branch j's at its
-root are those of the states below it, each of which was above alpha at the
-bracket start and so is tracked.  This is the merged index whose crossing
-lies at that kappa, which can differ from j when branches of the two blocks
-cross on the way.
+bracket start solves both blocks.  A wire that does not split is one
+block, block 0, whose values are the merged lambda_j.  A state's
+``branch`` is its rank in energy: branches fall with kappa, so the values
+above branch j's at its root are those of the states below it, each of
+which was above alpha at the bracket start and so is tracked.  This is the
+merged index whose crossing lies at that kappa, which can differ from j
+when branches of the two blocks cross on the way.
 """
 
 from __future__ import annotations
@@ -274,7 +274,7 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
     alpha = config.alpha
     with _BranchEvaluator(curve, config.grid, config.m_branches) as ev:
         # sampling through the memo lets Brent reuse the bracketing samples
-        curve_data = SpectralCurve.sample(kappas, ev.values)
+        curve_data = SpectralCurve.sample(kappas, lambda k: ev.record(k).values)
         f = curve_data.lambdas - alpha
         for i in range(len(kappas)):
             ev.seed = None   # each sample interval seeds its Brent points anew
@@ -325,11 +325,9 @@ def converge_study(curve: Curve, config: SolveConfig, levels: int = 3) -> Conver
         runs.append(ConvergenceLevel(N=n_k, L=base.L, energy=e_k))
         energies.append(e_k)
 
-    n_tail = base.N + base.N // 2
-    n_tail += n_tail % 2
-    tail_grid = GridSpec(1.5 * base.L, n_tail)
-    e_tail = energy(tail_grid)
-    runs.append(ConvergenceLevel(N=n_tail, L=tail_grid.L, energy=e_tail))
+    tail = tail_grid(base)
+    e_tail = energy(tail)
+    runs.append(ConvergenceLevel(N=tail.N, L=tail.L, energy=e_tail))
 
     if any(e is None for e in energies):
         vacuous = all(e is None for e in energies) and e_tail is None
@@ -363,6 +361,11 @@ def converge_study(curve: Curve, config: SolveConfig, levels: int = 3) -> Conver
                              richardson_energy=richardson,
                              tail_change=tail_change,
                              accepted=accepted, warnings=warnings)
+
+
+def tail_grid(grid: GridSpec) -> GridSpec:
+    """The converge study's box-enlarged grid: 1.5 L and 1.5 N points."""
+    return GridSpec(1.5 * grid.L, grid.N + grid.N // 2)
 
 
 def refinement_ladder(n: int, levels: int) -> list:

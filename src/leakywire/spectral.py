@@ -1,16 +1,17 @@
 """Top eigenvalues of the discretized boundary-integral operator and their
 dependence on the spectral parameter kappa.
 
-``top_eigen`` is the one eigensolve entry point and returns one ``Eigen``
-record; ``_BranchEvaluator`` is the one place that pairs it with
-``OperatorCache.q_matrix``.  Desk-scale grids make a dense symmetric
-eigensolve the most robust choice; only the top few eigenvalues are ever
-needed, so the subset driver is used.  Larger grids use a deterministic
-Lanczos iteration.  Where the switch lies depends on how many eigenvalues
-are wanted, and on the size n of the blocks solved: N for one matrix, N/2
-for parity blocks.  Measured on
-one N x N bump operator (2 vCPU, OpenBLAS, min of 3 runs; eigenvalues agree
-to 2e-16):
+``top_eigen`` solves every Q as the (b, n, n) stack of blocks that
+``OperatorCache.q_matrix`` returns: (1, N, N), or (2, N/2, N/2) on a wire
+that splits.  It is the one eigensolve entry point and returns one
+``Eigen`` record; ``_BranchEvaluator`` is the one place that pairs it with
+``q_matrix``.  Desk-scale grids make a dense symmetric eigensolve the most
+robust choice; only the top few eigenvalues are ever needed, so the subset
+driver is used.  Larger grids use a deterministic Lanczos iteration.
+Where the switch lies depends on how many eigenvalues are wanted, and on
+the block size n: N for one block, N/2 for parity blocks.  Measured on one
+N x N bump operator (2 vCPU, OpenBLAS, min of 3 runs; eigenvalues agree to
+2e-16):
 
 ==============================  ============  ======================
 case                            dense         Lanczos
@@ -31,7 +32,7 @@ operator whose Ritz vectors tell the block of each value, and the top m of
 their values are merged.  A root search needs both blocks only at its
 bracket start: a branch lives in one block, so every other evaluation and
 the root solve that N/2 x N/2 block alone (see ``_BranchEvaluator``), and
-eigenvectors are solved for one matrix only.  Each block costs an eighth
+eigenvectors are solved for one block only.  Each block costs an eighth
 of the full matrix's O(N^3) reduction.  Measured per block size on bump
 a=1, w=1 at kappa = 1.15 (same machine; the two paths agree to 4e-16):
 
@@ -196,18 +197,17 @@ class Eigen(NamedTuple):
     """The top m eigenpairs of one Q, as ``top_eigen`` returns them."""
 
     values: np.ndarray              # shape (m,), descending
-    parity: list                    # "even", "odd" or None (one block) per value
+    parity: list                    # "even" or "odd" per value, None on one block
     path: str                       # "dense", "lanczos" or "ritz"
-    vectors: Optional[np.ndarray]   # (N, c) columns, (2, n, c) for a stack; see top_eigen
+    vectors: Optional[np.ndarray]   # (b, n, c) per block, (N, c) from an eigenpair
     bounds: tuple = ()              # per block of a seeded solve; see top_eigen
 
     def branch(self, j: int):
-        """(block, k): value j is the k-th of its parity block (0 even, 1
-        odd), or (None, j) on one matrix."""
+        """(block, k): value j is the k-th of its block, block 0 of one
+        block or parity block 0 (even) or 1 (odd)."""
         label = self.parity[j]
-        if label is None:
-            return None, j
-        return PARITIES.index(label), self.parity[:j].count(label)
+        block = 0 if label is None else PARITIES.index(label)
+        return block, self.parity[:j].count(label)
 
 
 def _product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -233,7 +233,7 @@ def _full_solve(blocks: np.ndarray, c: int, vectors: bool, path: str):
         w = np.array([vals for vals, _ in runs])
         vecs = np.array([v for _, v in runs]) if vectors else None
     else:
-        # one 2-D matrix goes to LAPACK as it is, a stack in one batched call
+        # one block goes to LAPACK as its 2-D matrix, two in one batched call
         a = blocks if b > 1 else blocks[0]
         if vectors:   # LAPACK's columns ascend
             w, vecs = scipy.linalg.eigh(a, subset_by_index=[n - c, n - 1])
@@ -300,12 +300,10 @@ def _seeded_solve(blocks: np.ndarray, k: int, seed, path: str):
     p = min(k + RITZ_EXTRA, n)
     bound = np.full(b, np.inf)
     if seed is not True and 3 * p < n:
-        seed = seed if seed.ndim == 3 else seed[None]
-        if seed.shape == (b, n, p):
-            w, vecs, bound = _ritz_step(blocks, seed, k)
+        w, vecs, bound = _ritz_step(blocks, seed, k)
     full = np.flatnonzero(~(bound <= RITZ_BOUND))
     if full.size:
-        # a stack has two blocks, so the blocks to solve are all or one
+        # a stack has at most two blocks, so the blocks to solve are all or one
         part = blocks if full.size == b else blocks[full[0]:full[0] + 1]
         w_full, v_full = _full_solve(part, p, True, path)
         if full.size == b:
@@ -316,32 +314,31 @@ def _seeded_solve(blocks: np.ndarray, k: int, seed, path: str):
     return w, vecs, bounds
 
 
-def top_eigen(matrix: np.ndarray, m: int, vectors: bool = False, seed=None) -> Eigen:
+def top_eigen(blocks: np.ndarray, m: int, vectors: bool = False, seed=None) -> Eigen:
     """The m largest eigenvalues of a symmetric matrix, descending.
 
-    ``matrix`` is one N x N matrix, or the (2, N/2, N/2) stack of the even
-    and odd blocks of a persymmetric one (``OperatorCache.q_matrix`` returns
-    either).  The blocks of a stack are solved together, in one batched
-    dense call or one Lanczos run on the block-diagonal operator, and the
-    top k = min(m, n) values of each merged; the parity of a value is the
-    block it comes from.  ``eigensolver(n, m)`` picks the path from the
-    block size n.  With ``vectors=True`` the record holds the orthonormal,
-    sign-fixed eigenvectors of the top k values, residual-checked against
-    1e-9 * ||Q||: as (N, m) columns for one matrix and as (2, n, k) block
-    columns, each block descending, for a stack (whose Lanczos path then
-    runs once per block).
+    ``blocks`` is the (b, n, n) stack of its diagonal blocks, as
+    ``OperatorCache.q_matrix`` returns it: (1, N, N) for one matrix, or
+    (2, N/2, N/2) for the even and odd blocks of a persymmetric one.  The
+    blocks are solved together, in one batched dense call or one Lanczos
+    run on the block-diagonal operator, and the top k = min(m, n) values of
+    each merged; the parity of a value is the block it comes from, None on
+    one block.  ``eigensolver(n, m)`` picks the path from the block size n.
+    With ``vectors=True`` the record holds the orthonormal, sign-fixed
+    eigenvectors of the top k values of each block, residual-checked
+    against 1e-9 * ||Q||, as (b, n, k) block columns, each block descending
+    (the Lanczos path then runs once per block).
 
     ``seed`` makes the record's ``vectors`` the top p = k + RITZ_EXTRA
-    vectors of each block (at most n), shaped as above, which a later call
-    steps from.  ``seed=True`` solves each block in full.  Seed vectors of
-    an earlier record take one Rayleigh-Ritz step (``_ritz_step``) per
-    block instead, whose Ritz values are accepted when their bound is at
-    most RITZ_BOUND; a block that fails, or every block when 3p >= n or
-    the seed has another shape, is solved in full.  ``bounds`` then holds
-    per block the accepted bound, or None where the block was solved in
-    full, and ``path`` is ``"ritz"`` when every block was stepped.
+    vectors of each block (at most n), as (b, n, p), which a later call on
+    a stack of the same shape steps from.  ``seed=True`` solves each block
+    in full.  Seed vectors of an earlier record take one Rayleigh-Ritz step
+    (``_ritz_step``) per block instead, whose Ritz values are accepted when
+    their bound is at most RITZ_BOUND; a block that fails, or every block
+    when 3p >= n, is solved in full.  ``bounds`` then holds per block the
+    accepted bound, or None where the block was solved in full, and
+    ``path`` is ``"ritz"`` when every block was stepped.
     """
-    blocks = matrix if matrix.ndim == 3 else matrix[None]
     nb, n, _ = blocks.shape
     if not 1 <= m <= nb * n:
         raise GeometryError(f"need 1 <= m <= N, got m={m}, N={nb * n}")
@@ -359,28 +356,26 @@ def top_eigen(matrix: np.ndarray, m: int, vectors: bool = False, seed=None) -> E
         return Eigen(vals, [PARITIES[b] for b in block], path, None)
     else:
         w, vecs = _full_solve(blocks, k, vectors, path)
-    # a stable merge: for one matrix this is the identity
+    # a stable merge: for one block this is the identity
     order = np.argsort(-w.ravel(), kind="stable")[:m]
     vals, block = w.ravel()[order], order // k
     parity = [None] * m if nb == 1 else [PARITIES[b] for b in block]
-    if vecs is not None and matrix.ndim == 2:
-        vecs = vecs[0]
     return Eigen(vals, parity, path, vecs, bounds)
 
 
 class _BranchEvaluator:
-    """lambda_j(kappa): the top-m values of Q_kappa, or of one parity block
-    of it, memoized per (kappa, block), from ``OperatorCache.q_matrix`` and
-    ``top_eigen``.
+    """lambda_j(kappa): the top-m values of every block of the stack Q_kappa
+    (``record``) or of one (``values``), from ``OperatorCache.q_matrix`` and
+    ``top_eigen``, memoized per kappa and per (kappa, block).
 
-    A root search follows one branch, and on a split cache each branch lives
-    in one block, so ``values(kappa, block)`` builds the stack and solves
-    that N/2 x N/2 block of it alone, half the eigensolve.  Its subset size
-    min(m, N/2) is the batched call's, so a dense block solve gives the
-    stack's values bit for bit.  Only ``record``, which a search reads at
-    its bracket start, solves both blocks; at a kappa that has that record,
-    a block's values are read from it.  ``eigenpair(kappa, block)`` solves
-    the root's block again with vectors.
+    A root search follows one branch, which lives in one block (block 0 of
+    a cache that does not split), so ``values(kappa, block)`` builds the
+    stack and solves that block alone: on a split cache an N/2 x N/2 block,
+    half the eigensolve.  Its subset size min(m, n) is the batched call's,
+    so a dense block solve gives the stack's values bit for bit.  Searches
+    read ``record`` at their bracket start and scans at their samples; at a
+    kappa that has a record, a block's values are read from it.
+    ``eigenpair(kappa, block)`` solves the root's block again with vectors.
 
     ``record(kappa, seeded=True)`` is a scan's Brent point: it solves with
     the one seed the evaluator keeps, the vectors of the latest seeded
@@ -404,7 +399,7 @@ class _BranchEvaluator:
         self._block_values = {}
         self.seed = None
         self.evaluations = 0        # values-only solves, one per distinct (kappa, block)
-        self.block_evaluations = 0  # those of them that solved one parity block
+        self.block_evaluations = 0  # those of them that solved one split block
         self.dense_solves = 0
         self.ritz_steps = 0
         self.ritz_fallbacks = 0
@@ -417,7 +412,7 @@ class _BranchEvaluator:
         self.cache = None
 
     def record(self, kappa: float, seeded: bool = False) -> Eigen:
-        """The values-only record of both blocks at kappa, solved once per
+        """The values-only record of every block at kappa, solved once per
         kappa; ``seeded`` solves it from and into ``seed``."""
         key = float(kappa)
         if key not in self._records:
@@ -440,35 +435,34 @@ class _BranchEvaluator:
             self.evaluations += 1
         return self._records[key]
 
-    def values(self, kappa: float, block=None) -> np.ndarray:
-        """The top values at kappa, descending: of Q with ``block`` None, else
-        of parity block ``block`` (0 even, 1 odd) of a split cache."""
+    def values(self, kappa: float, block: int) -> np.ndarray:
+        """The top values of block ``block`` of the stack at kappa (0 for
+        one block, 0 even or 1 odd on a split cache), descending."""
         key = float(kappa)
-        if block is None:
-            return self.record(key).values
         if (key, block) not in self._block_values:
             if key in self._records:
-                both = self._records[key]
-                vals = both.values[[p == PARITIES[block] for p in both.parity]]
+                rec = self._records[key]
+                mine = [rec.branch(j)[0] == block for j in range(len(rec.values))]
+                vals = rec.values[mine]
             else:
-                q = self.cache.q_matrix(key)[block]
-                vals = top_eigen(q, min(self.m, q.shape[0])).values
+                q = self.cache.q_matrix(key)
+                vals = top_eigen(q[block:block + 1], min(self.m, q.shape[1])).values
                 self.evaluations += 1
                 self.dense_solves += 1
-                self.block_evaluations += 1
+                self.block_evaluations += len(q) > 1
             self._block_values[key, block] = vals
         return self._block_values[key, block]
 
-    def eigenpair(self, kappa: float, block=None) -> Eigen:
-        """A fresh record with vectors at kappa, not memoized: of Q with
-        ``block`` None, else of parity block ``block`` of a split cache, each
-        block vector y unfolded to [y; J y]/sqrt 2 (even) or [y; -J y]/sqrt 2
-        (odd), an eigenvector of Q."""
+    def eigenpair(self, kappa: float, block: int) -> Eigen:
+        """A fresh record with vectors of block ``block`` at kappa, not
+        memoized.  Its vectors are (N, c) eigenvectors of Q: the one block's
+        as they are, and on a split cache each block vector y unfolded to
+        [y; J y]/sqrt 2 (even) or [y; -J y]/sqrt 2 (odd)."""
         q = self.cache.q_matrix(float(kappa))
-        if block is None:
-            return top_eigen(q, self.m, vectors=True)
-        rec = top_eigen(q[block], min(self.m, q.shape[1]), vectors=True)
-        y = rec.vectors
+        rec = top_eigen(q[block:block + 1], min(self.m, q.shape[1]), vectors=True)
+        y = rec.vectors[0]
+        if len(q) == 1:
+            return rec._replace(vectors=y)
         mirror = y[::-1] if block == 0 else -y[::-1]
         h = np.vstack((y, mirror)) / math.sqrt(2.0)
         return rec._replace(parity=[PARITIES[block]] * len(rec.values), vectors=h)
@@ -477,4 +471,4 @@ class _BranchEvaluator:
 def lambda_curve(curve: Curve, grid: GridSpec, kappa_list, m: int = 8) -> SpectralCurve:
     """Top-m eigenvalue curves lambda_j(kappa) over an ascending kappa list."""
     with _BranchEvaluator(curve, grid, m) as ev:
-        return SpectralCurve.sample(kappa_list, ev.values)
+        return SpectralCurve.sample(kappa_list, lambda k: ev.record(k).values)

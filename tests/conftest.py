@@ -14,11 +14,12 @@ BUMP_HINT = 56.0
 
 
 def unfold(q):
-    """The N x N matrix of an ``OperatorCache.q_matrix`` result: a (2, N/2,
-    N/2) stack of even and odd blocks is mapped back through
-    Q11 = (even + odd)/2 and Q12 J = (even - odd)/2, Q persymmetric."""
-    if q.ndim == 2:
-        return q
+    """The N x N matrix of an ``OperatorCache.q_matrix`` stack: the block of
+    a (1, N, N) stack, or a (2, N/2, N/2) stack of even and odd blocks
+    mapped back through Q11 = (even + odd)/2 and Q12 J = (even - odd)/2, Q
+    persymmetric."""
+    if len(q) == 1:
+        return q[0]
     even, odd = q
     left, right = (even + odd) / 2, (even - odd) / 2
     top = np.hstack([left, right[:, ::-1]])

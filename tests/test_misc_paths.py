@@ -119,7 +119,7 @@ class TestIterativeEigenPath:
         g = GridSpec(16.0, 512)
         q = OperatorCache(bump, g).q_matrix(1.2)
         dense = top_eigen(q, 5)
-        dense_vecs = top_eigen(unfold(q), 5, vectors=True).vectors
+        dense_vecs = top_eigen(unfold(q)[None], 5, vectors=True).vectors[0]
         # Lanczos on the full matrix against the dense solve of its blocks
         vals, vecs = _iterative_top(unfold(q), 5, want_vectors=True)
         for j in range(5):
@@ -276,7 +276,7 @@ class TestErrorPaths:
         config = SolveConfig(alpha=0.0, grid=GridSpec(8.0, 64), m_branches=1)
         monkeypatch.setattr(solver, "BRACKET_MAX_FACTOR", 4.0)
         monkeypatch.setattr(_BranchEvaluator, "values",
-                            lambda self, kappa, block=None: np.array([math.inf]))
+                            lambda self, kappa, block: np.array([math.inf]))
         # ground_only: with one tracked branch the -m cap check, which runs
         # before any search, would refuse the solve first
         with pytest.raises(BracketFailureError):

@@ -345,7 +345,7 @@ class TestOperatorCache:
         assert cache.parity == split
         for kap in (0.6, 1.4, 2.5):
             q = cache.q_matrix(kap)
-            assert q.shape == ((2, g.N // 2, g.N // 2) if split else (g.N, g.N))
+            assert q.shape == ((2, g.N // 2, g.N // 2) if split else (1, g.N, g.N))
             reference = assemble_T(g, kap) + g.delta * bending_kernel_matrix(curve, g, kap)
             gap = np.max(np.abs(unfold(q) - reference))
             if sampled_split:

@@ -272,7 +272,7 @@ class TestSpectrumScan:
 
 
 def _closed_form_evaluator(monkeypatch, lam):
-    """A one-branch _BranchEvaluator whose Q is the 1 x 1 matrix [[lam(kappa)]]:
+    """A one-branch _BranchEvaluator whose Q is the one-block stack [[[lam(kappa)]]]:
     the real memo and eigensolve over a known lambda(kappa).  Returns it with
     the list of kappas Q was built at."""
     built = []
@@ -283,7 +283,7 @@ def _closed_form_evaluator(monkeypatch, lam):
 
         def q_matrix(self, kappa):
             built.append(kappa)
-            return np.array([[lam(kappa)]])
+            return np.array([[[lam(kappa)]]])
 
     monkeypatch.setattr(spectral_mod, "OperatorCache", ClosedForm)
     return spectral_mod._BranchEvaluator(None, GridSpec(8.0, 64), 1), built

@@ -22,22 +22,22 @@ from conftest import unfold
 
 class TestTopEigenpairs:
     def test_diagonal_matrix(self):
-        vals, _, _, vecs, _ = top_eigen(np.diag([3.0, 1.0, 0.0, -2.0]), 2, vectors=True)
+        vals, _, _, vecs, _ = top_eigen(np.diag([3.0, 1.0, 0.0, -2.0])[None], 2, vectors=True)
         assert vals[0] == pytest.approx(3.0, abs=1e-14)
         assert vals[1] == pytest.approx(1.0, abs=1e-14)
-        assert np.allclose(np.abs(vecs[:, 0]), [1, 0, 0, 0], atol=1e-14)
-        assert np.allclose(np.abs(vecs[:, 1]), [0, 1, 0, 0], atol=1e-14)
+        assert np.allclose(np.abs(vecs[0, :, 0]), [1, 0, 0, 0], atol=1e-14)
+        assert np.allclose(np.abs(vecs[0, :, 1]), [0, 1, 0, 0], atol=1e-14)
 
     def test_straight_top_mode_is_constant_vector(self, straight):
         g = GridSpec(16.0, 128)
-        vals, _, _, vecs, _ = top_eigen(assemble_T(g, 1.7), 1, vectors=True)
+        vals, _, _, vecs, _ = top_eigen(assemble_T(g, 1.7)[None], 1, vectors=True)
         assert vals[0] == pytest.approx(s_kappa(1.7), abs=1e-13)
-        assert np.allclose(vecs[:, 0], np.ones(g.N) / math.sqrt(g.N), atol=1e-10)
+        assert np.allclose(vecs[0, :, 0], np.ones(g.N) / math.sqrt(g.N), atol=1e-10)
 
     def test_orthonormal_vectors(self, bump):
         g = GridSpec(16.0, 256)
         q = unfold(OperatorCache(bump, g).q_matrix(1.2))
-        vecs = top_eigen(q, 6, vectors=True).vectors
+        vecs = top_eigen(q[None], 6, vectors=True).vectors[0]
         gram = vecs.T @ vecs
         assert np.max(np.abs(gram - np.eye(6))) < 1e-10
 
@@ -81,12 +81,12 @@ class TestTopEigenpairs:
 
     def test_bad_m_rejected(self):
         with pytest.raises(GeometryError):
-            top_eigen(np.diag([1.0, 0.0]), 0, vectors=True)
+            top_eigen(np.diag([1.0, 0.0])[None], 0, vectors=True)
 
     def test_sign_convention(self):
-        vecs = top_eigen(np.diag([2.0, 1.0, 0.5, 0.25]), 1, vectors=True).vectors
+        vecs = top_eigen(np.diag([2.0, 1.0, 0.5, 0.25])[None], 1, vectors=True).vectors
         # first significant component positive
-        v = vecs[:, 0]
+        v = vecs[0, :, 0]
         assert v[int(np.argmax(np.abs(v) > 1e-12 * np.max(np.abs(v))))] > 0
 
 
@@ -129,7 +129,7 @@ class TestEigenRecord:
         centre = 0.0 if split else 0.5
         curve = PlanarCurvatureProfile(lambda s: 3.0 * np.exp(-((s - centre) / 2.0) ** 2), 40.0)
         q = OperatorCache(curve, GridSpec(24.0, 256)).q_matrix(1.3)
-        assert q.ndim == (3 if split else 2)
+        assert q.shape[0] == (2 if split else 1)
         bare = top_eigen(q, 4)
         assert bare.vectors is None
         assert bare.path == path
@@ -138,12 +138,12 @@ class TestEigenRecord:
             assert set(bare.parity) == {"even", "odd"}
             return
         rec = top_eigen(q, 4, vectors=True)
-        assert rec.vectors.shape == (256, 4)
+        assert rec.vectors.shape == (1, 256, 4)
         assert (rec.path, rec.parity) == (path, [None] * 4)
         assert bare.parity == rec.parity
         assert np.array_equal(bare.values, rec.values)
-        for lam, v in zip(rec.values, rec.vectors.T):
-            assert np.linalg.norm(q @ v - lam * v) < 1e-12
+        for lam, v in zip(rec.values, rec.vectors[0].T):
+            assert np.linalg.norm(q[0] @ v - lam * v) < 1e-12
 
     @pytest.mark.parametrize("m", [1, 6, 8])
     def test_one_block_solve_gives_the_stacks_values(self, m):
@@ -155,7 +155,7 @@ class TestEigenRecord:
             both = top_eigen(cache.q_matrix(kap), m)
             for block, label in enumerate(spectral_mod.PARITIES):
                 mine = both.values[[p == label for p in both.parity]]
-                alone = top_eigen(cache.q_matrix(kap)[block], m)
+                alone = top_eigen(cache.q_matrix(kap)[block][None], m)
                 assert alone.path == both.path == "dense"
                 assert np.array_equal(alone.values[:mine.size], mine)
 
@@ -177,6 +177,21 @@ class TestEigenRecord:
         assert (ev.evaluations, ev.block_evaluations) == (2, 1)
         assert odd.size == 4
 
+    def test_one_block_is_block_0(self, off_centre_wire):
+        # a wire that does not split is the (1, N, N) stack of one block: a
+        # solve of block 0 gives the record's values bit for bit, counts as
+        # no parity block, and a root's vectors are Q's own (N, m) columns
+        g = GridSpec(10.0, 256)
+        with spectral_mod._BranchEvaluator(off_centre_wire, g, 4) as ev:
+            alone = ev.values(1.2, 0)
+            assert np.array_equal(alone, ev.record(1.2).values)
+            assert (ev.evaluations, ev.block_evaluations) == (2, 0)
+            rec = ev.eigenpair(1.2, 0)
+            assert rec.vectors.shape == (g.N, 4) and rec.parity == [None] * 4
+            full = unfold(ev.cache.q_matrix(1.2))
+            for lam, v in zip(rec.values, rec.vectors.T):
+                assert np.linalg.norm(full @ v - lam * v) < 1e-12
+
     def test_two_block_lanczos_vectors_have_exact_parity(self, monkeypatch):
         # Lanczos on the block-diagonal operator reads the parity of each
         # value from its Ritz vector; a root's Lanczos run on one block gives
@@ -195,12 +210,12 @@ class TestEigenRecord:
         _lanczos_everywhere(monkeypatch)
         curve = PlanarCurvatureProfile(lambda s: np.exp(-(s - 0.5) ** 2), 36.0)
         q = OperatorCache(curve, GridSpec(16.0, 512)).q_matrix(1.2)
-        assert q.ndim == 2
-        vals, vecs = _iterative_top(q, m, True)
+        assert q.shape[0] == 1
+        vals, vecs = _iterative_top(q[0], m, True)
         rec = top_eigen(q, m, vectors=True)
         assert np.array_equal(rec.values, vals)
         assert np.array_equal(top_eigen(q, m).values, vals)
-        assert np.array_equal(rec.vectors, np.column_stack([_fix_sign(v) for v in vecs.T]))
+        assert np.array_equal(rec.vectors[0], np.column_stack([_fix_sign(v) for v in vecs.T]))
 
 
 def _seed_and_step(curve, grid, kappa, m):
@@ -221,10 +236,10 @@ class TestRitzStep:
         if case == "bump_stack":
             curve, grid, m, shape = bump, GridSpec(16.0, 256), 8, (2, 128, 12)
         else:
-            curve, grid, m, shape = off_centre_wire, GridSpec(10.0, 256), 8, (256, 12)
+            curve, grid, m, shape = off_centre_wire, GridSpec(10.0, 256), 8, (1, 256, 12)
         q, q_next, start = _seed_and_step(curve, grid, kappa, m)
         assert start.vectors.shape == shape
-        assert start.bounds == (None,) * (len(shape) - 1)
+        assert start.bounds == (None,) * shape[0]
         step = top_eigen(q_next, m, seed=start.vectors)
         dense = top_eigen(q_next, m)
         assert step.path == "ritz"
