@@ -150,7 +150,9 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
     z0 = zeta0(alpha)
     k_start = k0 * (1.0 + BRACKET_START_OFFSET)
     s_start = s_kappa(k_start)
-    lift_floor = 1e-8 * max(1.0, abs(s_start))
+    # straight wires lift the top value by rounding only (at most about
+    # 5e-14 at N = 256 to 1024); a bump lifts it by about 3.5e-4 a^2
+    lift_floor = 1e-12 * max(1.0, abs(s_start))
 
     m = 1 if ground_only else config.m_branches
     states = []
@@ -258,36 +260,49 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
 
     Returns (SpectralCurve, list[Crossing]); crossings are Brent-refined to
     the configured relative tolerance between bracketing samples.  The
-    samples are plain values solves.  In each sample interval the first
-    Brent point is solved in full with seed vectors, and every later one, of
-    any branch crossing there, takes a certified Rayleigh-Ritz step from the
-    point evaluated before it (see ``top_eigen``).  The curve's
-    ``diagnostics`` hold the evaluator's counts: ``evaluations``,
-    ``dense_solves``, ``ritz_steps``, ``ritz_fallbacks`` and
-    ``ritz_worst_bound``.
+    samples form one chain (``_BranchEvaluator.sample``): the first is
+    solved in full with seed vectors, and each later one takes a certified
+    Rayleigh-Ritz step per block from the sample before it (see
+    ``top_eigen``), so the samples do not depend on alpha.  A block whose
+    sample step fails stops stepping: from that sample on it is solved for
+    values only, as ``lambda_curve`` solves it.  The first Brent point of
+    sample interval i steps from sample i's vectors, or solves a block that
+    has none in full with vectors, and every later one, of any branch
+    crossing there, steps from the point evaluated before it.  Interval i
+    is refined as soon as sample i + 1 is solved, so the walk keeps the
+    vectors of two samples at a time.  The curve's ``diagnostics`` hold the
+    evaluator's counts: ``evaluations``, ``dense_solves``, ``ritz_steps``,
+    ``ritz_fallbacks`` and ``ritz_worst_bound``.
     """
     k_lo, k_hi = float(kappa_range[0]), float(kappa_range[1])
     if not (0 < k_lo < k_hi):
         raise GeometryError("kappa range must satisfy 0 < kappa_min < kappa_max")
+    if int(n_points) < 1:
+        raise GeometryError(f"need at least one sample, got n_points = {n_points}")
     kappas = np.geomspace(k_lo, k_hi, int(n_points))
     crossings = []
     alpha = config.alpha
+    rows = []
     with _BranchEvaluator(curve, config.grid, config.m_branches) as ev:
-        # sampling through the memo lets Brent reuse the bracketing samples
-        curve_data = SpectralCurve.sample(kappas, lambda k: ev.record(k).values)
-        f = curve_data.lambdas - alpha
-        for i in range(len(kappas)):
-            ev.seed = None   # each sample interval seeds its Brent points anew
+        right = ev.sample(kappas[0])
+        for i, kappa in enumerate(kappas):
+            left = right
+            rows.append(left.values)
+            if i + 1 < len(kappas):
+                right = ev.sample(kappas[i + 1])
+            ev.seed = left.vectors   # interval i's Brent points step from sample i
             for j in range(config.m_branches):
-                if f[i, j] == 0.0:
-                    crossings.append(Crossing(branch=j, kappa=float(kappas[i])))
-                elif i + 1 < len(kappas) and f[i, j] * f[i + 1, j] < 0:
+                f_left = left.values[j] - alpha
+                if f_left == 0.0:
+                    crossings.append(Crossing(branch=j, kappa=float(kappa)))
+                elif i + 1 < len(kappas) and f_left * (right.values[j] - alpha) < 0:
                     kc, _ = _root_in_log_kappa(
                         lambda k: ev.record(k, seeded=True).values[j] - alpha,
                         kappas[i], kappas[i + 1], config.tol_kappa_rel)
                     crossings.append(Crossing(branch=j, kappa=float(kc)))
-        curve_data.diagnostics = {name: getattr(ev, name) for name in (
+        diagnostics = {name: getattr(ev, name) for name in (
             "evaluations", "dense_solves", "ritz_steps", "ritz_fallbacks", "ritz_worst_bound")}
+    curve_data = SpectralCurve(kappas, np.array(rows), np.asarray(s_kappa(kappas)), diagnostics)
     # by branch, then kappa: a branch's crossings lie in distinct intervals
     crossings.sort(key=lambda c: (c.branch, c.kappa))
     return curve_data, crossings

@@ -59,7 +59,12 @@ nearby one (eigenvector continuation, Frame et al., PRL 121, 032501
 (2018)).  ``top_eigen(..., seed=V)`` solves the projected 3p x 3p problem
 on span{V, Q V, Q^2 V} and accepts it per block under a residual-gap
 certificate (block Rayleigh-Ritz bounds, Knyazev, SIAM J. Sci. Comput. 23
-(2001)); a scan's Brent points use it (see ``_BranchEvaluator``).
+(2001)).  A scan uses it twice (see ``_BranchEvaluator``).  Its samples form
+one chain: each steps from the sample before it, and a block whose sample
+step fails stops stepping and is solved for values only at every later
+sample, since on a nearly symmetric one-block wire the steps between
+samples fail one after another.  The Brent points of each sample interval
+form a second chain, which starts from the interval's left sample.
 Measured at m = 8, kappa 1.3 to 1.313 (same machine, min of 9; the seed
 solve is the full solve with p vectors, and a step includes its
 certificate):
@@ -199,7 +204,8 @@ class Eigen(NamedTuple):
     values: np.ndarray              # shape (m,), descending
     parity: list                    # "even" or "odd" per value, None on one block
     path: str                       # "dense", "lanczos" or "ritz"
-    vectors: Optional[np.ndarray]   # (b, n, c) per block, (N, c) from an eigenpair
+    vectors: Optional[np.ndarray]   # (b, n, c) per block, (N, c) from an eigenpair,
+                                    # a tuple per block from a seeded solve
     bounds: tuple = ()              # per block of a seeded solve; see top_eigen
 
     def branch(self, j: int):
@@ -254,64 +260,62 @@ def _full_solve(blocks: np.ndarray, c: int, vectors: bool, path: str):
     return w, np.stack([np.column_stack([_fix_sign(v) for v in vs.T]) for vs in vecs])
 
 
-def _ritz_step(blocks: np.ndarray, seed: np.ndarray, k: int):
-    """One block Rayleigh-Ritz step of each block A of a (b, n, n) stack on
-    span{V, A V, A^2 V}, V its (n, p) seed vectors.
+def _ritz_step(a: np.ndarray, v: np.ndarray, k: int):
+    """One block Rayleigh-Ritz step of the n x n block A on span{V, A V,
+    A^2 V}, V its (n, p) seed vectors.
 
-    Returns the top k Ritz values of each block (b, k), descending, the top p
-    Ritz vectors (b, n, p), and per block the largest bound r^2 / (g - r) of
-    its top k values, r a value's residual and g its gap to the nearest other
-    Ritz value; the bound is inf where some g <= 2 r.
+    Returns the top k Ritz values (k,), descending, the top p Ritz vectors
+    (n, p), and the largest bound r^2 / (g - r) of the top k values, r a
+    value's residual and g its gap to the nearest other Ritz value; the
+    bound is inf where some g <= 2 r.
 
     The products and factorizations run in scipy's BLAS and LAPACK (see
     ``_product``).
     """
-    _, n, _ = blocks.shape
-    p = seed.shape[2]
-    values, vectors, bounds = [], [], []
-    for a, v in zip(blocks, seed):
-        x = np.empty((n, 3 * p), order="F")
-        x[:, :p] = v
-        x[:, p:2 * p] = _product(a, v)
-        x[:, 2 * p:] = _product(a, x[:, p:2 * p])
-        # Householder QR keeps the basis orthonormal when V is nearly invariant
-        basis = scipy.linalg.qr(x, mode="economic", overwrite_a=True, check_finite=False)[0]
-        a_basis = _product(a, basis)
-        theta, c, info = dsyevd(dgemm(1.0, basis, a_basis, trans_a=True))
-        if info != 0:
-            raise NumericalFailureError(f"projected eigensolve failed (info={info})")
-        theta, c = theta[::-1], c[:, ::-1]
-        y = dgemm(1.0, basis, c[:, :p])
-        r = np.linalg.norm(dgemm(1.0, a_basis, c[:, :k]) - y[:, :k] * theta[:k], axis=0)
-        step = theta[:-1] - theta[1:]
-        gap = np.minimum(np.r_[np.inf, step[:k - 1]], step[:k])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = np.where(gap > 2 * r, r ** 2 / (gap - r), np.inf)
-        values.append(theta[:k])
-        vectors.append(y)
-        bounds.append(bound.max())
-    return np.array(values), np.array(vectors), np.array(bounds)
+    n, p = v.shape
+    x = np.empty((n, 3 * p), order="F")
+    x[:, :p] = v
+    x[:, p:2 * p] = _product(a, v)
+    x[:, 2 * p:] = _product(a, x[:, p:2 * p])
+    # Householder QR keeps the basis orthonormal when V is nearly invariant
+    basis = scipy.linalg.qr(x, mode="economic", overwrite_a=True, check_finite=False)[0]
+    a_basis = _product(a, basis)
+    theta, c, info = dsyevd(dgemm(1.0, basis, a_basis, trans_a=True))
+    if info != 0:
+        raise NumericalFailureError(f"projected eigensolve failed (info={info})")
+    theta, c = theta[::-1], c[:, ::-1]
+    y = dgemm(1.0, basis, c[:, :p])
+    r = np.linalg.norm(dgemm(1.0, a_basis, c[:, :k]) - y[:, :k] * theta[:k], axis=0)
+    step = theta[:-1] - theta[1:]
+    gap = np.minimum(np.r_[np.inf, step[:k - 1]], step[:k])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.where(gap > 2 * r, r ** 2 / (gap - r), np.inf)
+    return theta[:k], y, bound.max()
 
 
-def _seeded_solve(blocks: np.ndarray, k: int, seed, path: str):
-    """Per-block values (b, k), seed vectors (b, n, p) and certified bounds
-    of ``top_eigen(..., seed=seed)``."""
+def _seeded_solve(blocks: np.ndarray, k: int, seed, vectors: bool, path: str):
+    """Per-block values (b, k), vectors (a tuple of (n, p) arrays or None)
+    and certified bounds of ``top_eigen(..., vectors, seed)``."""
     b, n, _ = blocks.shape
     p = min(k + RITZ_EXTRA, n)
-    bound = np.full(b, np.inf)
-    if seed is not True and 3 * p < n:
-        w, vecs, bound = _ritz_step(blocks, seed, k)
-    full = np.flatnonzero(~(bound <= RITZ_BOUND))
-    if full.size:
+    keep = vectors or seed is True
+    seed = (None,) * b if seed is True else seed
+    w = np.empty((b, k))
+    vecs, bounds = [None] * b, [None] * b
+    for i, v in enumerate(seed):
+        if v is not None and 3 * p < n:
+            w_i, y, bound = _ritz_step(blocks[i], v, k)
+            if bound <= RITZ_BOUND:
+                w[i], vecs[i], bounds[i] = w_i, y, float(bound)
+    full = [i for i in range(b) if bounds[i] is None]
+    if full:
         # a stack has at most two blocks, so the blocks to solve are all or one
-        part = blocks if full.size == b else blocks[full[0]:full[0] + 1]
-        w_full, v_full = _full_solve(part, p, True, path)
-        if full.size == b:
-            w, vecs = w_full[:, :k], v_full
-        else:
-            w[full], vecs[full] = w_full[:, :k], v_full
-    bounds = tuple(None if i in full else float(bound[i]) for i in range(b))
-    return w, vecs, bounds
+        part = blocks if len(full) == b else blocks[full[0]:full[0] + 1]
+        w_full, v_full = _full_solve(part, p if keep else k, keep, path)
+        for j, i in enumerate(full):
+            w[i] = w_full[j, :k]
+            vecs[i] = v_full[j] if keep else None
+    return w, tuple(vecs), tuple(bounds)
 
 
 def top_eigen(blocks: np.ndarray, m: int, vectors: bool = False, seed=None) -> Eigen:
@@ -329,15 +333,19 @@ def top_eigen(blocks: np.ndarray, m: int, vectors: bool = False, seed=None) -> E
     against 1e-9 * ||Q||, as (b, n, k) block columns, each block descending
     (the Lanczos path then runs once per block).
 
-    ``seed`` makes the record's ``vectors`` the top p = k + RITZ_EXTRA
-    vectors of each block (at most n), as (b, n, p), which a later call on
-    a stack of the same shape steps from.  ``seed=True`` solves each block
-    in full.  Seed vectors of an earlier record take one Rayleigh-Ritz step
-    (``_ritz_step``) per block instead, whose Ritz values are accepted when
-    their bound is at most RITZ_BOUND; a block that fails, or every block
-    when 3p >= n, is solved in full.  ``bounds`` then holds per block the
-    accepted bound, or None where the block was solved in full, and
-    ``path`` is ``"ritz"`` when every block was stepped.
+    ``seed`` makes the record's ``vectors`` a tuple with one entry per
+    block: its top p = k + RITZ_EXTRA vectors (at most n) as (n, p), which a
+    later call on a stack of the same shape steps from, or None.  The seed
+    holds one entry per block, the (n, p) vectors of an earlier record or
+    None; ``seed=True`` is None for every block.  Seed vectors take one
+    Rayleigh-Ritz step (``_ritz_step``), whose Ritz values are accepted when
+    their bound is at most RITZ_BOUND.  A block with no seed vectors, a
+    block that fails, and every block when 3p >= n are solved in full: with
+    their p vectors when ``vectors`` is true or ``seed=True``, else for
+    values only, with no vectors (on the dense path their values are then
+    those of a solve with no seed, bit for bit).  ``bounds`` then holds per
+    block the accepted bound, or None where the block was solved in full,
+    and ``path`` is ``"ritz"`` when every block was stepped.
     """
     nb, n, _ = blocks.shape
     if not 1 <= m <= nb * n:
@@ -346,7 +354,7 @@ def top_eigen(blocks: np.ndarray, m: int, vectors: bool = False, seed=None) -> E
     path = eigensolver(n, m)
     bounds = ()
     if seed is not None:
-        w, vecs, bounds = _seeded_solve(blocks, k, seed, path)
+        w, vecs, bounds = _seeded_solve(blocks, k, seed, vectors, path)
         if None not in bounds:
             path = "ritz"
     elif path == "lanczos" and nb > 1 and not vectors:
@@ -373,18 +381,26 @@ class _BranchEvaluator:
     stack and solves that block alone: on a split cache an N/2 x N/2 block,
     half the eigensolve.  Its subset size min(m, n) is the batched call's,
     so a dense block solve gives the stack's values bit for bit.  Searches
-    read ``record`` at their bracket start and scans at their samples; at a
-    kappa that has a record, a block's values are read from it.
+    read ``record`` at their bracket start; at a kappa that has a record, a
+    block's values are read from it.
     ``eigenpair(kappa, block)`` solves the root's block again with vectors.
 
-    ``record(kappa, seeded=True)`` is a scan's Brent point: it solves with
-    the one seed the evaluator keeps, the vectors of the latest seeded
-    record (``seed``, None to start again with a full solve), and replaces
-    that seed with its own; the memo keeps no vectors.  The counters say
-    how each values solve went: ``dense_solves`` solved some block in full
-    (dense or Lanczos), ``ritz_steps`` and ``ritz_fallbacks`` count blocks
-    that took or failed a Ritz step, and ``ritz_worst_bound`` is the largest
-    accepted bound.
+    A scan walks two chains of seeded solves (see ``top_eigen``), and the
+    memo keeps no vectors.  ``sample(kappa)`` is a scan sample: the first
+    solves every block in full with its seed vectors, and every later one
+    steps each block from the vectors of the sample before it, so the
+    samples depend on the kappa list alone.  A block whose sample step
+    fails is solved for values only, as ``record`` solves it, and has no
+    vectors: it stops stepping, and is solved that way at every later
+    sample.  ``record(kappa, seeded=True)`` is a Brent point: it steps from
+    the one seed the evaluator keeps for them (``seed``, one entry per
+    block as in ``top_eigen``, or True to solve every block in full),
+    solves a block that has no seed vectors or fails its step in full with
+    vectors, and replaces that seed with its own vectors.  The counters say how each values solve
+    went: ``dense_solves`` solved some block in full (dense or Lanczos),
+    ``ritz_steps`` counts blocks that took a Ritz step, ``ritz_fallbacks``
+    blocks that had seed vectors but were solved in full, and
+    ``ritz_worst_bound`` is the largest accepted bound.
 
     Used as a context manager: leaving the block drops the operator cache.
     scipy's brentq keeps the objective in a self-referencing wrapper, so a
@@ -397,7 +413,8 @@ class _BranchEvaluator:
         self.m = m
         self._records = {}
         self._block_values = {}
-        self.seed = None
+        self.seed = True
+        self._sample_seed = True    # the first sample is solved in full
         self.evaluations = 0        # values-only solves, one per distinct (kappa, block)
         self.block_evaluations = 0  # those of them that solved one split block
         self.dense_solves = 0
@@ -416,24 +433,36 @@ class _BranchEvaluator:
         kappa; ``seeded`` solves it from and into ``seed``."""
         key = float(kappa)
         if key not in self._records:
-            q = self.cache.q_matrix(key)
             if seeded:
-                rec = top_eigen(q, self.m, seed=True if self.seed is None else self.seed)
-                stepped = [b for b in rec.bounds if b is not None]
-                if stepped:
-                    self.ritz_worst_bound = max(stepped + [self.ritz_worst_bound or 0.0])
-                if self.seed is not None:
-                    self.ritz_fallbacks += len(rec.bounds) - len(stepped)
-                self.ritz_steps += len(stepped)
-                self.dense_solves += rec.path != "ritz"
-                self.seed = rec.vectors
-                rec = rec._replace(vectors=None)
+                self.seed = self._seeded(key, self.seed, True).vectors
             else:
-                rec = top_eigen(q, self.m)
+                self._records[key] = top_eigen(self.cache.q_matrix(key), self.m)
+                self.evaluations += 1
                 self.dense_solves += 1
-            self._records[key] = rec
-            self.evaluations += 1
         return self._records[key]
+
+    def sample(self, kappa: float) -> Eigen:
+        """The record of a scan sample at kappa, stepped from the sample
+        before it, with its vectors (None for a block that stopped)."""
+        rec = self._seeded(float(kappa), self._sample_seed, False)
+        self._sample_seed = rec.vectors
+        return rec
+
+    def _seeded(self, key: float, seed, vectors: bool) -> Eigen:
+        """``top_eigen(Q_key, m, vectors, seed)``, counted and memoized
+        without its vectors."""
+        rec = top_eigen(self.cache.q_matrix(key), self.m, vectors, seed)
+        stepped = [b for b in rec.bounds if b is not None]
+        if stepped:
+            self.ritz_worst_bound = max(stepped + [self.ritz_worst_bound or 0.0])
+        if seed is not True:
+            self.ritz_fallbacks += sum(v is not None and b is None
+                                       for v, b in zip(seed, rec.bounds))
+        self.ritz_steps += len(stepped)
+        self.dense_solves += rec.path != "ritz"
+        self._records[key] = rec._replace(vectors=None)
+        self.evaluations += 1
+        return rec
 
     def values(self, kappa: float, block: int) -> np.ndarray:
         """The top values of block ``block`` of the stack at kappa (0 for

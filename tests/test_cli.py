@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import leakywire
+import leakywire.spectral as spectral_mod
 from leakywire.cli import load_curve, main, write_results
 from leakywire.curve import PlanarCurvatureProfile, SampledParametric, StraightLine
 from leakywire.errors import ConfigError, CurveFormatError
@@ -224,9 +225,32 @@ class TestScanCommand:
                 "ritz_worst_bound"}
         assert keys <= set(meta)
         assert meta["ritz_steps"] > 0
-        assert meta["evaluations"] > meta["dense_solves"] >= 20
+        # the samples step too: fewer full solves than the 20 samples
+        assert meta["evaluations"] > 20 > meta["dense_solves"] >= 1
         assert 0 <= meta["ritz_worst_bound"] <= 1e-13
         assert not any(key in out.read_text() for key in keys)
+
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_one_and_two_points(self, tmp_path, monkeypatch, points):
+        # the first sample is solved in full with its seed vectors, as there
+        # is no sample before it to step from; a second sample steps from it
+        steps, before = [], []
+        ritz_step, sample = spectral_mod._ritz_step, spectral_mod._BranchEvaluator.sample
+        monkeypatch.setattr(spectral_mod, "_ritz_step",
+                            lambda *args: steps.append(1) or ritz_step(*args))
+        monkeypatch.setattr(spectral_mod._BranchEvaluator, "sample",
+                            lambda ev, kappa: before.append(len(steps)) or sample(ev, kappa))
+        out = tmp_path / "scan.json"
+        assert run_cli("scan", "--curve", "bump:a=1,w=1", "-L", "16", "-N", "256",
+                       "--points", str(points), "-o", str(out)) == 0
+        assert len(json.loads(out.read_text())["kappas"]) == points
+        assert before == [0] * points
+        meta = json.loads(Path(f"{out}.meta.json").read_text())
+        if points == 1:
+            assert steps == []
+            assert meta["evaluations"] == meta["dense_solves"] == 1
+        else:
+            assert meta["ritz_steps"] + meta["ritz_fallbacks"] >= 2
 
 
 class TestCheckCommand:

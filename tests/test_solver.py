@@ -35,6 +35,20 @@ class TestStraightLineNullity:
             config = SolveConfig(alpha=alpha, grid=grid)
             assert find_bound_states(straight, config) == []
 
+    @pytest.mark.parametrize("wire", ["straight", "sampled", "tilted"])
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_straight_wires_stay_empty_under_the_lift_floor(self, straight, wire, n):
+        # straight wires lift the top value above s_kappa by rounding only
+        # (at most about 5e-14 here), far below the 1e-12 lift floor
+        t = np.linspace(-30.0, 30.0, 601)
+        direction = np.array([1.0, 2.0, 2.0]) / 3.0
+        curve = {"straight": straight,
+                 "sampled": SampledParametric(np.column_stack([t, t, 0 * t, 0 * t])),
+                 "tilted": SampledParametric(np.column_stack([t, np.outer(t, direction)]))}[wire]
+        for alpha in (-0.3, 0.0, 0.3):
+            config = SolveConfig(alpha=alpha, grid=GridSpec(24.0, n))
+            assert find_bound_states(curve, config) == []
+
 
 class TestBumpBinding:
     def test_state_exists_below_edge(self):
@@ -92,6 +106,16 @@ class TestBumpBinding:
                 assert st.diagnostics
             else:
                 assert st.energy < zeta0(0.0)
+
+    @pytest.mark.parametrize("a", [0.003, 0.0003])
+    def test_weakly_bent_wire_gives_a_flagged_record(self, a):
+        # the lift scales as a^2: 3.2e-9 and 3.2e-11 here, below alpha but
+        # above the lift floor, so the state is flagged, never dropped
+        curve = PlanarCurvatureProfile.gaussian_bump(a, 1.0, 56.0)
+        states = find_bound_states(curve, SolveConfig(alpha=0.0, grid=GridSpec(24.0, 512)))
+        assert len(states) == 1 and states[0].threshold_uncertain
+        lift = states[0].diagnostics["lambda_start"] - states[0].diagnostics["s_kappa_start"]
+        assert 1e-12 < lift < 1e-8
 
     def test_branch_cap_raises_instead_of_dropping(self, monkeypatch):
         # this strong bend binds 5 states; tracking 3 or 4 branches must not
@@ -220,9 +244,12 @@ class TestSpectrumScan:
 
     def test_crossing_on_the_last_sample_recorded(self, bump):
         # alpha equal to lambda_0 at the last sample: branch 0 crosses exactly
-        # there, with no later sample to bracket it
+        # there, with no later sample to bracket it.  The samples do not
+        # depend on alpha, so a scan at another alpha gives that value
         grid = GridSpec(16.0, 256)
-        alpha = float(spectral_mod.lambda_curve(bump, grid, [3.0], m=2).lambdas[0, 0])
+        first, _ = spectrum_scan(bump, SolveConfig(alpha=0.0, grid=grid, m_branches=2),
+                                 (0.5, 3.0), 8)
+        alpha = float(first.lambdas[-1, 0])
         config = SolveConfig(alpha=alpha, grid=grid, m_branches=2)
         sc, crossings = spectrum_scan(bump, config, (0.5, 3.0), 8)
         assert sc.kappas[-1] == 3.0 and sc.lambdas[-1, 0] == alpha
@@ -231,44 +258,105 @@ class TestSpectrumScan:
 
     @pytest.mark.parametrize("case", ["bump", "off_centre_wire", "helix", "straight"])
     def test_ritz_steps_keep_the_dense_scan(self, monkeypatch, request, case):
-        # Brent's interior points take certified Ritz steps; the sampled
-        # values are the dense run's bit for bit, and each crossing keeps its
-        # branch and moves by rounding only
+        # samples and Brent points take certified Ritz steps; the samples are
+        # lambda_curve's dense values within the certified bound, and each
+        # crossing keeps its branch and moves by rounding only
         curve = request.getfixturevalue(case)
         grid, m = {"helix": (GridSpec(12.0, 256), 3),
                    "off_centre_wire": (GridSpec(10.0, 256), 8)}.get(case, (GridSpec(16.0, 256), 8))
         config = SolveConfig(alpha=0.0, grid=grid, m_branches=m)
         k0 = kappa0(0.0)
         sc, crossings = spectrum_scan(curve, config, (0.5 * k0, 5.0 * k0), 20)
+        dense = spectral_mod.lambda_curve(curve, grid, sc.kappas, m)
+        # the dense scan: every block of every values solve is solved in full
         plain = spectral_mod.top_eigen
-        monkeypatch.setattr(spectral_mod, "top_eigen",
-                            lambda q, m, vectors=False, seed=None: plain(q, m, vectors))
+        monkeypatch.setattr(spectral_mod, "top_eigen", lambda q, m, vectors=False, seed=None:
+                            plain(q, m, vectors, None if seed is None else (None,) * len(q)))
         dense_sc, dense_crossings = spectrum_scan(curve, config, (0.5 * k0, 5.0 * k0), 20)
         assert sc.diagnostics["ritz_steps"] > 0
         assert dense_sc.diagnostics["ritz_steps"] == 0
-        assert np.array_equal(sc.lambdas, dense_sc.lambdas)
+        assert np.array_equal(dense_sc.lambdas, dense.lambdas)
+        assert np.max(np.abs(sc.lambdas - dense.lambdas)) <= spectral_mod.RITZ_BOUND
         assert [c.branch for c in crossings] == [c.branch for c in dense_crossings]
         for c, d in zip(crossings, dense_crossings):
             assert c.kappa == pytest.approx(d.kappa, rel=1e-12, abs=0.0)
 
-    def test_scan_diagnostics_count_the_solves(self, bump):
-        # the samples are full solves, and so is the first Brent point of each
-        # sample interval that holds a crossing; with no fallback every other
-        # evaluation is a record whose two blocks both took Ritz steps
-        config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 256), m_branches=8)
+    def test_scan_diagnostics_count_the_solves(self, bump, off_centre_wire):
+        # each values solve either steps every block or solves some block in
+        # full, so on one block evaluations = dense_solves + ritz_steps.  The
+        # off-centre wire's first sample step fails, so its block stops
+        # stepping and all 20 samples are full solves
+        keys = {"evaluations", "dense_solves", "ritz_steps", "ritz_fallbacks",
+                "ritz_worst_bound"}
         k0 = kappa0(0.0)
-        sc, crossings = spectrum_scan(bump, config, (0.5 * k0, 5.0 * k0), 20)
+        one, _ = spectrum_scan(off_centre_wire, SolveConfig(alpha=0.0, grid=GridSpec(10.0, 256)),
+                               (0.5 * k0, 5.0 * k0), 20)
+        d = one.diagnostics
+        assert set(d) == keys
+        assert d["evaluations"] == d["dense_solves"] + d["ritz_steps"]
+        assert d["ritz_fallbacks"] >= 1
+        assert 20 <= d["dense_solves"] < d["evaluations"]
+        # on the split bump both blocks step from sample to sample over most
+        # of the range, so fewer than half the samples are full solves; a
+        # values solve that solved no block in full stepped both
+        config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 256), m_branches=8)
+        sc, _ = spectrum_scan(bump, config, (0.5 * k0, 5.0 * k0), 20)
         d = sc.diagnostics
-        assert set(d) == {"evaluations", "dense_solves", "ritz_steps", "ritz_fallbacks",
-                          "ritz_worst_bound"}
-        signs = np.sign(sc.lambdas - config.alpha)
-        intervals = int(np.sum(np.any(signs[:-1] * signs[1:] < 0, axis=1)))
-        assert 0 < intervals < len(crossings)
-        assert d["ritz_fallbacks"] == 0
-        assert d["dense_solves"] == 20 + intervals
-        assert d["ritz_steps"] % 2 == 0   # both blocks of each stepped point
-        assert d["evaluations"] == d["dense_solves"] + d["ritz_steps"] // 2
+        assert set(d) == keys
+        assert 1 <= d["dense_solves"] < 10
+        assert d["ritz_steps"] >= 2 * (d["evaluations"] - d["dense_solves"])
         assert 0 <= d["ritz_worst_bound"] <= spectral_mod.RITZ_BOUND
+
+    def test_samples_do_not_depend_on_alpha(self, scan_wire):
+        # samples chain only to samples, never to Brent points, so two alphas
+        # with different crossings give the same samples bit for bit
+        grid = GridSpec(16.0, 256)
+        scans = [spectrum_scan(scan_wire, SolveConfig(alpha=alpha, grid=grid), (0.4, 4.0), 12)
+                 for alpha in (0.0, 0.2)]
+        (a, cross_a), (b, cross_b) = scans
+        assert [c.kappa for c in cross_a] != [c.kappa for c in cross_b]
+        assert a.diagnostics["ritz_steps"] > 0
+        assert np.array_equal(a.kappas, b.kappas)
+        assert np.array_equal(a.lambdas, b.lambdas)
+
+    def test_a_block_stops_stepping_at_its_first_failed_sample(self, monkeypatch,
+                                                              off_centre_wire):
+        # one block, no mirror symmetry: once a sample's step fails, the block
+        # is solved for values only at every later sample, with no step, and
+        # those samples are lambda_curve's values bit for bit
+        grid = GridSpec(10.0, 256)
+        steps, sample_steps, bounds = [], [], []
+        ritz_step, sample = spectral_mod._ritz_step, spectral_mod._BranchEvaluator.sample
+
+        def logged_sample(ev, kappa):
+            before = len(steps)
+            rec = sample(ev, kappa)
+            sample_steps.append(len(steps) - before)
+            bounds.append(rec.bounds[0])
+            return rec
+
+        monkeypatch.setattr(spectral_mod, "_ritz_step",
+                            lambda *args: steps.append(1) or ritz_step(*args))
+        monkeypatch.setattr(spectral_mod._BranchEvaluator, "sample", logged_sample)
+        k0 = kappa0(0.0)
+        sc, _ = spectrum_scan(off_centre_wire, SolveConfig(alpha=0.0, grid=grid),
+                              (0.5 * k0, 5.0 * k0), 20)
+        failed = next(i for i, b in enumerate(bounds) if i > 0 and b is None)
+        assert sample_steps[0] == 0 and bounds[0] is None
+        assert sample_steps[1:failed + 1] == [1] * failed
+        assert all(b <= spectral_mod.RITZ_BOUND for b in bounds[1:failed])
+        assert sample_steps[failed + 1:] == [0] * (19 - failed)
+        assert bounds[failed:] == [None] * (20 - failed)
+        dense = spectral_mod.lambda_curve(off_centre_wire, grid, sc.kappas, 8).lambdas
+        assert np.array_equal(sc.lambdas[failed:], dense[failed:])
+        assert np.max(np.abs(sc.lambdas - dense)) <= spectral_mod.RITZ_BOUND
+
+    def test_straight_line_is_s_kappa_on_a_stepped_scan(self, straight):
+        config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 256))
+        k0 = kappa0(0.0)
+        sc, _ = spectrum_scan(straight, config, (0.5 * k0, 5.0 * k0), 20)
+        assert sc.diagnostics["ritz_steps"] >= 2 * 10
+        assert np.max(np.abs(sc.lambdas[:, 0] - sc.s_k_values)) < 1e-12
 
 
 def _closed_form_evaluator(monkeypatch, lam):

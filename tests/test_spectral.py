@@ -238,40 +238,59 @@ class TestRitzStep:
         else:
             curve, grid, m, shape = off_centre_wire, GridSpec(10.0, 256), 8, (1, 256, 12)
         q, q_next, start = _seed_and_step(curve, grid, kappa, m)
-        assert start.vectors.shape == shape
+        assert np.shape(start.vectors) == shape
         assert start.bounds == (None,) * shape[0]
         step = top_eigen(q_next, m, seed=start.vectors)
         dense = top_eigen(q_next, m)
         assert step.path == "ritz"
-        assert step.vectors.shape == shape
+        assert np.shape(step.vectors) == shape
         assert all(b <= spectral_mod.RITZ_BOUND for b in step.bounds)
         assert step.parity == dense.parity
         assert np.all(np.abs(step.values - dense.values) <= max(step.bounds) + 1e-15)
 
     def test_random_seed_falls_back_to_the_dense_solve(self, bump):
+        # a failed step is solved in full: with its seed vectors when vectors
+        # are asked for, else for values only, as with no seed
         q, _, start = _seed_and_step(bump, GridSpec(16.0, 256), 1.2, 8)
-        noise = np.random.default_rng(7).standard_normal(start.vectors.shape)
-        rec = top_eigen(q, 8, seed=noise)
+        noise = np.random.default_rng(7).standard_normal(np.shape(start.vectors))
+        rec = top_eigen(q, 8, vectors=True, seed=noise)
         assert rec.path == "dense" and rec.bounds == (None, None)
         assert np.array_equal(rec.values, start.values)
         assert np.array_equal(rec.vectors, start.vectors)
         assert np.allclose(rec.values, top_eigen(q, 8).values, rtol=0, atol=1e-14)
+        rec = top_eigen(q, 8, seed=noise)
+        assert rec.path == "dense" and rec.bounds == (None, None)
+        assert rec.vectors == (None, None)
+        assert np.array_equal(rec.values, top_eigen(q, 8).values)
+
+    def test_seed_of_one_block_steps_that_block_only(self, bump):
+        # a None entry solves its block in full; the other block still steps
+        q, q_next, start = _seed_and_step(bump, GridSpec(16.0, 256), 1.2, 8)
+        rec = top_eigen(q_next, 8, seed=(start.vectors[0], None))
+        assert rec.bounds[0] <= spectral_mod.RITZ_BOUND and rec.bounds[1] is None
+        assert np.shape(rec.vectors[0]) == (128, 12) and rec.vectors[1] is None
+        odd = rec.values[[p == "odd" for p in rec.parity]]
+        assert np.array_equal(odd, top_eigen(q_next[1:], 8).values[:len(odd)])
+        assert np.allclose(rec.values, top_eigen(q_next, 8).values, rtol=0, atol=1e-13)
 
     def test_small_block_is_solved_dense(self, bump):
         # n = 32 per block and p = 12: a step space of 3p = 36 >= n vectors
         # would be the whole block, so every block is solved in full
         q, q_next, start = _seed_and_step(bump, GridSpec(8.0, 64), 1.2, 8)
-        assert start.vectors.shape == (2, 32, 12)
-        rec = top_eigen(q_next, 8, seed=start.vectors)
+        assert np.shape(start.vectors) == (2, 32, 12)
+        rec = top_eigen(q_next, 8, vectors=True, seed=start.vectors)
         assert rec.path == "dense" and rec.bounds == (None, None)
         assert np.array_equal(rec.values, top_eigen(q_next, 8, seed=True).values)
+        rec = top_eigen(q_next, 8, seed=start.vectors)
+        assert rec.bounds == (None, None)
+        assert np.array_equal(rec.values, top_eigen(q_next, 8).values)
 
     def test_lanczos_path_seed(self, bump, monkeypatch):
         # above the dense limits the seed is solved by Lanczos per block, and
         # a step from it is certified as on the dense path
         _lanczos_everywhere(monkeypatch)
         q, q_next, start = _seed_and_step(bump, GridSpec(16.0, 256), 1.2, 4)
-        assert start.path == "lanczos" and start.vectors.shape == (2, 128, 8)
+        assert start.path == "lanczos" and np.shape(start.vectors) == (2, 128, 8)
         dense = scipy.linalg.eigvalsh(unfold(q))[::-1][:4]
         assert np.allclose(start.values, dense, rtol=0, atol=1e-10)
         for block, vecs in enumerate(start.vectors):
