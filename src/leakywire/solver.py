@@ -229,7 +229,7 @@ def _solve_branch(ev, start, j, alpha, k_start, k0, z0, config) -> BoundState:
         ratio *= BRACKET_GROWTH
         k_hi = min(k_lo * ratio, k_max)
     kt, res = _root_in_log_kappa(f, k_lo, k_hi, config.tol_kappa_rel)
-    root = ev.eigenpair(kt, block)
+    root, h = ev.eigenpair(kt, block)
     lam_val = float(root.values[k])
     if abs(lam_val - alpha) > config.tol_lambda:
         raise NumericalFailureError(
@@ -242,7 +242,7 @@ def _solve_branch(ev, start, j, alpha, k_start, k0, z0, config) -> BoundState:
         kappa_tilde=float(kt),
         energy=float(energy),
         branch=j,
-        h=root.vectors[:, k].copy(),
+        h=h[:, k].copy(),
         gap=float(gap),
         residual=abs(lam_val - alpha),
         threshold_uncertain=bool(gap < THRESHOLD_GAP_FRAC * abs(z0)),
@@ -259,20 +259,28 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
     """Eigenvalue curves over a kappa range plus refined alpha-crossings.
 
     Returns (SpectralCurve, list[Crossing]); crossings are Brent-refined to
-    the configured relative tolerance between bracketing samples.  The
-    samples form one chain (``_BranchEvaluator.sample``): the first is
-    solved in full with seed vectors, and each later one takes a certified
-    Rayleigh-Ritz step per block from the sample before it (see
-    ``top_eigen``), so the samples do not depend on alpha.  A block whose
-    sample step fails stops stepping: from that sample on it is solved for
-    values only, as ``lambda_curve`` solves it.  The first Brent point of
-    sample interval i steps from sample i's vectors, or solves a block that
-    has none in full with vectors, and every later one, of any branch
-    crossing there, steps from the point evaluated before it.  Interval i
-    is refined as soon as sample i + 1 is solved, so the walk keeps the
-    vectors of two samples at a time.  The curve's ``diagnostics`` hold the
-    evaluator's counts: ``evaluations``, ``dense_solves``, ``ritz_steps``,
-    ``ritz_fallbacks`` and ``ritz_worst_bound``.
+    the configured relative tolerance between bracketing samples.
+
+    Every values solve is a seeded ``_BranchEvaluator.step`` (see
+    ``top_eigen``), on one of two chains of seeds that the scan holds:
+
+    - The samples.  The first is solved in full, keeping its seed vectors,
+      and each later one takes a certified Rayleigh-Ritz step per block
+      from the sample before it, so the samples do not depend on alpha.
+      A block whose sample step fails has no vectors from then on: it is
+      solved for values only at every later sample, as ``lambda_curve``
+      solves it.
+    - The Brent points of sample interval i, of every branch crossing
+      there.  Their seed starts at sample i's vectors and takes the vectors
+      of each point solved; a bracket end read from the memo leaves it as
+      it is.  A block with no seed vectors, or whose step fails, is solved
+      in full with vectors.
+
+    Interval i is refined as soon as sample i + 1 is solved, so the walk
+    keeps the vectors of two samples at a time.  The curve's
+    ``diagnostics`` hold the evaluator's counts: ``evaluations``,
+    ``dense_solves``, ``ritz_steps``, ``ritz_fallbacks`` and
+    ``ritz_worst_bound``.
     """
     k_lo, k_hi = float(kappa_range[0]), float(kappa_range[1])
     if not (0 < k_lo < k_hi):
@@ -284,20 +292,27 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
     alpha = config.alpha
     rows = []
     with _BranchEvaluator(curve, config.grid, config.m_branches) as ev:
-        right = ev.sample(kappas[0])
+
+        def brent_value(kappa, j):
+            nonlocal seed
+            rec = ev.step(kappa, seed, vectors=True)
+            seed = rec.vectors or seed   # a memoized record has no vectors
+            return rec.values[j] - alpha
+
+        right = ev.step(kappas[0], None, vectors=True)
         for i, kappa in enumerate(kappas):
             left = right
             rows.append(left.values)
             if i + 1 < len(kappas):
-                right = ev.sample(kappas[i + 1])
-            ev.seed = left.vectors   # interval i's Brent points step from sample i
+                right = ev.step(kappas[i + 1], left.vectors, vectors=False)
+            seed = left.vectors
             for j in range(config.m_branches):
                 f_left = left.values[j] - alpha
                 if f_left == 0.0:
                     crossings.append(Crossing(branch=j, kappa=float(kappa)))
                 elif i + 1 < len(kappas) and f_left * (right.values[j] - alpha) < 0:
                     kc, _ = _root_in_log_kappa(
-                        lambda k: ev.record(k, seeded=True).values[j] - alpha,
+                        lambda k: brent_value(k, j),
                         kappas[i], kappas[i + 1], config.tol_kappa_rel)
                     crossings.append(Crossing(branch=j, kappa=float(kc)))
         diagnostics = {name: getattr(ev, name) for name in (

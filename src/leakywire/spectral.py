@@ -26,15 +26,15 @@ it wins clearly, while m > 1 stays dense up to n = 2048
 (DENSE_EIGEN_LIMIT): Lanczos pays for every extra Ritz vector it converges.
 
 Parity: a persymmetric operator arrives as the (2, N/2, N/2) stack of its
-even and odd blocks (see ``operators``).  A stack is solved for values
-only: one batched LAPACK call, or one Lanczos run on the block-diagonal
-operator whose Ritz vectors tell the block of each value, and the top m of
-their values are merged.  A root search needs both blocks only at its
-bracket start: a branch lives in one block, so every other evaluation and
-the root solve that N/2 x N/2 block alone (see ``_BranchEvaluator``), and
-eigenvectors are solved for one block only.  Each block costs an eighth
-of the full matrix's O(N^3) reduction.  Measured per block size on bump
-a=1, w=1 at kappa = 1.15 (same machine; the two paths agree to 4e-16):
+even and odd blocks (see ``operators``).  Its values are solved in one
+batched LAPACK call, or one Lanczos run on the block-diagonal operator
+whose Ritz vectors tell the block of each value, and the top m of them are
+merged; with vectors, each block keeps its own columns.  A root search
+needs both blocks only at its bracket start: a branch lives in one block,
+so every other evaluation and the root solve that N/2 x N/2 block alone
+(see ``_BranchEvaluator``).  Each block costs an eighth of the full
+matrix's O(N^3) reduction.  Measured per block size on bump a=1, w=1 at
+kappa = 1.15 (same machine; the two paths agree to 4e-16):
 
 =================================  =============  ==================
 case (block n = N/2)               dense, batch   Lanczos, 2 blocks
@@ -59,15 +59,11 @@ nearby one (eigenvector continuation, Frame et al., PRL 121, 032501
 (2018)).  ``top_eigen(..., seed=V)`` solves the projected 3p x 3p problem
 on span{V, Q V, Q^2 V} and accepts it per block under a residual-gap
 certificate (block Rayleigh-Ritz bounds, Knyazev, SIAM J. Sci. Comput. 23
-(2001)).  A scan uses it twice (see ``_BranchEvaluator``).  Its samples form
-one chain: each steps from the sample before it, and a block whose sample
-step fails stops stepping and is solved for values only at every later
-sample, since on a nearly symmetric one-block wire the steps between
-samples fail one after another.  The Brent points of each sample interval
-form a second chain, which starts from the interval's left sample.
-Measured at m = 8, kappa 1.3 to 1.313 (same machine, min of 9; the seed
-solve is the full solve with p vectors, and a step includes its
-certificate):
+(2001)).  A scan walks two chains of such steps, one through its samples
+and one through the Brent points of each sample interval (see
+``solver.spectrum_scan``).  Measured at m = 8, kappa 1.3 to 1.313 (same
+machine, min of 9; the seed solve is the full solve with p vectors, and a
+step includes its certificate):
 
 =======================================  ============  ==========  =========
 case                                     values solve  seed solve  Ritz step
@@ -204,8 +200,8 @@ class Eigen(NamedTuple):
     values: np.ndarray              # shape (m,), descending
     parity: list                    # "even" or "odd" per value, None on one block
     path: str                       # "dense", "lanczos" or "ritz"
-    vectors: Optional[np.ndarray]   # (b, n, c) per block, (N, c) from an eigenpair,
-                                    # a tuple per block from a seeded solve
+    vectors: Optional[tuple]        # None, or per block its (n, c) columns
+                                    # (None for a block solved values-only)
     bounds: tuple = ()              # per block of a seeded solve; see top_eigen
 
     def branch(self, j: int):
@@ -231,13 +227,13 @@ def _product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _full_solve(blocks: np.ndarray, c: int, vectors: bool, path: str):
     """The top c eigenvalues of each block of a (b, n, n) stack, (b, c) and
-    descending per block, and with ``vectors`` their (b, n, c) sign-fixed
-    eigenvectors, residual-checked per block against 1e-9 * ||block||."""
+    descending per block, and with ``vectors`` a tuple of each block's (n, c)
+    sign-fixed eigenvectors, residual-checked against 1e-9 * ||block||."""
     b, n, _ = blocks.shape
     if path == "lanczos":
-        runs = [_iterative_top(_block_diagonal(a[None]), c, vectors) for a in blocks]
+        runs = [_iterative_top(a, c, vectors) for a in blocks]
         w = np.array([vals for vals, _ in runs])
-        vecs = np.array([v for _, v in runs]) if vectors else None
+        vecs = [v for _, v in runs]
     else:
         # one block goes to LAPACK as its 2-D matrix, two in one batched call
         a = blocks if b > 1 else blocks[0]
@@ -257,7 +253,7 @@ def _full_solve(blocks: np.ndarray, c: int, vectors: bool, path: str):
         if resid[j] > 1e-9 * max(norm_q, 1e-30):
             raise NumericalFailureError(
                 f"eigenpair {j} residual {resid[j]:.3e} exceeds 1e-9 * ||Q|| (N={n})")
-    return w, np.stack([np.column_stack([_fix_sign(v) for v in vs.T]) for vs in vecs])
+    return w, tuple(np.column_stack([_fix_sign(v) for v in vs.T]) for vs in vecs)
 
 
 def _ritz_step(a: np.ndarray, v: np.ndarray, k: int):
@@ -298,8 +294,6 @@ def _seeded_solve(blocks: np.ndarray, k: int, seed, vectors: bool, path: str):
     and certified bounds of ``top_eigen(..., vectors, seed)``."""
     b, n, _ = blocks.shape
     p = min(k + RITZ_EXTRA, n)
-    keep = vectors or seed is True
-    seed = (None,) * b if seed is True else seed
     w = np.empty((b, k))
     vecs, bounds = [None] * b, [None] * b
     for i, v in enumerate(seed):
@@ -311,10 +305,10 @@ def _seeded_solve(blocks: np.ndarray, k: int, seed, vectors: bool, path: str):
     if full:
         # a stack has at most two blocks, so the blocks to solve are all or one
         part = blocks if len(full) == b else blocks[full[0]:full[0] + 1]
-        w_full, v_full = _full_solve(part, p if keep else k, keep, path)
+        w_full, v_full = _full_solve(part, p if vectors else k, vectors, path)
         for j, i in enumerate(full):
             w[i] = w_full[j, :k]
-            vecs[i] = v_full[j] if keep else None
+            vecs[i] = v_full[j] if vectors else None
     return w, tuple(vecs), tuple(bounds)
 
 
@@ -328,20 +322,19 @@ def top_eigen(blocks: np.ndarray, m: int, vectors: bool = False, seed=None) -> E
     run on the block-diagonal operator, and the top k = min(m, n) values of
     each merged; the parity of a value is the block it comes from, None on
     one block.  ``eigensolver(n, m)`` picks the path from the block size n.
-    With ``vectors=True`` the record holds the orthonormal, sign-fixed
-    eigenvectors of the top k values of each block, residual-checked
-    against 1e-9 * ||Q||, as (b, n, k) block columns, each block descending
-    (the Lanczos path then runs once per block).
+    With ``vectors=True`` the record's ``vectors`` hold, per block, the
+    orthonormal, sign-fixed eigenvectors of its top k values as (n, k)
+    columns, descending, residual-checked against 1e-9 * ||Q|| (the
+    Lanczos path then runs once per block); without, ``vectors`` is None.
 
-    ``seed`` makes the record's ``vectors`` a tuple with one entry per
-    block: its top p = k + RITZ_EXTRA vectors (at most n) as (n, p), which a
-    later call on a stack of the same shape steps from, or None.  The seed
-    holds one entry per block, the (n, p) vectors of an earlier record or
-    None; ``seed=True`` is None for every block.  Seed vectors take one
-    Rayleigh-Ritz step (``_ritz_step``), whose Ritz values are accepted when
-    their bound is at most RITZ_BOUND.  A block with no seed vectors, a
-    block that fails, and every block when 3p >= n are solved in full: with
-    their p vectors when ``vectors`` is true or ``seed=True``, else for
+    ``seed`` holds one entry per block: the (n, p) vectors of an earlier
+    record on a stack of the same shape, or None.  With a seed, the
+    record's ``vectors`` hold per block its top p = k + RITZ_EXTRA vectors
+    (at most n) as (n, p), which a later call steps from, or None.  Seed
+    vectors take one Rayleigh-Ritz step (``_ritz_step``), whose Ritz values
+    are accepted when their bound is at most RITZ_BOUND.  A block with no
+    seed vectors, a block that fails, and every block when 3p >= n are
+    solved in full: with their p vectors when ``vectors`` is true, else for
     values only, with no vectors (on the dense path their values are then
     those of a solve with no seed, bit for bit).  ``bounds`` then holds per
     block the accepted bound, or None where the block was solved in full,
@@ -373,8 +366,9 @@ def top_eigen(blocks: np.ndarray, m: int, vectors: bool = False, seed=None) -> E
 
 class _BranchEvaluator:
     """lambda_j(kappa): the top-m values of every block of the stack Q_kappa
-    (``record``) or of one (``values``), from ``OperatorCache.q_matrix`` and
-    ``top_eigen``, memoized per kappa and per (kappa, block).
+    (``record``, ``step``) or of one (``values``), from
+    ``OperatorCache.q_matrix`` and ``top_eigen``, memoized per kappa and per
+    (kappa, block).
 
     A root search follows one branch, which lives in one block (block 0 of
     a cache that does not split), so ``values(kappa, block)`` builds the
@@ -384,23 +378,14 @@ class _BranchEvaluator:
     read ``record`` at their bracket start; at a kappa that has a record, a
     block's values are read from it.
     ``eigenpair(kappa, block)`` solves the root's block again with vectors.
+    ``step(kappa, seed, vectors)`` is a seeded solve (see ``top_eigen``);
+    the caller keeps the seeds.
 
-    A scan walks two chains of seeded solves (see ``top_eigen``), and the
-    memo keeps no vectors.  ``sample(kappa)`` is a scan sample: the first
-    solves every block in full with its seed vectors, and every later one
-    steps each block from the vectors of the sample before it, so the
-    samples depend on the kappa list alone.  A block whose sample step
-    fails is solved for values only, as ``record`` solves it, and has no
-    vectors: it stops stepping, and is solved that way at every later
-    sample.  ``record(kappa, seeded=True)`` is a Brent point: it steps from
-    the one seed the evaluator keeps for them (``seed``, one entry per
-    block as in ``top_eigen``, or True to solve every block in full),
-    solves a block that has no seed vectors or fails its step in full with
-    vectors, and replaces that seed with its own vectors.  The counters say how each values solve
-    went: ``dense_solves`` solved some block in full (dense or Lanczos),
-    ``ritz_steps`` counts blocks that took a Ritz step, ``ritz_fallbacks``
-    blocks that had seed vectors but were solved in full, and
-    ``ritz_worst_bound`` is the largest accepted bound.
+    The counters say how each values solve went: ``dense_solves`` solved
+    some block in full (dense or Lanczos), ``ritz_steps`` counts blocks that
+    took a Ritz step, ``ritz_fallbacks`` blocks that had seed vectors but
+    were solved in full, and ``ritz_worst_bound`` is the largest accepted
+    bound.
 
     Used as a context manager: leaving the block drops the operator cache.
     scipy's brentq keeps the objective in a self-referencing wrapper, so a
@@ -413,8 +398,6 @@ class _BranchEvaluator:
         self.m = m
         self._records = {}
         self._block_values = {}
-        self.seed = True
-        self._sample_seed = True    # the first sample is solved in full
         self.evaluations = 0        # values-only solves, one per distinct (kappa, block)
         self.block_evaluations = 0  # those of them that solved one split block
         self.dense_solves = 0
@@ -428,36 +411,30 @@ class _BranchEvaluator:
     def __exit__(self, *exc):
         self.cache = None
 
-    def record(self, kappa: float, seeded: bool = False) -> Eigen:
+    def record(self, kappa: float) -> Eigen:
         """The values-only record of every block at kappa, solved once per
-        kappa; ``seeded`` solves it from and into ``seed``."""
+        kappa."""
         key = float(kappa)
         if key not in self._records:
-            if seeded:
-                self.seed = self._seeded(key, self.seed, True).vectors
-            else:
-                self._records[key] = top_eigen(self.cache.q_matrix(key), self.m)
-                self.evaluations += 1
-                self.dense_solves += 1
+            self._records[key] = top_eigen(self.cache.q_matrix(key), self.m)
+            self.evaluations += 1
+            self.dense_solves += 1
         return self._records[key]
 
-    def sample(self, kappa: float) -> Eigen:
-        """The record of a scan sample at kappa, stepped from the sample
-        before it, with its vectors (None for a block that stopped)."""
-        rec = self._seeded(float(kappa), self._sample_seed, False)
-        self._sample_seed = rec.vectors
-        return rec
-
-    def _seeded(self, key: float, seed, vectors: bool) -> Eigen:
-        """``top_eigen(Q_key, m, vectors, seed)``, counted and memoized
-        without its vectors."""
-        rec = top_eigen(self.cache.q_matrix(key), self.m, vectors, seed)
+    def step(self, kappa: float, seed, vectors: bool) -> Eigen:
+        """``top_eigen(Q_kappa, m, vectors, seed)``, counted and memoized
+        without its vectors: a kappa solved before returns its record, which
+        has none.  A None seed has no vectors for any block."""
+        key = float(kappa)
+        if key in self._records:
+            return self._records[key]
+        q = self.cache.q_matrix(key)
+        seed = (None,) * len(q) if seed is None else seed
+        rec = top_eigen(q, self.m, vectors, seed)
         stepped = [b for b in rec.bounds if b is not None]
         if stepped:
             self.ritz_worst_bound = max(stepped + [self.ritz_worst_bound or 0.0])
-        if seed is not True:
-            self.ritz_fallbacks += sum(v is not None and b is None
-                                       for v, b in zip(seed, rec.bounds))
+        self.ritz_fallbacks += sum(v is not None and b is None for v, b in zip(seed, rec.bounds))
         self.ritz_steps += len(stepped)
         self.dense_solves += rec.path != "ritz"
         self._records[key] = rec._replace(vectors=None)
@@ -482,19 +459,19 @@ class _BranchEvaluator:
             self._block_values[key, block] = vals
         return self._block_values[key, block]
 
-    def eigenpair(self, kappa: float, block: int) -> Eigen:
-        """A fresh record with vectors of block ``block`` at kappa, not
-        memoized.  Its vectors are (N, c) eigenvectors of Q: the one block's
-        as they are, and on a split cache each block vector y unfolded to
-        [y; J y]/sqrt 2 (even) or [y; -J y]/sqrt 2 (odd)."""
+    def eigenpair(self, kappa: float, block: int):
+        """(record, h): a fresh record with vectors of block ``block`` at
+        kappa, not memoized, and h, the (N, c) eigenvectors of Q they give:
+        the one block's as they are, and on a split cache each block vector
+        y unfolded to [y; J y]/sqrt 2 (even) or [y; -J y]/sqrt 2 (odd)."""
         q = self.cache.q_matrix(float(kappa))
         rec = top_eigen(q[block:block + 1], min(self.m, q.shape[1]), vectors=True)
         y = rec.vectors[0]
         if len(q) == 1:
-            return rec._replace(vectors=y)
+            return rec, y
         mirror = y[::-1] if block == 0 else -y[::-1]
-        h = np.vstack((y, mirror)) / math.sqrt(2.0)
-        return rec._replace(parity=[PARITIES[block]] * len(rec.values), vectors=h)
+        return (rec._replace(parity=[PARITIES[block]] * len(rec.values)),
+                np.vstack((y, mirror)) / math.sqrt(2.0))
 
 
 def lambda_curve(curve: Curve, grid: GridSpec, kappa_list, m: int = 8) -> SpectralCurve:

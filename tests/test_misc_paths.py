@@ -135,9 +135,9 @@ class TestIterativeEigenPath:
             for j in range(5):
                 assert vals[j] == pytest.approx(dense.values[j], abs=1e-10)
                 block, k = dense.branch(j)
-                root = ev.eigenpair(1.2, block)
+                root, h = ev.eigenpair(1.2, block)
                 assert root.path == "lanczos"
-                assert abs(np.dot(root.vectors[:, k], dense_vecs[:, j]) - 1.0) < 1e-8
+                assert abs(np.dot(h[:, k], dense_vecs[:, j]) - 1.0) < 1e-8
 
     @pytest.mark.parametrize("path", ["lambda_curve", "find_bound_states"])
     def test_large_grid_dispatch(self, bump, monkeypatch, path):

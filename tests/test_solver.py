@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import weakref
 from collections import Counter
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from leakywire.curve import PlanarCurvatureProfile, SampledParametric
+from leakywire.curve import PlanarCurvatureProfile, SampledParametric, check_a1
 from leakywire.errors import (
     AssumptionError,
     BracketFailureError,
@@ -268,10 +269,12 @@ class TestSpectrumScan:
         k0 = kappa0(0.0)
         sc, crossings = spectrum_scan(curve, config, (0.5 * k0, 5.0 * k0), 20)
         dense = spectral_mod.lambda_curve(curve, grid, sc.kappas, m)
-        # the dense scan: every block of every values solve is solved in full
+        # the dense scan: every block of every values solve is solved in full,
+        # for values only, so no sample or Brent point has vectors to step from
         plain = spectral_mod.top_eigen
         monkeypatch.setattr(spectral_mod, "top_eigen", lambda q, m, vectors=False, seed=None:
-                            plain(q, m, vectors, None if seed is None else (None,) * len(q)))
+                            plain(q, m, vectors and seed is None,
+                                  None if seed is None else (None,) * len(q)))
         dense_sc, dense_crossings = spectrum_scan(curve, config, (0.5 * k0, 5.0 * k0), 20)
         assert sc.diagnostics["ritz_steps"] > 0
         assert dense_sc.diagnostics["ritz_steps"] == 0
@@ -326,18 +329,19 @@ class TestSpectrumScan:
         # those samples are lambda_curve's values bit for bit
         grid = GridSpec(10.0, 256)
         steps, sample_steps, bounds = [], [], []
-        ritz_step, sample = spectral_mod._ritz_step, spectral_mod._BranchEvaluator.sample
+        ritz_step, step = spectral_mod._ritz_step, spectral_mod._BranchEvaluator.step
 
-        def logged_sample(ev, kappa):
+        def logged_step(ev, kappa, seed, vectors):
             before = len(steps)
-            rec = sample(ev, kappa)
-            sample_steps.append(len(steps) - before)
-            bounds.append(rec.bounds[0])
+            rec = step(ev, kappa, seed, vectors)
+            if seed is None or not vectors:   # a sample: the first, or a later one
+                sample_steps.append(len(steps) - before)
+                bounds.append(rec.bounds[0])
             return rec
 
         monkeypatch.setattr(spectral_mod, "_ritz_step",
                             lambda *args: steps.append(1) or ritz_step(*args))
-        monkeypatch.setattr(spectral_mod._BranchEvaluator, "sample", logged_sample)
+        monkeypatch.setattr(spectral_mod._BranchEvaluator, "step", logged_step)
         k0 = kappa0(0.0)
         sc, _ = spectrum_scan(off_centre_wire, SolveConfig(alpha=0.0, grid=grid),
                               (0.5 * k0, 5.0 * k0), 20)
@@ -357,6 +361,64 @@ class TestSpectrumScan:
         sc, _ = spectrum_scan(straight, config, (0.5 * k0, 5.0 * k0), 20)
         assert sc.diagnostics["ritz_steps"] >= 2 * 10
         assert np.max(np.abs(sc.lambdas[:, 0] - sc.s_k_values)) < 1e-12
+
+
+def _random_wires(seed):
+    """Endless (curve, alpha) draws of planar wires from a fixed seed, in turn
+    a Gaussian bump, a power tail and a sum of one to three Gaussians of
+    random sign, width and centre (off centre, so it runs as one block)."""
+    rng = np.random.default_rng(seed)
+    for i in itertools.count():
+        if i % 3 == 0:
+            curve = PlanarCurvatureProfile.gaussian_bump(
+                rng.uniform(0.3, 1.5), rng.uniform(0.5, 2.0), 48.0)
+        elif i % 3 == 1:
+            curve = PlanarCurvatureProfile.power_tail(
+                rng.uniform(0.3, 1.2), rng.uniform(1.5, 3.0), 48.0)
+        else:
+            n = int(rng.integers(1, 4))
+            sign, width, centre = (rng.choice([-1.0, 1.0], n), rng.uniform(0.5, 1.5, n),
+                                   rng.uniform(-3.0, 3.0, n))
+            curve = PlanarCurvatureProfile(
+                lambda s, sign=sign, width=width, centre=centre: sum(
+                    g * np.exp(-((s - c) / w) ** 2) for g, w, c in zip(sign, width, centre)),
+                48.0)
+        yield curve, rng.uniform(-0.1, 0.1)
+
+
+class TestTheoremOnRandomWires:
+    def test_every_bent_wire_binds_and_its_scan_crosses_at_its_states(self):
+        # the paper's theorem: a bent, asymptotically straight wire binds at
+        # least one state below zeta0.  Each state is a root within
+        # tol_lambda, and a scan from the bracket start past the last state,
+        # tracking as many branches as there are states, crosses alpha once
+        # per branch, at the state of that energy rank
+        grid = GridSpec(16.0, 256)
+        wires = (w for w in _random_wires(2026)
+                 if check_a1(w[0], (-grid.L, grid.L), 256).pass_a1)
+        for _ in range(10):
+            curve, alpha = next(wires)
+            config = SolveConfig(alpha=alpha, grid=grid, m_branches=32)
+            runs = []
+            for _ in range(2):
+                states = find_bound_states(curve, config)
+                assert states
+                assert all(st.energy < zeta0(alpha) for st in states)
+                assert all(st.residual <= config.tol_lambda for st in states)
+                k_start = kappa0(alpha) * (1 + solver_mod.BRACKET_START_OFFSET)
+                k_end = 1.05 * max(st.kappa_tilde for st in states)
+                sc, crossings = spectrum_scan(
+                    curve, SolveConfig(alpha=alpha, grid=grid, m_branches=len(states)),
+                    (k_start, k_end), 20)
+                assert [c.branch for c in crossings] == list(range(len(states)))
+                for c in crossings:
+                    assert c.kappa == pytest.approx(states[c.branch].kappa_tilde,
+                                                    rel=1e-9, abs=0.0)
+                runs.append((states_to_dict(alpha, grid, states), sc.lambdas,
+                             [c.kappa for c in crossings]))
+            (doc, lambdas, kappas), (doc2, lambdas2, kappas2) = runs
+            assert doc == doc2 and kappas == kappas2
+            assert np.array_equal(lambdas, lambdas2)
 
 
 def _closed_form_evaluator(monkeypatch, lam):
