@@ -51,6 +51,7 @@ from .errors import (
 from .operators import GridSpec, kappa0, zeta0
 from .oracle import default_suite
 from .solver import (
+    BRACKET_MAX_FACTOR,
     SolveConfig,
     converge_study,
     find_bound_states,
@@ -74,6 +75,10 @@ _BYTES_PER_ENTRY = 26
 #: directions of one radius at once: 72.0 (tracemalloc, growth of the peak
 #: from 64 to 256 directions at N = 256 .. 1024)
 _BYTES_PER_TRACE = 80
+#: peak bytes per shift radius of a bc-verify run after its search, mostly the
+#: payload's JSON: 1725 and 1718 at 8 and 64 directions (tracemalloc, growth
+#: of the peak from 1000 to 4000 radii at N = 32 for 8, 500 to 2000 for 64)
+_BYTES_PER_RADIUS = 1800
 
 #: inline family -> its planar profile (a key of curve.PROFILES) and defaults
 _INLINE = {"bump": ("gaussian", {"a": 1.0, "w": 1.0}),
@@ -216,8 +221,8 @@ def _solver_inputs(args, reach: float = 1.0):
         L = _default_L(curve, args.alpha, reach)
     if not 1 <= args.branches <= n:
         raise ConfigError(f"-m must lie in 1 .. N = {n}, got {args.branches}")
-    if not (args.tol_kappa > 0 and args.tol_lambda > 0):
-        raise ConfigError("--tol-kappa and --tol-lambda must be positive, got "
+    if not (0 < args.tol_kappa < math.inf and 0 < args.tol_lambda < math.inf):
+        raise ConfigError("--tol-kappa and --tol-lambda must be finite and positive, got "
                           f"{args.tol_kappa} and {args.tol_lambda}")
     return curve, SolveConfig(alpha=args.alpha, grid=GridSpec(float(L), int(n)),
                               m_branches=args.branches, tol_kappa_rel=args.tol_kappa,
@@ -241,6 +246,10 @@ def _cmd_scan(args) -> int:
     k_max = args.kappa_max if args.kappa_max is not None else 5.0 * k0
     if not 0 < k_min < k_max:
         raise ConfigError(f"need 0 < --kappa-min < --kappa-max, got {k_min} and {k_max}")
+    # solve's own search limit; far above it kappa^2 overflows in the T multiplier
+    if k_max > BRACKET_MAX_FACTOR * k0:
+        raise ConfigError(f"--kappa-max must be at most {BRACKET_MAX_FACTOR:g} kappa0 = "
+                          f"{BRACKET_MAX_FACTOR * k0:.6g}, got {k_max}")
     spectral, crossings = spectrum_scan(curve, config, (k_min, k_max), args.points)
     if args.format == "csv":
         _emit(args, spectral.csv_text(), fmt="csv", meta=spectral.diagnostics)
@@ -341,11 +350,14 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_radii(spec: str, r0: float) -> np.ndarray:
-    """The radii of a --radii spec, positive and below the shift radius r0."""
+    """The radii of a --radii spec, positive and below the shift radius r0;
+    a min:max:count spec's count is checked before any array exists."""
     try:
         if ":" in spec:
             lo, hi, n = spec.split(":")
-            radii = np.geomspace(float(lo), float(hi), int(n))
+            lo, hi, n = float(lo), float(hi), int(n)
+            _refuse_oversized(f"--radii count {n}", n, 1, _BYTES_PER_RADIUS)
+            radii = np.geomspace(lo, hi, n)
         else:
             radii = np.asarray([float(x) for x in spec.split(",")])
     except ValueError as exc:

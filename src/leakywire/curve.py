@@ -35,7 +35,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import (
     BuildSizeError,
@@ -444,6 +443,8 @@ class SampledParametric(Curve):
                 f"parameter column must be strictly increasing; "
                 f"violated at sample index {int(bad[0]) + 1}"
             )
+        from scipy.interpolate import CubicSpline
+
         self._xyz = CubicSpline(t, samples[:, 1:])
         self._d1 = self._xyz.derivative()
         self._d2 = self._xyz.derivative(2)
@@ -464,6 +465,8 @@ class SampledParametric(Curve):
         tdense = np.concatenate((starts, [stops[-1]]))
         if np.any(np.diff(ell) <= 0):
             raise CurveFormatError("degenerate samples: arc length is not increasing")
+        from scipy.interpolate import PchipInterpolator
+
         self._t_of_ell = PchipInterpolator(ell, tdense)
         self.half_length = float(min(-ell[0], ell[-1]))
         kdense = self._curvature_t(tdense)

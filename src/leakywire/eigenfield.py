@@ -31,9 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
-from scipy.special import k0 as bessel_k0
 
 from .curve import Curve, eval_frame, eval_point
 from .errors import FitError, GeometryError
@@ -76,6 +73,8 @@ def trace_values(curve: Curve, grid: GridSpec, kappa: float, h, s: float,
     r0 = curve.max_shift_radius()
     if float(radii.max()) >= r0:
         raise GeometryError(f"radius {radii.max():g} is not below the safe bound r0 = {r0:.6g}")
+
+    from scipy.interpolate import CubicSpline
 
     nodes = grid.nodes
     delta = grid.delta
@@ -190,6 +189,9 @@ def macdonald_identity(r: float, u: float, kappa: float):
 
     the left evaluated in closed form, the right by adaptive quadrature.
     """
+    from scipy.integrate import quad
+    from scipy.special import k0 as bessel_k0
+
     if r <= 0 or kappa <= 0:
         raise GeometryError("need r > 0 and kappa > 0")
     big_r = math.hypot(r, u)

@@ -15,8 +15,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .curve import Curve, StraightLine
 from .errors import GeometryError
@@ -84,6 +82,8 @@ def scaling_inequality_check(curve: Curve, kappa: float,
     first term by a factor in [3.5, 4.5] and the second by one in [1.7, 2.3].
     The straight line fails by construction (second term vanishes).
     """
+    from scipy.integrate import quad
+
     lams = [float(x) for x in lambda_scales]
     if len(lams) < 2 or any(l <= 0 for l in lams):
         raise GeometryError("need at least two positive scales")
@@ -198,6 +198,9 @@ def kappa_independence_check(grid: GridSpec, kappa_pair=(1.0, 2.0),
     with energy near the grid Nyquist momentum are evaluated at a degraded
     tolerance and flagged, not failed.
     """
+    from scipy.integrate import quad
+    from scipy.interpolate import CubicSpline
+
     k1, k2 = (float(k) for k in kappa_pair)
     if k1 <= 0 or k2 <= 0:
         raise GeometryError("kappa values must be positive")

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
+import scipy  # noqa: F401
 
 from .curve import Curve, check_a1
 from .errors import (
@@ -54,8 +54,10 @@ from .errors import (
     NumericalFailureError,
 )
 from .operators import GridSpec, kappa0, s_kappa, zeta0
-# _iterative_top is not called here: perfbench/tracing.py wraps the
-# eigensolvers at solver._iterative_top and solver.scipy, so both stay bound.
+# neither scipy nor _iterative_top is used here: perfbench/tracing.py wraps
+# the eigensolvers at solver.scipy (whose linalg it replaces) and at
+# solver._iterative_top, so both names stay bound.  The bare ``import scipy``
+# loads no subpackage.
 from .spectral import SpectralCurve, _BranchEvaluator, _iterative_top  # noqa: F401
 
 BRACKET_START_OFFSET = 1e-4  # the bracket starts at kappa0 * (1 + offset)
@@ -73,9 +75,10 @@ class SolveConfig:
     m_branches: int = 8
 
     def __post_init__(self):
-        # written so that NaN fails too
-        if not (self.tol_kappa_rel > 0 and self.tol_lambda > 0):
-            raise GeometryError("tolerances must be positive")
+        # written so that NaN fails too; an infinite tol_lambda would switch
+        # off the root's residual check
+        if not (0 < self.tol_kappa_rel < math.inf and 0 < self.tol_lambda < math.inf):
+            raise GeometryError("tolerances must be finite and positive")
         if self.m_branches < 1:
             raise GeometryError("need at least one tracked branch")
 
@@ -192,20 +195,77 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
     return states
 
 
+def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """(root, iterations): Brent's root of f on [xa, xb], a port of scipy's
+    ``brentq.c`` that calls f at the same points in the same order and so
+    returns scipy.optimize.brentq's root and iteration count.
+
+    An end where f is 0 is returned with 1 iteration, as scipy counts it.
+    ValueError when f does not change sign; NumericalFailureError where f is
+    NaN, which scipy refuses too, or after maxiter iterations.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericalFailureError(f"Brent's method met a NaN value at x = {x!r}")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre, 1
+    if fcur == 0:
+        return xcur, 1
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for i in range(1, maxiter + 1):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, i
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:      # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                 # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # C divides by zero to inf or nan, which bisects below
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry       # good short step
+            else:
+                spre = scur = sbis            # bisect
+        else:
+            spre = scur = sbis                # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NumericalFailureError(
+        f"Brent's method did not converge in {maxiter} iterations (last x = {xcur!r})")
+
+
 def _root_in_log_kappa(f, k_lo, k_hi, tol):
     """Brent's root of f(kappa) = 0 on [k_lo, k_hi], searched in
     u = ln kappa to the relative kappa tolerance ``tol``.
 
-    Returns (kappa~, brentq's RootResults).  The ends map back to the exact
-    kappa floats given, so their values come from the evaluator's memo.
+    Returns (kappa~, the number of Brent iterations).  The ends map back to
+    the exact kappa floats given, so their values come from the evaluator's
+    memo.
     """
     ends = {math.log(k_lo): k_lo, math.log(k_hi): k_hi}
     kappa = lambda u: ends.get(u, math.exp(u))
-    u, res = scipy.optimize.brentq(
-        lambda u: f(kappa(u)), math.log(k_lo), math.log(k_hi),
-        xtol=max(tol, 4 * np.finfo(float).eps), rtol=4 * np.finfo(float).eps,
-        full_output=True)
-    return kappa(u), res
+    eps = np.finfo(float).eps
+    u, iterations = _brentq(lambda u: f(kappa(u)), math.log(k_lo), math.log(k_hi),
+                            xtol=max(tol, 4 * eps), rtol=4 * eps)
+    return kappa(u), iterations
 
 
 def _solve_branch(ev, start, j, alpha, k_start, k0, z0, config) -> BoundState:
@@ -228,7 +288,7 @@ def _solve_branch(ev, start, j, alpha, k_start, k0, z0, config) -> BoundState:
         k_lo = k_hi
         ratio *= BRACKET_GROWTH
         k_hi = min(k_lo * ratio, k_max)
-    kt, res = _root_in_log_kappa(f, k_lo, k_hi, config.tol_kappa_rel)
+    kt, iterations = _root_in_log_kappa(f, k_lo, k_hi, config.tol_kappa_rel)
     root, h = ev.eigenpair(kt, block)
     lam_val = float(root.values[k])
     if abs(lam_val - alpha) > config.tol_lambda:
@@ -247,7 +307,7 @@ def _solve_branch(ev, start, j, alpha, k_start, k0, z0, config) -> BoundState:
         residual=abs(lam_val - alpha),
         threshold_uncertain=bool(gap < THRESHOLD_GAP_FRAC * abs(z0)),
         diagnostics={"bracket": [float(k_lo), float(k_hi)],
-                     "iterations": int(res.iterations),
+                     "iterations": iterations,
                      "evaluations": int(ev.evaluations),
                      "block_evaluations": int(ev.block_evaluations),
                      "eigensolver": root.path,
@@ -259,7 +319,9 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
     """Eigenvalue curves over a kappa range plus refined alpha-crossings.
 
     Returns (SpectralCurve, list[Crossing]); crossings are Brent-refined to
-    the configured relative tolerance between bracketing samples.
+    the configured relative tolerance between bracketing samples.  The range
+    must satisfy 0 < kappa_min < kappa_max <= BRACKET_MAX_FACTOR * kappa0,
+    ``find_bound_states``' own search limit (GeometryError otherwise).
 
     Every values solve is a seeded ``_BranchEvaluator.step`` (see
     ``top_eigen``), on one of two chains of seeds that the scan holds:
@@ -285,6 +347,10 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
     k_lo, k_hi = float(kappa_range[0]), float(kappa_range[1])
     if not (0 < k_lo < k_hi):
         raise GeometryError("kappa range must satisfy 0 < kappa_min < kappa_max")
+    k_cap = BRACKET_MAX_FACTOR * kappa0(config.alpha)
+    if k_hi > k_cap:
+        raise GeometryError(f"kappa_max = {k_hi} is above {BRACKET_MAX_FACTOR:g} kappa0 = "
+                            f"{k_cap:.6g}, the search limit of find_bound_states")
     if int(n_points) < 1:
         raise GeometryError(f"need at least one sample, got n_points = {n_points}")
     kappas = np.geomspace(k_lo, k_hi, int(n_points))

@@ -88,7 +88,6 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dsyevd
-from scipy.sparse.linalg import LinearOperator
 
 from .curve import Curve
 from .errors import GeometryError, NumericalFailureError
@@ -154,12 +153,12 @@ class SpectralCurve:
     @classmethod
     def sample(cls, kappa_list, values) -> "SpectralCurve":
         """The curve of ``values(kappa)`` (top eigenvalues, descending) over
-        a positive, strictly ascending kappa list."""
+        a finite, positive, strictly ascending kappa list."""
         kappas = np.asarray(kappa_list, dtype=float)
         if kappas.ndim != 1 or kappas.size == 0:
             raise GeometryError("kappa_list must be a non-empty 1D sequence")
-        if np.any(kappas <= 0) or np.any(np.diff(kappas) <= 0):
-            raise GeometryError("kappa_list must be positive and strictly ascending")
+        if not np.all(np.isfinite(kappas) & (kappas > 0)) or np.any(np.diff(kappas) <= 0):
+            raise GeometryError("kappa_list must be finite, positive and strictly ascending")
         return cls(kappas, np.array([values(k) for k in kappas]), np.asarray(s_kappa(kappas)))
 
     def csv_text(self) -> str:
@@ -187,8 +186,10 @@ def eigensolver(n: int, m: int) -> str:
     return "lanczos" if n > limit else "dense"
 
 
-def _block_diagonal(blocks: np.ndarray) -> LinearOperator:
+def _block_diagonal(blocks: np.ndarray):
     """The block-diagonal matrix of a (b, n, n) stack as a LinearOperator."""
+    from scipy.sparse.linalg import LinearOperator
+
     b, n, _ = blocks.shape
     product = lambda x: np.matmul(blocks, x.reshape(b, n, -1)).reshape(b * n, -1)
     return LinearOperator((b * n, b * n), matvec=product, matmat=product, dtype=blocks.dtype)
@@ -387,10 +388,11 @@ class _BranchEvaluator:
     were solved in full, and ``ritz_worst_bound`` is the largest accepted
     bound.
 
-    Used as a context manager: leaving the block drops the operator cache.
-    scipy's brentq keeps the objective in a self-referencing wrapper, so a
-    root-search closure over the evaluator would otherwise hold the cache's
-    N x N arrays until the cyclic garbage collector next runs.
+    Used as a context manager: leaving the block drops the operator cache,
+    so that a reference cycle through a root-search closure over the
+    evaluator cannot hold the cache's N x N arrays until the cyclic garbage
+    collector next runs.  ``solver._brentq`` makes no such cycle; the context
+    manager keeps that true whatever the root finder.
     """
 
     def __init__(self, curve: Curve, grid: GridSpec, m: int):

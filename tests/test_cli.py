@@ -353,6 +353,10 @@ class TestArgumentErrors:
         ["converge", "--levels", "1"],
         ["solve", "--tol-kappa", "0"],
         ["solve", "--tol-lambda=-1e-9"],
+        # an infinite --tol-lambda would switch the root's residual check off
+        ["solve", "--tol-lambda", "inf"],
+        ["solve", "--tol-kappa", "inf"],
+        ["converge", "--tol-lambda", "inf"],
         ["solve", "--format", "csv"],
         ["converge", "--format", "csv"],
     ], ids=lambda argv: " ".join(argv))
@@ -374,6 +378,10 @@ class TestArgumentErrors:
         ["scan", "--curve", "straight", "-L", "8", "-N", "64",
          "--kappa-min", "2", "--kappa-max", "1"],
         ["scan", "--curve", "straight", "-L", "8", "-N", "64", "--kappa-min", "-1"],
+        # --kappa-max at most solve's search limit, 1e6 kappa0 (1.12e6 at alpha 0)
+        ["scan", "--curve", "straight", "-L", "8", "-N", "64", "--kappa-max", "inf"],
+        ["scan", "--curve", "straight", "-L", "8", "-N", "64", "--kappa-max", "1e160"],
+        ["scan", "--curve", "straight", "-L", "8", "-N", "64", "--kappa-max", "1.2e6"],
         # alpha must be finite with a finite negative continuum edge zeta0(alpha);
         # without -L the check must also precede the default-L audit
         ["solve", "--curve", "straight", "-L", "8", "-N", "64", "--alpha", "nan"],
@@ -540,6 +548,64 @@ class TestArgumentErrors:
                 "3.05 GiB, above the 2 GiB limit") in captured.err
         assert "Traceback" not in captured.err + captured.out
 
+    def test_oversized_radii_count_exits_3_before_any_array(self, capsys, monkeypatch):
+        # a billion radii ask for about 1.7 TiB; the count is refused before
+        # np.geomspace allocates it, and before the search
+        import leakywire.cli as cli_mod
+
+        def refused(*args, **kwargs):
+            raise AssertionError("ran before the radii count was checked")
+
+        monkeypatch.setattr(cli_mod, "ground_state", refused)
+        monkeypatch.setattr(cli_mod.np, "geomspace", refused)
+        code = run_cli("bc-verify", "--curve", "bump:a=1,w=1", "-L", "16", "-N", "256",
+                       "--radii", "0.001:0.002:1000000000")
+        captured = capsys.readouterr()
+        assert code == 3
+        assert ("configuration error: --radii count 1000000000 needs 1000000000 x 1 arrays "
+                "of about 1.68e+03 GiB, above the 2 GiB limit") in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_radii_guard_covers_the_peak_per_radius(self, monkeypatch, tmp_path):
+        # the guard's bytes per radius bound the growth with the radii count
+        # of a bc-verify run's peak after its search.  The traces are stood in
+        # for by full-precision values of the same shape: what one radius's
+        # trace allocates while it is computed is the trace guard's share
+        import gc
+        import tracemalloc
+
+        import leakywire.cli as cli_mod
+        import leakywire.eigenfield as eigenfield_mod
+
+        def trace_values(curve, grid, kappa, h, s, radii, angles):
+            return np.outer(-np.log(radii) / (2 * math.pi), np.ones(len(angles)))
+
+        states, live = [], []
+
+        def once(curve, config):
+            if not states:
+                states.append(ground_state(curve, config))
+            tracemalloc.reset_peak()
+            live.append(tracemalloc.get_traced_memory()[0])
+            return states[0]
+
+        ground_state = cli_mod.ground_state
+        monkeypatch.setattr(cli_mod, "ground_state", once)
+        monkeypatch.setattr(eigenfield_mod, "trace_values", trace_values)
+        argv = ["bc-verify", "--curve", "bump:a=1,w=1", "-L", "8", "-N", "16",
+                "-o", str(tmp_path / "bc.json")]
+        assert run_cli(*argv) == 0   # the search runs here, untraced
+        peaks, counts = [], (1000, 4000)
+        for count in counts:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert run_cli(*argv, "--radii", f"0.001:0.004:{count}") == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - live[-1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (counts[1] - counts[0]) <= cli_mod._BYTES_PER_RADIUS
+
     def test_trace_guard_covers_the_peak_per_direction_and_node(self, bump):
         # the guard's bytes per (direction, grid node) bound the growth of the
         # trace's peak with the number of directions
@@ -568,6 +634,32 @@ class TestArgumentErrors:
     ], ids=lambda option: option[0])
     def test_check_takes_only_its_options(self, option):
         assert run_cli("check", "--curve", "straight", "--samples", "16", *option) == 3
+
+
+class TestImports:
+    def test_planar_commands_load_only_numpy_and_scipy_linalg(self, tmp_path):
+        # in a fresh process, each of these scipy packages costs a planar run
+        # 0.1 to 0.3 s of import and is never called on it
+        script = """
+import json, sys
+from leakywire.cli import main
+unused = ("scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.special",
+          "scipy.sparse")
+loaded = {}
+for argv in json.loads(sys.argv[1]):
+    assert main(argv + ["-o", sys.argv[2]]) == 0, argv
+    loaded[argv[0]] = [name for name in unused if name in sys.modules]
+print(json.dumps(loaded))
+"""
+        planar = ["--curve", "bump:a=1,w=1", "-L", "16"]
+        commands = [["solve", *planar, "-N", "256"], ["scan", *planar, "-N", "256"],
+                    ["converge", *planar, "-N", "256"], ["check", *planar, "--samples", "256"]]
+        env = dict(os.environ, PYTHONPATH=str(Path(leakywire.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands),
+                               str(tmp_path / "out.json")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"solve": [], "scan": [], "converge": [], "check": []}
 
 
 class TestModuleEntryPoint:

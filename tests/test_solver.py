@@ -14,6 +14,7 @@ from leakywire.errors import (
     BracketFailureError,
     ConfigError,
     GeometryError,
+    NumericalFailureError,
 )
 from leakywire.operators import GridSpec, kappa0, zeta0
 import leakywire.solver as solver_mod
@@ -211,7 +212,9 @@ class TestSpectrumScan:
             assert abs(ground[0].kappa - k0) / k0 < 1e-10
 
     def test_no_crossings_when_alpha_above_curve(self, straight):
-        config = SolveConfig(alpha=5.0, grid=GridSpec(16.0, 128))
+        # alpha 0.5 lies above the curve on the range, and keeps it inside the
+        # scan's limit, 1e6 kappa0(0.5) = 4.9e4
+        config = SolveConfig(alpha=0.5, grid=GridSpec(16.0, 128))
         k0 = kappa0(0.0)
         _, crossings = spectrum_scan(straight, config, (k0, 3.0 * k0), 8)
         assert crossings == []
@@ -242,6 +245,18 @@ class TestSpectrumScan:
         config = SolveConfig(alpha=0.0, grid=GridSpec(8.0, 64))
         with pytest.raises(GeometryError):
             spectrum_scan(straight, config, (2.0, 1.0), 5)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("k_max", [math.inf, 1e160, 1.001e6])
+    def test_range_above_the_search_limit_rejected(self, straight, monkeypatch, alpha, k_max):
+        # find_bound_states' own limit, BRACKET_MAX_FACTOR * kappa0; kappa^2
+        # overflows in the T multiplier from about 1e154.  Refused before any Q
+        monkeypatch.setattr(spectral_mod, "OperatorCache",
+                            lambda *args: pytest.fail("an operator was built"))
+        config = SolveConfig(alpha=alpha, grid=GridSpec(8.0, 64))
+        k_max *= kappa0(alpha)
+        with pytest.raises(GeometryError, match="search limit"):
+            spectrum_scan(straight, config, (kappa0(alpha), k_max), 5)
 
     def test_crossing_on_the_last_sample_recorded(self, bump):
         # alpha equal to lambda_0 at the last sample: branch 0 crosses exactly
@@ -714,10 +729,62 @@ class TestSerialization:
 
     def test_config_validation(self):
         # a NaN tol_lambda would switch off the root's residual check
+        # and so would an infinite one; an infinite tol_kappa_rel returns a
+        # bracket end as the root
         for tolerance in ({"tol_lambda": -1.0}, {"tol_lambda": math.nan},
-                          {"tol_kappa_rel": math.nan}):
+                          {"tol_kappa_rel": math.nan}, {"tol_lambda": math.inf},
+                          {"tol_kappa_rel": math.inf}):
             with pytest.raises(GeometryError):
                 SolveConfig(alpha=0.0, grid=GridSpec(8.0, 64), **tolerance)
+
+
+class TestBrentPort:
+    """solver._brentq against scipy.optimize.brentq, whose brentq.c it ports."""
+
+    FAMILIES = [
+        lambda c: lambda x: math.tanh(3.0 * (x - c)),
+        lambda c: lambda x: (x - c) ** 3 + 1e-3 * (x - c),
+        lambda c: lambda x: math.exp(-x) - c,
+        # the free line's slope in u = ln kappa, lifted by a bump
+        lambda c: lambda x: c - x / (2 * math.pi) + 0.05 * math.exp(-x * x),
+    ]
+
+    @staticmethod
+    def traced(fn):
+        points = []
+
+        def f(x):
+            points.append(x)
+            return fn(x)
+        return f, points
+
+    def test_matches_scipy_bit_for_bit(self):
+        import scipy.optimize
+
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(23)
+        # brackets with an exact root at either end come first
+        cases = [(lambda x: x - 1.0, 1.0, 2.0, 1e-12), (lambda x: 2.0 - x, 1.0, 2.0, 1e-12)]
+        while len(cases) < 400:
+            fn = self.FAMILIES[len(cases) % len(self.FAMILIES)](float(rng.uniform(0.2, 2.0)))
+            a, b = sorted(float(x) for x in rng.uniform(-4.0, 6.0, 2))
+            if (fn(a) > 0) != (fn(b) > 0):
+                cases.append((fn, a, b, float(10.0 ** rng.uniform(-15, -3))))
+        for fn, a, b, xtol in cases:
+            f, points = self.traced(fn)
+            f_ref, ref_points = self.traced(fn)
+            root, res = scipy.optimize.brentq(f_ref, a, b, xtol=xtol, rtol=4 * eps,
+                                              full_output=True)
+            assert solver_mod._brentq(f, a, b, xtol, 4 * eps) == (root, res.iterations)
+            assert points == ref_points
+
+    def test_non_convergence_is_a_numerical_failure(self):
+        with pytest.raises(NumericalFailureError, match="3 iterations"):
+            solver_mod._brentq(lambda x: math.tanh(x - 0.3), -2.0, 3.0, 1e-14, 1e-15, maxiter=3)
+
+    def test_nan_is_a_numerical_failure(self):
+        with pytest.raises(NumericalFailureError, match="NaN"):
+            solver_mod._brentq(lambda x: math.nan if x > 0 else -1.0, -2.0, 3.0, 1e-12, 1e-15)
 
 
 class TestCacheLifetime:
@@ -726,8 +793,8 @@ class TestCacheLifetime:
         lambda curve, config: spectrum_scan(curve, config, (1.0, 3.0), 6),
     ], ids=["find_bound_states", "spectrum_scan"])
     def test_cache_freed_on_return_without_gc(self, bump, monkeypatch, search):
-        # brentq holds its objective in a reference cycle; the search must not
-        # leave the N x N operator arrays reachable from it
+        # a reference cycle through the root-search objective (scipy's brentq
+        # made one) must not leave the N x N operator arrays reachable
         caches = []
 
         class TrackedCache(spectral_mod.OperatorCache):

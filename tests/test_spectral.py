@@ -15,7 +15,13 @@ from leakywire.operators import (
     s_kappa,
 )
 import leakywire.spectral as spectral_mod
-from leakywire.spectral import _fix_sign, _iterative_top, lambda_curve, top_eigen
+from leakywire.spectral import (
+    SpectralCurve,
+    _fix_sign,
+    _iterative_top,
+    lambda_curve,
+    top_eigen,
+)
 
 from conftest import unfold
 
@@ -345,6 +351,12 @@ class TestLambdaCurve:
         g = GridSpec(8.0, 64)
         with pytest.raises(GeometryError):
             lambda_curve(straight, g, [2.0, 1.0])
+
+    @pytest.mark.parametrize("kappas", [[1.0, math.inf], [math.nan, 1.0], [1.0, 2.0, math.nan]])
+    def test_non_finite_kappa_rejected(self, kappas):
+        # refused before any Q is built: kappa^2 of an infinite kappa is inf
+        with pytest.raises(GeometryError, match="finite"):
+            SpectralCurve.sample(kappas, lambda k: pytest.fail("a value was solved"))
 
     def test_csv_export(self, straight):
         g = GridSpec(8.0, 64)
