@@ -160,7 +160,7 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
     m = 1 if ground_only else config.m_branches
     states = []
     with _BranchEvaluator(curve, config.grid, m) as ev:
-        start = ev.record(k_start)
+        start = ev.solve(k_start)
         lam_last = start.values[-1]
         if not ground_only and (lam_last > alpha or lam_last - s_start > lift_floor):
             raise ConfigError(
@@ -272,7 +272,7 @@ def _solve_branch(ev, start, j, alpha, k_start, k0, z0, config) -> BoundState:
     """The root of branch j of the bracket-start record ``start``, followed
     in its own parity block; ``find_bound_states`` relabels it by energy."""
     block, k = start.branch(j)
-    f = lambda kappa: ev.values(kappa, block)[k] - alpha
+    f = lambda kappa: ev.solve(kappa, block).values[k] - alpha
     k_max = BRACKET_MAX_FACTOR * k0
     k_lo = k_start
     # the free line falls by 1/(2 pi) per unit of u = ln kappa; the first
@@ -323,8 +323,9 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
     must satisfy 0 < kappa_min < kappa_max <= BRACKET_MAX_FACTOR * kappa0,
     ``find_bound_states``' own search limit (GeometryError otherwise).
 
-    Every values solve is a seeded ``_BranchEvaluator.step`` (see
-    ``top_eigen``), on one of two chains of seeds that the scan holds:
+    Every values solve is a ``_BranchEvaluator.solve`` of the whole stack
+    that takes a seed or keeps seed vectors (see ``top_eigen``), on one of
+    two chains of seeds that the scan holds:
 
     - The samples.  The first is solved in full, keeping its seed vectors,
       and each later one takes a certified Rayleigh-Ritz step per block
@@ -361,16 +362,16 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
 
         def brent_value(kappa, j):
             nonlocal seed
-            rec = ev.step(kappa, seed, vectors=True)
+            rec = ev.solve(kappa, seed=seed, vectors=True)
             seed = rec.vectors or seed   # a memoized record has no vectors
             return rec.values[j] - alpha
 
-        right = ev.step(kappas[0], None, vectors=True)
+        right = ev.solve(kappas[0], vectors=True)
         for i, kappa in enumerate(kappas):
             left = right
             rows.append(left.values)
             if i + 1 < len(kappas):
-                right = ev.step(kappas[i + 1], left.vectors, vectors=False)
+                right = ev.solve(kappas[i + 1], seed=left.vectors)
             seed = left.vectors
             for j in range(config.m_branches):
                 f_left = left.values[j] - alpha

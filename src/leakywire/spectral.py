@@ -59,8 +59,11 @@ nearby one (eigenvector continuation, Frame et al., PRL 121, 032501
 (2018)).  ``top_eigen(..., seed=V)`` solves the projected 3p x 3p problem
 on span{V, Q V, Q^2 V} and accepts it per block under a residual-gap
 certificate (block Rayleigh-Ritz bounds, Knyazev, SIAM J. Sci. Comput. 23
-(2001)).  A scan walks two chains of such steps, one through its samples
-and one through the Brent points of each sample interval (see
+(2001)); a block that fails is solved in full, as with no seed.  Every
+evaluation, seeded or not, goes through the one memoized
+``_BranchEvaluator.solve``, which hands each caller its record's vectors
+and keeps none.  A scan walks two chains of such steps, one through its
+samples and one through the Brent points of each sample interval (see
 ``solver.spectrum_scan``).  Measured at m = 8, kappa 1.3 to 1.313 (same
 machine, min of 9; the seed solve is the full solve with p vectors, and a
 step includes its certificate):
@@ -203,7 +206,7 @@ class Eigen(NamedTuple):
     path: str                       # "dense", "lanczos" or "ritz"
     vectors: Optional[tuple]        # None, or per block its (n, c) columns
                                     # (None for a block solved values-only)
-    bounds: tuple = ()              # per block of a seeded solve; see top_eigen
+    bounds: tuple = ()              # per block, a Ritz bound or None; see top_eigen
 
     def branch(self, j: int):
         """(block, k): value j is the k-th of its block, block 0 of one
@@ -290,103 +293,98 @@ def _ritz_step(a: np.ndarray, v: np.ndarray, k: int):
     return theta[:k], y, bound.max()
 
 
-def _seeded_solve(blocks: np.ndarray, k: int, seed, vectors: bool, path: str):
-    """Per-block values (b, k), vectors (a tuple of (n, p) arrays or None)
-    and certified bounds of ``top_eigen(..., vectors, seed)``."""
-    b, n, _ = blocks.shape
-    p = min(k + RITZ_EXTRA, n)
-    w = np.empty((b, k))
-    vecs, bounds = [None] * b, [None] * b
-    for i, v in enumerate(seed):
-        if v is not None and 3 * p < n:
-            w_i, y, bound = _ritz_step(blocks[i], v, k)
-            if bound <= RITZ_BOUND:
-                w[i], vecs[i], bounds[i] = w_i, y, float(bound)
-    full = [i for i in range(b) if bounds[i] is None]
-    if full:
-        # a stack has at most two blocks, so the blocks to solve are all or one
-        part = blocks if len(full) == b else blocks[full[0]:full[0] + 1]
-        w_full, v_full = _full_solve(part, p if vectors else k, vectors, path)
-        for j, i in enumerate(full):
-            w[i] = w_full[j, :k]
-            vecs[i] = v_full[j] if vectors else None
-    return w, tuple(vecs), tuple(bounds)
-
-
 def top_eigen(blocks: np.ndarray, m: int, vectors: bool = False, seed=None) -> Eigen:
     """The m largest eigenvalues of a symmetric matrix, descending.
 
     ``blocks`` is the (b, n, n) stack of its diagonal blocks, as
     ``OperatorCache.q_matrix`` returns it: (1, N, N) for one matrix, or
     (2, N/2, N/2) for the even and odd blocks of a persymmetric one.  The
-    blocks are solved together, in one batched dense call or one Lanczos
-    run on the block-diagonal operator, and the top k = min(m, n) values of
-    each merged; the parity of a value is the block it comes from, None on
-    one block.  ``eigensolver(n, m)`` picks the path from the block size n.
-    With ``vectors=True`` the record's ``vectors`` hold, per block, the
-    orthonormal, sign-fixed eigenvectors of its top k values as (n, k)
-    columns, descending, residual-checked against 1e-9 * ||Q|| (the
-    Lanczos path then runs once per block); without, ``vectors`` is None.
+    top k = min(m, n) values of each block are merged; the parity of a
+    value is the block it comes from, None on one block.
+    ``eigensolver(n, m)`` picks the path from the block size n.
 
-    ``seed`` holds one entry per block: the (n, p) vectors of an earlier
-    record on a stack of the same shape, or None.  With a seed, the
-    record's ``vectors`` hold per block its top p = k + RITZ_EXTRA vectors
-    (at most n) as (n, p), which a later call steps from, or None.  Seed
-    vectors take one Rayleigh-Ritz step (``_ritz_step``), whose Ritz values
-    are accepted when their bound is at most RITZ_BOUND.  A block with no
-    seed vectors, a block that fails, and every block when 3p >= n are
-    solved in full: with their p vectors when ``vectors`` is true, else for
-    values only, with no vectors (on the dense path their values are then
-    those of a solve with no seed, bit for bit).  ``bounds`` then holds per
-    block the accepted bound, or None where the block was solved in full,
-    and ``path`` is ``"ritz"`` when every block was stepped.
+    ``seed`` is None or holds one entry per block: the (n, p) vectors of an
+    earlier record on a stack of the same shape, or None.  Seed vectors
+    take one Rayleigh-Ritz step (``_ritz_step``), whose Ritz values are
+    accepted when their bound is at most RITZ_BOUND.  Every other block,
+    and every block when 3p >= n, is solved in full, all of them in one
+    batched dense call or one Lanczos run per block.  With ``vectors=True``
+    the record's ``vectors`` hold, per block, the orthonormal, sign-fixed
+    eigenvectors of its top values as (n, c) columns, descending and
+    residual-checked against 1e-9 * ||Q||: c = k with no seed, and with a
+    seed c = p = k + RITZ_EXTRA (at most n), which a later call steps from.
+    Without, a seeded record's ``vectors`` hold the stepped blocks' p
+    vectors and None for a block solved in full, and an unseeded one's are
+    None.  A block solved in full gives the values of a solve with no seed,
+    bit for bit, on the dense path.  ``bounds`` holds per block the
+    accepted bound, or None where the block was solved in full, and
+    ``path`` is ``"ritz"`` when every block was stepped.
+
+    An unseeded values-only stack of two blocks on the Lanczos path is
+    solved by one Lanczos run on the block-diagonal operator instead, whose
+    Ritz vectors tell the block of each value; its ``bounds`` are empty.
     """
     nb, n, _ = blocks.shape
     if not 1 <= m <= nb * n:
         raise GeometryError(f"need 1 <= m <= N, got m={m}, N={nb * n}")
     k = min(m, n)
     path = eigensolver(n, m)
-    bounds = ()
-    if seed is not None:
-        w, vecs, bounds = _seeded_solve(blocks, k, seed, vectors, path)
-        if None not in bounds:
-            path = "ritz"
-    elif path == "lanczos" and nb > 1 and not vectors:
+    if seed is None and path == "lanczos" and nb > 1 and not vectors:
         vals, vecs = _iterative_top(_block_diagonal(blocks), m, True)
         # the parity of a value is the block its Ritz vector lies in
         block = np.argmax(np.linalg.norm(vecs.T.reshape(m, nb, n), axis=2), axis=1)
         return Eigen(vals, [PARITIES[b] for b in block], path, None)
+    p = k if seed is None else min(k + RITZ_EXTRA, n)
+    w = np.empty((nb, k))
+    vecs, bounds = [None] * nb, [None] * nb
+    for i, v in enumerate(() if seed is None else seed):
+        if v is not None and 3 * p < n:
+            w_i, y, bound = _ritz_step(blocks[i], v, k)
+            if bound <= RITZ_BOUND:
+                w[i], vecs[i], bounds[i] = w_i, y, float(bound)
+    full = [i for i in range(nb) if bounds[i] is None]
+    if full:
+        # a stack has at most two blocks, so the blocks to solve are all or one
+        part = blocks if len(full) == nb else blocks[full[0]:full[0] + 1]
+        w_full, v_full = _full_solve(part, p if vectors else k, vectors, path)
+        for j, i in enumerate(full):
+            w[i] = w_full[j, :k]
+            vecs[i] = v_full[j] if vectors else None
     else:
-        w, vecs = _full_solve(blocks, k, vectors, path)
+        path = "ritz"
     # a stable merge: for one block this is the identity
     order = np.argsort(-w.ravel(), kind="stable")[:m]
     vals, block = w.ravel()[order], order // k
     parity = [None] * m if nb == 1 else [PARITIES[b] for b in block]
-    return Eigen(vals, parity, path, vecs, bounds)
+    vecs = tuple(vecs) if vectors or seed is not None else None
+    return Eigen(vals, parity, path, vecs, tuple(bounds))
 
 
 class _BranchEvaluator:
-    """lambda_j(kappa): the top-m values of every block of the stack Q_kappa
-    (``record``, ``step``) or of one (``values``), from
-    ``OperatorCache.q_matrix`` and ``top_eigen``, memoized per kappa and per
-    (kappa, block).
+    """lambda_j(kappa): the top-m values of the stack Q_kappa, or of one of
+    its blocks, from ``OperatorCache.q_matrix`` and ``top_eigen``, counted
+    and memoized per (kappa, block).
 
-    A root search follows one branch, which lives in one block (block 0 of
-    a cache that does not split), so ``values(kappa, block)`` builds the
-    stack and solves that block alone: on a split cache an N/2 x N/2 block,
-    half the eigensolve.  Its subset size min(m, n) is the batched call's,
-    so a dense block solve gives the stack's values bit for bit.  Searches
-    read ``record`` at their bracket start; at a kappa that has a record, a
-    block's values are read from it.
-    ``eigenpair(kappa, block)`` solves the root's block again with vectors.
-    ``step(kappa, seed, vectors)`` is a seeded solve (see ``top_eigen``);
-    the caller keeps the seeds.
+    ``solve(kappa, block=None, seed=None, vectors=False)`` is the one
+    memoized evaluation.  Block None solves every block of the stack.  A
+    root search follows one branch, which lives in one block, so it names
+    that block: on a split cache the N/2 x N/2 block is solved alone, half
+    the eigensolve, at the batched call's subset size min(m, n), so a dense
+    block solve gives the stack's values bit for bit; block 0 of a cache
+    that does not split is the whole stack.  A block of a kappa already
+    solved whole is read from that record, not built again.  ``seed`` and
+    ``vectors`` are ``top_eigen``'s, except that ``vectors=True`` asks for
+    seed vectors, p = min(m, n) + RITZ_EXTRA per block, with or without a
+    seed; the caller keeps the seeds.  A memo hit returns the record without
+    its vectors.  ``eigenpair(kappa, block)`` solves the root's block again
+    with vectors, unmemoized.
 
-    The counters say how each values solve went: ``dense_solves`` solved
-    some block in full (dense or Lanczos), ``ritz_steps`` counts blocks that
-    took a Ritz step, ``ritz_fallbacks`` blocks that had seed vectors but
-    were solved in full, and ``ritz_worst_bound`` is the largest accepted
-    bound.
+    The counters say how each memoized solve went: ``evaluations`` counts
+    them, ``block_evaluations`` those that solved one split block,
+    ``dense_solves`` those that solved some block in full (dense or
+    Lanczos), ``ritz_steps`` counts blocks that took a Ritz step,
+    ``ritz_fallbacks`` blocks that had seed vectors but were solved in full,
+    and ``ritz_worst_bound`` is the largest accepted bound.
 
     Used as a context manager: leaving the block drops the operator cache,
     so that a reference cycle through a root-search closure over the
@@ -398,10 +396,9 @@ class _BranchEvaluator:
     def __init__(self, curve: Curve, grid: GridSpec, m: int):
         self.cache = OperatorCache(curve, grid)
         self.m = m
-        self._records = {}
-        self._block_values = {}
-        self.evaluations = 0        # values-only solves, one per distinct (kappa, block)
-        self.block_evaluations = 0  # those of them that solved one split block
+        self._memo = {}
+        self.evaluations = 0
+        self.block_evaluations = 0
         self.dense_solves = 0
         self.ritz_steps = 0
         self.ritz_fallbacks = 0
@@ -413,53 +410,37 @@ class _BranchEvaluator:
     def __exit__(self, *exc):
         self.cache = None
 
-    def record(self, kappa: float) -> Eigen:
-        """The values-only record of every block at kappa, solved once per
-        kappa."""
-        key = float(kappa)
-        if key not in self._records:
-            self._records[key] = top_eigen(self.cache.q_matrix(key), self.m)
-            self.evaluations += 1
-            self.dense_solves += 1
-        return self._records[key]
-
-    def step(self, kappa: float, seed, vectors: bool) -> Eigen:
-        """``top_eigen(Q_kappa, m, vectors, seed)``, counted and memoized
-        without its vectors: a kappa solved before returns its record, which
-        has none.  A None seed has no vectors for any block."""
-        key = float(kappa)
-        if key in self._records:
-            return self._records[key]
-        q = self.cache.q_matrix(key)
-        seed = (None,) * len(q) if seed is None else seed
-        rec = top_eigen(q, self.m, vectors, seed)
+    def solve(self, kappa: float, block=None, seed=None, vectors: bool = False) -> Eigen:
+        """The record of the stack at kappa (block None), or of its block
+        ``block`` (0 even or 1 odd on a split cache), solved once."""
+        key = (float(kappa), block if self.cache.parity else None)
+        if key in self._memo:
+            return self._memo[key]
+        whole = self._memo.get((key[0], None))
+        if whole is not None:
+            label = PARITIES[block]
+            mine = [p == label for p in whole.parity]
+            self._memo[key] = Eigen(whole.values[mine], [label] * sum(mine), whole.path, None)
+            return self._memo[key]
+        q, m = self.cache.q_matrix(key[0]), self.m
+        if key[1] is not None:
+            q, m = q[block:block + 1], min(m, q.shape[1])
+        if vectors and seed is None:
+            seed = (None,) * len(q)
+        rec = top_eigen(q, m, vectors, seed)
+        if key[1] is not None:
+            rec = rec._replace(parity=[PARITIES[block]] * len(rec.values))
         stepped = [b for b in rec.bounds if b is not None]
         if stepped:
             self.ritz_worst_bound = max(stepped + [self.ritz_worst_bound or 0.0])
-        self.ritz_fallbacks += sum(v is not None and b is None for v, b in zip(seed, rec.bounds))
+        self.ritz_fallbacks += sum(v is not None and b is None
+                                   for v, b in zip(seed or (), rec.bounds))
         self.ritz_steps += len(stepped)
         self.dense_solves += rec.path != "ritz"
-        self._records[key] = rec._replace(vectors=None)
         self.evaluations += 1
+        self.block_evaluations += key[1] is not None
+        self._memo[key] = rec._replace(vectors=None)
         return rec
-
-    def values(self, kappa: float, block: int) -> np.ndarray:
-        """The top values of block ``block`` of the stack at kappa (0 for
-        one block, 0 even or 1 odd on a split cache), descending."""
-        key = float(kappa)
-        if (key, block) not in self._block_values:
-            if key in self._records:
-                rec = self._records[key]
-                mine = [rec.branch(j)[0] == block for j in range(len(rec.values))]
-                vals = rec.values[mine]
-            else:
-                q = self.cache.q_matrix(key)
-                vals = top_eigen(q[block:block + 1], min(self.m, q.shape[1])).values
-                self.evaluations += 1
-                self.dense_solves += 1
-                self.block_evaluations += len(q) > 1
-            self._block_values[key, block] = vals
-        return self._block_values[key, block]
 
     def eigenpair(self, kappa: float, block: int):
         """(record, h): a fresh record with vectors of block ``block`` at
@@ -479,4 +460,4 @@ class _BranchEvaluator:
 def lambda_curve(curve: Curve, grid: GridSpec, kappa_list, m: int = 8) -> SpectralCurve:
     """Top-m eigenvalue curves lambda_j(kappa) over an ascending kappa list."""
     with _BranchEvaluator(curve, grid, m) as ev:
-        return SpectralCurve.sample(kappa_list, lambda k: ev.record(k).values)
+        return SpectralCurve.sample(kappa_list, lambda k: ev.solve(k).values)

@@ -235,16 +235,16 @@ class TestScanCommand:
         # the first sample is solved in full with its seed vectors, as there
         # is no sample before it to step from; a second sample steps from it
         steps, before = [], []
-        ritz_step, step = spectral_mod._ritz_step, spectral_mod._BranchEvaluator.step
+        ritz_step, solve = spectral_mod._ritz_step, spectral_mod._BranchEvaluator.solve
 
-        def logged_step(ev, kappa, seed, vectors):
+        def logged_solve(ev, kappa, block=None, seed=None, vectors=False):
             if seed is None or not vectors:   # a sample: the first, or a later one
                 before.append(len(steps))
-            return step(ev, kappa, seed, vectors)
+            return solve(ev, kappa, block, seed, vectors)
 
         monkeypatch.setattr(spectral_mod, "_ritz_step",
                             lambda *args: steps.append(1) or ritz_step(*args))
-        monkeypatch.setattr(spectral_mod._BranchEvaluator, "step", logged_step)
+        monkeypatch.setattr(spectral_mod._BranchEvaluator, "solve", logged_solve)
         out = tmp_path / "scan.json"
         assert run_cli("scan", "--curve", "bump:a=1,w=1", "-L", "16", "-N", "256",
                        "--points", str(points), "-o", str(out)) == 0

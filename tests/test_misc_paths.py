@@ -15,7 +15,7 @@ from leakywire.errors import BracketFailureError, DegenerateFrameError
 from leakywire.operators import GridSpec
 from leakywire import solver
 from leakywire.solver import SolveConfig, find_bound_states
-from leakywire.spectral import _BranchEvaluator, lambda_curve
+from leakywire.spectral import Eigen, _BranchEvaluator, lambda_curve
 
 from conftest import unfold
 
@@ -143,8 +143,8 @@ class TestIterativeEigenPath:
     def test_large_grid_dispatch(self, bump, monkeypatch, path):
         # force the iterative branch on a small grid and compare branches;
         # find_bound_states also takes the Lanczos eigenvector path at roots.
-        # lambda_curve runs on a one-block wire: Lanczos reads the parity of
-        # two blocks from the Ritz vectors, so there it always asks for them
+        # lambda_curve runs on a one-block wire, where Lanczos asks for no
+        # vectors: only a two-block run reads each value's parity from them
         import leakywire.spectral as spectral_mod
 
         g = GridSpec(16.0, 256)
@@ -275,8 +275,10 @@ class TestErrorPaths:
     def test_bracket_failure(self, bump, monkeypatch):
         config = SolveConfig(alpha=0.0, grid=GridSpec(8.0, 64), m_branches=1)
         monkeypatch.setattr(solver, "BRACKET_MAX_FACTOR", 4.0)
-        monkeypatch.setattr(_BranchEvaluator, "values",
-                            lambda self, kappa, block: np.array([math.inf]))
+        # the bracket start is solved; every value of the branch's block is inf
+        solve, inf = _BranchEvaluator.solve, Eigen(np.array([math.inf]), [None], "dense", None)
+        monkeypatch.setattr(_BranchEvaluator, "solve", lambda self, kappa, block=None:
+                            solve(self, kappa) if block is None else inf)
         # ground_only: with one tracked branch the -m cap check, which runs
         # before any search, would refuse the solve first
         with pytest.raises(BracketFailureError):

@@ -163,9 +163,9 @@ class TestBumpBinding:
         asked = []
         top_eigen = spectral_mod.top_eigen
 
-        def spy(matrix, m, vectors=False):
+        def spy(matrix, m, vectors=False, seed=None):
             asked.append(m)
-            return top_eigen(matrix, m, vectors)
+            return top_eigen(matrix, m, vectors, seed)
 
         monkeypatch.setattr(spectral_mod, "top_eigen", spy)
         config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 128), m_branches=8)
@@ -344,11 +344,11 @@ class TestSpectrumScan:
         # those samples are lambda_curve's values bit for bit
         grid = GridSpec(10.0, 256)
         steps, sample_steps, bounds = [], [], []
-        ritz_step, step = spectral_mod._ritz_step, spectral_mod._BranchEvaluator.step
+        ritz_step, solve = spectral_mod._ritz_step, spectral_mod._BranchEvaluator.solve
 
-        def logged_step(ev, kappa, seed, vectors):
+        def logged_solve(ev, kappa, block=None, seed=None, vectors=False):
             before = len(steps)
-            rec = step(ev, kappa, seed, vectors)
+            rec = solve(ev, kappa, block, seed, vectors)
             if seed is None or not vectors:   # a sample: the first, or a later one
                 sample_steps.append(len(steps) - before)
                 bounds.append(rec.bounds[0])
@@ -356,7 +356,7 @@ class TestSpectrumScan:
 
         monkeypatch.setattr(spectral_mod, "_ritz_step",
                             lambda *args: steps.append(1) or ritz_step(*args))
-        monkeypatch.setattr(spectral_mod._BranchEvaluator, "step", logged_step)
+        monkeypatch.setattr(spectral_mod._BranchEvaluator, "solve", logged_solve)
         k0 = kappa0(0.0)
         sc, _ = spectrum_scan(off_centre_wire, SolveConfig(alpha=0.0, grid=grid),
                               (0.5 * k0, 5.0 * k0), 20)
@@ -366,6 +366,7 @@ class TestSpectrumScan:
         assert all(b <= spectral_mod.RITZ_BOUND for b in bounds[1:failed])
         assert sample_steps[failed + 1:] == [0] * (19 - failed)
         assert bounds[failed:] == [None] * (20 - failed)
+        monkeypatch.undo()   # lambda_curve's values solves are no scan samples
         dense = spectral_mod.lambda_curve(off_centre_wire, grid, sc.kappas, 8).lambdas
         assert np.array_equal(sc.lambdas[failed:], dense[failed:])
         assert np.max(np.abs(sc.lambdas - dense)) <= spectral_mod.RITZ_BOUND
@@ -443,6 +444,8 @@ def _closed_form_evaluator(monkeypatch, lam):
     built = []
 
     class ClosedForm:
+        parity = False
+
         def __init__(self, curve, grid):
             pass
 
@@ -461,7 +464,7 @@ class TestLogKappaRootSearch:
 
     def _solve(self, ev):
         config = SolveConfig(alpha=self.alpha, grid=GridSpec(8.0, 64), tol_kappa_rel=1e-12)
-        return solver_mod._solve_branch(ev, ev.record(self.k_start), 0, self.alpha,
+        return solver_mod._solve_branch(ev, ev.solve(self.k_start), 0, self.alpha,
                                         self.k_start, self.k0, zeta0(self.alpha), config)
 
     def test_shallow_branch_grows_the_bracket(self, monkeypatch):
@@ -656,11 +659,26 @@ class TestBlockSearch:
         assert st.energy == pytest.approx(dense.energy, rel=1e-9, abs=0.0)
         assert st.branch == dense.branch == 0
 
-    @pytest.mark.parametrize("case", ["split_dense", "one_block", "split_lanczos"])
+    @pytest.mark.parametrize("case", ["split_dense", "one_block", "split_lanczos",
+                                      "scan_split", "scan_one_block"])
     def test_builds_and_solves_match_the_reported_evaluations(self, monkeypatch, case,
-                                                              off_centre_wire):
+                                                              bump, off_centre_wire):
         # the identity the benchmark's trace cross-check relies on: one Q build
-        # and one eigensolve per reported evaluation, plus one per root
+        # and one eigensolve per reported evaluation, plus one per root.  A
+        # scan has no root solve, and an evaluation whose blocks all take a
+        # Ritz step makes no eigensolve, so its LAPACK calls are its
+        # ``dense_solves``
+        if case.startswith("scan"):
+            curve, grid = ((bump, GridSpec(16.0, 256)) if case == "scan_split"
+                           else (off_centre_wire, GridSpec(10.0, 256)))
+            counts = _counting_solves(monkeypatch)
+            k0 = kappa0(0.0)
+            sc, _ = spectrum_scan(curve, SolveConfig(alpha=0.0, grid=grid),
+                                  (0.5 * k0, 5.0 * k0), 20)
+            assert counts == {"q": sc.diagnostics["evaluations"],
+                              "solve": sc.diagnostics["dense_solves"]}
+            assert 20 < counts["q"] and 0 < counts["solve"] < counts["q"]
+            return
         if case == "split_lanczos":
             monkeypatch.setattr(spectral_mod, "DENSE_EIGEN_LIMIT", 100)
             monkeypatch.setattr(spectral_mod, "DENSE_TOP1_LIMIT", 100)
