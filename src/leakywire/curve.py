@@ -136,6 +136,139 @@ def _normal_part(t_hat, v):
 
 
 # ---------------------------------------------------------------------------
+# piecewise cubic interpolation
+
+
+def _power_sum(c, s):
+    """sum_k c[-1 - k] s^k as 0.0 + c[-1] + c[-2] s + c[-3] (s s) + ..., each
+    power one more product: the order of scipy's compiled PPoly evaluation."""
+    out = 0.0 + c[-1]
+    z = s
+    for ck in c[-2::-1]:
+        out = out + ck * z
+        z = z * s
+    return out
+
+
+class _CubicHermite:
+    """Piecewise cubic on knots x in power form: ``c[k, i]`` multiplies
+    (v - x[i])^(3 - k) on interval i, of values of any trailing shape.
+
+    The constructors, ``derivative`` and evaluation repeat scipy's not-a-knot
+    cubic spline, its monotone (PCHIP) interpolant and its piecewise
+    polynomials operation for operation, so they give scipy's bits.  Knots
+    must be finite and strictly increasing (``CurveFormatError`` otherwise);
+    values are not checked."""
+
+    def __init__(self, x, c):
+        self.x, self.c = x, c
+
+    @staticmethod
+    def _knots(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if not (x.ndim == 1 and x.size >= 2 and np.all(np.isfinite(x))
+                and np.all(np.diff(x) > 0)):
+            raise CurveFormatError("interpolation knots must be finite and strictly increasing")
+        return x, y
+
+    @classmethod
+    def _hermite(cls, x, y, dydx):
+        """The cubics matching values y and slopes dydx at both knots."""
+        dx = np.diff(x).reshape((x.size - 1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        return cls(x, np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])))
+
+    @classmethod
+    def spline(cls, x, y):
+        """The C2 spline with not-a-knot ends; 2 knots give the chord and 3
+        the parabola through them, as in scipy."""
+        from scipy.linalg import solve, solve_banded
+
+        x, y = cls._knots(x, y)
+        n, dx = x.size, np.diff(x)
+        dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dxr
+        if n == 3:
+            a = np.array([[1.0, 1.0, 0.0], [dx[1], 2 * (dx[0] + dx[1]), dx[0]],
+                          [0.0, 1.0, 1.0]])
+            b = np.stack((2 * slope[0], 3 * (dxr[0] * slope[1] + dxr[1] * slope[0]),
+                          2 * slope[1]))
+            s = solve(a, b.reshape(3, -1), overwrite_a=True, overwrite_b=True,
+                      check_finite=False)
+            return cls._hermite(x, y, s.reshape(b.shape))
+        a = np.zeros((3, n))                     # tridiagonal, banded storage
+        b = np.empty((n,) + y.shape[1:])
+        a[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        a[0, 2:] = dx[:-1]
+        a[-1, :-2] = dx[1:]
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        if n == 2:                               # end slopes of the chord
+            a[1, 0] = a[1, -1] = 1
+            b[0] = b[-1] = slope[0]
+        else:
+            d = x[2] - x[0]
+            a[1, 0], a[0, 1] = dx[1], d
+            b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+            d = x[-1] - x[-3]
+            a[1, -1], a[-1, -2] = dx[-2], d
+            b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+        s = solve_banded((1, 1), a, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+        return cls._hermite(x, y, s.reshape(b.shape))
+
+    @classmethod
+    def pchip(cls, x, y):
+        """The monotone interpolant of 1-D y on 3 or more knots: Fritsch-Carlson
+        weighted harmonic means inside, Moler's shape-preserving three-point
+        rule at the ends."""
+        x, y = cls._knots(x, y)
+        h = np.diff(x)
+        m = np.diff(y) / h
+        dk = np.zeros_like(y)
+        sign = np.sign(m)
+        flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        dk[1:-1][~flat] = 1.0 / whmean[~flat]
+        for end, (h0, h1, m0, m1) in ((0, (h[0], h[1], m[0], m[1])),
+                                      (-1, (h[-1], h[-2], m[-1], m[-2]))):
+            d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            if np.sign(d) != np.sign(m0):
+                d = 0.0
+            elif np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+                d = 3.0 * m0
+            dk[end] = d
+        return cls._hermite(x, y, dk)
+
+    def derivative(self, nu=1):
+        k = self.c.shape[0] - nu
+        factor = np.array([math.prod(range(j, j + nu)) for j in range(k, 0, -1)], dtype=float)
+        return _CubicHermite(self.x, self.c[:k] * factor.reshape((k,) + (1,) * (self.c.ndim - 1)))
+
+    def __call__(self, v):
+        """Values at v, shape v.shape + trailing.  Interval i holds
+        x[i] <= v < x[i + 1]; the last is closed, and the ends extrapolate."""
+        v = np.asarray(v, dtype=float)
+        flat = v.ravel()
+        i = np.clip(np.searchsorted(self.x, flat, "right") - 1, 0, self.x.size - 2)
+        s = (flat - self.x[i]).reshape((-1,) + (1,) * (self.c.ndim - 2))
+        return _power_sum(np.take(self.c, i, axis=1), s).reshape(v.shape + self.c.shape[2:])
+
+    def on_intervals(self, v):
+        """``self(v)`` for v of shape (n - 1, ...) with each row i in
+        [x[i], x[i + 1]): the interval's coefficients are broadcast over its
+        row, not gathered point by point.  Any other v is searched."""
+        rows = (slice(None),) + (None,) * (v.ndim - 1)
+        start = self.x[:-1][rows]
+        if not np.all((v >= start) & (v < self.x[1:][rows])):
+            return self(v)
+        s = (v - start).reshape(v.shape + (1,) * (self.c.ndim - 2))
+        return _power_sum(self.c[(slice(None),) + rows], s)
+
+
+# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -443,31 +576,36 @@ class SampledParametric(Curve):
                 f"parameter column must be strictly increasing; "
                 f"violated at sample index {int(bad[0]) + 1}"
             )
-        from scipy.interpolate import CubicSpline
-
-        self._xyz = CubicSpline(t, samples[:, 1:])
+        self._xyz = _CubicHermite.spline(t, samples[:, 1:])
         self._d1 = self._xyz.derivative()
         self._d2 = self._xyz.derivative(2)
         self._build_arclength(t)
 
     def _build_arclength(self, t):
-        # dense sub-grid: 8 panels per sample interval, 12-pt GL each
+        # dense sub-grid: 8 panels per sample interval, 12-pt GL each; an
+        # interval's 96 nodes form one row, evaluated on its own cubic
         sub = np.linspace(t[:-1], t[1:], 9, axis=1)
         starts = sub[:, :-1].ravel()
         stops = sub[:, 1:].ravel()
-        seg = _panel(lambda u: np.sqrt(np.sum(self._d1(u) ** 2, axis=-1)), starts, stops)
+
+        def speed(u):
+            d1 = self._d1.on_intervals(u.reshape(t.size - 1, -1)).reshape(u.shape + (3,))
+            return np.sqrt(np.sum(d1 ** 2, axis=-1))
+
         # centred arc length, the mean of the sums from either end: mirror-image
         # nodes of mirror-symmetric data get mirror-image values up to rounding
-        # in seg alone, so their grid chords stay persymmetric
-        forward = np.concatenate(([0.0], np.cumsum(seg)))
-        backward = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
-        ell = (forward - backward) / 2.0
+        # in seg alone, so their grid chords stay persymmetric; huge samples
+        # overflow it, and are refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            seg = _panel(speed, starts, stops)
+            forward = np.concatenate(([0.0], np.cumsum(seg)))
+            backward = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
+            ell = (forward - backward) / 2.0
         tdense = np.concatenate((starts, [stops[-1]]))
-        if np.any(np.diff(ell) <= 0):
-            raise CurveFormatError("degenerate samples: arc length is not increasing")
-        from scipy.interpolate import PchipInterpolator
-
-        self._t_of_ell = PchipInterpolator(ell, tdense)
+        if not (np.all(np.isfinite(ell)) and np.all(np.diff(ell) > 0)):
+            raise CurveFormatError(
+                "degenerate samples: arc length is not finite and increasing")
+        self._t_of_ell = _CubicHermite.pchip(ell, tdense)
         self.half_length = float(min(-ell[0], ell[-1]))
         kdense = self._curvature_t(tdense)
         self._kmax = float(np.max(kdense))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .curve import Curve, eval_frame, eval_point
+from .curve import Curve, _CubicHermite, eval_frame, eval_point
 from .errors import FitError, GeometryError
 from .operators import GridSpec
 
@@ -74,12 +74,10 @@ def trace_values(curve: Curve, grid: GridSpec, kappa: float, h, s: float,
     if float(radii.max()) >= r0:
         raise GeometryError(f"radius {radii.max():g} is not below the safe bound r0 = {r0:.6g}")
 
-    from scipy.interpolate import CubicSpline
-
     nodes = grid.nodes
     delta = grid.delta
     src = np.asarray(curve.point(nodes), dtype=float)
-    dens = CubicSpline(nodes, h)
+    dens = _CubicHermite.spline(nodes, h)
     j0 = int(np.clip(round((s - nodes[0]) / delta), 0, grid.N - 1))
     jlo = max(0, j0 - WINDOW_CELLS)
     jhi = min(grid.N - 1, j0 + WINDOW_CELLS)

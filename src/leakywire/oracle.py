@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .curve import Curve, StraightLine
+from .curve import Curve, StraightLine, _CubicHermite
 from .errors import GeometryError
 from .operators import (
     GridSpec,
@@ -199,7 +199,6 @@ def kappa_independence_check(grid: GridSpec, kappa_pair=(1.0, 2.0),
     tolerance and flagged, not failed.
     """
     from scipy.integrate import quad
-    from scipy.interpolate import CubicSpline
 
     k1, k2 = (float(k) for k in kappa_pair)
     if k1 <= 0 or k2 <= 0:
@@ -226,10 +225,10 @@ def kappa_independence_check(grid: GridSpec, kappa_pair=(1.0, 2.0),
     m = refine * grid.N
     dt = 2.0 * grid.L / m
     t = -grid.L + (np.arange(m) + 0.5) * dt
-    ft = CubicSpline(nodes, f, extrapolate=True)(t)
+    ft = _CubicHermite.spline(nodes, f)(t)
     spec = np.abs(np.fft.rfft(ft, 2 * m)) ** 2
     corr = np.fft.irfft(spec)[:m] * dt  # C(u_k) at u_k = k * dt
-    corr_spline = CubicSpline(np.arange(m) * dt, corr)
+    corr_spline = _CubicHermite.spline(np.arange(m) * dt, corr)
     u_max = float(m - 1) * dt
 
     def renormalized_pairing(kap):

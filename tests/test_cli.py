@@ -144,6 +144,20 @@ class TestSolveCommand:
         assert f"configuration error: {field}" in captured.err
         assert "Traceback" not in captured.err + captured.out
 
+    def test_samples_overflowing_the_arc_length_exit_3(self, tmp_path, capsys):
+        # finite samples near 1e200: |gamma'|^2 overflows, so the arc length
+        # is not finite and cannot be the knots of t(s)
+        t = np.linspace(-10.0, 10.0, 41)
+        samples = np.column_stack([t, 1e200 * t, 1e200 * np.sin(t), 0.0 * t])
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"family": "sampled", "samples": samples.tolist()}))
+        code = run_cli("check", "--curve", str(path), "-o", str(tmp_path / "out.json"))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "arc length is not finite" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "out.json").exists()
+
     def test_inadmissible_curve_exits_1(self, tmp_path):
         ang = np.linspace(-np.pi, np.pi, 401)
         path = tmp_path / "loop.json"
@@ -637,29 +651,53 @@ class TestArgumentErrors:
 
 
 class TestImports:
-    def test_planar_commands_load_only_numpy_and_scipy_linalg(self, tmp_path):
-        # in a fresh process, each of these scipy packages costs a planar run
-        # 0.1 to 0.3 s of import and is never called on it
+    # in a fresh process, each of these scipy packages costs a run 0.1 to
+    # 0.3 s of import
+    UNUSED = ("scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.special",
+              "scipy.sparse")
+
+    @staticmethod
+    def loaded_after(commands, names, tmp_path):
+        """{command: the packages of ``names`` in sys.modules after it ran},
+        the commands run in order in one fresh process."""
         script = """
 import json, sys
 from leakywire.cli import main
-unused = ("scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.special",
-          "scipy.sparse")
+names = json.loads(sys.argv[2])
 loaded = {}
 for argv in json.loads(sys.argv[1]):
-    assert main(argv + ["-o", sys.argv[2]]) == 0, argv
-    loaded[argv[0]] = [name for name in unused if name in sys.modules]
+    assert main(argv + ["-o", sys.argv[3]]) == 0, argv
+    loaded[argv[0]] = [name for name in names if name in sys.modules]
 print(json.dumps(loaded))
 """
+        env = dict(os.environ, PYTHONPATH=str(Path(leakywire.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands),
+                               json.dumps(names), str(tmp_path / "out.json")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_planar_commands_load_only_numpy_and_scipy_linalg(self, tmp_path):
         planar = ["--curve", "bump:a=1,w=1", "-L", "16"]
         commands = [["solve", *planar, "-N", "256"], ["scan", *planar, "-N", "256"],
                     ["converge", *planar, "-N", "256"], ["check", *planar, "--samples", "256"]]
-        env = dict(os.environ, PYTHONPATH=str(Path(leakywire.__file__).parent.parent))
-        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands),
-                               str(tmp_path / "out.json")],
-                              env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"solve": [], "scan": [], "converge": [], "check": []}
+        assert self.loaded_after(commands, self.UNUSED, tmp_path) == {
+            "solve": [], "scan": [], "converge": [], "check": []}
+
+    def test_sampled_commands_load_only_numpy_and_scipy_linalg(self, tmp_path):
+        # the sampled wire's splines are the package's own; bc-verify and
+        # verify call scipy.integrate and scipy.special, so they run in a
+        # second process that checks for scipy.interpolate alone
+        wire = tmp_path / "wire.json"
+        short_wire(wire)
+        sampled = ["--curve", str(wire), "-L", "8"]
+        commands = [["scan", *sampled, "-N", "128"], ["solve", *sampled, "-N", "128"],
+                    ["check", *sampled, "--samples", "128"]]
+        assert self.loaded_after(commands, self.UNUSED, tmp_path) == {
+            "scan": [], "solve": [], "check": []}
+        commands = [["bc-verify", *sampled, "-N", "128"], ["verify"]]
+        assert self.loaded_after(commands, ["scipy.interpolate"], tmp_path) == {
+            "bc-verify": [], "verify": []}
 
 
 class TestModuleEntryPoint:

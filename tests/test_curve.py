@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
 import leakywire.curve as curve_mod
 from leakywire.curve import (
@@ -171,20 +171,93 @@ class TestCurvature:
         assert np.array_equal(k, ref)
 
     def test_sampled_build_is_vectorized(self, monkeypatch):
-        # one spline evaluation per derivative over all 16001 dense nodes,
-        # not a few per node
+        # one interpolant evaluation per derivative over all 16001 dense
+        # nodes, not a few per node
         calls = []
-        call = PPoly.__call__
+        for name in ("__call__", "on_intervals"):
+            def counting(self, *args, _method=getattr(curve_mod._CubicHermite, name)):
+                calls.append(None)
+                return _method(self, *args)
 
-        def counting(self, *args, **kwargs):
-            calls.append(None)
-            return call(self, *args, **kwargs)
-
-        monkeypatch.setattr(PPoly, "__call__", counting)
+            monkeypatch.setattr(curve_mod._CubicHermite, name, counting)
         t = np.linspace(-10.0, 10.0, 2001)
         curve = _sampled(t, t, np.sin(t), 0.5 * np.cos(t))
-        assert len(calls) <= 8
+        assert 0 < len(calls) <= 8
         assert curve.max_curvature() > 0.0
+
+
+def _queries(x):
+    """The knots, the interval midpoints, both ends and beyond, and the
+    doubles next to the ends on the outside."""
+    span = x[-1] - x[0]
+    return np.concatenate([x, (x[1:] + x[:-1]) / 2,
+                           [x[0], x[-1], x[0] - 0.3 * span, x[-1] + 0.7 * span,
+                            np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf)]])
+
+
+def _pchip_values(slopes, seed):
+    """Knots of random widths and values with the given interval slopes."""
+    h = np.random.default_rng(seed).uniform(0.5, 2.0, len(slopes))
+    x = np.concatenate(([-1.0], -1.0 + np.cumsum(h)))
+    return x, np.concatenate(([0.3], 0.3 + np.cumsum(np.asarray(slopes) * h)))
+
+
+class TestCubicHermite:
+    """The package's interpolant against scipy.interpolate, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 441])
+    @pytest.mark.parametrize("width", [None, 3], ids=["1d", "3d"])
+    def test_spline_and_its_derivatives_match_scipy(self, n, width):
+        rng = np.random.default_rng(n)
+        x = np.cumsum(rng.uniform(0.05, 1.0, n)) - 3.0
+        y = rng.normal(size=(n,) if width is None else (n, width))
+        ours, ref = curve_mod._CubicHermite.spline(x, y), CubicSpline(x, y)
+        assert np.array_equal(ours.c, ref.c)
+        q = _queries(x)
+        for nu in (0, 1, 2):
+            got, want = ours.derivative(nu), ref.derivative(nu)
+            assert np.array_equal(got(q), want(q))
+            assert np.array_equal(got(q.reshape(-1, 1)), want(q.reshape(-1, 1)))
+            assert np.array_equal(got(q[n + 1]), want(q[n + 1]))
+
+    def test_rows_by_interval_match_the_search(self):
+        x = np.linspace(-22.0, 22.0, 441)
+        y = np.column_stack([x, np.exp(-(x / 1.4) ** 2), np.sin(x) / (1.0 + x * x)])
+        ours, ref = (f.derivative() for f in (curve_mod._CubicHermite.spline(x, y),
+                                                 CubicSpline(x, y)))
+        u = np.linspace(x[:-1], x[1:], 13, axis=1)[:, :-1]
+        assert np.array_equal(ours.on_intervals(u), ref(u))
+        # a node out of its row, or beyond the ends: the rows are searched
+        for row, col, value in ((5, -1, x[7]), (0, 0, x[0] - 0.5), (-1, -1, x[-1])):
+            off = u.copy()
+            off[row, col] = value
+            assert np.array_equal(ours.on_intervals(off), ref(off))
+
+    @pytest.mark.parametrize("slopes, ends", [
+        ([1.0, 1.0, 0.0, 0.0, -2.0, 3.0, 1.0, 1.0], "shape"),
+        ([1.0, 5.0, 0.0, 2.0, -2.0, -2.0, 5.0, 1.0], "zeroed"),
+        ([1.0, -10.0, 0.0, 0.0, 2.0, 4.0, -10.0, 1.0], "tripled"),
+        ([0.5, -3.0], "three_knots"),
+    ], ids=["shape", "zeroed", "tripled", "three_knots"])
+    def test_pchip_matches_scipy(self, slopes, ends):
+        for seed in range(8):
+            x, y = _pchip_values(slopes, seed)
+            ours, ref = curve_mod._CubicHermite.pchip(x, y), PchipInterpolator(x, y)
+            assert np.array_equal(ours.c, ref.c)
+            assert np.array_equal(ours(_queries(x)), ref(_queries(x)))
+        # the end slopes take the branch the case is named for, at both ends
+        if ends in ("zeroed", "tripled"):
+            start, stop = ours.c[2, 0], ours.derivative()(x[-1])
+            m_start, m_stop = slopes[0], slopes[-1]
+            factor = 0.0 if ends == "zeroed" else 3.0
+            assert start == factor * m_start and stop == pytest.approx(factor * m_stop, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [[0.0, 1.0, 1.0, 2.0], [0.0, 1.0, math.nan, 2.0],
+                                   [0.0, 1.0, math.inf], [1.0]])
+    def test_bad_knots_refused(self, x):
+        for build in (curve_mod._CubicHermite.spline, curve_mod._CubicHermite.pchip):
+            with pytest.raises(CurveFormatError, match="knots"):
+                build(x, np.arange(len(x), dtype=float))
 
 
 class TestChordArcAudit:
