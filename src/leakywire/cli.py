@@ -47,6 +47,7 @@ from .errors import (
     GeometryError,
     LeakyWireError,
     NumericalError,
+    NumericalFailureError,
 )
 from .operators import GridSpec, kappa0, zeta0
 from .oracle import default_suite
@@ -121,9 +122,37 @@ def load_curve(source: str, domain_hint: float = 48.0) -> Curve:
     return curve_from_dict(spec)
 
 
+def _nonfinite_key(obj, key):
+    """The key path of the first non-finite float in a JSON-able ``obj``, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else key
+    if isinstance(obj, dict):
+        items = ((f"{key}.{k}", v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_nonfinite_key(v, k) for k, v in items)), None)
+
+
+def _json_text(obj, name: str, **kwargs) -> str:
+    """``obj`` as strict JSON: a NaN or infinity is a numerical failure that
+    names its key, raised before anything is written."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError:
+        raise NumericalFailureError(
+            f"{_nonfinite_key(obj, name) or name} is not finite and cannot be written as JSON"
+        ) from None
+
+
 def write_results(text: str, path, meta=None) -> None:
     """Atomic write (temp file + rename) of rendered text, with a sidecar
-    ``<path>.meta.json`` holding a timestamp, the version and ``meta``."""
+    ``<path>.meta.json`` holding a timestamp, the version and ``meta``; a
+    sidecar that is not strict JSON stops the write before the payload."""
+    meta = {"written_at_unix": time.time(), "tool_version": __import__("leakywire").__version__,
+            **(meta or {})}
+    meta_text = _json_text(meta, "sidecar", indent=2)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -135,16 +164,17 @@ def write_results(text: str, path, meta=None) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    meta = {"written_at_unix": time.time(), "tool_version": __import__("leakywire").__version__,
-            **(meta or {})}
     with open(f"{path}.meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
+        fh.write(meta_text)
 
 
 def _emit(args, payload, fmt="json", meta=None):
     """The payload as JSON, or as the CSV text it already is, to -o or stdout;
     ``meta`` goes to the sidecar of -o."""
-    text = payload if fmt == "csv" else json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        text = payload
+    else:
+        text = _json_text(payload, "payload", indent=2, sort_keys=True) + "\n"
     if args.output:
         write_results(text, args.output, meta)
     else:

@@ -342,8 +342,8 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
     Interval i is refined as soon as sample i + 1 is solved, so the walk
     keeps the vectors of two samples at a time.  The curve's
     ``diagnostics`` hold the evaluator's counts: ``evaluations``,
-    ``dense_solves``, ``ritz_steps``, ``ritz_fallbacks`` and
-    ``ritz_worst_bound``.
+    ``dense_solves``, ``ritz_steps``, ``ritz_fallbacks``, ``ritz_blocks``
+    and ``ritz_worst_bound``.
     """
     k_lo, k_hi = float(kappa_range[0]), float(kappa_range[1])
     if not (0 < k_lo < k_hi):
@@ -383,7 +383,8 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
                         kappas[i], kappas[i + 1], config.tol_kappa_rel)
                     crossings.append(Crossing(branch=j, kappa=float(kc)))
         diagnostics = {name: getattr(ev, name) for name in (
-            "evaluations", "dense_solves", "ritz_steps", "ritz_fallbacks", "ritz_worst_bound")}
+            "evaluations", "dense_solves", "ritz_steps", "ritz_fallbacks", "ritz_blocks",
+            "ritz_worst_bound")}
     curve_data = SpectralCurve(kappas, np.array(rows), np.asarray(s_kappa(kappas)), diagnostics)
     # by branch, then kappa: a branch's crossings lie in distinct intervals
     crossings.sort(key=lambda c: (c.branch, c.kappa))

@@ -56,29 +56,43 @@ the BLAS underneath each one already uses every core.
 Ritz steps: Q changes smoothly with kappa, so the top p = min(m, n) + 4
 vectors V of a block at one kappa nearly span its top eigenvectors at a
 nearby one (eigenvector continuation, Frame et al., PRL 121, 032501
-(2018)).  ``top_eigen(..., seed=V)`` solves the projected 3p x 3p problem
-on span{V, Q V, Q^2 V} and accepts it per block under a residual-gap
-certificate (block Rayleigh-Ritz bounds, Knyazev, SIAM J. Sci. Comput. 23
-(2001)); a block that fails is solved in full, as with no seed.  Every
-evaluation, seeded or not, goes through the one memoized
-``_BranchEvaluator.solve``, which hands each caller its record's vectors
-and keeps none.  A scan walks two chains of such steps, one through its
-samples and one through the Brent points of each sample interval (see
-``solver.spectrum_scan``).  Measured at m = 8, kappa 1.3 to 1.313 (same
-machine, min of 9; the seed solve is the full solve with p vectors, and a
-step includes its certificate):
+(2018)).  ``top_eigen(..., seed=V)`` takes one Rayleigh-Ritz step per
+block on the block Krylov space span{V, Q V, Q^2 V, ...}, built by block
+Lanczos one block of p vectors at a time (``_ritz_step``), and accepts it
+under a residual-gap certificate (block Rayleigh-Ritz bounds, Knyazev,
+SIAM J. Sci. Comput. 23 (2001)).  The certificate is checked from 3
+blocks on, and while it fails the step adds one more block, up to
+RITZ_DEPTH = 8 blocks and fewer than n columns; a block that still fails
+is solved in full, as with no seed.  Every evaluation, seeded or not,
+goes through the one memoized ``_BranchEvaluator.solve``, which hands each
+caller its record's vectors and keeps none.  A scan walks two chains of
+such steps, one through its samples and one through the Brent points of
+each sample interval (see ``solver.spectrum_scan``).  Measured at m = 8,
+kappa 1.3 to 1.313 (same machine, min of 9; the seed solve is the full
+solve with p vectors, and a step includes its certificates):
 
-=======================================  ============  ==========  =========
+=======================================  ============  ==========  ==============
 case                                     values solve  seed solve  Ritz step
-=======================================  ============  ==========  =========
-2 x 512 blocks, scan wire, L=20, N=1024  27 ms         33 ms       6.1 ms
-1024 one block, Simpson bump, L=24       75 ms         84 ms       7.5 ms
-=======================================  ============  ==========  =========
+=======================================  ============  ==========  ==============
+2 x 512 blocks, scan wire, L=20, N=1024  23 ms         29 ms       2.9 ms, 3 deep
+1024 one block, Simpson bump, L=24       88 ms         94 ms       5.7 ms, 4 deep
+=======================================  ============  ==========  ==============
 
-A Q build takes 3.6 and 4.4 ms.  On the one block the 1% step fails its
-certificate (the near-degenerate pairs of a nearly symmetric wire need a
-closer seed) and costs 89 ms with its fallback; the time given is that of
-steps from 1.3 to at most 1.3 x 1.005, which pass.
+A Q build takes 2.4 and 3.7 ms.  The same steps forced to a depth (every
+block of the stack, each certificate from 3 blocks on included):
+
+=======================================  ===  ===  ===  ===  ====  ====
+depth, in blocks of p = 12               3    4    5    6    7     8
+=======================================  ===  ===  ===  ===  ====  ====
+2 x 512 blocks, ms                       2.9  4.7  6.5  9.0  12.3  16.0
+1024 one block, ms                       4.0  5.7  7.6  9.8  12.7  15.0
+=======================================  ===  ===  ===  ===  ====  ====
+
+So the deepest step costs a sixth of the values solve it replaces on one
+1024 block, and two thirds on two 512 blocks.  A fixed 3-block step
+stopped the sample chain of the benchmark's split scan wires at samples 8
+to 11 of 20; at up to 8 blocks, 15 of the 16 blocks of 8 such wires step
+through all 20, and the last fails only its step to sample 20.
 """
 
 from __future__ import annotations
@@ -116,6 +130,9 @@ RITZ_EXTRA = 4
 #: r^2 / (g - r) <= RITZ_BOUND, its bound on the value's error; the values
 #: are O(0.1), and the root tolerance on lambda is 1e-9
 RITZ_BOUND = 1e-13
+#: the deepest Krylov basis of a Ritz step, in blocks of p vectors; a step
+#: whose certificate fails at 3 blocks adds one at a time up to this many
+RITZ_DEPTH = 8
 
 
 def _iterative_top(matrix, m: int, want_vectors: bool):
@@ -207,6 +224,7 @@ class Eigen(NamedTuple):
     vectors: Optional[tuple]        # None, or per block its (n, c) columns
                                     # (None for a block solved values-only)
     bounds: tuple = ()              # per block, a Ritz bound or None; see top_eigen
+    ritz_blocks: int = 0            # p-column products made by its Ritz steps
 
     def branch(self, j: int):
         """(block, k): value j is the k-th of its block, block 0 of one
@@ -260,37 +278,62 @@ def _full_solve(blocks: np.ndarray, c: int, vectors: bool, path: str):
     return w, tuple(np.column_stack([_fix_sign(v) for v in vs.T]) for vs in vecs)
 
 
+def _orthonormal(x: np.ndarray) -> np.ndarray:
+    """The Householder Q factor of an (n, p) block, in LAPACK."""
+    return scipy.linalg.qr(x, mode="economic", overwrite_a=True, check_finite=False)[0]
+
+
 def _ritz_step(a: np.ndarray, v: np.ndarray, k: int):
-    """One block Rayleigh-Ritz step of the n x n block A on span{V, A V,
-    A^2 V}, V its (n, p) seed vectors.
+    """One block Rayleigh-Ritz step of the n x n block A on the block
+    Krylov space of its (n, p) seed vectors V, deepened until certified.
+
+    The basis is block Lanczos with full reorthogonalization: B_1 = qr(V)
+    and B_{j+1} = qr((I - B B^T)^2 A B_j), B the blocks so far, with both
+    Gram-Schmidt passes against all of them; every product A B_j is kept,
+    so depth d costs d products of A with p columns.  From depth 3 on the
+    top k values are checked: each has residual r and gap g to the nearest
+    other Ritz value, and their bound is the largest r^2 / (g - r), inf
+    where some g <= 2 r.  While it is above RITZ_BOUND one more block is
+    added, up to RITZ_DEPTH blocks and while the basis stays below n
+    columns.  The caller ensures 3 p < n.
 
     Returns the top k Ritz values (k,), descending, the top p Ritz vectors
-    (n, p), and the largest bound r^2 / (g - r) of the top k values, r a
-    value's residual and g its gap to the nearest other Ritz value; the
-    bound is inf where some g <= 2 r.
-
-    The products and factorizations run in scipy's BLAS and LAPACK (see
-    ``_product``).
+    (n, p), the bound of the last depth checked and that depth, the number
+    of p-column products made.  The products and factorizations run in
+    scipy's BLAS and LAPACK (see ``_product``).
     """
     n, p = v.shape
-    x = np.empty((n, 3 * p), order="F")
-    x[:, :p] = v
-    x[:, p:2 * p] = _product(a, v)
-    x[:, 2 * p:] = _product(a, x[:, p:2 * p])
-    # Householder QR keeps the basis orthonormal when V is nearly invariant
-    basis = scipy.linalg.qr(x, mode="economic", overwrite_a=True, check_finite=False)[0]
-    a_basis = _product(a, basis)
-    theta, c, info = dsyevd(dgemm(1.0, basis, a_basis, trans_a=True))
-    if info != 0:
-        raise NumericalFailureError(f"projected eigensolve failed (info={info})")
-    theta, c = theta[::-1], c[:, ::-1]
-    y = dgemm(1.0, basis, c[:, :p])
-    r = np.linalg.norm(dgemm(1.0, a_basis, c[:, :k]) - y[:, :k] * theta[:k], axis=0)
-    step = theta[:-1] - theta[1:]
-    gap = np.minimum(np.r_[np.inf, step[:k - 1]], step[:k])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = np.where(gap > 2 * r, r ** 2 / (gap - r), np.inf)
-    return theta[:k], y, bound.max()
+    depth = min(RITZ_DEPTH, (n - 1) // p)
+    basis = np.empty((n, depth * p), order="F")
+    a_basis = np.empty((n, depth * p), order="F")
+    t = np.empty((depth * p, depth * p), order="F")
+    basis[:, :p] = _orthonormal(v)
+    for d in range(1, depth + 1):
+        lo, hi = (d - 1) * p, d * p
+        b = basis[:, :hi]
+        a_basis[:, lo:hi] = _product(a, basis[:, lo:hi])
+        # the new block column of T = B^T A B, and its mirror row; dsyevd
+        # reads the lower triangle
+        t[:hi, lo:hi] = dgemm(1.0, b, a_basis[:, lo:hi], trans_a=True)
+        t[lo:hi, :lo] = t[:lo, lo:hi].T
+        if d >= 3:
+            theta, c, info = dsyevd(t[:hi, :hi])
+            if info != 0:
+                raise NumericalFailureError(f"projected eigensolve failed (info={info})")
+            theta, c = theta[::-1], c[:, ::-1]
+            y = dgemm(1.0, b, c[:, :p])
+            r = np.linalg.norm(dgemm(1.0, a_basis[:, :hi], c[:, :k]) - y[:, :k] * theta[:k],
+                               axis=0)
+            step = theta[:-1] - theta[1:]
+            gap = np.minimum(np.r_[np.inf, step[:k - 1]], step[:k])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bound = np.where(gap > 2 * r, r ** 2 / (gap - r), np.inf).max()
+            if bound <= RITZ_BOUND or d == depth:
+                return theta[:k], y, bound, d
+        # the first pass reuses T's column B^T A B_d
+        w = a_basis[:, lo:hi] - dgemm(1.0, b, t[:hi, lo:hi])
+        w -= dgemm(1.0, b, dgemm(1.0, b, w, trans_a=True))
+        basis[:, hi:hi + p] = _orthonormal(w)
 
 
 def top_eigen(blocks: np.ndarray, m: int, vectors: bool = False, seed=None) -> Eigen:
@@ -305,8 +348,9 @@ def top_eigen(blocks: np.ndarray, m: int, vectors: bool = False, seed=None) -> E
 
     ``seed`` is None or holds one entry per block: the (n, p) vectors of an
     earlier record on a stack of the same shape, or None.  Seed vectors
-    take one Rayleigh-Ritz step (``_ritz_step``), whose Ritz values are
-    accepted when their bound is at most RITZ_BOUND.  Every other block,
+    take one Rayleigh-Ritz step (``_ritz_step``), deepened until its Ritz
+    values' bound is at most RITZ_BOUND; ``ritz_blocks`` counts the
+    p-column products of the steps, accepted or not.  Every other block,
     and every block when 3p >= n, is solved in full, all of them in one
     batched dense call or one Lanczos run per block.  With ``vectors=True``
     the record's ``vectors`` hold, per block, the orthonormal, sign-fixed
@@ -336,10 +380,11 @@ def top_eigen(blocks: np.ndarray, m: int, vectors: bool = False, seed=None) -> E
         return Eigen(vals, [PARITIES[b] for b in block], path, None)
     p = k if seed is None else min(k + RITZ_EXTRA, n)
     w = np.empty((nb, k))
-    vecs, bounds = [None] * nb, [None] * nb
+    vecs, bounds, ritz_blocks = [None] * nb, [None] * nb, 0
     for i, v in enumerate(() if seed is None else seed):
         if v is not None and 3 * p < n:
-            w_i, y, bound = _ritz_step(blocks[i], v, k)
+            w_i, y, bound, depth = _ritz_step(blocks[i], v, k)
+            ritz_blocks += depth
             if bound <= RITZ_BOUND:
                 w[i], vecs[i], bounds[i] = w_i, y, float(bound)
     full = [i for i in range(nb) if bounds[i] is None]
@@ -357,7 +402,7 @@ def top_eigen(blocks: np.ndarray, m: int, vectors: bool = False, seed=None) -> E
     vals, block = w.ravel()[order], order // k
     parity = [None] * m if nb == 1 else [PARITIES[b] for b in block]
     vecs = tuple(vecs) if vectors or seed is not None else None
-    return Eigen(vals, parity, path, vecs, tuple(bounds))
+    return Eigen(vals, parity, path, vecs, tuple(bounds), ritz_blocks)
 
 
 class _BranchEvaluator:
@@ -384,6 +429,7 @@ class _BranchEvaluator:
     ``dense_solves`` those that solved some block in full (dense or
     Lanczos), ``ritz_steps`` counts blocks that took a Ritz step,
     ``ritz_fallbacks`` blocks that had seed vectors but were solved in full,
+    ``ritz_blocks`` the p-column products of every step, accepted or not,
     and ``ritz_worst_bound`` is the largest accepted bound.
 
     Used as a context manager: leaving the block drops the operator cache,
@@ -402,6 +448,7 @@ class _BranchEvaluator:
         self.dense_solves = 0
         self.ritz_steps = 0
         self.ritz_fallbacks = 0
+        self.ritz_blocks = 0
         self.ritz_worst_bound = None
 
     def __enter__(self):
@@ -436,6 +483,7 @@ class _BranchEvaluator:
         self.ritz_fallbacks += sum(v is not None and b is None
                                    for v, b in zip(seed or (), rec.bounds))
         self.ritz_steps += len(stepped)
+        self.ritz_blocks += rec.ritz_blocks
         self.dense_solves += rec.path != "ritz"
         self.evaluations += 1
         self.block_evaluations += key[1] is not None

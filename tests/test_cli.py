@@ -12,7 +12,7 @@ import leakywire
 import leakywire.spectral as spectral_mod
 from leakywire.cli import load_curve, main, write_results
 from leakywire.curve import PlanarCurvatureProfile, SampledParametric, StraightLine
-from leakywire.errors import ConfigError, CurveFormatError
+from leakywire.errors import ConfigError, CurveFormatError, NumericalFailureError
 from leakywire.operators import GridSpec, OperatorCache
 from leakywire.solver import SolveConfig, spectrum_scan
 
@@ -157,6 +157,26 @@ class TestSolveCommand:
         assert "arc length is not finite" in captured.err
         assert "Traceback" not in captured.err + captured.out
         assert not (tmp_path / "out.json").exists()
+
+    def test_non_finite_output_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # finite samples near 1e150 pass the arc-length check but overflow
+        # the curvature, so check's c_estimate is NaN, which strict JSON
+        # cannot hold: exit 2, naming the key, and no payload or sidecar
+        t = np.linspace(-10.0, 10.0, 41)
+        samples = np.column_stack([t, 1e150 * t, 1e150 * np.sin(t), 0.0 * t])
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"family": "sampled", "samples": samples.tolist()}))
+        out = tmp_path / "out.json"
+        with np.errstate(all="ignore"):
+            code = run_cli("check", "--curve", str(path), "-o", str(out))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "numerical failure: payload.c_estimate is not finite" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
+        with np.errstate(all="ignore"):
+            assert run_cli("check", "--curve", str(path)) == 2
+        assert capsys.readouterr().out == ""
 
     def test_inadmissible_curve_exits_1(self, tmp_path):
         ang = np.linspace(-np.pi, np.pi, 401)
@@ -349,6 +369,13 @@ class TestDeterminism:
 
 
 class TestWriteResults:
+    def test_non_finite_sidecar_writes_nothing(self, tmp_path):
+        target = tmp_path / "out.json"
+        with pytest.raises(NumericalFailureError, match=r"sidecar\.states\[1\]\.residual"):
+            write_results('{"x": 1}\n', target, {"states": [{"residual": 0.0},
+                                                            {"residual": math.inf}]})
+        assert list(tmp_path.iterdir()) == []
+
     def test_atomic_no_partial_file(self, tmp_path):
         target = tmp_path / "sub" / "out.json"
         write_results('{"x": 1}\n', target)

@@ -302,18 +302,24 @@ class TestSpectrumScan:
     def test_scan_diagnostics_count_the_solves(self, bump, off_centre_wire):
         # each values solve either steps every block or solves some block in
         # full, so on one block evaluations = dense_solves + ritz_steps.  The
-        # off-centre wire's first sample step fails, so its block stops
-        # stepping and all 20 samples are full solves
+        # off-centre wire's first sample step fails its certificate on 3
+        # Krylov blocks and passes on more, so its block steps through the
+        # samples; each step, accepted or not, makes 3 to RITZ_DEPTH block
+        # products, and every value is lambda_curve's within the bound
         keys = {"evaluations", "dense_solves", "ritz_steps", "ritz_fallbacks",
-                "ritz_worst_bound"}
+                "ritz_blocks", "ritz_worst_bound"}
         k0 = kappa0(0.0)
-        one, _ = spectrum_scan(off_centre_wire, SolveConfig(alpha=0.0, grid=GridSpec(10.0, 256)),
+        grid = GridSpec(10.0, 256)
+        one, _ = spectrum_scan(off_centre_wire, SolveConfig(alpha=0.0, grid=grid),
                                (0.5 * k0, 5.0 * k0), 20)
         d = one.diagnostics
         assert set(d) == keys
         assert d["evaluations"] == d["dense_solves"] + d["ritz_steps"]
-        assert d["ritz_fallbacks"] >= 1
-        assert 20 <= d["dense_solves"] < d["evaluations"]
+        assert 1 <= d["dense_solves"] < 10
+        steps = d["ritz_steps"] + d["ritz_fallbacks"]
+        assert 3 * steps <= d["ritz_blocks"] <= spectral_mod.RITZ_DEPTH * steps
+        dense = spectral_mod.lambda_curve(off_centre_wire, grid, one.kappas, 8).lambdas
+        assert np.max(np.abs(one.lambdas - dense)) <= spectral_mod.RITZ_BOUND
         # on the split bump both blocks step from sample to sample over most
         # of the range, so fewer than half the samples are full solves; a
         # values solve that solved no block in full stepped both

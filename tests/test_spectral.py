@@ -28,7 +28,7 @@ from conftest import unfold
 
 class TestTopEigenpairs:
     def test_diagonal_matrix(self):
-        vals, _, _, vecs, _ = top_eigen(np.diag([3.0, 1.0, 0.0, -2.0])[None], 2, vectors=True)
+        vals, _, _, vecs, *_ = top_eigen(np.diag([3.0, 1.0, 0.0, -2.0])[None], 2, vectors=True)
         assert vals[0] == pytest.approx(3.0, abs=1e-14)
         assert vals[1] == pytest.approx(1.0, abs=1e-14)
         assert np.allclose(np.abs(vecs[0][:, 0]), [1, 0, 0, 0], atol=1e-14)
@@ -36,7 +36,7 @@ class TestTopEigenpairs:
 
     def test_straight_top_mode_is_constant_vector(self, straight):
         g = GridSpec(16.0, 128)
-        vals, _, _, vecs, _ = top_eigen(assemble_T(g, 1.7)[None], 1, vectors=True)
+        vals, _, _, vecs, *_ = top_eigen(assemble_T(g, 1.7)[None], 1, vectors=True)
         assert vals[0] == pytest.approx(s_kappa(1.7), abs=1e-13)
         assert np.allclose(vecs[0][:, 0], np.ones(g.N) / math.sqrt(g.N), atol=1e-10)
 
@@ -318,6 +318,62 @@ class TestRitzStep:
         assert step.path == "ritz"
         dense_next = scipy.linalg.eigvalsh(unfold(q_next))[::-1][:4]
         assert np.allclose(step.values, dense_next, rtol=0, atol=1e-12)
+
+
+def _logged_basis(monkeypatch):
+    """The blocks ``_ritz_step`` orthonormalizes, appended to a list as made."""
+    blocks, orthonormal = [], spectral_mod._orthonormal
+    monkeypatch.setattr(spectral_mod, "_orthonormal",
+                        lambda x: blocks.append(orthonormal(x)) or blocks[-1])
+    return blocks
+
+
+class TestDeepenedRitzStep:
+    @pytest.fixture
+    def first_sample_step(self, off_centre_wire):
+        """The block and seed of the first sample step of a 20-point scan of
+        the off-centre wire over 0.5-5 kappa0 (L = 10, N = 256, m = 8)."""
+        k0 = kappa0(0.0)
+        kappas = np.geomspace(0.5 * k0, 5.0 * k0, 20)
+        cache = OperatorCache(off_centre_wire, GridSpec(10.0, 256))
+        start = top_eigen(cache.q_matrix(kappas[0]), 8, vectors=True, seed=(None,))
+        return cache.q_matrix(kappas[1])[0], start.vectors[0]
+
+    def test_three_blocks_fail_and_a_deeper_basis_certifies(self, monkeypatch,
+                                                            first_sample_step):
+        a, v = first_sample_step
+        n, p = v.shape
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral_mod, "RITZ_DEPTH", 3)
+            assert spectral_mod._ritz_step(a, v, 8)[2] > spectral_mod.RITZ_BOUND
+        blocks = _logged_basis(monkeypatch)
+        vals, y, bound, depth = spectral_mod._ritz_step(a, v, 8)
+        assert 3 < depth <= spectral_mod.RITZ_DEPTH and depth * p < n
+        assert bound <= spectral_mod.RITZ_BOUND
+        # one orthonormal block per depth, the last one checked and not extended
+        basis = np.hstack(blocks)
+        assert basis.shape == (n, depth * p)
+        assert np.max(np.abs(basis.T @ basis - np.eye(depth * p))) <= 1e-13
+        assert np.max(np.abs(y.T @ y - np.eye(p))) <= 1e-13
+        assert np.all(np.abs(vals - scipy.linalg.eigvalsh(a)[::-1][:8]) <= bound)
+
+    def test_two_steps_give_the_same_bits(self, first_sample_step):
+        a, v = first_sample_step
+        (vals, y, bound, depth), again = (spectral_mod._ritz_step(a, v, 8) for _ in range(2))
+        assert np.array_equal(vals, again[0]) and np.array_equal(y, again[1])
+        assert (bound, depth) == again[2:]
+
+    @pytest.mark.parametrize("n", [37, 48, 64, 97, 256])
+    def test_basis_stays_below_the_block_size(self, monkeypatch, n):
+        # a random seed never certifies on a random matrix, so the step goes
+        # as deep as it may: RITZ_DEPTH blocks, or fewer than n columns
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        a, v, p = a + a.T, rng.standard_normal((n, 12)), 12
+        blocks = _logged_basis(monkeypatch)
+        depth = spectral_mod._ritz_step(a, v, 8)[3]
+        assert depth == min(spectral_mod.RITZ_DEPTH, (n - 1) // p)
+        assert sum(b.shape[1] for b in blocks) == depth * p < n
 
 
 class TestLambdaCurve:
