@@ -431,7 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "and bc-verify track only the top branch, "
                             "whatever -m is")
         p.add_argument("--tol-kappa", type=float, default=1e-10,
-                       help="relative root tolerance in kappa (default 1e-10)")
+                       help="relative root tolerance in kappa (default 1e-10): "
+                            "a bound state's root is certified when its own "
+                            "Newton correction is at most this; scan crossings "
+                            "are Brent-refined to it")
         p.add_argument("--tol-lambda", type=float, default=1e-9,
                        help="eigenvalue residual tolerance (default 1e-9)")
 

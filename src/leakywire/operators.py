@@ -81,6 +81,14 @@ there alone.  ``assemble_T(grid, kappa) + grid.delta *
 bending_kernel_matrix(curve, grid, kappa)`` is the independent pointwise
 reference: the tests hold the cache to it, and the oracles use its parts.
 
+Slope: the root search's Newton steps need dlambda/dkappa = <y, dQ/dkappa
+y> for a unit eigenvector y (Hellmann-Feynman).  ``OperatorCache.slope``
+computes it for one block without an N x N array: dQ/dkappa is Toeplitz,
+-kappa / (2 pi (p^2 + kappa^2)) on the grid momenta plus (Delta / 4 pi)
+exp(-kappa sigma), whose form is read off the unfolded vector's
+autocorrelation by FFT, less (Delta / 4 pi) exp(-kappa rho) on the chords,
+one pass of exponentials over the kept chord array.
+
 Free-line constants:
 
     m_kappa(p) = (1/2pi) (psi(1) + ln 2 - ln sqrt(p^2 + kappa^2))
@@ -100,6 +108,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .curve import PAIR_ROWS, Curve, StraightLine
 from .errors import GeometryError, InvalidKernelError, SingularGeometryError
@@ -228,11 +237,52 @@ def _hankel_reversed(row: np.ndarray) -> np.ndarray:
 
 
 def _t_first_row(grid: GridSpec, kappa: float) -> np.ndarray:
-    m = t_multiplier(grid.momenta, kappa)
+    return _circulant_row(t_multiplier(grid.momenta, kappa))
+
+
+def _dt_first_row(grid: GridSpec, kappa: float) -> np.ndarray:
+    """First row of dT/dkappa: the circulant of dm_kappa/dkappa =
+    -kappa / (2 pi (p^2 + kappa^2))."""
+    p = grid.momenta
+    return _circulant_row(-kappa / (TWO_PI * (p * p + kappa * kappa)))
+
+
+def _circulant_row(m: np.ndarray) -> np.ndarray:
+    """First row of the symmetric circulant with eigenvalues m on the grid
+    momenta (FFT ordering)."""
     row = np.fft.ifft(m).real
     # enforce row[d] == row[N-d] exactly
     rev = np.roll(row[::-1], 1)
     return 0.5 * (row + rev)
+
+
+def _toeplitz_form(row: np.ndarray, x: np.ndarray) -> float:
+    """x^T A x for the symmetric Toeplitz A with first row ``row``, from the
+    autocorrelation of x by FFT, without the N x N matrix."""
+    n = row.size
+    corr = np.fft.irfft(np.abs(np.fft.rfft(x, 2 * n)) ** 2, 2 * n)[:n]
+    return float(row[0] * corr[0] + 2.0 * np.dot(row[1:], corr[1:]))
+
+
+def unfold(y: np.ndarray, block: int) -> np.ndarray:
+    """The vectors of Q that the vectors y (rows: block nodes) of parity
+    block ``block`` give: [y; J y]/sqrt 2 for 0 (even), [y; -J y]/sqrt 2
+    for 1 (odd); unit vectors stay unit vectors."""
+    mirror = y[::-1] if block == 0 else -y[::-1]
+    return np.concatenate((y, mirror)) / math.sqrt(2.0)
+
+
+def _product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x in scipy's BLAS, whose threads and GEMM buffers the dense solves
+    already use; ``a.T`` is the Fortran-ordered view BLAS reads without a copy.
+
+    numpy's OpenBLAS is a second thread pool, and on 2 cores the two pools'
+    spinning threads starve each other: with numpy products a Ritz step on
+    2 x 512 blocks took 21 ms inside a scan instead of 5 ms, and scan
+    requests were no faster than with no steps at all (1.7-2.1 s against
+    1.6-2.0 s).
+    """
+    return dgemm(1.0, a.T, x, trans_a=True)
 
 
 def hs_norm(b: np.ndarray) -> float:
@@ -321,7 +371,11 @@ class OperatorCache:
         if self._straight:
             return
         nodes, n = grid.nodes, grid.N
-        self.parity = _mirror_symmetric(curve.point(nodes))
+        positions = curve.point(nodes)
+        if not np.all(np.isfinite(positions)):
+            # a sampled curve whose coordinates overflow between samples
+            raise GeometryError("curve positions on the grid are not finite")
+        self.parity = _mirror_symmetric(positions)
         h = n // 2 if self.parity else n
         order = np.r_[0:h, n - 1:h - 1:-1]   # on a split, the bottom half reversed
         rho = curve.pairwise_chords(nodes[order], h)
@@ -369,3 +423,35 @@ class OperatorCache:
             left[rows] += right[rows]
             np.subtract(q11, right[rows], out=right[rows])
         return q
+
+    def slope(self, kappa: float, y: np.ndarray, block: int = 0) -> float:
+        """<y, dQ_b/dkappa y> for the unit vector y of block b = ``block`` of
+        ``q_matrix(kappa)``: by Hellmann-Feynman, the kappa-derivative of
+        the eigenvalue of that block whose eigenvector is y.
+
+        dQ/dkappa is Toeplitz, dT's row plus weight * exp(-kappa sigma) off
+        the diagonal, less the chord part weight * exp(-kappa rho).  The
+        Toeplitz part is the form of the unfolded vector of Q, from its
+        autocorrelation by FFT; the chord part takes one pass of
+        exponentials over the kept chord array, ``PAIR_ROWS`` rows of every
+        block at a time, summed or differenced into block b as
+        ``q_matrix`` does and multiplied into y in scipy's BLAS
+        (``_product``).  No N x N array is made.
+        """
+        row = _dt_first_row(self.grid, kappa)
+        x = unfold(y, block) if self.parity else y
+        if self._straight:
+            return _toeplitz_form(row, x)
+        weight = self.grid.delta / (4.0 * math.pi)
+        sigma = np.arange(1, self.grid.N) * self.grid.delta
+        row[1:] += weight * np.exp(-kappa * sigma)
+        rows = self._rho.shape[1]          # n, the size of one block
+        rho = self._rho.reshape(-1, rows, rows)
+        ey = np.empty(rows)
+        for a in range(0, rows, PAIR_ROWS):
+            e = np.multiply(rho[:, a:a + PAIR_ROWS], -kappa)
+            np.exp(e, out=e)
+            if self.parity:   # the chords of Q11 and of Q12 J into block b
+                (np.subtract if block else np.add)(e[0], e[1], out=e[0])
+            ey[a:a + PAIR_ROWS] = _product(e[0], y[:, None])[:, 0]
+        return _toeplitz_form(row, x) - weight * float(np.dot(y, ey))

@@ -7,31 +7,44 @@ coupling alpha crosses it exactly once on the sampled range.  The crossing
 kappa~ gives a bound state with energy E = -kappa~^2 strictly below the
 continuum edge zeta0 = -kappa0(alpha)^2.
 
-The bracket starts at kappa0 * (1 + 1e-4): exactly at kappa0 the straight
+The search starts at kappa0 * (1 + 1e-4): exactly at kappa0 the straight
 line satisfies lambda = alpha spuriously (continuum edge, not an
-eigenvalue), and the offset keeps that degeneracy out of the bracket.
-Branches that bend the spectrum up but fail to clear alpha at the bracket
+eigenvalue), and the offset keeps that degeneracy out of the search.
+Branches that bend the spectrum up but fail to clear alpha at the search
 start are reported as threshold-uncertain records instead of being dropped:
 a finite box cannot distinguish a weakly bound state from the edge.
 
-Roots are searched in u = ln kappa.  The free-line top
+Roots are searched by Newton's method in u = ln kappa.  By Hellmann-Feynman
+the slope of a branch with unit eigenvector h is dlambda/dkappa =
+<h, dQ/dkappa h>, which ``OperatorCache.slope`` computes from the kept chord
+array, so every point solved with vectors gives its own Newton step
+-(lambda - alpha) / (kappa dlambda/dkappa).  The free-line top
 s_kappa = (psi(1) - ln(kappa/2)) / (2 pi) is exactly linear in u with slope
--1/(2 pi), so the first upper end of the bracket is predicted from the
-start value, kappa_hi = kappa_lo * exp(2 pi (lambda_j(kappa_lo) - alpha)).
-While lambda_j(kappa_hi) still exceeds alpha the lower end moves up to it
-and the step ratio grows by BRACKET_GROWTH, up to BRACKET_MAX_FACTOR * kappa0.
-Brent's method keeps its bracket guarantee in any monotone
-reparametrization, and a tolerance on u is a relative tolerance on kappa.
+-1/(2 pi), and bent branches are close to linear there too: from the search
+start a bump's ground state takes one Newton point and then its root.  The
+curvature of the branch, from the slopes of the last two points, predicts
+the error of the next Newton point; once that is below tol/10 the point is
+solved as the root, and its own Newton correction, at most
+``tol_kappa_rel`` (a step in u is a relative step in kappa), certifies it.  A point that fails the certificate is
+counted as an evaluation, like every other point, and the iteration goes
+on.  Safeguards keep each point inside [kappa_lo, kappa_hi], the largest
+point seen above alpha and the smallest below it: a Newton point outside
+is replaced by bisection, or, while no point lies below alpha, by a step of
+the free line's distance to alpha that grows by BRACKET_GROWTH, up to
+BRACKET_MAX_FACTOR * kappa0.  So each root costs the start, shared by all
+branches, its Newton points and one root solve, and no kappa is built twice.
+A scan's crossings are refined by Brent's method (``_brentq``) on values
+alone, since a scan's values come from Ritz steps, about as cheap as a slope.
 
 On a mirror-symmetric wire Q splits into an even and an odd block, and each
-branch lives in one of them: branch j of the bracket-start record, the k-th
+branch lives in one of them: branch j of the search-start record, the k-th
 value of its block p, is searched as lambda_(p,k)(kappa) = alpha with that
-block alone solved at each bracket end, Brent point and the root.  Only the
-bracket start solves both blocks.  A wire that does not split is one
+block alone solved at each Newton point and the root.  Only the search
+start solves both blocks.  A wire that does not split is one
 block, block 0, whose values are the merged lambda_j.  A state's
 ``branch`` is its rank in energy: branches fall with kappa, so the values
 above branch j's at its root are those of the states below it, each of
-which was above alpha at the bracket start and so is tracked.  This is the
+which was above alpha at the search start and so is tracked.  This is the
 merged index whose crossing lies at that kappa, which can differ from j
 when branches of the two blocks cross on the way.
 """
@@ -60,10 +73,11 @@ from .operators import GridSpec, kappa0, s_kappa, zeta0
 # loads no subpackage.
 from .spectral import SpectralCurve, _BranchEvaluator, _iterative_top  # noqa: F401
 
-BRACKET_START_OFFSET = 1e-4  # the bracket starts at kappa0 * (1 + offset)
-BRACKET_GROWTH = 2.0         # factor by which the bracket's step ratio grows
+BRACKET_START_OFFSET = 1e-4  # the search starts at kappa0 * (1 + offset)
+BRACKET_GROWTH = 2.0         # factor by which a step with no upper end grows
 BRACKET_MAX_FACTOR = 1e6     # no sign change up to this multiple of kappa0 fails
 THRESHOLD_GAP_FRAC = 1e-6    # gaps below this fraction of |zeta0| are uncertain
+NEWTON_MAXITER = 100         # Newton points per root before the search fails
 
 
 @dataclass
@@ -134,7 +148,7 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
 
     Returns BoundState records sorted by energy; threshold-uncertain records
     (gap below THRESHOLD_GAP_FRAC * |zeta0|, or a bent branch that never
-    clears alpha at the bracket start) carry the flag instead of being
+    clears alpha at the search start) carry the flag instead of being
     silently dropped.  The straight line yields an empty list.  If the last
     tracked branch would give a record, more states may lie beyond the
     m_branches cap, so ConfigError is raised instead of a partial list.
@@ -160,7 +174,8 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
     m = 1 if ground_only else config.m_branches
     states = []
     with _BranchEvaluator(curve, config.grid, m) as ev:
-        start = ev.solve(k_start)
+        start, _ = ev.eigenpair(k_start)
+        ev.count(k_start, None, start)
         lam_last = start.values[-1]
         if not ground_only and (lam_last > alpha or lam_last - s_start > lift_floor):
             raise ConfigError(
@@ -269,45 +284,85 @@ def _root_in_log_kappa(f, k_lo, k_hi, tol):
 
 
 def _solve_branch(ev, start, j, alpha, k_start, k0, z0, config) -> BoundState:
-    """The root of branch j of the bracket-start record ``start``, followed
-    in its own parity block; ``find_bound_states`` relabels it by energy."""
+    """The root of branch j of the search-start record ``start``, followed
+    in its own parity block; ``find_bound_states`` relabels it by energy.
+
+    Safeguarded Newton in u = ln kappa (see the module docstring).  Each
+    point after the start is one fresh solve of the branch's block with
+    vectors, ``_BranchEvaluator.eigenpair``: its value gives f = lambda -
+    alpha, its vector the slope g = kappa dlambda/dkappa, and -f/g is its
+    own Newton correction.  A Newton point whose predicted error is below
+    tol/10 is solved as the root, and is the root if its correction is at
+    most tol; every other point is counted as an evaluation.
+    """
     block, k = start.branch(j)
-    f = lambda kappa: ev.solve(kappa, block).values[k] - alpha
     k_max = BRACKET_MAX_FACTOR * k0
-    k_lo = k_start
-    # the free line falls by 1/(2 pi) per unit of u = ln kappa; the first
-    # step is capped at k_max / k_lo, which keeps k_lo < k_hi <= k_max and
-    # exp from overflowing
-    ratio = math.exp(min(2 * math.pi * f(k_lo), math.log(k_max / k_lo)))
-    k_hi = min(k_lo * ratio, k_max)
-    while f(k_hi) > 0:
-        if k_hi >= k_max:
+    u_max = math.log(k_max)
+    tol = config.tol_kappa_rel
+    # the largest point seen above alpha and the smallest below it (None
+    # until there is one); every point after the start lies between them
+    k_lo, k_hi = k_start, None
+    kappa, f = k_start, float(start.values[j]) - alpha
+    g = k_start * ev.cache.slope(k_start, start.vectors[block][:, k], block)
+    # |g' / (2 g)| from the last two slopes, so that a Newton step d from
+    # the last point is predicted to land curvature * d^2 from the root; 0
+    # before there are two slopes, as on the free line, which is linear in u
+    curvature = 0.0
+    # where Newton gives no point and none lies below alpha, steps are the
+    # free line's distance to alpha, growing by BRACKET_GROWTH
+    grow = 2 * math.pi * f
+    for iterations in range(1, NEWTON_MAXITER + 1):
+        u = math.log(kappa)
+        step = -f / g if g < 0 else math.nan
+        k_next = math.exp(min(u + step, u_max))
+        inside = k_lo < k_next < (k_max if k_hi is None else k_hi)
+        candidate = inside and curvature * step ** 2 < tol / 10
+        if not inside:
+            if k_hi is None:
+                u_next = min(math.log(k_lo) + grow, u_max)
+                grow *= BRACKET_GROWTH
+            else:
+                u_next = 0.5 * (math.log(k_lo) + math.log(k_hi))
+            k_next = k_max if u_next == u_max else math.exp(u_next)
+        root, h = ev.eigenpair(k_next, block)
+        f_next = float(root.values[k]) - alpha
+        g_next = k_next * ev.cache.slope(k_next, root.vectors[0][:, k], block)
+        curvature = (abs((g_next - g) / (math.log(k_next) - u) / (2 * g_next))
+                     if g_next < 0 else math.inf)
+        kappa, f, g = k_next, f_next, g_next
+        if candidate and g < 0 and abs(f / g) <= tol:
+            break
+        ev.count(kappa, block, root)
+        if f < 0:
+            k_hi = kappa
+        elif kappa < k_max:
+            k_lo = kappa
+        else:
             raise BracketFailureError(
                 f"branch {j}: no sign change of lambda - alpha up to "
                 f"kappa = {k_max:.3e}")
-        k_lo = k_hi
-        ratio *= BRACKET_GROWTH
-        k_hi = min(k_lo * ratio, k_max)
-    kt, iterations = _root_in_log_kappa(f, k_lo, k_hi, config.tol_kappa_rel)
-    root, h = ev.eigenpair(kt, block)
-    lam_val = float(root.values[k])
-    if abs(lam_val - alpha) > config.tol_lambda:
+    else:
         raise NumericalFailureError(
-            f"branch {j}: eigenvalue residual {abs(lam_val - alpha):.3e} at the "
+            f"branch {j}: Newton's method did not converge in {NEWTON_MAXITER} "
+            f"points (last kappa = {kappa!r})")
+    if abs(f) > config.tol_lambda:
+        raise NumericalFailureError(
+            f"branch {j}: eigenvalue residual {abs(f):.3e} at the "
             f"root exceeds tol_lambda = {config.tol_lambda:.1e}; tighten "
             "tol_kappa_rel")
-    energy = -kt ** 2
+    energy = -kappa ** 2
     gap = z0 - energy
     return BoundState(
-        kappa_tilde=float(kt),
+        kappa_tilde=float(kappa),
         energy=float(energy),
         branch=j,
         h=h[:, k].copy(),
         gap=float(gap),
-        residual=abs(lam_val - alpha),
+        residual=abs(f),
         threshold_uncertain=bool(gap < THRESHOLD_GAP_FRAC * abs(z0)),
-        diagnostics={"bracket": [float(k_lo), float(k_hi)],
+        diagnostics={"bracket": [float(k_lo), float(k_max if k_hi is None else k_hi)],
                      "iterations": iterations,
+                     "correction": -f / g,
                      "evaluations": int(ev.evaluations),
                      "block_evaluations": int(ev.block_evaluations),
                      "eigensolver": root.path,

@@ -30,8 +30,8 @@ even and odd blocks (see ``operators``).  Its values are solved in one
 batched LAPACK call, or one Lanczos run on the block-diagonal operator
 whose Ritz vectors tell the block of each value, and the top m of them are
 merged; with vectors, each block keeps its own columns.  A root search
-needs both blocks only at its bracket start: a branch lives in one block,
-so every other evaluation and the root solve that N/2 x N/2 block alone
+needs both blocks only at its search start: a branch lives in one block,
+so every Newton point and the root solve that N/2 x N/2 block alone
 (see ``_BranchEvaluator``).  Each block costs an eighth of the full
 matrix's O(N^3) reduction.  Measured per block size on bump a=1, w=1 at
 kappa = 1.15 (same machine; the two paths agree to 4e-16):
@@ -108,7 +108,7 @@ from scipy.linalg.lapack import dsyevd
 
 from .curve import Curve
 from .errors import GeometryError, NumericalFailureError
-from .operators import GridSpec, OperatorCache, s_kappa
+from .operators import GridSpec, OperatorCache, _product, s_kappa, unfold
 
 #: labels of the blocks of a parity stack, in ``OperatorCache`` order
 PARITIES = ("even", "odd")
@@ -234,19 +234,6 @@ class Eigen(NamedTuple):
         return block, self.parity[:j].count(label)
 
 
-def _product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x in scipy's BLAS, whose threads and GEMM buffers the dense solves
-    already use; ``a.T`` is the Fortran-ordered view BLAS reads without a copy.
-
-    numpy's OpenBLAS is a second thread pool, and on 2 cores the two pools'
-    spinning threads starve each other: with numpy products a Ritz step on
-    2 x 512 blocks took 21 ms inside a scan instead of 5 ms, and scan
-    requests were no faster than with no steps at all (1.7-2.1 s against
-    1.6-2.0 s).
-    """
-    return dgemm(1.0, a.T, x, trans_a=True)
-
-
 def _full_solve(blocks: np.ndarray, c: int, vectors: bool, path: str):
     """The top c eigenvalues of each block of a (b, n, n) stack, (b, c) and
     descending per block, and with ``vectors`` a tuple of each block's (n, c)
@@ -267,15 +254,23 @@ def _full_solve(blocks: np.ndarray, c: int, vectors: bool, path: str):
         w = w.reshape(b, c)[:, ::-1]
     if not vectors:
         return w, None
-    for a, vals, vs in zip(blocks, w, vecs):
-        # largest |entry| without an n x n temporary
-        norm_q = max(abs(vals[0]), max(a.max(), -a.min()) * n ** 0.5)
-        resid = np.linalg.norm(_product(a, vs) - vs * vals, axis=0)
-        j = int(np.argmax(resid))
-        if resid[j] > 1e-9 * max(norm_q, 1e-30):
-            raise NumericalFailureError(
-                f"eigenpair {j} residual {resid[j]:.3e} exceeds 1e-9 * ||Q|| (N={n})")
-    return w, tuple(np.column_stack([_fix_sign(v) for v in vs.T]) for vs in vecs)
+    return w, tuple(_checked(a, vals, vs) for a, vals, vs in zip(blocks, w, vecs))
+
+
+def _checked(a: np.ndarray, vals: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The (n, c) eigenvectors vs of the values vals of the n x n block a,
+    sign-fixed, after a residual check against 1e-9 * ||a||."""
+    n, c = vs.shape
+    if not c:
+        return vs
+    # largest |entry| without an n x n temporary
+    norm_q = max(abs(vals[0]), max(a.max(), -a.min()) * n ** 0.5)
+    resid = np.linalg.norm(_product(a, vs) - vs * vals, axis=0)
+    j = int(np.argmax(resid))
+    if resid[j] > 1e-9 * max(norm_q, 1e-30):
+        raise NumericalFailureError(
+            f"eigenpair {j} residual {resid[j]:.3e} exceeds 1e-9 * ||Q|| (N={n})")
+    return np.column_stack([_fix_sign(v) for v in vs.T])
 
 
 def _orthonormal(x: np.ndarray) -> np.ndarray:
@@ -364,20 +359,29 @@ def top_eigen(blocks: np.ndarray, m: int, vectors: bool = False, seed=None) -> E
     accepted bound, or None where the block was solved in full, and
     ``path`` is ``"ritz"`` when every block was stepped.
 
-    An unseeded values-only stack of two blocks on the Lanczos path is
-    solved by one Lanczos run on the block-diagonal operator instead, whose
-    Ritz vectors tell the block of each value; its ``bounds`` are empty.
+    An unseeded stack of two blocks on the Lanczos path is solved by one
+    Lanczos run on the block-diagonal operator instead, whose Ritz vectors
+    tell the block of each value; its ``bounds`` are empty.  With
+    ``vectors=True`` each block's columns are then the Ritz vectors of its
+    own values among the merged top m, restricted to that block,
+    renormalized and residual-checked: block b holds as many columns as
+    values labelled b, none for a block with no value among them.
     """
     nb, n, _ = blocks.shape
     if not 1 <= m <= nb * n:
         raise GeometryError(f"need 1 <= m <= N, got m={m}, N={nb * n}")
     k = min(m, n)
     path = eigensolver(n, m)
-    if seed is None and path == "lanczos" and nb > 1 and not vectors:
+    if seed is None and path == "lanczos" and nb > 1:
         vals, vecs = _iterative_top(_block_diagonal(blocks), m, True)
         # the parity of a value is the block its Ritz vector lies in
-        block = np.argmax(np.linalg.norm(vecs.T.reshape(m, nb, n), axis=2), axis=1)
-        return Eigen(vals, [PARITIES[b] for b in block], path, None)
+        parts = vecs.T.reshape(m, nb, n)
+        block = np.argmax(np.linalg.norm(parts, axis=2), axis=1)
+        if vectors:   # each value's vector on its own block, renormalized
+            mine = [parts[block == b, b].T for b in range(nb)]
+            vecs = tuple(_checked(blocks[b], vals[block == b], v / np.linalg.norm(v, axis=0))
+                         for b, v in enumerate(mine))
+        return Eigen(vals, [PARITIES[b] for b in block], path, vecs if vectors else None)
     p = k if seed is None else min(k + RITZ_EXTRA, n)
     w = np.empty((nb, k))
     vecs, bounds, ritz_blocks = [None] * nb, [None] * nb, 0
@@ -421,10 +425,17 @@ class _BranchEvaluator:
     ``vectors`` are ``top_eigen``'s, except that ``vectors=True`` asks for
     seed vectors, p = min(m, n) + RITZ_EXTRA per block, with or without a
     seed; the caller keeps the seeds.  A memo hit returns the record without
-    its vectors.  ``eigenpair(kappa, block)`` solves the root's block again
-    with vectors, unmemoized.
+    its vectors.
 
-    The counters say how each memoized solve went: ``evaluations`` counts
+    A root search solves with ``eigenpair(kappa, block=None)``: one fresh
+    solve with the k = min(m, n) vectors of its values, which give the
+    Hellmann-Feynman slope (``OperatorCache.slope``).  It is neither
+    counted nor memoized until the search calls ``count``: the search start
+    and every Newton point that is not the root are counted as
+    evaluations, the root is not, so Q is built once per evaluation plus
+    once per root.
+
+    The counters say how each counted solve went: ``evaluations`` counts
     them, ``block_evaluations`` those that solved one split block,
     ``dense_solves`` those that solved some block in full (dense or
     Lanczos), ``ritz_steps`` counts blocks that took a Ritz step,
@@ -460,7 +471,7 @@ class _BranchEvaluator:
     def solve(self, kappa: float, block=None, seed=None, vectors: bool = False) -> Eigen:
         """The record of the stack at kappa (block None), or of its block
         ``block`` (0 even or 1 odd on a split cache), solved once."""
-        key = (float(kappa), block if self.cache.parity else None)
+        key = self._key(kappa, block)
         if key in self._memo:
             return self._memo[key]
         whole = self._memo.get((key[0], None))
@@ -477,6 +488,13 @@ class _BranchEvaluator:
         rec = top_eigen(q, m, vectors, seed)
         if key[1] is not None:
             rec = rec._replace(parity=[PARITIES[block]] * len(rec.values))
+        self.count(kappa, block, rec, seed)
+        return rec
+
+    def count(self, kappa: float, block, rec: Eigen, seed=None) -> None:
+        """Count ``rec``, solved at kappa for ``block`` with ``seed``, as an
+        evaluation and memoize it without its vectors."""
+        key = self._key(kappa, block)
         stepped = [b for b in rec.bounds if b is not None]
         if stepped:
             self.ritz_worst_bound = max(stepped + [self.ritz_worst_bound or 0.0])
@@ -488,21 +506,26 @@ class _BranchEvaluator:
         self.evaluations += 1
         self.block_evaluations += key[1] is not None
         self._memo[key] = rec._replace(vectors=None)
-        return rec
 
-    def eigenpair(self, kappa: float, block: int):
-        """(record, h): a fresh record with vectors of block ``block`` at
-        kappa, not memoized, and h, the (N, c) eigenvectors of Q they give:
-        the one block's as they are, and on a split cache each block vector
-        y unfolded to [y; J y]/sqrt 2 (even) or [y; -J y]/sqrt 2 (odd)."""
+    def _key(self, kappa: float, block):
+        return float(kappa), block if self.cache.parity else None
+
+    def eigenpair(self, kappa: float, block=None):
+        """(record, h): a fresh record at kappa with the vectors of its
+        values, k = min(m, n) per block, neither counted nor memoized
+        (``count`` makes it an evaluation).  Block None solves the whole
+        stack, and h is None.  Block ``block`` solves that block alone, and
+        h holds the (N, k) eigenvectors of Q its vectors give: the one
+        block's as they are, and on a split cache each block vector
+        unfolded (``unfold``)."""
         q = self.cache.q_matrix(float(kappa))
+        if block is None:
+            return top_eigen(q, self.m, vectors=True), None
         rec = top_eigen(q[block:block + 1], min(self.m, q.shape[1]), vectors=True)
         y = rec.vectors[0]
         if len(q) == 1:
             return rec, y
-        mirror = y[::-1] if block == 0 else -y[::-1]
-        return (rec._replace(parity=[PARITIES[block]] * len(rec.values)),
-                np.vstack((y, mirror)) / math.sqrt(2.0))
+        return rec._replace(parity=[PARITIES[block]] * len(rec.values)), unfold(y, block)
 
 
 def lambda_curve(curve: Curve, grid: GridSpec, kappa_list, m: int = 8) -> SpectralCurve:

@@ -108,9 +108,10 @@ class TestSolveCommand:
         assert {"written_at_unix", "tool_version", "states"} <= set(meta)
         assert len(meta["states"]) == len(states) > 1
         for state, diag in zip(states, meta["states"]):
-            assert set(diag) == {"bracket", "iterations", "evaluations", "block_evaluations",
-                                 "eigensolver", "parity"}
+            assert set(diag) == {"bracket", "iterations", "correction", "evaluations",
+                                 "block_evaluations", "eigensolver", "parity"}
             assert diag["bracket"][0] < state["kappa"] < diag["bracket"][1]
+            assert abs(diag["correction"]) <= 1e-10
             assert 0 < diag["block_evaluations"] < diag["evaluations"]
         assert "evaluations" not in out.read_text()
 
@@ -155,6 +156,24 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert code == 3
         assert "arc length is not finite" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command", ["scan", "converge"])
+    def test_positions_overflowing_on_the_grid_exit_1(self, tmp_path, capsys, command):
+        # finite samples near 1e150 have a finite arc length, but their
+        # positions overflow between samples: the operator cache refuses
+        # them as solve's audit does, before the mirror test's SVD
+        t = np.linspace(-10.0, 10.0, 41)
+        samples = np.column_stack([t, 1e150 * t, 1e150 * np.sin(t), 0.0 * t])
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"family": "sampled", "samples": samples.tolist()}))
+        with np.errstate(all="ignore"):
+            code = run_cli(command, "--curve", str(path), "-N", "64",
+                           "-o", str(tmp_path / "out.json"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "geometry error" in captured.err
         assert "Traceback" not in captured.err + captured.out
         assert not (tmp_path / "out.json").exists()
 

@@ -275,10 +275,12 @@ class TestErrorPaths:
     def test_bracket_failure(self, bump, monkeypatch):
         config = SolveConfig(alpha=0.0, grid=GridSpec(8.0, 64), m_branches=1)
         monkeypatch.setattr(solver, "BRACKET_MAX_FACTOR", 4.0)
-        # the bracket start is solved; every value of the branch's block is inf
-        solve, inf = _BranchEvaluator.solve, Eigen(np.array([math.inf]), [None], "dense", None)
-        monkeypatch.setattr(_BranchEvaluator, "solve", lambda self, kappa, block=None:
-                            solve(self, kappa) if block is None else inf)
+        # the search start is solved; every value of the branch's block is
+        # inf, so Newton gives no step and the bracket grows to its limit
+        eigenpair = _BranchEvaluator.eigenpair
+        inf = Eigen(np.array([math.inf]), ["even"], "dense", (np.full((32, 1), 32 ** -0.5),))
+        monkeypatch.setattr(_BranchEvaluator, "eigenpair", lambda self, kappa, block=None:
+                            eigenpair(self, kappa) if block is None else (inf, None))
         # ground_only: with one tracked branch the -m cap check, which runs
         # before any search, would refuse the solve first
         with pytest.raises(BracketFailureError):

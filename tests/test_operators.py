@@ -20,6 +20,7 @@ from leakywire.operators import (
     s_kappa,
     schur_holmgren_norm,
     t_multiplier,
+    unfold as unfold_vectors,
     zeta0,
 )
 from leakywire.spectral import top_eigen
@@ -462,3 +463,42 @@ class TestOperatorCache:
         with pytest.raises(SingularGeometryError,
                            match=r"pair index \(2, 15\).*chord-arc condition"):
             OperatorCache(_Hairpin(0.5), g)
+
+
+class TestHellmannFeynmanSlope:
+    # OperatorCache.slope(kappa, y, block) is <y, dQ_b/dkappa y>: for an
+    # eigenvector y of block b it is the kappa-derivative of its eigenvalue
+
+    @pytest.mark.parametrize("kap", [0.3, 1.3, 4.0])
+    def test_straight_line_slope_is_the_free_lines(self, straight, kap):
+        # s_kappa = (psi(1) - ln(kappa / 2)) / (2 pi) falls by 1/(2 pi kappa)
+        cache = OperatorCache(straight, GridSpec(16.0, 256))
+        rec = top_eigen(cache.q_matrix(kap), 1, vectors=True)
+        block, k = rec.branch(0)
+        slope = cache.slope(kap, rec.vectors[block][:, k], block)
+        assert slope == pytest.approx(-1.0 / (TWO_PI * kap), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("case", ["split_bump", "off_centre_wire"])
+    def test_matches_a_central_difference_of_the_reference(self, case, off_centre_wire):
+        # both parity blocks of a bump, and the one block of a wire that
+        # does not split, against assemble_T + Delta * bending_kernel_matrix
+        if case == "split_bump":
+            curve, g = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0), GridSpec(24.0, 256)
+        else:
+            curve, g = off_centre_wire, GridSpec(10.0, 256)
+        cache = OperatorCache(curve, g)
+        assert cache.parity == (case == "split_bump")
+        kap = 1.3
+        h = 1e-5 * kap
+        reference = lambda k: assemble_T(g, k) + g.delta * bending_kernel_matrix(curve, g, k)
+        dq = (reference(kap + h) - reference(kap - h)) / (2.0 * h)
+        rec = top_eigen(cache.q_matrix(kap), 4, vectors=True)
+        blocks = set()
+        for j in range(4):
+            block, k = rec.branch(j)
+            y = rec.vectors[block][:, k]
+            x = unfold_vectors(y, block) if cache.parity else y
+            assert cache.slope(kap, y, block) == pytest.approx(x @ dq @ x, rel=1e-8, abs=0.0)
+            blocks.add(block)
+        assert blocks == ({0, 1} if cache.parity else {0})
+

@@ -145,7 +145,7 @@ class TestBumpBinding:
         states = find_bound_states(curve, SolveConfig(alpha=0.0, grid=GridSpec(24.0, 512),
                                                       m_branches=6))
         by_branch = sorted(states, key=lambda s: s.branch)
-        assert [s.diagnostics["evaluations"] for s in by_branch] == [8, 14, 20, 35, 27]
+        assert [s.diagnostics["evaluations"] for s in by_branch] == [6, 9, 11, 17, 14]
         assert [s.diagnostics["parity"] for s in by_branch] == [
             "even", "even", "even", "odd", "even"]
         for s in states:
@@ -443,10 +443,11 @@ class TestTheoremOnRandomWires:
             assert np.array_equal(lambdas, lambdas2)
 
 
-def _closed_form_evaluator(monkeypatch, lam):
-    """A one-branch _BranchEvaluator whose Q is the one-block stack [[[lam(kappa)]]]:
-    the real memo and eigensolve over a known lambda(kappa).  Returns it with
-    the list of kappas Q was built at."""
+def _closed_form_evaluator(monkeypatch, lam, dlam):
+    """A one-branch _BranchEvaluator whose Q is the one-block stack
+    [[[lam(kappa)]]], with the slope dlam(kappa): the real memo and
+    eigensolve over a known lambda(kappa).  Returns it with the list of
+    kappas Q was built at."""
     built = []
 
     class ClosedForm:
@@ -459,6 +460,9 @@ def _closed_form_evaluator(monkeypatch, lam):
             built.append(kappa)
             return np.array([[[lam(kappa)]]])
 
+        def slope(self, kappa, y, block=0):
+            return dlam(kappa)
+
     monkeypatch.setattr(spectral_mod, "OperatorCache", ClosedForm)
     return spectral_mod._BranchEvaluator(None, GridSpec(8.0, 64), 1), built
 
@@ -470,36 +474,40 @@ class TestLogKappaRootSearch:
 
     def _solve(self, ev):
         config = SolveConfig(alpha=self.alpha, grid=GridSpec(8.0, 64), tol_kappa_rel=1e-12)
-        return solver_mod._solve_branch(ev, ev.solve(self.k_start), 0, self.alpha,
+        start, _ = ev.eigenpair(self.k_start)
+        ev.count(self.k_start, None, start)
+        return solver_mod._solve_branch(ev, start, 0, self.alpha,
                                         self.k_start, self.k0, zeta0(self.alpha), config)
 
-    def test_shallow_branch_grows_the_bracket(self, monkeypatch):
-        # a tenth of the free-line slope: the predicted upper end falls short
+    def test_branch_linear_in_log_kappa_converges_in_one_step(self, monkeypatch):
+        # a tenth of the free-line slope, so the free line's step would fall
+        # short; the Newton step from the start lands on the root, which its
+        # own correction certifies: one Q build after the start
         lift = 0.05
         lam = lambda k: self.alpha + lift - 0.1 * math.log(k / self.k_start) / (2 * math.pi)
-        ev, built = _closed_form_evaluator(monkeypatch, lam)
+        ev, built = _closed_form_evaluator(monkeypatch, lam, lambda k: -0.1 / (2 * math.pi * k))
         st = self._solve(ev)
         root = self.k_start * math.exp(20 * math.pi * lift)
-        assert st.kappa_tilde == pytest.approx(root, rel=1e-11, abs=0.0)
-        assert built[1] == pytest.approx(self.k_start * math.exp(2 * math.pi * lift),
-                                         rel=1e-15)
+        assert st.kappa_tilde == pytest.approx(root, rel=1e-13, abs=0.0)
+        assert built == [self.k_start, st.kappa_tilde]
+        assert st.diagnostics["evaluations"] == st.diagnostics["iterations"] == 1
+        assert abs(st.diagnostics["correction"]) <= 1e-12
         lo, hi = st.diagnostics["bracket"]
-        assert self.k_start < lo < root < hi
-        assert lam(lo) > self.alpha > lam(hi)
-        # values come from the memo; only the root's eigenvector solve rebuilds
-        assert len(set(built[:-1])) == len(built) - 1 == st.diagnostics["evaluations"]
-        assert built[-1] == st.kappa_tilde
+        assert lo == self.k_start < root < hi
 
     def test_no_crossing_raises(self, monkeypatch):
-        ev, built = _closed_form_evaluator(monkeypatch, lambda k: self.alpha + 1.0)
+        # a flat branch gives Newton no step: the bracket grows to its limit
+        ev, built = _closed_form_evaluator(monkeypatch, lambda k: self.alpha + 1.0,
+                                           lambda k: 0.0)
         with pytest.raises(BracketFailureError):
             self._solve(ev)
         assert max(built) == solver_mod.BRACKET_MAX_FACTOR * self.k0
         assert len(built) == len(set(built))
 
-    def test_no_kappa_evaluated_twice(self, monkeypatch):
-        # every Q build is at a new kappa except the eigenvector solve at each
-        # root, also when several branches share the evaluator's memo
+    def test_no_kappa_built_twice_root_included(self, monkeypatch):
+        # every Q build is at a new kappa, the root's included, also when
+        # several branches share the evaluator's memo; each is an evaluation
+        # or a root
         built = []
         q_matrix = spectral_mod.OperatorCache.q_matrix
 
@@ -511,10 +519,10 @@ class TestLogKappaRootSearch:
         curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
         states = find_bound_states(curve, SolveConfig(alpha=0.0, grid=GridSpec(24.0, 512),
                                                       m_branches=6))
-        roots = [s.kappa_tilde for s in states]
-        assert len(roots) == 5
-        assert Counter(built) - Counter(set(built)) == Counter(roots)
-        assert max(s.diagnostics["evaluations"] for s in states) == len(set(built))
+        assert len(states) == 5
+        assert len(built) == len(set(built))
+        assert set(s.kappa_tilde for s in states) <= set(built)
+        assert max(s.diagnostics["evaluations"] for s in states) + 5 == len(built)
 
     @pytest.mark.parametrize("alpha", [3.0, 8.0])
     def test_large_alpha_bracket_stays_above_the_start(self, alpha):
@@ -528,8 +536,8 @@ class TestLogKappaRootSearch:
         lo, hi = st.diagnostics["bracket"]
         assert k_start <= lo < st.kappa_tilde < hi
         assert not st.threshold_uncertain
-        # the doubling bracket from k_start took 8 evaluations
-        assert st.diagnostics["evaluations"] <= 6
+        # the doubling bracket from k_start took 8 evaluations, Brent 6
+        assert st.diagnostics["evaluations"] <= 2
 
     def test_anchor_ground_state_is_exactly_even(self):
         _, states = bump_solution(24.0, 1024)
@@ -537,12 +545,14 @@ class TestLogKappaRootSearch:
         assert st.diagnostics["parity"] == "even"
         assert np.array_equal(st.h, st.h[::-1])
 
-    def test_anchor_takes_at_most_five_evaluations(self):
+    def test_anchor_takes_at_most_two_evaluations(self):
+        # the start and one Newton point; the next point is the root
         _, states = bump_solution(24.0, 1024)
         (st,) = states
-        assert st.diagnostics["evaluations"] <= 5
+        assert st.diagnostics["evaluations"] <= 2
         lo, hi = st.diagnostics["bracket"]
         assert lo < st.kappa_tilde < hi
+        assert abs(st.diagnostics["correction"]) <= 1e-10
         assert st.diagnostics["eigensolver"] == "dense"
 
     @pytest.mark.parametrize("case", ["anchor", "bump_a3_w2", "sampled_scan"])
@@ -609,8 +619,8 @@ class TestBlockSearch:
 
     @pytest.mark.parametrize("path", ["dense", "lanczos"])
     def test_each_root_solves_one_block(self, monkeypatch, path):
-        # the eigenvectors of a root come from its branch's N/2 x N/2 block
-        # alone
+        # after the search start, every Newton point and every root solves
+        # its branch's N/2 x N/2 block alone, with vectors
         if path == "lanczos":
             monkeypatch.setattr(spectral_mod, "DENSE_EIGEN_LIMIT", 100)
             monkeypatch.setattr(spectral_mod, "DENSE_TOP1_LIMIT", 100)
@@ -633,17 +643,18 @@ class TestBlockSearch:
                                                       m_branches=6))
         assert len(states) == 5
         assert {s.diagnostics["eigensolver"] for s in states} == {path}
-        # Lanczos on both blocks at the bracket start reads the parity of
-        # each value from its Ritz vector
-        start = [(512, 512)] if path == "lanczos" else []
-        assert shapes == start + [(256, 256)] * 5
+        # the start solves both blocks in one batched call or one Lanczos
+        # run, which reads the parity of each value from its Ritz vector
+        start = [(512, 512)] if path == "lanczos" else [(2, 256, 256)]
+        points = max(s.diagnostics["evaluations"] for s in states) - 1 + len(states)
+        assert shapes == start + [(256, 256)] * points
 
     def test_asymmetric_wire_takes_the_merged_path(self, off_centre_wire):
         config = SolveConfig(alpha=0.0, grid=GridSpec(10.0, 128), m_branches=3)
         (st,) = find_bound_states(off_centre_wire, config)
-        assert st.diagnostics["evaluations"] == 5
+        assert st.diagnostics["evaluations"] == 2
         assert st.diagnostics["block_evaluations"] == 0
-        assert st.energy == -1.274518578458271
+        assert st.energy == -1.2745185784582727
 
     def test_ground_only_runs_lanczos_on_one_block(self, bump, monkeypatch):
         grid = GridSpec(16.0, 512)
