@@ -39,7 +39,7 @@ from .curve import (
     check_curvature_decay,
     curve_from_dict,
 )
-from .eigenfield import bc_residual, trace_to_dict
+from .eigenfield import WINDOW_NODES, bc_residual, check_radii_span, trace_to_dict
 from .errors import (
     BuildSizeError,
     ConfigError,
@@ -80,6 +80,13 @@ _BYTES_PER_TRACE = 80
 #: payload's JSON: 1725 and 1718 at 8 and 64 directions (tracemalloc, growth
 #: of the peak from 1000 to 4000 radii at N = 32 for 8, 500 to 2000 for 64)
 _BYTES_PER_RADIUS = 1800
+#: the fixed work of a bc-verify trace radius at one foot point, in kernel
+#: evaluations: a radius takes about 54 ns per evaluation plus 0.3 ms (least
+#: squares over N = 64 .. 2400, 8 and 64 directions, bump and sampled wires,
+#: 2 vCPU); more than MAX_TRACE_KERNELS, about a minute, is refused
+_TRACE_KERNELS_PER_RADIUS = 6000
+MAX_TRACE_KERNELS = 10 ** 9
+_FOOT_POINTS = np.linspace(-2.0, 2.0, 5)   # of the bc-verify traces
 
 #: inline family -> its planar profile (a key of curve.PROFILES) and defaults
 _INLINE = {"bump": ("gaussian", {"a": 1.0, "w": 1.0}),
@@ -122,7 +129,7 @@ def load_curve(source: str, domain_hint: float = 48.0) -> Curve:
     return curve_from_dict(spec)
 
 
-def _nonfinite_key(obj, key):
+def _nonfinite_path(obj, key):
     """The key path of the first non-finite float in a JSON-able ``obj``, or None."""
     if isinstance(obj, float):
         return None if math.isfinite(obj) else key
@@ -132,7 +139,7 @@ def _nonfinite_key(obj, key):
         items = ((f"{key}[{i}]", v) for i, v in enumerate(obj))
     else:
         return None
-    return next(filter(None, (_nonfinite_key(v, k) for k, v in items)), None)
+    return next(filter(None, (_nonfinite_path(v, k) for k, v in items)), None)
 
 
 def _json_text(obj, name: str, **kwargs) -> str:
@@ -142,7 +149,7 @@ def _json_text(obj, name: str, **kwargs) -> str:
         return json.dumps(obj, allow_nan=False, **kwargs)
     except ValueError:
         raise NumericalFailureError(
-            f"{_nonfinite_key(obj, name) or name} is not finite and cannot be written as JSON"
+            f"{_nonfinite_path(obj, name) or name} is not finite and cannot be written as JSON"
         ) from None
 
 
@@ -208,6 +215,17 @@ def _refuse_oversized(what: str, rows: int, cols: int,
     if gib > MAX_BUILD_BYTES / 2 ** 30:
         raise ConfigError(f"{what} needs {rows} x {cols} arrays of about {gib:.3g} GiB, "
                           f"above the {MAX_BUILD_BYTES / 2 ** 30:.3g} GiB limit")
+
+
+def _refuse_long_trace(radii: int, angles: int, n: int) -> None:
+    """ConfigError, before the search, above MAX_TRACE_KERNELS kernel
+    evaluations in the bc-verify traces."""
+    per_radius = angles * (n + WINDOW_NODES) + _TRACE_KERNELS_PER_RADIUS
+    work = radii * len(_FOOT_POINTS) * per_radius
+    if work > MAX_TRACE_KERNELS:
+        raise ConfigError(f"--radii count {radii} at --angles {angles} and -N {n} needs about "
+                          f"{work:.3g} kernel evaluations ({len(_FOOT_POINTS)} foot points x "
+                          f"{per_radius} per radius), above the {MAX_TRACE_KERNELS:.3g} limit")
 
 
 def _check_alpha(alpha: float) -> None:
@@ -333,13 +351,15 @@ def _cmd_bc_verify(args) -> int:
     if args.angles < 4:
         raise ConfigError(f"--angles must be at least 4, got {args.angles}")
     _refuse_oversized(f"--angles {args.angles}", args.angles, config.grid.N, _BYTES_PER_TRACE)
+    _refuse_long_trace(radii.size, args.angles, config.grid.N)
+    check_radii_span(radii)
     st = ground_state(curve, config)
     if st is None:
         _emit(args, {"alpha": args.alpha, "states": [],
                      "note": "no accepted bound state; nothing to verify"})
         return EXIT_DOMAIN
     residual, fits = bc_residual(curve, config.grid, st.kappa_tilde, st.h, args.alpha,
-                                 np.linspace(-2.0, 2.0, 5), radii, args.angles)
+                                 _FOOT_POINTS, radii, args.angles)
     payload = {
         "alpha": float(args.alpha),
         "kappa": st.kappa_tilde,

@@ -36,7 +36,8 @@ from .curve import Curve, _CubicHermite, eval_frame, eval_point
 from .errors import FitError, GeometryError
 from .operators import GridSpec
 
-_GLV_NODES, _GLV_WEIGHTS = leggauss(96)
+WINDOW_NODES = 96   # Gauss nodes of the window rule
+_GLV_NODES, _GLV_WEIGHTS = leggauss(WINDOW_NODES)
 #: grid cells on each side of the foot point integrated by the window rule
 WINDOW_CELLS = 6
 
@@ -135,13 +136,19 @@ def extract_xi_omega(values, radii):
         raise GeometryError("values and radii must be matching 1D arrays")
     if radii.size < 2:
         raise FitError("need at least two radii")
-    span = float(radii.max() / radii.min())
-    if span < 3.0:
-        raise FitError(f"radii span a factor {span:.2f} < 3; fit is ill-conditioned")
+    check_radii_span(radii)
     design = np.column_stack([-np.log(radii), np.ones_like(radii)])
     coef, *_ = np.linalg.lstsq(design, values, rcond=None)
     resid = float(np.sqrt(np.mean((design @ coef - values) ** 2)))
     return float(coef[0]), float(coef[1]), resid
+
+
+def check_radii_span(radii) -> None:
+    """FitError unless the largest radius is at least 3 times the smallest:
+    over a narrower span the log fit is ill-conditioned."""
+    span = float(np.max(radii) / np.min(radii))
+    if span < 3.0:
+        raise FitError(f"radii span a factor {span:.2f} < 3; fit is ill-conditioned")
 
 
 def default_radii(n: int = 8, r_min: float = 1e-3, r_max: float = 1e-2) -> np.ndarray:

@@ -25,16 +25,17 @@ start a bump's ground state takes one Newton point and then its root.  The
 curvature of the branch, from the slopes of the last two points, predicts
 the error of the next Newton point; once that is below tol/10 the point is
 solved as the root, and its own Newton correction, at most
-``tol_kappa_rel`` (a step in u is a relative step in kappa), certifies it.  A point that fails the certificate is
-counted as an evaluation, like every other point, and the iteration goes
-on.  Safeguards keep each point inside [kappa_lo, kappa_hi], the largest
-point seen above alpha and the smallest below it: a Newton point outside
-is replaced by bisection, or, while no point lies below alpha, by a step of
-the free line's distance to alpha that grows by BRACKET_GROWTH, up to
-BRACKET_MAX_FACTOR * kappa0.  So each root costs the start, shared by all
-branches, its Newton points and one root solve, and no kappa is built twice.
-A scan's crossings are refined by Brent's method (``_brentq``) on values
-alone, since a scan's values come from Ritz steps, about as cheap as a slope.
+``tol_kappa_rel`` (a step in u is a relative step in kappa), certifies
+it.  A point that fails the certificate is counted as an evaluation, like
+every other point, and the iteration goes on.  Safeguards keep each point
+inside [kappa_lo, kappa_hi], the largest point seen above alpha and the
+smallest below it: a Newton point outside is replaced by bisection, or,
+while no point lies below alpha, by a step of the free line's distance to
+alpha that grows by BRACKET_GROWTH, up to BRACKET_MAX_FACTOR * kappa0.
+So each root costs the start, shared by all branches, its Newton points
+and one root solve, and no kappa is built twice.  A scan's crossings are
+refined by Brent's method (``_brentq``) on values alone, since a scan's
+values come from Ritz steps, about as cheap as a slope.
 
 On a mirror-symmetric wire Q splits into an even and an odd block, and each
 branch lives in one of them: branch j of the search-start record, the k-th
@@ -175,7 +176,7 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
     states = []
     with _BranchEvaluator(curve, config.grid, m) as ev:
         start, _ = ev.eigenpair(k_start)
-        ev.count(k_start, None, start)
+        ev.count(start)
         lam_last = start.values[-1]
         if not ground_only and (lam_last > alpha or lam_last - s_start > lift_floor):
             raise ConfigError(
@@ -267,18 +268,20 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
         f"Brent's method did not converge in {maxiter} iterations (last x = {xcur!r})")
 
 
-def _root_in_log_kappa(f, k_lo, k_hi, tol):
+def _root_in_log_kappa(f, k_lo, k_hi, f_lo, f_hi, tol):
     """Brent's root of f(kappa) = 0 on [k_lo, k_hi], searched in
-    u = ln kappa to the relative kappa tolerance ``tol``.
+    u = ln kappa to the relative kappa tolerance ``tol``, given f's values
+    f_lo and f_hi at the two ends.
 
-    Returns (kappa~, the number of Brent iterations).  The ends map back to
-    the exact kappa floats given, so their values come from the evaluator's
-    memo.
+    Returns (kappa~, the number of Brent iterations).  f is never called at
+    an end: Brent reads f_lo and f_hi there, and a root at an end maps back
+    to that end's exact kappa float.
     """
-    ends = {math.log(k_lo): k_lo, math.log(k_hi): k_hi}
-    kappa = lambda u: ends.get(u, math.exp(u))
+    ends = {math.log(k_lo): (k_lo, f_lo), math.log(k_hi): (k_hi, f_hi)}
+    kappa = lambda u: ends[u][0] if u in ends else math.exp(u)
+    value = lambda u: ends[u][1] if u in ends else f(math.exp(u))
     eps = np.finfo(float).eps
-    u, iterations = _brentq(lambda u: f(kappa(u)), math.log(k_lo), math.log(k_hi),
+    u, iterations = _brentq(value, math.log(k_lo), math.log(k_hi),
                             xtol=max(tol, 4 * eps), rtol=4 * eps)
     return kappa(u), iterations
 
@@ -332,7 +335,7 @@ def _solve_branch(ev, start, j, alpha, k_start, k0, z0, config) -> BoundState:
         kappa, f, g = k_next, f_next, g_next
         if candidate and g < 0 and abs(f / g) <= tol:
             break
-        ev.count(kappa, block, root)
+        ev.count(root)
         if f < 0:
             k_hi = kappa
         elif kappa < k_max:
@@ -364,7 +367,6 @@ def _solve_branch(ev, start, j, alpha, k_start, k0, z0, config) -> BoundState:
                      "iterations": iterations,
                      "correction": -f / g,
                      "evaluations": int(ev.evaluations),
-                     "block_evaluations": int(ev.block_evaluations),
                      "eigensolver": root.path,
                      "parity": root.parity[k]},
     )
@@ -389,10 +391,10 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
       solved for values only at every later sample, as ``lambda_curve``
       solves it.
     - The Brent points of sample interval i, of every branch crossing
-      there.  Their seed starts at sample i's vectors and takes the vectors
-      of each point solved; a bracket end read from the memo leaves it as
-      it is.  A block with no seed vectors, or whose step fails, is solved
-      in full with vectors.
+      there; Brent reads its two bracket ends' values from samples i and
+      i + 1.  Their seed starts at sample i's vectors and takes the vectors
+      of each point solved.  A block with no seed vectors, or whose step
+      fails, is solved in full with vectors.
 
     Interval i is refined as soon as sample i + 1 is solved, so the walk
     keeps the vectors of two samples at a time.  The curve's
@@ -418,7 +420,7 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
         def brent_value(kappa, j):
             nonlocal seed
             rec = ev.solve(kappa, seed=seed, vectors=True)
-            seed = rec.vectors or seed   # a memoized record has no vectors
+            seed = rec.vectors
             return rec.values[j] - alpha
 
         right = ev.solve(kappas[0], vectors=True)
@@ -434,8 +436,8 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
                     crossings.append(Crossing(branch=j, kappa=float(kappa)))
                 elif i + 1 < len(kappas) and f_left * (right.values[j] - alpha) < 0:
                     kc, _ = _root_in_log_kappa(
-                        lambda k: brent_value(k, j),
-                        kappas[i], kappas[i + 1], config.tol_kappa_rel)
+                        lambda k: brent_value(k, j), kappas[i], kappas[i + 1],
+                        f_left, right.values[j] - alpha, config.tol_kappa_rel)
                     crossings.append(Crossing(branch=j, kappa=float(kc)))
         diagnostics = {name: getattr(ev, name) for name in (
             "evaluations", "dense_solves", "ritz_steps", "ritz_fallbacks", "ritz_blocks",

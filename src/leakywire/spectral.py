@@ -63,11 +63,11 @@ under a residual-gap certificate (block Rayleigh-Ritz bounds, Knyazev,
 SIAM J. Sci. Comput. 23 (2001)).  The certificate is checked from 3
 blocks on, and while it fails the step adds one more block, up to
 RITZ_DEPTH = 8 blocks and fewer than n columns; a block that still fails
-is solved in full, as with no seed.  Every evaluation, seeded or not,
-goes through the one memoized ``_BranchEvaluator.solve``, which hands each
-caller its record's vectors and keeps none.  A scan walks two chains of
-such steps, one through its samples and one through the Brent points of
-each sample interval (see ``solver.spectrum_scan``).  Measured at m = 8,
+is solved in full, as with no seed.  Every seeded evaluation goes through
+``_BranchEvaluator.solve``, which hands each caller its record's vectors
+and keeps none.  A scan walks two chains of such steps, one through its
+samples and one through the Brent points of each sample interval (see
+``solver.spectrum_scan``).  Measured at m = 8,
 kappa 1.3 to 1.313 (same machine, min of 9; the seed solve is the full
 solve with p vectors, and a step includes its certificates):
 
@@ -169,17 +169,6 @@ class SpectralCurve:
     lambdas: np.ndarray         # shape (nk, m), each row descending
     s_k_values: np.ndarray      # s_kappa at each sample
     diagnostics: dict = field(default_factory=dict)   # how a scan solved it
-
-    @classmethod
-    def sample(cls, kappa_list, values) -> "SpectralCurve":
-        """The curve of ``values(kappa)`` (top eigenvalues, descending) over
-        a finite, positive, strictly ascending kappa list."""
-        kappas = np.asarray(kappa_list, dtype=float)
-        if kappas.ndim != 1 or kappas.size == 0:
-            raise GeometryError("kappa_list must be a non-empty 1D sequence")
-        if not np.all(np.isfinite(kappas) & (kappas > 0)) or np.any(np.diff(kappas) <= 0):
-            raise GeometryError("kappa_list must be finite, positive and strictly ascending")
-        return cls(kappas, np.array([values(k) for k in kappas]), np.asarray(s_kappa(kappas)))
 
     def csv_text(self) -> str:
         """CSV with LF line endings.  Columns: kappa, s_kappa, lambda_1 .. lambda_m."""
@@ -411,33 +400,29 @@ def top_eigen(blocks: np.ndarray, m: int, vectors: bool = False, seed=None) -> E
 
 class _BranchEvaluator:
     """lambda_j(kappa): the top-m values of the stack Q_kappa, or of one of
-    its blocks, from ``OperatorCache.q_matrix`` and ``top_eigen``, counted
-    and memoized per (kappa, block).
+    its blocks, from ``OperatorCache.q_matrix`` and ``top_eigen``, counted.
+    Nothing is kept between calls: every evaluation builds its Q.
 
-    ``solve(kappa, block=None, seed=None, vectors=False)`` is the one
-    memoized evaluation.  Block None solves every block of the stack.  A
-    root search follows one branch, which lives in one block, so it names
-    that block: on a split cache the N/2 x N/2 block is solved alone, half
-    the eigensolve, at the batched call's subset size min(m, n), so a dense
+    ``solve(kappa, seed=None, vectors=False)`` solves every block of the
+    stack and counts the record as an evaluation.  ``seed`` and ``vectors``
+    are ``top_eigen``'s, except that ``vectors=True`` asks for seed
+    vectors, p = min(m, n) + RITZ_EXTRA per block, with or without a seed;
+    the caller keeps the seeds.
+
+    A root search solves with ``eigenpair(kappa, block=None)``: one solve
+    with the k = min(m, n) vectors of its values, which give the
+    Hellmann-Feynman slope (``OperatorCache.slope``).  A root search
+    follows one branch, which lives in one block, so it names that block:
+    on a split cache the N/2 x N/2 block is solved alone, half the
+    eigensolve, at the batched call's subset size min(m, n), so a dense
     block solve gives the stack's values bit for bit; block 0 of a cache
-    that does not split is the whole stack.  A block of a kappa already
-    solved whole is read from that record, not built again.  ``seed`` and
-    ``vectors`` are ``top_eigen``'s, except that ``vectors=True`` asks for
-    seed vectors, p = min(m, n) + RITZ_EXTRA per block, with or without a
-    seed; the caller keeps the seeds.  A memo hit returns the record without
-    its vectors.
-
-    A root search solves with ``eigenpair(kappa, block=None)``: one fresh
-    solve with the k = min(m, n) vectors of its values, which give the
-    Hellmann-Feynman slope (``OperatorCache.slope``).  It is neither
-    counted nor memoized until the search calls ``count``: the search start
-    and every Newton point that is not the root are counted as
-    evaluations, the root is not, so Q is built once per evaluation plus
-    once per root.
+    that does not split is the whole stack.  It is not counted until the
+    search calls ``count``: the search start and every Newton point that is
+    not the root are counted as evaluations, the root is not, so Q is built
+    once per evaluation plus once per root.
 
     The counters say how each counted solve went: ``evaluations`` counts
-    them, ``block_evaluations`` those that solved one split block,
-    ``dense_solves`` those that solved some block in full (dense or
+    them, ``dense_solves`` those that solved some block in full (dense or
     Lanczos), ``ritz_steps`` counts blocks that took a Ritz step,
     ``ritz_fallbacks`` blocks that had seed vectors but were solved in full,
     ``ritz_blocks`` the p-column products of every step, accepted or not,
@@ -453,9 +438,7 @@ class _BranchEvaluator:
     def __init__(self, curve: Curve, grid: GridSpec, m: int):
         self.cache = OperatorCache(curve, grid)
         self.m = m
-        self._memo = {}
         self.evaluations = 0
-        self.block_evaluations = 0
         self.dense_solves = 0
         self.ritz_steps = 0
         self.ritz_fallbacks = 0
@@ -468,33 +451,17 @@ class _BranchEvaluator:
     def __exit__(self, *exc):
         self.cache = None
 
-    def solve(self, kappa: float, block=None, seed=None, vectors: bool = False) -> Eigen:
-        """The record of the stack at kappa (block None), or of its block
-        ``block`` (0 even or 1 odd on a split cache), solved once."""
-        key = self._key(kappa, block)
-        if key in self._memo:
-            return self._memo[key]
-        whole = self._memo.get((key[0], None))
-        if whole is not None:
-            label = PARITIES[block]
-            mine = [p == label for p in whole.parity]
-            self._memo[key] = Eigen(whole.values[mine], [label] * sum(mine), whole.path, None)
-            return self._memo[key]
-        q, m = self.cache.q_matrix(key[0]), self.m
-        if key[1] is not None:
-            q, m = q[block:block + 1], min(m, q.shape[1])
+    def solve(self, kappa: float, seed=None, vectors: bool = False) -> Eigen:
+        """The record of the stack at kappa, counted as an evaluation."""
+        q = self.cache.q_matrix(float(kappa))
         if vectors and seed is None:
             seed = (None,) * len(q)
-        rec = top_eigen(q, m, vectors, seed)
-        if key[1] is not None:
-            rec = rec._replace(parity=[PARITIES[block]] * len(rec.values))
-        self.count(kappa, block, rec, seed)
+        rec = top_eigen(q, self.m, vectors, seed)
+        self.count(rec, seed)
         return rec
 
-    def count(self, kappa: float, block, rec: Eigen, seed=None) -> None:
-        """Count ``rec``, solved at kappa for ``block`` with ``seed``, as an
-        evaluation and memoize it without its vectors."""
-        key = self._key(kappa, block)
+    def count(self, rec: Eigen, seed=None) -> None:
+        """Count ``rec``, solved with ``seed``, as an evaluation."""
         stepped = [b for b in rec.bounds if b is not None]
         if stepped:
             self.ritz_worst_bound = max(stepped + [self.ritz_worst_bound or 0.0])
@@ -504,20 +471,14 @@ class _BranchEvaluator:
         self.ritz_blocks += rec.ritz_blocks
         self.dense_solves += rec.path != "ritz"
         self.evaluations += 1
-        self.block_evaluations += key[1] is not None
-        self._memo[key] = rec._replace(vectors=None)
-
-    def _key(self, kappa: float, block):
-        return float(kappa), block if self.cache.parity else None
 
     def eigenpair(self, kappa: float, block=None):
-        """(record, h): a fresh record at kappa with the vectors of its
-        values, k = min(m, n) per block, neither counted nor memoized
-        (``count`` makes it an evaluation).  Block None solves the whole
-        stack, and h is None.  Block ``block`` solves that block alone, and
-        h holds the (N, k) eigenvectors of Q its vectors give: the one
-        block's as they are, and on a split cache each block vector
-        unfolded (``unfold``)."""
+        """(record, h): a record at kappa with the vectors of its values,
+        k = min(m, n) per block, not counted until ``count``.  Block None
+        solves the whole stack, and h is None.  Block ``block`` solves that
+        block alone, and h holds the (N, k) eigenvectors of Q its vectors
+        give: the one block's as they are, and on a split cache each block
+        vector unfolded (``unfold``)."""
         q = self.cache.q_matrix(float(kappa))
         if block is None:
             return top_eigen(q, self.m, vectors=True), None
@@ -529,6 +490,13 @@ class _BranchEvaluator:
 
 
 def lambda_curve(curve: Curve, grid: GridSpec, kappa_list, m: int = 8) -> SpectralCurve:
-    """Top-m eigenvalue curves lambda_j(kappa) over an ascending kappa list."""
+    """Top-m eigenvalue curves lambda_j(kappa) over a finite, positive,
+    strictly ascending kappa list, checked before anything is built."""
+    kappas = np.asarray(kappa_list, dtype=float)
+    if kappas.ndim != 1 or kappas.size == 0:
+        raise GeometryError("kappa_list must be a non-empty 1D sequence")
+    if not np.all(np.isfinite(kappas) & (kappas > 0)) or np.any(np.diff(kappas) <= 0):
+        raise GeometryError("kappa_list must be finite, positive and strictly ascending")
     with _BranchEvaluator(curve, grid, m) as ev:
-        return SpectralCurve.sample(kappa_list, lambda k: ev.solve(k).values)
+        lambdas = np.array([ev.solve(k).values for k in kappas])
+    return SpectralCurve(kappas, lambdas, np.asarray(s_kappa(kappas)))

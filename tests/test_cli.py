@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -109,10 +110,10 @@ class TestSolveCommand:
         assert len(meta["states"]) == len(states) > 1
         for state, diag in zip(states, meta["states"]):
             assert set(diag) == {"bracket", "iterations", "correction", "evaluations",
-                                 "block_evaluations", "eigensolver", "parity"}
+                                 "eigensolver", "parity"}
             assert diag["bracket"][0] < state["kappa"] < diag["bracket"][1]
             assert abs(diag["correction"]) <= 1e-10
-            assert 0 < diag["block_evaluations"] < diag["evaluations"]
+            assert diag["evaluations"] > 1
         assert "evaluations" not in out.read_text()
 
     def test_malformed_json_exits_3(self, tmp_path, capsys):
@@ -290,10 +291,10 @@ class TestScanCommand:
         steps, before = [], []
         ritz_step, solve = spectral_mod._ritz_step, spectral_mod._BranchEvaluator.solve
 
-        def logged_solve(ev, kappa, block=None, seed=None, vectors=False):
+        def logged_solve(ev, kappa, seed=None, vectors=False):
             if seed is None or not vectors:   # a sample: the first, or a later one
                 before.append(len(steps))
-            return solve(ev, kappa, block, seed, vectors)
+            return solve(ev, kappa, seed, vectors)
 
         monkeypatch.setattr(spectral_mod, "_ritz_step",
                             lambda *args: steps.append(1) or ritz_step(*args))
@@ -625,6 +626,37 @@ class TestArgumentErrors:
         assert ("configuration error: --radii count 1000000000 needs 1000000000 x 1 arrays "
                 "of about 1.68e+03 GiB, above the 2 GiB limit") in captured.err
         assert "Traceback" not in captured.err + captured.out
+
+    def test_long_trace_exits_3_before_the_search(self, capsys, monkeypatch, tmp_path):
+        # a million radii pass the memory guard (about 1.7 GiB), but their
+        # traces would run for about half an hour: the kernel evaluations are
+        # counted and refused before the search, in well under a second
+        import leakywire.cli as cli_mod
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("ground state searched before the work check")
+
+        monkeypatch.setattr(cli_mod, "ground_state", no_search)
+        out = tmp_path / "bc.json"
+        start = time.perf_counter()
+        code = run_cli("bc-verify", "--curve", "bump:a=1,w=1", "-L", "16", "-N", "256",
+                       "--radii", "0.001:0.01:1000000", "-o", str(out))
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and elapsed < 1.0
+        assert ("configuration error: --radii count 1000000 at --angles 8 and -N 256 needs "
+                "about 4.41e+10 kernel evaluations (5 foot points x 8816 per radius), above "
+                "the 1e+09 limit") in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("radii, angles, n", [(8, 8, 1024), (8, 8, 2400), (4000, 8, 16)],
+                             ids=["defaults", "lanczos_ci", "radii_guard_test"])
+    def test_trace_work_guard_admits_the_documented_runs(self, radii, angles, n):
+        # the CLI defaults, the CI's N = 2400 run and the largest tier-1 run
+        import leakywire.cli as cli_mod
+
+        cli_mod._refuse_long_trace(radii, angles, n)
 
     def test_radii_guard_covers_the_peak_per_radius(self, monkeypatch, tmp_path):
         # the guard's bytes per radius bound the growth with the radii count

@@ -236,8 +236,7 @@ class TestIterativeEigenPath:
         if path == "dense":
             assert not calls
         else:
-            blocks = st.diagnostics["block_evaluations"]
-            assert blocks == st.diagnostics["evaluations"] - 1
+            blocks = st.diagnostics["evaluations"] - 1
             assert calls == [(n, n)] + [(n // 2, n // 2)] * (blocks + 1)
 
 
@@ -255,11 +254,16 @@ class TestCliEdges:
     def test_odd_grid_size_is_config_error(self, capsys):
         assert main(["solve", "--curve", "straight", "-N", "127"]) == 3
 
-    def test_narrow_radii_span_is_numerical_error(self, capsys):
-        # fit over radii spanning < 3x is refused -> exit 2
+    def test_narrow_radii_span_is_numerical_error(self, capsys, monkeypatch):
+        # fit over radii spanning < 3x is refused -> exit 2, before the search
+        import leakywire.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "ground_state",
+                            lambda *args: pytest.fail("ground state searched"))
         code = main(["bc-verify", "--curve", "bump:a=1,w=1", "-L", "16",
                      "-N", "256", "--radii", "1e-3:2e-3:4"])
         assert code == 2
+        assert "radii span a factor 2.00 < 3" in capsys.readouterr().err
 
 
 class TestErrorPaths:

@@ -224,8 +224,8 @@ class TestSpectrumScan:
         assert states[0].kappa_tilde > kappa0(0.0)
 
     def test_no_kappa_built_twice(self, bump, monkeypatch):
-        # Brent's bracket endpoints are scan samples; they must come from the
-        # evaluator's memo, not from a second build of Q
+        # Brent's bracket endpoints are scan samples; their values are the
+        # samples', not a second build of Q
         built = []
         q_matrix = spectral_mod.OperatorCache.q_matrix
 
@@ -352,9 +352,9 @@ class TestSpectrumScan:
         steps, sample_steps, bounds = [], [], []
         ritz_step, solve = spectral_mod._ritz_step, spectral_mod._BranchEvaluator.solve
 
-        def logged_solve(ev, kappa, block=None, seed=None, vectors=False):
+        def logged_solve(ev, kappa, seed=None, vectors=False):
             before = len(steps)
-            rec = solve(ev, kappa, block, seed, vectors)
+            rec = solve(ev, kappa, seed, vectors)
             if seed is None or not vectors:   # a sample: the first, or a later one
                 sample_steps.append(len(steps) - before)
                 bounds.append(rec.bounds[0])
@@ -445,7 +445,7 @@ class TestTheoremOnRandomWires:
 
 def _closed_form_evaluator(monkeypatch, lam, dlam):
     """A one-branch _BranchEvaluator whose Q is the one-block stack
-    [[[lam(kappa)]]], with the slope dlam(kappa): the real memo and
+    [[[lam(kappa)]]], with the slope dlam(kappa): the real evaluator and
     eigensolve over a known lambda(kappa).  Returns it with the list of
     kappas Q was built at."""
     built = []
@@ -475,7 +475,7 @@ class TestLogKappaRootSearch:
     def _solve(self, ev):
         config = SolveConfig(alpha=self.alpha, grid=GridSpec(8.0, 64), tol_kappa_rel=1e-12)
         start, _ = ev.eigenpair(self.k_start)
-        ev.count(self.k_start, None, start)
+        ev.count(start)
         return solver_mod._solve_branch(ev, start, 0, self.alpha,
                                         self.k_start, self.k0, zeta0(self.alpha), config)
 
@@ -506,8 +506,8 @@ class TestLogKappaRootSearch:
 
     def test_no_kappa_built_twice_root_included(self, monkeypatch):
         # every Q build is at a new kappa, the root's included, also when
-        # several branches share the evaluator's memo; each is an evaluation
-        # or a root
+        # several branches share the search start; each is an evaluation or
+        # a root
         built = []
         q_matrix = spectral_mod.OperatorCache.q_matrix
 
@@ -615,7 +615,6 @@ class TestBlockSearch:
             (b, p) for b, p, _ in one_matrix]
         for s, (_, _, energy) in zip(states, one_matrix):
             assert s.energy == pytest.approx(energy, rel=1e-12, abs=0.0)
-            assert s.diagnostics["block_evaluations"] == s.diagnostics["evaluations"] - 1
 
     @pytest.mark.parametrize("path", ["dense", "lanczos"])
     def test_each_root_solves_one_block(self, monkeypatch, path):
@@ -653,7 +652,6 @@ class TestBlockSearch:
         config = SolveConfig(alpha=0.0, grid=GridSpec(10.0, 128), m_branches=3)
         (st,) = find_bound_states(off_centre_wire, config)
         assert st.diagnostics["evaluations"] == 2
-        assert st.diagnostics["block_evaluations"] == 0
         assert st.energy == -1.2745185784582727
 
     def test_ground_only_runs_lanczos_on_one_block(self, bump, monkeypatch):
@@ -670,8 +668,8 @@ class TestBlockSearch:
         monkeypatch.setattr(spectral_mod, "_iterative_top", spy)
         (st,) = find_bound_states(bump, SolveConfig(alpha=0.0, grid=grid), ground_only=True)
         assert st.diagnostics["eigensolver"] == "lanczos"
-        blocks = st.diagnostics["block_evaluations"]
-        assert blocks == st.diagnostics["evaluations"] - 1 > 0
+        blocks = st.diagnostics["evaluations"] - 1
+        assert blocks > 0
         assert shapes == [512] + [256] * (blocks + 1)
         assert st.energy == pytest.approx(dense.energy, rel=1e-9, abs=0.0)
         assert st.branch == dense.branch == 0
@@ -712,8 +710,6 @@ class TestBlockSearch:
         assert counts == {"q": expected, "solve": expected}
         path = "lanczos" if case == "split_lanczos" else "dense"
         assert {s.diagnostics["eigensolver"] for s in states} == {path}
-        blocks = max(s.diagnostics["block_evaluations"] for s in states)
-        assert blocks == (0 if case == "one_block" else max(evaluations) - 1)
 
 
 class TestConvergeStudy:
@@ -820,6 +816,45 @@ class TestBrentPort:
     def test_nan_is_a_numerical_failure(self):
         with pytest.raises(NumericalFailureError, match="NaN"):
             solver_mod._brentq(lambda x: math.nan if x > 0 else -1.0, -2.0, 3.0, 1e-12, 1e-15)
+
+
+class TestRootInLogKappa:
+    """solver._root_in_log_kappa: Brent in u = ln kappa, given the values at
+    the bracket ends, as a scan has them from its samples."""
+
+    # two scan samples, np.geomspace(0.5, 5.0, 20)[15:17]; exp(ln kappa) gives
+    # neither of them back
+    K_LO, K_HI = 3.0792410553301317, 3.4759639808878022
+
+    @staticmethod
+    def fn(kappa):
+        return 1.18 - math.log(kappa) + 0.01 / kappa ** 2
+
+    def test_ends_are_given_not_evaluated(self):
+        eps = np.finfo(float).eps
+        k_lo, k_hi, fn = self.K_LO, self.K_HI, self.fn
+        assert math.exp(math.log(k_lo)) != k_lo and math.exp(math.log(k_hi)) != k_hi
+        ends = {math.log(k_lo): k_lo, math.log(k_hi): k_hi}
+        for tol in (1e-6, 1e-10, 1e-14):
+            called, full_called = [], []
+            f = lambda k: called.append(k) or fn(k)
+            root, iterations = solver_mod._root_in_log_kappa(f, k_lo, k_hi, fn(k_lo), fn(k_hi),
+                                                             tol)
+            # Brent on the full f, called at the ends' exact kappas too
+            full = lambda u: full_called.append(ends.get(u, math.exp(u))) or fn(full_called[-1])
+            u, full_iterations = solver_mod._brentq(full, math.log(k_lo), math.log(k_hi),
+                                                    xtol=max(tol, 4 * eps), rtol=4 * eps)
+            assert (root, iterations) == (ends.get(u, math.exp(u)), full_iterations)
+            assert full_called[:2] == [k_lo, k_hi] and called == full_called[2:]
+            assert called and k_lo not in called and k_hi not in called
+            assert k_lo < root < k_hi
+
+    def test_a_root_at_an_end_is_that_ends_kappa(self):
+        never = lambda k: pytest.fail("f was called")
+        for f_lo, f_hi, end in ((0.0, -1.0, self.K_LO), (1.0, 0.0, self.K_HI)):
+            root, iterations = solver_mod._root_in_log_kappa(never, self.K_LO, self.K_HI,
+                                                             f_lo, f_hi, 1e-10)
+            assert root == end and iterations == 1
 
 
 class TestCacheLifetime:

@@ -16,7 +16,6 @@ from leakywire.operators import (
 )
 import leakywire.spectral as spectral_mod
 from leakywire.spectral import (
-    SpectralCurve,
     _fix_sign,
     _iterative_top,
     lambda_curve,
@@ -170,45 +169,12 @@ class TestEigenRecord:
                 assert alone.path == both.path == "dense"
                 assert np.array_equal(alone.values[:mine.size], mine)
 
-    @pytest.mark.parametrize("case", ["bump_stack", "off_centre_wire"])
-    def test_block_values_come_from_a_record_at_the_same_kappa(self, bump, off_centre_wire,
-                                                               case, monkeypatch):
-        # one memo per (kappa, block): a kappa solved whole is not built again
-        # for one of its blocks, each (kappa, block) is built once, and a memo
-        # hit returns the record without its vectors; block 0 of a wire that
-        # does not split is the whole stack
-        if case == "bump_stack":
-            curve, grid, labels = bump, GridSpec(16.0, 256), spectral_mod.PARITIES
-        else:
-            curve, grid, labels = off_centre_wire, GridSpec(10.0, 256), (None,)
-        ev = spectral_mod._BranchEvaluator(curve, grid, 4)
-        built = []
-        q_matrix = ev.cache.q_matrix
-        monkeypatch.setattr(ev.cache, "q_matrix",
-                            lambda kappa: built.append(kappa) or q_matrix(kappa))
-        both = ev.solve(1.2, vectors=True)
-        assert both.vectors is not None and ev.solve(1.2).vectors is None
-        for block, label in enumerate(labels):
-            assert list(ev.solve(1.2, block).values) == [
-                v for v, p in zip(both.values, both.parity) if p == label]
-        last = len(labels) - 1
-        fresh = ev.solve(1.5, last, vectors=True)
-        hit = ev.solve(1.5, last, vectors=True)
-        assert fresh.vectors is not None and hit.vectors is None
-        assert ev.solve(1.5, last) is hit
-        assert np.array_equal(hit.values, fresh.values) and hit.values.size == 4
-        assert built == [1.2, 1.5]
-        assert (ev.evaluations, ev.block_evaluations) == (2, last)
-
     def test_one_block_is_block_0(self, off_centre_wire):
         # a wire that does not split is the (1, N, N) stack of one block:
-        # block 0 is the record of the whole stack, solved once and counted
-        # as no parity block, and a root's vectors are Q's own (N, m) columns
+        # block 0 is the whole stack, and a root's vectors are Q's own (N, m)
+        # columns
         g = GridSpec(10.0, 256)
         with spectral_mod._BranchEvaluator(off_centre_wire, g, 4) as ev:
-            alone = ev.solve(1.2, 0)
-            assert np.array_equal(alone.values, ev.solve(1.2).values)
-            assert (ev.evaluations, ev.block_evaluations) == (1, 0)
             rec, h = ev.eigenpair(1.2, 0)
             assert h.shape == (g.N, 4) and rec.parity == [None] * 4
             full = unfold(ev.cache.q_matrix(1.2))
@@ -426,10 +392,13 @@ class TestLambdaCurve:
             lambda_curve(straight, g, [2.0, 1.0])
 
     @pytest.mark.parametrize("kappas", [[1.0, math.inf], [math.nan, 1.0], [1.0, 2.0, math.nan]])
-    def test_non_finite_kappa_rejected(self, kappas):
-        # refused before any Q is built: kappa^2 of an infinite kappa is inf
+    def test_non_finite_kappa_rejected(self, straight, monkeypatch, kappas):
+        # refused before the operator cache, whose N^2 chords come first, is
+        # built: kappa^2 of an infinite kappa is inf
+        monkeypatch.setattr(spectral_mod, "OperatorCache",
+                            lambda *args: pytest.fail("an operator cache was built"))
         with pytest.raises(GeometryError, match="finite"):
-            SpectralCurve.sample(kappas, lambda k: pytest.fail("a value was solved"))
+            lambda_curve(straight, GridSpec(8.0, 1024), kappas)
 
     def test_csv_export(self, straight):
         g = GridSpec(8.0, 64)
