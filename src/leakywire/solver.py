@@ -94,8 +94,8 @@ class SolveConfig:
         # off the root's residual check
         if not (0 < self.tol_kappa_rel < math.inf and 0 < self.tol_lambda < math.inf):
             raise GeometryError("tolerances must be finite and positive")
-        if self.m_branches < 1:
-            raise GeometryError("need at least one tracked branch")
+        if not 1 <= self.m_branches <= self.grid.N:
+            raise GeometryError(f"need 1 <= m <= N, got m={self.m_branches}, N={self.grid.N}")
 
 
 @dataclass
@@ -468,7 +468,8 @@ def converge_study(curve: Curve, config: SolveConfig, levels: int = 3) -> Conver
     non-monotone refinement only warns.
     """
     def energy(grid):
-        st = ground_state(curve, replace(config, grid=grid))
+        # a ground-state search tracks one branch, so a coarse level takes any -m
+        st = ground_state(curve, replace(config, grid=grid, m_branches=1))
         return None if st is None else st.energy
 
     base = config.grid
@@ -528,7 +529,12 @@ def refinement_ladder(n: int, levels: int) -> list:
     GeometryError unless levels >= 2 and every size is even and >= 8."""
     if levels < 2:
         raise GeometryError("need at least 2 refinement levels")
-    sizes = [n // 2 ** (levels - 1 - k) for k in range(levels)]
+    # the coarsest size first, so that a huge levels count fails before any
+    # size is built
+    coarsest = n >> (levels - 1)
+    if coarsest < 8:
+        raise GeometryError(f"refinement level 0 gives invalid N = {coarsest}")
+    sizes = [n >> (levels - 1 - k) for k in range(levels)]
     for k, n_k in enumerate(sizes):
         if n_k < 8 or n_k % 2:
             raise GeometryError(f"refinement level {k} gives invalid N = {n_k}")

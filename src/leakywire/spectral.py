@@ -26,32 +26,36 @@ it wins clearly, while m > 1 stays dense up to n = 2048
 (DENSE_EIGEN_LIMIT): Lanczos pays for every extra Ritz vector it converges.
 
 Parity: a persymmetric operator arrives as the (2, N/2, N/2) stack of its
-even and odd blocks (see ``operators``).  Its values are solved in one
-batched LAPACK call, or one Lanczos run on the block-diagonal operator
-whose Ritz vectors tell the block of each value, and the top m of them are
-merged; with vectors, each block keeps its own columns.  A root search
-needs both blocks only at its search start: a branch lives in one block,
-so every Newton point and the root solve that N/2 x N/2 block alone
-(see ``_BranchEvaluator``).  Each block costs an eighth of the full
-matrix's O(N^3) reduction.  Measured per block size on bump a=1, w=1 at
-kappa = 1.15 (same machine; the two paths agree to 4e-16):
+even and odd blocks (see ``operators``).  Each block is solved on its own,
+both in one batched LAPACK call or one Lanczos run per block, and the top
+m of their values are merged: the parity of a value is the block it was
+solved in, and with vectors each block keeps its own top min(m, n)
+columns.  A root search needs both blocks only at its search start: a
+branch lives in one block, so every Newton point and the root solve that
+N/2 x N/2 block alone (see ``_BranchEvaluator``).  Each block costs an
+eighth of the full matrix's O(N^3) reduction.  Measured per block size on
+bump a=1, w=1 at kappa = 1.15 (same machine; the Lanczos column was
+re-measured later as one run per block, min of 6 runs over two processes,
+when the dense batch took 0.021 / 0.025, 0.159 / 0.145, 0.151, 0.40 / 0.40
+and 0.48 / 0.46 s; the two paths agree to 2e-16):
 
 =================================  =============  ==================
 case (block n = N/2)               dense, batch   Lanczos, 2 blocks
 =================================  =============  ==================
-m=1 / 8, n=512, L=24               0.025 / 0.032  0.050 / 0.085 s
-m=1, n=1152, L=24 / 36             0.185 / 0.199  0.215 / 0.247 s
-m=8, n=1152, L=24                  0.174 s        0.300 s
-m=1, n=1536, L=24 / 60             0.50 / 0.60 s  0.37 / 0.72 s
-m=8, n=1536, L=24 / 60             0.56 / 0.48 s  0.65 / 1.15 s
+m=1 / 8, n=512, L=24               0.025 / 0.032  0.020 / 0.026 s
+m=1, n=1152, L=24 / 36             0.185 / 0.199  0.160 / 0.160 s
+m=8, n=1152, L=24                  0.174 s        0.270 s
+m=1, n=1536, L=24 / 60             0.50 / 0.60 s  0.24 / 0.36 s
+m=8, n=1536, L=24 / 60             0.56 / 0.48 s  0.43 / 0.54 s
 =================================  =============  ==================
 
-The same limits hold for the block size: at n = 1536 and m = 1 the two
-paths trade places with L, and dense wins every m = 8 case.  Against one
-N x N matrix, a bump's N=1024, m=8 solve falls from 0.094 s to 0.032 s, and
-the N=2304, m=1 solve of the converge tail from 0.38 s (Lanczos) to 0.20 s
-(dense on 2 x 1152).  Eigensolves at distinct kappa run one after another:
-the BLAS underneath each one already uses every core.
+The same limits hold for the block size: up to n = 1152 the two paths are
+level at m = 1 and dense wins m = 8, while at n = 1536 Lanczos wins m = 1
+and the m = 8 cases split with L.  Against one N x N matrix, a bump's
+N=1024, m=8 solve falls from 0.094 s to 0.032 s, and the N=2304, m=1 solve
+of the converge tail from 0.38 s (Lanczos) to 0.20 s (dense on 2 x 1152).
+Eigensolves at distinct kappa run one after another: the BLAS underneath
+each one already uses every core.
 
 Ritz steps: Q changes smoothly with kappa, so the top p = min(m, n) + 4
 vectors V of a block at one kappa nearly span its top eigenvectors at a
@@ -136,8 +140,8 @@ RITZ_DEPTH = 8
 
 
 def _iterative_top(matrix, m: int, want_vectors: bool):
-    """Top-m eigenpairs of a symmetric array or LinearOperator by implicitly
-    restarted Lanczos with a fixed deterministic start vector.
+    """Top-m eigenpairs of a symmetric array by implicitly restarted
+    Lanczos with a fixed deterministic start vector.
 
     A bare shifted power iteration stalls on these operators: the top of the
     spectrum sits ~1e-3 above a dense cluster of near-edge values while the
@@ -148,7 +152,8 @@ def _iterative_top(matrix, m: int, want_vectors: bool):
 
     n = matrix.shape[0]
     v0 = np.full(n, 1.0 / math.sqrt(n))
-    ncv = min(n - 1, max(4 * m + 1, 40))
+    # ARPACK needs m < ncv <= n, so a block gives up to n - 1 values
+    ncv = min(n, max(4 * m + 1, 40))
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
             matrix, k=m, which="LA", v0=v0, ncv=ncv, maxiter=200 * m)
@@ -195,15 +200,6 @@ def eigensolver(n: int, m: int) -> str:
     return "lanczos" if n > limit else "dense"
 
 
-def _block_diagonal(blocks: np.ndarray):
-    """The block-diagonal matrix of a (b, n, n) stack as a LinearOperator."""
-    from scipy.sparse.linalg import LinearOperator
-
-    b, n, _ = blocks.shape
-    product = lambda x: np.matmul(blocks, x.reshape(b, n, -1)).reshape(b * n, -1)
-    return LinearOperator((b * n, b * n), matvec=product, matmat=product, dtype=blocks.dtype)
-
-
 class Eigen(NamedTuple):
     """The top m eigenpairs of one Q, as ``top_eigen`` returns them."""
 
@@ -243,23 +239,15 @@ def _full_solve(blocks: np.ndarray, c: int, vectors: bool, path: str):
         w = w.reshape(b, c)[:, ::-1]
     if not vectors:
         return w, None
-    return w, tuple(_checked(a, vals, vs) for a, vals, vs in zip(blocks, w, vecs))
-
-
-def _checked(a: np.ndarray, vals: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """The (n, c) eigenvectors vs of the values vals of the n x n block a,
-    sign-fixed, after a residual check against 1e-9 * ||a||."""
-    n, c = vs.shape
-    if not c:
-        return vs
-    # largest |entry| without an n x n temporary
-    norm_q = max(abs(vals[0]), max(a.max(), -a.min()) * n ** 0.5)
-    resid = np.linalg.norm(_product(a, vs) - vs * vals, axis=0)
-    j = int(np.argmax(resid))
-    if resid[j] > 1e-9 * max(norm_q, 1e-30):
-        raise NumericalFailureError(
-            f"eigenpair {j} residual {resid[j]:.3e} exceeds 1e-9 * ||Q|| (N={n})")
-    return np.column_stack([_fix_sign(v) for v in vs.T])
+    for a, vals, vs in zip(blocks, w, vecs):
+        # largest |entry| without an n x n temporary
+        norm_q = max(abs(vals[0]), max(a.max(), -a.min()) * n ** 0.5)
+        resid = np.linalg.norm(_product(a, vs) - vs * vals, axis=0)
+        j = int(np.argmax(resid))
+        if resid[j] > 1e-9 * max(norm_q, 1e-30):
+            raise NumericalFailureError(
+                f"eigenpair {j} residual {resid[j]:.3e} exceeds 1e-9 * ||Q|| (N={n})")
+    return w, tuple(np.column_stack([_fix_sign(v) for v in vs.T]) for vs in vecs)
 
 
 def _orthonormal(x: np.ndarray) -> np.ndarray:
@@ -347,30 +335,12 @@ def top_eigen(blocks: np.ndarray, m: int, vectors: bool = False, seed=None) -> E
     bit for bit, on the dense path.  ``bounds`` holds per block the
     accepted bound, or None where the block was solved in full, and
     ``path`` is ``"ritz"`` when every block was stepped.
-
-    An unseeded stack of two blocks on the Lanczos path is solved by one
-    Lanczos run on the block-diagonal operator instead, whose Ritz vectors
-    tell the block of each value; its ``bounds`` are empty.  With
-    ``vectors=True`` each block's columns are then the Ritz vectors of its
-    own values among the merged top m, restricted to that block,
-    renormalized and residual-checked: block b holds as many columns as
-    values labelled b, none for a block with no value among them.
     """
     nb, n, _ = blocks.shape
     if not 1 <= m <= nb * n:
         raise GeometryError(f"need 1 <= m <= N, got m={m}, N={nb * n}")
     k = min(m, n)
     path = eigensolver(n, m)
-    if seed is None and path == "lanczos" and nb > 1:
-        vals, vecs = _iterative_top(_block_diagonal(blocks), m, True)
-        # the parity of a value is the block its Ritz vector lies in
-        parts = vecs.T.reshape(m, nb, n)
-        block = np.argmax(np.linalg.norm(parts, axis=2), axis=1)
-        if vectors:   # each value's vector on its own block, renormalized
-            mine = [parts[block == b, b].T for b in range(nb)]
-            vecs = tuple(_checked(blocks[b], vals[block == b], v / np.linalg.norm(v, axis=0))
-                         for b, v in enumerate(mine))
-        return Eigen(vals, [PARITIES[b] for b in block], path, vecs if vectors else None)
     p = k if seed is None else min(k + RITZ_EXTRA, n)
     w = np.empty((nb, k))
     vecs, bounds, ritz_blocks = [None] * nb, [None] * nb, 0
@@ -491,12 +461,15 @@ class _BranchEvaluator:
 
 def lambda_curve(curve: Curve, grid: GridSpec, kappa_list, m: int = 8) -> SpectralCurve:
     """Top-m eigenvalue curves lambda_j(kappa) over a finite, positive,
-    strictly ascending kappa list, checked before anything is built."""
+    strictly ascending kappa list, checked with 1 <= m <= N before anything
+    is built."""
     kappas = np.asarray(kappa_list, dtype=float)
     if kappas.ndim != 1 or kappas.size == 0:
         raise GeometryError("kappa_list must be a non-empty 1D sequence")
     if not np.all(np.isfinite(kappas) & (kappas > 0)) or np.any(np.diff(kappas) <= 0):
         raise GeometryError("kappa_list must be finite, positive and strictly ascending")
+    if not 1 <= m <= grid.N:
+        raise GeometryError(f"need 1 <= m <= N, got m={m}, N={grid.N}")
     with _BranchEvaluator(curve, grid, m) as ev:
         lambdas = np.array([ev.solve(k).values for k in kappas])
     return SpectralCurve(kappas, lambdas, np.asarray(s_kappa(kappas)))

@@ -432,6 +432,8 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("argv", [
         ["converge", "--curve", "straight", "-L", "8", "-N", "64", "--levels", "5"],
         ["converge", "--curve", "straight", "-L", "8", "-N", "34", "--levels", "3"],
+        # the coarsest size is checked first: 1e5 levels are refused at once
+        ["converge", "--curve", "straight", "-L", "8", "-N", "64", "--levels", "100000"],
         ["check", "--curve", "straight", "--samples", "0"],
         ["bc-verify", "--curve", "straight", "-L", "8", "-N", "64", "--angles", "0"],
         ["bc-verify", "--curve", "straight", "-L", "8", "-N", "64", "--radii=-1e-3,1e-2"],
@@ -485,9 +487,11 @@ class TestArgumentErrors:
         for name in ("find_bound_states", "ground_state", "spectrum_scan", "converge_study",
                      "check_a1", "check_a2"):
             monkeypatch.setattr(cli_mod, name, no_search)
+        start = time.perf_counter()
         code = run_cli(*argv)
+        elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
-        assert code == 3
+        assert code == 3 and elapsed < 5.0
         assert "configuration error" in captured.err
         assert "Traceback" not in captured.err + captured.out
 

@@ -125,8 +125,8 @@ class TestIterativeEigenPath:
         for j in range(5):
             assert vals[j] == pytest.approx(dense.values[j], abs=1e-10)
             assert abs(abs(np.dot(vecs[:, j], dense_vecs[:, j])) - 1.0) < 1e-8
-        # and Lanczos on the block-diagonal operator, which labels each value
-        # by the block of its Ritz vector, and on the one block a root solves
+        # and one Lanczos run per block, which labels each value by the block
+        # it was solved in, and on the one block a root solves
         monkeypatch.setattr(spectral_mod, "DENSE_EIGEN_LIMIT", 100)
         vals, parity, path = top_eigen(q, 5)[:3]
         assert path == "lanczos"
@@ -139,12 +139,25 @@ class TestIterativeEigenPath:
                 assert root.path == "lanczos"
                 assert abs(np.dot(h[:, k], dense_vecs[:, j]) - 1.0) < 1e-8
 
+    def test_lanczos_gives_all_but_one_value_of_each_block(self, bump, monkeypatch):
+        # each block's run takes m = n - 1, which the one run on the whole
+        # operator used to take; ncv may then be n itself
+        import leakywire.spectral as spectral_mod
+        from leakywire.operators import OperatorCache
+        from leakywire.spectral import top_eigen
+
+        q = OperatorCache(bump, GridSpec(16.0, 128)).q_matrix(1.2)
+        dense = top_eigen(q, 63)
+        monkeypatch.setattr(spectral_mod, "DENSE_EIGEN_LIMIT", 8)
+        rec = top_eigen(q, 63)
+        assert rec.path == "lanczos" and rec.parity == dense.parity
+        assert np.allclose(rec.values, dense.values, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("path", ["lambda_curve", "find_bound_states"])
     def test_large_grid_dispatch(self, bump, monkeypatch, path):
         # force the iterative branch on a small grid and compare branches;
         # find_bound_states also takes the Lanczos eigenvector path at roots.
-        # lambda_curve runs on a one-block wire, where Lanczos asks for no
-        # vectors: only a two-block run reads each value's parity from them
+        # lambda_curve asks for values alone
         import leakywire.spectral as spectral_mod
 
         g = GridSpec(16.0, 256)
@@ -215,8 +228,8 @@ class TestIterativeEigenPath:
 
     @pytest.mark.parametrize("n, path", [(200, "dense"), (256, "lanczos")])
     def test_path_follows_the_block_size(self, bump, monkeypatch, n, path):
-        # a split wire's path is chosen for its N/2 x N/2 blocks; the bracket
-        # start solves both blocks in one eigensolve, and every other
+        # a split wire's path is chosen for its N/2 x N/2 blocks; the search
+        # start solves both blocks, one Lanczos run each, and every other
         # evaluation and the root solve branch 0's block alone
         import leakywire.spectral as spectral_mod
 
@@ -237,7 +250,7 @@ class TestIterativeEigenPath:
             assert not calls
         else:
             blocks = st.diagnostics["evaluations"] - 1
-            assert calls == [(n, n)] + [(n // 2, n // 2)] * (blocks + 1)
+            assert calls == [(n // 2, n // 2)] * 2 + [(n // 2, n // 2)] * (blocks + 1)
 
 
 def _off_centre_bump(amplitude):

@@ -258,6 +258,14 @@ class TestSpectrumScan:
         with pytest.raises(GeometryError, match="search limit"):
             spectrum_scan(straight, config, (kappa0(alpha), k_max), 5)
 
+    def test_m_above_n_rejected(self, straight, monkeypatch):
+        # the config refuses m > N before a scan builds the operator cache
+        monkeypatch.setattr(spectral_mod, "OperatorCache",
+                            lambda *args: pytest.fail("an operator was built"))
+        with pytest.raises(GeometryError, match="1 <= m <= N"):
+            spectrum_scan(straight, SolveConfig(alpha=0.0, grid=GridSpec(16.0, 2048),
+                                                m_branches=5000), (1.0, 2.0), 5)
+
     def test_crossing_on_the_last_sample_recorded(self, bump):
         # alpha equal to lambda_0 at the last sample: branch 0 crosses exactly
         # there, with no later sample to bracket it.  The samples do not
@@ -643,8 +651,8 @@ class TestBlockSearch:
         assert len(states) == 5
         assert {s.diagnostics["eigensolver"] for s in states} == {path}
         # the start solves both blocks in one batched call or one Lanczos
-        # run, which reads the parity of each value from its Ritz vector
-        start = [(512, 512)] if path == "lanczos" else [(2, 256, 256)]
+        # run per block, and a value's parity is the block it was solved in
+        start = [(256, 256)] * 2 if path == "lanczos" else [(2, 256, 256)]
         points = max(s.diagnostics["evaluations"] for s in states) - 1 + len(states)
         assert shapes == start + [(256, 256)] * points
 
@@ -670,7 +678,7 @@ class TestBlockSearch:
         assert st.diagnostics["eigensolver"] == "lanczos"
         blocks = st.diagnostics["evaluations"] - 1
         assert blocks > 0
-        assert shapes == [512] + [256] * (blocks + 1)
+        assert shapes == [256] * 2 + [256] * (blocks + 1)
         assert st.energy == pytest.approx(dense.energy, rel=1e-9, abs=0.0)
         assert st.branch == dense.branch == 0
 
@@ -682,7 +690,8 @@ class TestBlockSearch:
         # and one eigensolve per reported evaluation, plus one per root.  A
         # scan has no root solve, and an evaluation whose blocks all take a
         # Ritz step makes no eigensolve, so its LAPACK calls are its
-        # ``dense_solves``
+        # ``dense_solves``.  On the Lanczos path the search start runs once
+        # per block, one eigensolve more than its one Q build
         if case.startswith("scan"):
             curve, grid = ((bump, GridSpec(16.0, 256)) if case == "scan_split"
                            else (off_centre_wire, GridSpec(10.0, 256)))
@@ -707,8 +716,8 @@ class TestBlockSearch:
         states = find_bound_states(curve, config)
         evaluations = [s.diagnostics["evaluations"] for s in states]
         expected = max(evaluations) + len(evaluations)
-        assert counts == {"q": expected, "solve": expected}
         path = "lanczos" if case == "split_lanczos" else "dense"
+        assert counts == {"q": expected, "solve": expected + (path == "lanczos")}
         assert {s.diagnostics["eigensolver"] for s in states} == {path}
 
 
@@ -740,6 +749,12 @@ class TestConvergeStudy:
         assert capped.levels[0].energy is not None
         for a, b in zip(capped.levels, full.levels):
             assert a.energy == pytest.approx(b.energy, rel=1e-12, abs=0.0)
+
+    def test_a_coarse_level_takes_any_m(self, straight):
+        # -m may lie up to the finest N: the ground state tracks one branch
+        config = SolveConfig(alpha=0.0, grid=GridSpec(8.0, 64), m_branches=64)
+        report = converge_study(straight, config, levels=2)
+        assert report.accepted and [lv.N for lv in report.levels] == [32, 64, 96]
 
     def test_too_few_levels_rejected(self, straight):
         config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 128))

@@ -64,11 +64,9 @@ class TestTopEigenpairs:
 
     @pytest.mark.parametrize("path", ["dense", "lanczos"])
     def test_a_stack_is_solved_per_block_with_vectors(self, bump, monkeypatch, path):
-        # a stack's vectors are, per block, the top min(m, n) eigenvectors
-        # with that block's values on the dense path, orthonormal and
-        # residual-checked.  Lanczos runs once on the block-diagonal
-        # operator, the run of the values alone, and gives each block the
-        # vectors of its values among the merged top m
+        # a stack's vectors are, per block, the top k = min(m, n)
+        # eigenvectors with that block's values, orthonormal and
+        # residual-checked, on either path: Lanczos runs once per block
         if path == "lanczos":
             _lanczos_everywhere(monkeypatch)
         q = OperatorCache(bump, GridSpec(16.0, 256)).q_matrix(1.2)
@@ -81,11 +79,10 @@ class TestTopEigenpairs:
         for block, label in enumerate(spectral_mod.PARITIES):
             mine = rec.values[[p == label for p in rec.parity]]
             vecs = rec.vectors[block]
-            c = 4 if path == "dense" else mine.size
-            assert vecs.shape == (128, c)
-            lams = scipy.linalg.eigvalsh(q[block])[::-1][:c]
+            assert vecs.shape == (128, 4)
+            lams = scipy.linalg.eigvalsh(q[block])[::-1][:4]
             assert np.allclose(lams[:mine.size], mine, rtol=0, atol=1e-13)
-            assert np.max(np.abs(vecs.T @ vecs - np.eye(c))) < 1e-12
+            assert np.max(np.abs(vecs.T @ vecs - np.eye(4))) < 1e-12
             for lam, v in zip(lams, vecs.T):
                 assert np.linalg.norm(q[block] @ v - lam * v) < 1e-12
 
@@ -182,9 +179,9 @@ class TestEigenRecord:
                 assert np.linalg.norm(full @ v - lam * v) < 1e-12
 
     def test_two_block_lanczos_vectors_have_exact_parity(self, monkeypatch):
-        # Lanczos on the block-diagonal operator reads the parity of each
-        # value from its Ritz vector; a root's Lanczos run on one block gives
-        # vectors that unfold exactly even or odd, as on the dense path
+        # a stack's values take the parity of the block whose Lanczos run
+        # solved them; a root's Lanczos run on one block gives vectors that
+        # unfold exactly even or odd, as on the dense path
         _lanczos_everywhere(monkeypatch)
         curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
         g = GridSpec(24.0, 512)
@@ -399,6 +396,14 @@ class TestLambdaCurve:
                             lambda *args: pytest.fail("an operator cache was built"))
         with pytest.raises(GeometryError, match="finite"):
             lambda_curve(straight, GridSpec(8.0, 1024), kappas)
+
+    @pytest.mark.parametrize("m", [0, 2049])
+    def test_m_outside_1_to_n_rejected(self, straight, monkeypatch, m):
+        # checked with the kappa list, before the operator cache is built
+        monkeypatch.setattr(spectral_mod, "OperatorCache",
+                            lambda *args: pytest.fail("an operator cache was built"))
+        with pytest.raises(GeometryError, match="1 <= m <= N"):
+            lambda_curve(straight, GridSpec(16.0, 2048), [1.0], m=m)
 
     def test_csv_export(self, straight):
         g = GridSpec(8.0, 64)
