@@ -453,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-kappa", type=float, default=1e-10,
                        help="relative root tolerance in kappa (default 1e-10): "
                             "a bound state's root is certified when its own "
-                            "Newton correction is at most this; scan crossings "
-                            "are Brent-refined to it")
+                            "Newton correction is at most this, for solve's "
+                            "states and scan's crossings alike")
         p.add_argument("--tol-lambda", type=float, default=1e-9,
                        help="eigenvalue residual tolerance (default 1e-9)")
 

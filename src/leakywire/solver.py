@@ -33,9 +33,9 @@ smallest below it: a Newton point outside is replaced by bisection, or,
 while no point lies below alpha, by a step of the free line's distance to
 alpha that grows by BRACKET_GROWTH, up to BRACKET_MAX_FACTOR * kappa0.
 So each root costs the start, shared by all branches, its Newton points
-and one root solve, and no kappa is built twice.  A scan's crossings are
-refined by Brent's method (``_brentq``) on values alone, since a scan's
-values come from Ritz steps, about as cheap as a slope.
+and one root solve, and no kappa is built twice.  A scan refines each of
+its crossings by the same search, from the sample on its left to the
+sample on its right, which is the given upper end (see ``spectrum_scan``).
 
 On a mirror-symmetric wire Q splits into an even and an odd block, and each
 branch lives in one of them: branch j of the search-start record, the k-th
@@ -185,7 +185,11 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
                 "(m_branches)")
         for j, lam_start in enumerate(start.values):
             if lam_start > alpha:
-                states.append(_solve_branch(ev, start, j, alpha, k_start, k0, z0, config))
+                block, k = start.branch(j)
+                f = float(lam_start) - alpha
+                g = k_start * ev.cache.slope(k_start, start.vectors[block][:, k], block)
+                states.append(_solve_branch(ev, block, k, alpha, (k_start, f, g), k0, z0,
+                                            config)[0])
             elif lam_start - s_start > lift_floor:
                 # bent branch hugging the continuum edge: report, don't drop
                 states.append(BoundState(
@@ -211,102 +215,31 @@ def find_bound_states(curve: Curve, config: SolveConfig, *,
     return states
 
 
-def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
-    """(root, iterations): Brent's root of f on [xa, xb], a port of scipy's
-    ``brentq.c`` that calls f at the same points in the same order and so
-    returns scipy.optimize.brentq's root and iteration count.
-
-    An end where f is 0 is returned with 1 iteration, as scipy counts it.
-    ValueError when f does not change sign; NumericalFailureError where f is
-    NaN, which scipy refuses too, or after maxiter iterations.
-    """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise NumericalFailureError(f"Brent's method met a NaN value at x = {x!r}")
-        return fx
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre, 1
-    if fcur == 0:
-        return xcur, 1
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for i in range(1, maxiter + 1):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur, i
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:      # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                 # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # C divides by zero to inf or nan, which bisects below
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.nan
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry       # good short step
-            else:
-                spre = scur = sbis            # bisect
-        else:
-            spre = scur = sbis                # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise NumericalFailureError(
-        f"Brent's method did not converge in {maxiter} iterations (last x = {xcur!r})")
-
-
-def _root_in_log_kappa(f, k_lo, k_hi, f_lo, f_hi, tol):
-    """Brent's root of f(kappa) = 0 on [k_lo, k_hi], searched in
-    u = ln kappa to the relative kappa tolerance ``tol``, given f's values
-    f_lo and f_hi at the two ends.
-
-    Returns (kappa~, the number of Brent iterations).  f is never called at
-    an end: Brent reads f_lo and f_hi there, and a root at an end maps back
-    to that end's exact kappa float.
-    """
-    ends = {math.log(k_lo): (k_lo, f_lo), math.log(k_hi): (k_hi, f_hi)}
-    kappa = lambda u: ends[u][0] if u in ends else math.exp(u)
-    value = lambda u: ends[u][1] if u in ends else f(math.exp(u))
-    eps = np.finfo(float).eps
-    u, iterations = _brentq(value, math.log(k_lo), math.log(k_hi),
-                            xtol=max(tol, 4 * eps), rtol=4 * eps)
-    return kappa(u), iterations
-
-
-def _solve_branch(ev, start, j, alpha, k_start, k0, z0, config) -> BoundState:
-    """The root of branch j of the search-start record ``start``, followed
-    in its own parity block; ``find_bound_states`` relabels it by energy.
+def _solve_branch(ev, block, k, alpha, start, k0, z0, config, k_hi=None,
+                  seed=None):
+    """The root of the k-th branch of parity block ``block``, searched from
+    ``start = (kappa, f, g)``, a point where f = lambda - alpha > 0 and
+    g = kappa dlambda/dkappa < 0, up to ``k_hi``, a kappa where the branch
+    lies below alpha, or, with none, up to a bracket it grows.  Returns
+    (BoundState, the root's record); the state's ``branch`` is k, which the
+    caller relabels.
 
     Safeguarded Newton in u = ln kappa (see the module docstring).  Each
-    point after the start is one fresh solve of the branch's block with
-    vectors, ``_BranchEvaluator.eigenpair``: its value gives f = lambda -
-    alpha, its vector the slope g = kappa dlambda/dkappa, and -f/g is its
-    own Newton correction.  A Newton point whose predicted error is below
-    tol/10 is solved as the root, and is the root if its correction is at
-    most tol; every other point is counted as an evaluation.
+    point after the start is one solve of the branch's block with
+    vectors, ``_BranchEvaluator.eigenpair``, a Ritz step from ``seed``
+    where one is given: its value gives f, its vector the slope g, and
+    -f/g is its own Newton correction.  A Newton point whose predicted
+    error is below tol/10 is solved as the root, and is the root if its
+    correction is at most tol; every other point is counted as an
+    evaluation.
     """
-    block, k = start.branch(j)
     k_max = BRACKET_MAX_FACTOR * k0
     u_max = math.log(k_max)
     tol = config.tol_kappa_rel
-    # the largest point seen above alpha and the smallest below it (None
-    # until there is one); every point after the start lies between them
-    k_lo, k_hi = k_start, None
-    kappa, f = k_start, float(start.values[j]) - alpha
-    g = k_start * ev.cache.slope(k_start, start.vectors[block][:, k], block)
+    kappa, f, g = start
+    # the largest point seen above alpha and the smallest below it (k_hi is
+    # None until there is one); every point after the start lies between them
+    k_lo = kappa
     # |g' / (2 g)| from the last two slopes, so that a Newton step d from
     # the last point is predicted to land curvature * d^2 from the root; 0
     # before there are two slopes, as on the free line, which is linear in u
@@ -327,7 +260,7 @@ def _solve_branch(ev, start, j, alpha, k_start, k0, z0, config) -> BoundState:
             else:
                 u_next = 0.5 * (math.log(k_lo) + math.log(k_hi))
             k_next = k_max if u_next == u_max else math.exp(u_next)
-        root, h = ev.eigenpair(k_next, block)
+        root, h = ev.eigenpair(k_next, block, seed)
         f_next = float(root.values[k]) - alpha
         g_next = k_next * ev.cache.slope(k_next, root.vectors[0][:, k], block)
         curvature = (abs((g_next - g) / (math.log(k_next) - u) / (2 * g_next))
@@ -335,30 +268,30 @@ def _solve_branch(ev, start, j, alpha, k_start, k0, z0, config) -> BoundState:
         kappa, f, g = k_next, f_next, g_next
         if candidate and g < 0 and abs(f / g) <= tol:
             break
-        ev.count(root)
+        ev.count(root, (seed,))
         if f < 0:
             k_hi = kappa
         elif kappa < k_max:
             k_lo = kappa
         else:
             raise BracketFailureError(
-                f"branch {j}: no sign change of lambda - alpha up to "
-                f"kappa = {k_max:.3e}")
+                f"branch {k} of block {block}: no sign change of lambda - alpha "
+                f"up to kappa = {k_max:.3e}")
     else:
         raise NumericalFailureError(
-            f"branch {j}: Newton's method did not converge in {NEWTON_MAXITER} "
-            f"points (last kappa = {kappa!r})")
+            f"branch {k} of block {block}: Newton's method did not converge in "
+            f"{NEWTON_MAXITER} points (last kappa = {kappa!r})")
     if abs(f) > config.tol_lambda:
         raise NumericalFailureError(
-            f"branch {j}: eigenvalue residual {abs(f):.3e} at the "
-            f"root exceeds tol_lambda = {config.tol_lambda:.1e}; tighten "
+            f"branch {k} of block {block}: eigenvalue residual {abs(f):.3e} at "
+            f"the root exceeds tol_lambda = {config.tol_lambda:.1e}; tighten "
             "tol_kappa_rel")
     energy = -kappa ** 2
     gap = z0 - energy
     return BoundState(
         kappa_tilde=float(kappa),
         energy=float(energy),
-        branch=j,
+        branch=k,
         h=h[:, k].copy(),
         gap=float(gap),
         residual=abs(f),
@@ -369,43 +302,53 @@ def _solve_branch(ev, start, j, alpha, k_start, k0, z0, config) -> BoundState:
                      "evaluations": int(ev.evaluations),
                      "eigensolver": root.path,
                      "parity": root.parity[k]},
-    )
+    ), root
 
 
 def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int):
     """Eigenvalue curves over a kappa range plus refined alpha-crossings.
 
-    Returns (SpectralCurve, list[Crossing]); crossings are Brent-refined to
-    the configured relative tolerance between bracketing samples.  The range
-    must satisfy 0 < kappa_min < kappa_max <= BRACKET_MAX_FACTOR * kappa0,
+    Returns (SpectralCurve, list[Crossing]).  The range must satisfy
+    0 < kappa_min < kappa_max <= BRACKET_MAX_FACTOR * kappa0,
     ``find_bound_states``' own search limit (GeometryError otherwise).
 
-    Every values solve is a ``_BranchEvaluator.solve`` of the whole stack
-    that takes a seed or keeps seed vectors (see ``top_eigen``), on one of
-    two chains of seeds that the scan holds:
+    The samples are values solves of the whole stack,
+    ``_BranchEvaluator.solve``.  The first is solved in full, keeping its
+    seed vectors, and each later one takes a certified Rayleigh-Ritz step
+    per block from the sample before it (see ``top_eigen``), so the samples
+    do not depend on alpha.  A block whose sample step fails has no vectors
+    from then on: it is solved for values only at every later sample, as
+    ``lambda_curve`` solves it.
 
-    - The samples.  The first is solved in full, keeping its seed vectors,
-      and each later one takes a certified Rayleigh-Ritz step per block
-      from the sample before it, so the samples do not depend on alpha.
-      A block whose sample step fails has no vectors from then on: it is
-      solved for values only at every later sample, as ``lambda_curve``
-      solves it.
-    - The Brent points of sample interval i, of every branch crossing
-      there; Brent reads its two bracket ends' values from samples i and
-      i + 1.  Their seed starts at sample i's vectors and takes the vectors
-      of each point solved.  A block with no seed vectors, or whose step
-      fails, is solved in full with vectors.
+    A crossing's label is its merged rank j: the j-th of the top m values
+    crosses alpha there.  A value equal to alpha at a sample is a crossing
+    at that sample.  Between samples i and i + 1, every branch k < min(m, n)
+    of a block whose value is above alpha at sample i and below it at
+    i + 1 crosses once, and is refined by ``find_bound_states``' Newton
+    search in its own block, ``_solve_branch``, from sample i to sample
+    i + 1.  Its start slope comes from sample i's vector of the branch, or,
+    where its block has no vectors there, from the secant to sample i + 1;
+    its Newton points step that block from sample i's vectors, or are full
+    solves where it has none.  Branches fall with kappa, so with R values
+    at or above alpha at sample i + 1 the interval's roots, from the
+    largest kappa down, have ranks R, R + 1, ...; those of rank m or more
+    are dropped.  A branch with block index k >= m, which is not refined,
+    has rank m or more, and it only raises the ranks of the interval's
+    crossings at smaller kappa, which are then m or more too.
 
     Interval i is refined as soon as sample i + 1 is solved, so the walk
     keeps the vectors of two samples at a time.  The curve's
-    ``diagnostics`` hold the evaluator's counts: ``evaluations``,
-    ``dense_solves``, ``ritz_steps``, ``ritz_fallbacks``, ``ritz_blocks``
-    and ``ritz_worst_bound``.
+    ``diagnostics`` hold the evaluator's counts over the samples and every
+    Newton point, roots included: ``evaluations``, ``dense_solves``,
+    ``ritz_steps``, ``ritz_fallbacks``, ``ritz_blocks`` and
+    ``ritz_worst_bound``.
     """
     k_lo, k_hi = float(kappa_range[0]), float(kappa_range[1])
     if not (0 < k_lo < k_hi):
         raise GeometryError("kappa range must satisfy 0 < kappa_min < kappa_max")
-    k_cap = BRACKET_MAX_FACTOR * kappa0(config.alpha)
+    alpha, m = config.alpha, config.m_branches
+    k0, z0 = kappa0(alpha), zeta0(alpha)
+    k_cap = BRACKET_MAX_FACTOR * k0
     if k_hi > k_cap:
         raise GeometryError(f"kappa_max = {k_hi} is above {BRACKET_MAX_FACTOR:g} kappa0 = "
                             f"{k_cap:.6g}, the search limit of find_bound_states")
@@ -413,32 +356,36 @@ def spectrum_scan(curve: Curve, config: SolveConfig, kappa_range, n_points: int)
         raise GeometryError(f"need at least one sample, got n_points = {n_points}")
     kappas = np.geomspace(k_lo, k_hi, int(n_points))
     crossings = []
-    alpha = config.alpha
     rows = []
-    with _BranchEvaluator(curve, config.grid, config.m_branches) as ev:
-
-        def brent_value(kappa, j):
-            nonlocal seed
-            rec = ev.solve(kappa, seed=seed, vectors=True)
-            seed = rec.vectors
-            return rec.values[j] - alpha
-
+    with _BranchEvaluator(curve, config.grid, m) as ev:
         right = ev.solve(kappas[0], vectors=True)
         for i, kappa in enumerate(kappas):
             left = right
             rows.append(left.values)
-            if i + 1 < len(kappas):
-                right = ev.solve(kappas[i + 1], seed=left.vectors)
-            seed = left.vectors
-            for j in range(config.m_branches):
-                f_left = left.values[j] - alpha
-                if f_left == 0.0:
-                    crossings.append(Crossing(branch=j, kappa=float(kappa)))
-                elif i + 1 < len(kappas) and f_left * (right.values[j] - alpha) < 0:
-                    kc, _ = _root_in_log_kappa(
-                        lambda k: brent_value(k, j), kappas[i], kappas[i + 1],
-                        f_left, right.values[j] - alpha, config.tol_kappa_rel)
-                    crossings.append(Crossing(branch=j, kappa=float(kc)))
+            crossings += [Crossing(int(j), float(kappa))
+                          for j in np.flatnonzero(left.values == alpha)]
+            if i + 1 == len(kappas):
+                break
+            k_right = kappas[i + 1]
+            right = ev.solve(k_right, seed=left.vectors)
+            ranked = int(np.count_nonzero(right.values >= alpha))
+            if ranked >= m:
+                continue
+            roots = []
+            for b, k in zip(*np.nonzero((left.block_values > alpha)
+                                        & (right.block_values < alpha))):
+                f = float(left.block_values[b, k]) - alpha
+                seed = left.vectors[b]
+                if seed is None:   # the block's sample chain has stopped
+                    g = (right.block_values[b, k] - alpha - f) / math.log(k_right / kappa)
+                else:
+                    g = kappa * ev.cache.slope(kappa, seed[:, k], b)
+                state, rec = _solve_branch(ev, b, k, alpha, (kappa, f, g), k0, z0, config,
+                                           k_right, seed)
+                ev.count(rec, (seed,))   # unlike solve's, a scan's root is counted
+                roots.append(state.kappa_tilde)
+            roots.sort(reverse=True)
+            crossings += [Crossing(j, kc) for j, kc in enumerate(roots[:m - ranked], ranked)]
         diagnostics = {name: getattr(ev, name) for name in (
             "evaluations", "dense_solves", "ritz_steps", "ritz_fallbacks", "ritz_blocks",
             "ritz_worst_bound")}

@@ -67,11 +67,11 @@ under a residual-gap certificate (block Rayleigh-Ritz bounds, Knyazev,
 SIAM J. Sci. Comput. 23 (2001)).  The certificate is checked from 3
 blocks on, and while it fails the step adds one more block, up to
 RITZ_DEPTH = 8 blocks and fewer than n columns; a block that still fails
-is solved in full, as with no seed.  Every seeded evaluation goes through
-``_BranchEvaluator.solve``, which hands each caller its record's vectors
-and keeps none.  A scan walks two chains of such steps, one through its
-samples and one through the Brent points of each sample interval (see
-``solver.spectrum_scan``).  Measured at m = 8,
+is solved in full, as with no seed.  The evaluator keeps no vectors: each
+caller holds its own seeds.  A scan steps each sample from the sample
+before it with ``_BranchEvaluator.solve``, and each Newton point of a
+crossing from its interval's left sample with ``eigenpair``, one block
+alone (see ``solver.spectrum_scan``).  Measured at m = 8,
 kappa 1.3 to 1.313 (same machine, min of 9; the seed solve is the full
 solve with p vectors, and a step includes its certificates):
 
@@ -195,9 +195,11 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 
 def eigensolver(n: int, m: int) -> str:
     """``"dense"`` or ``"lanczos"``: the path ``top_eigen`` takes for the top
-    m eigenvalues of a matrix made of n x n blocks."""
+    m eigenvalues of a matrix made of n x n blocks.  m >= n asks for every
+    value of a block, which ARPACK cannot give (it needs m < n), so that
+    is dense too."""
     limit = DENSE_TOP1_LIMIT if m == 1 else DENSE_EIGEN_LIMIT
-    return "lanczos" if n > limit else "dense"
+    return "lanczos" if limit < n and m < n else "dense"
 
 
 class Eigen(NamedTuple):
@@ -210,6 +212,8 @@ class Eigen(NamedTuple):
                                     # (None for a block solved values-only)
     bounds: tuple = ()              # per block, a Ritz bound or None; see top_eigen
     ritz_blocks: int = 0            # p-column products made by its Ritz steps
+    block_values: Optional[np.ndarray] = None   # shape (b, k): each block's top
+                                                # k = min(m, n), descending
 
     def branch(self, j: int):
         """(block, k): value j is the k-th of its block, block 0 of one
@@ -315,8 +319,9 @@ def top_eigen(blocks: np.ndarray, m: int, vectors: bool = False, seed=None) -> E
     ``OperatorCache.q_matrix`` returns it: (1, N, N) for one matrix, or
     (2, N/2, N/2) for the even and odd blocks of a persymmetric one.  The
     top k = min(m, n) values of each block are merged; the parity of a
-    value is the block it comes from, None on one block.
-    ``eigensolver(n, m)`` picks the path from the block size n.
+    value is the block it comes from, None on one block, and the record's
+    ``block_values`` keeps each block's top k.  ``eigensolver(n, m)``
+    picks the path from the block size n.
 
     ``seed`` is None or holds one entry per block: the (n, p) vectors of an
     earlier record on a stack of the same shape, or None.  Seed vectors
@@ -365,7 +370,7 @@ def top_eigen(blocks: np.ndarray, m: int, vectors: bool = False, seed=None) -> E
     vals, block = w.ravel()[order], order // k
     parity = [None] * m if nb == 1 else [PARITIES[b] for b in block]
     vecs = tuple(vecs) if vectors or seed is not None else None
-    return Eigen(vals, parity, path, vecs, tuple(bounds), ritz_blocks)
+    return Eigen(vals, parity, path, vecs, tuple(bounds), ritz_blocks, w)
 
 
 class _BranchEvaluator:
@@ -379,17 +384,19 @@ class _BranchEvaluator:
     vectors, p = min(m, n) + RITZ_EXTRA per block, with or without a seed;
     the caller keeps the seeds.
 
-    A root search solves with ``eigenpair(kappa, block=None)``: one solve
-    with the k = min(m, n) vectors of its values, which give the
+    A root search solves with ``eigenpair(kappa, block=None, seed=None)``:
+    one solve with the vectors of its values, which give the
     Hellmann-Feynman slope (``OperatorCache.slope``).  A root search
     follows one branch, which lives in one block, so it names that block:
     on a split cache the N/2 x N/2 block is solved alone, half the
     eigensolve, at the batched call's subset size min(m, n), so a dense
     block solve gives the stack's values bit for bit; block 0 of a cache
-    that does not split is the whole stack.  It is not counted until the
-    search calls ``count``: the search start and every Newton point that is
-    not the root are counted as evaluations, the root is not, so Q is built
-    once per evaluation plus once per root.
+    that does not split is the whole stack.  ``seed`` is None or that
+    block's (n, p) vectors from an earlier record, which the block steps
+    from as in ``top_eigen``.  It is not counted until the search calls
+    ``count``: ``solve``'s search start and every Newton point that is not
+    the root are counted as evaluations, its root is not, so Q is built
+    once per evaluation plus once per root; a scan counts its roots too.
 
     The counters say how each counted solve went: ``evaluations`` counts
     them, ``dense_solves`` those that solved some block in full (dense or
@@ -399,10 +406,9 @@ class _BranchEvaluator:
     and ``ritz_worst_bound`` is the largest accepted bound.
 
     Used as a context manager: leaving the block drops the operator cache,
-    so that a reference cycle through a root-search closure over the
-    evaluator cannot hold the cache's N x N arrays until the cyclic garbage
-    collector next runs.  ``solver._brentq`` makes no such cycle; the context
-    manager keeps that true whatever the root finder.
+    so that no reference cycle through the evaluator, such as a closure
+    over it, can hold the cache's N x N arrays until the cyclic garbage
+    collector next runs.
     """
 
     def __init__(self, curve: Curve, grid: GridSpec, m: int):
@@ -442,17 +448,19 @@ class _BranchEvaluator:
         self.dense_solves += rec.path != "ritz"
         self.evaluations += 1
 
-    def eigenpair(self, kappa: float, block=None):
+    def eigenpair(self, kappa: float, block=None, seed=None):
         """(record, h): a record at kappa with the vectors of its values,
-        k = min(m, n) per block, not counted until ``count``.  Block None
-        solves the whole stack, and h is None.  Block ``block`` solves that
-        block alone, and h holds the (N, k) eigenvectors of Q its vectors
-        give: the one block's as they are, and on a split cache each block
-        vector unfolded (``unfold``)."""
+        k = min(m, n) per block, or p with a seed, not counted until
+        ``count``.  Block None solves the whole stack, and h is None.  Block
+        ``block`` solves that block alone, stepping from ``seed`` if given,
+        and h holds the eigenvectors of Q its vectors give: the one block's
+        as they are, and on a split cache each block vector unfolded
+        (``unfold``)."""
         q = self.cache.q_matrix(float(kappa))
         if block is None:
             return top_eigen(q, self.m, vectors=True), None
-        rec = top_eigen(q[block:block + 1], min(self.m, q.shape[1]), vectors=True)
+        rec = top_eigen(q[block:block + 1], min(self.m, q.shape[1]), vectors=True,
+                        seed=None if seed is None else (seed,))
         y = rec.vectors[0]
         if len(q) == 1:
             return rec, y

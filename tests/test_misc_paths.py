@@ -153,6 +153,23 @@ class TestIterativeEigenPath:
         assert rec.path == "lanczos" and rec.parity == dense.parity
         assert np.allclose(rec.values, dense.values, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("m", [64, 100])
+    def test_every_value_of_a_block_is_solved_densely(self, bump, monkeypatch, m):
+        # ARPACK gives at most n - 1 values of an n x n block: asked for all
+        # n, scipy's eigsh warns and falls back to a dense solve itself.  So
+        # m >= n takes the dense path, and gives the dense values
+        import leakywire.spectral as spectral_mod
+        from leakywire.operators import OperatorCache
+        from leakywire.spectral import eigensolver, top_eigen
+
+        q = OperatorCache(bump, GridSpec(16.0, 128)).q_matrix(1.2)
+        dense = top_eigen(q, m)
+        monkeypatch.setattr(spectral_mod, "DENSE_EIGEN_LIMIT", 8)
+        assert eigensolver(64, 63) == "lanczos" and eigensolver(64, m) == "dense"
+        rec = top_eigen(q, m)
+        assert rec.path == "dense"
+        assert np.array_equal(rec.values, dense.values) and rec.parity == dense.parity
+
     @pytest.mark.parametrize("path", ["lambda_curve", "find_bound_states"])
     def test_large_grid_dispatch(self, bump, monkeypatch, path):
         # force the iterative branch on a small grid and compare branches;
@@ -296,8 +313,8 @@ class TestErrorPaths:
         # inf, so Newton gives no step and the bracket grows to its limit
         eigenpair = _BranchEvaluator.eigenpair
         inf = Eigen(np.array([math.inf]), ["even"], "dense", (np.full((32, 1), 32 ** -0.5),))
-        monkeypatch.setattr(_BranchEvaluator, "eigenpair", lambda self, kappa, block=None:
-                            eigenpair(self, kappa) if block is None else (inf, None))
+        monkeypatch.setattr(_BranchEvaluator, "eigenpair", lambda self, kappa, block=None,
+                            seed=None: eigenpair(self, kappa) if block is None else (inf, None))
         # ground_only: with one tracked branch the -m cap check, which runs
         # before any search, would refuse the solve first
         with pytest.raises(BracketFailureError):

@@ -282,9 +282,9 @@ class TestSpectrumScan:
 
     @pytest.mark.parametrize("case", ["bump", "off_centre_wire", "helix", "straight"])
     def test_ritz_steps_keep_the_dense_scan(self, monkeypatch, request, case):
-        # samples and Brent points take certified Ritz steps; the samples are
-        # lambda_curve's dense values within the certified bound, and each
-        # crossing keeps its branch and moves by rounding only
+        # samples and Newton points take certified Ritz steps; the samples
+        # are lambda_curve's dense values within the certified bound, and
+        # each crossing keeps its branch and moves by rounding only
         curve = request.getfixturevalue(case)
         grid, m = {"helix": (GridSpec(12.0, 256), 3),
                    "off_centre_wire": (GridSpec(10.0, 256), 8)}.get(case, (GridSpec(16.0, 256), 8))
@@ -292,16 +292,19 @@ class TestSpectrumScan:
         k0 = kappa0(0.0)
         sc, crossings = spectrum_scan(curve, config, (0.5 * k0, 5.0 * k0), 20)
         dense = spectral_mod.lambda_curve(curve, grid, sc.kappas, m)
-        # the dense scan: every block of every values solve is solved in full,
-        # for values only, so no sample or Brent point has vectors to step from
+        # the dense-point scan: every block of every solve is solved in full
+        # with vectors, so no sample or Newton point steps, and each search
+        # starts from its left sample's eigenvector, as the stepped scan
+        # starts from its Ritz vector
         plain = spectral_mod.top_eigen
         monkeypatch.setattr(spectral_mod, "top_eigen", lambda q, m, vectors=False, seed=None:
-                            plain(q, m, vectors and seed is None,
-                                  None if seed is None else (None,) * len(q)))
+                            plain(q, m, True, None if seed is None else (None,) * len(q)))
         dense_sc, dense_crossings = spectrum_scan(curve, config, (0.5 * k0, 5.0 * k0), 20)
         assert sc.diagnostics["ritz_steps"] > 0
         assert dense_sc.diagnostics["ritz_steps"] == 0
-        assert np.array_equal(dense_sc.lambdas, dense.lambdas)
+        assert dense_sc.diagnostics["dense_solves"] == dense_sc.diagnostics["evaluations"]
+        # a full solve with p vectors is lambda_curve's with k, up to rounding
+        assert np.max(np.abs(dense_sc.lambdas - dense.lambdas)) <= 1e-15
         assert np.max(np.abs(sc.lambdas - dense.lambdas)) <= spectral_mod.RITZ_BOUND
         assert [c.branch for c in crossings] == [c.branch for c in dense_crossings]
         for c, d in zip(crossings, dense_crossings):
@@ -328,19 +331,64 @@ class TestSpectrumScan:
         assert 3 * steps <= d["ritz_blocks"] <= spectral_mod.RITZ_DEPTH * steps
         dense = spectral_mod.lambda_curve(off_centre_wire, grid, one.kappas, 8).lambdas
         assert np.max(np.abs(one.lambdas - dense)) <= spectral_mod.RITZ_BOUND
-        # on the split bump both blocks step from sample to sample over most
-        # of the range, so fewer than half the samples are full solves; a
-        # values solve that solved no block in full stepped both
+        # on the split bump both blocks step from sample to sample, so fewer
+        # than half the samples are full solves.  Every sample after the
+        # first tries a step in both blocks, and every Newton point, the
+        # evaluations beyond the 20 samples, one in its own block
         config = SolveConfig(alpha=0.0, grid=GridSpec(16.0, 256), m_branches=8)
         sc, _ = spectrum_scan(bump, config, (0.5 * k0, 5.0 * k0), 20)
         d = sc.diagnostics
         assert set(d) == keys
         assert 1 <= d["dense_solves"] < 10
-        assert d["ritz_steps"] >= 2 * (d["evaluations"] - d["dense_solves"])
+        newton = d["evaluations"] - 20
+        assert newton > 0
+        assert d["ritz_steps"] + d["ritz_fallbacks"] == 2 * 19 + newton
         assert 0 <= d["ritz_worst_bound"] <= spectral_mod.RITZ_BOUND
 
+    def test_labels_do_not_depend_on_m(self, bump):
+        # on 6 samples the second interval holds seven crossings of both
+        # parity blocks, so the merged top m cuts through it: a scan that
+        # tracks m branches finds the first m crossings of the m = 8 scan
+        grid = GridSpec(16.0, 256)
+        k0 = kappa0(0.0)
+
+        def scan(m):
+            config = SolveConfig(alpha=0.0, grid=grid, m_branches=m)
+            return spectrum_scan(bump, config, (0.5 * k0, 5.0 * k0), 6)[1]
+
+        full = scan(8)
+        assert [c.branch for c in full] == list(range(8))
+        for m in range(1, 8):
+            crossings = scan(m)
+            assert [c.branch for c in crossings] == list(range(m))
+            for c, d in zip(crossings, full):
+                assert c.kappa == pytest.approx(d.kappa, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("case", ["bump_a3_w2", "off_centre_wire"])
+    def test_crossings_above_kappa0_are_the_states(self, request, case):
+        # branches fall with kappa, so the scan's crossing of merged rank j
+        # above kappa0 is the state of energy rank j: the same Newton search,
+        # started from a scan sample instead of the search start
+        k0 = kappa0(0.0)
+        if case == "bump_a3_w2":   # states 1 to 4 of five, in both parity blocks
+            curve = PlanarCurvatureProfile.gaussian_bump(3.0, 2.0, 56.0)
+            grid, m, kappa_range, points, branches = GridSpec(24.0, 512), 6, (1.13, 20.0), 40, [
+                1, 2, 3, 4]
+        else:                      # one block
+            curve = request.getfixturevalue(case)
+            grid, m, kappa_range, points, branches = GridSpec(10.0, 256), 8, (
+                0.5 * k0, 5.0 * k0), 20, [0]
+        config = SolveConfig(alpha=0.0, grid=grid, m_branches=m)
+        states = find_bound_states(curve, config)
+        _, crossings = spectrum_scan(curve, config, kappa_range, points)
+        crossings = [c for c in crossings if c.kappa > k0]
+        assert [c.branch for c in crossings] == branches
+        for c in crossings:
+            assert c.kappa == pytest.approx(states[c.branch].kappa_tilde,
+                                            rel=config.tol_kappa_rel, abs=0.0)
+
     def test_samples_do_not_depend_on_alpha(self, scan_wire):
-        # samples chain only to samples, never to Brent points, so two alphas
+        # samples chain only to samples, never to Newton points, so two alphas
         # with different crossings give the same samples bit for bit
         grid = GridSpec(16.0, 256)
         scans = [spectrum_scan(scan_wire, SolveConfig(alpha=alpha, grid=grid), (0.4, 4.0), 12)
@@ -484,8 +532,11 @@ class TestLogKappaRootSearch:
         config = SolveConfig(alpha=self.alpha, grid=GridSpec(8.0, 64), tol_kappa_rel=1e-12)
         start, _ = ev.eigenpair(self.k_start)
         ev.count(start)
-        return solver_mod._solve_branch(ev, start, 0, self.alpha,
-                                        self.k_start, self.k0, zeta0(self.alpha), config)
+        g = self.k_start * ev.cache.slope(self.k_start, start.vectors[0][:, 0], 0)
+        state, _ = solver_mod._solve_branch(
+            ev, 0, 0, self.alpha, (self.k_start, float(start.values[0]) - self.alpha, g),
+            self.k0, zeta0(self.alpha), config)
+        return state
 
     def test_branch_linear_in_log_kappa_converges_in_one_step(self, monkeypatch):
         # a tenth of the free-line slope, so the free line's step would fall
@@ -782,94 +833,6 @@ class TestSerialization:
                           {"tol_kappa_rel": math.inf}):
             with pytest.raises(GeometryError):
                 SolveConfig(alpha=0.0, grid=GridSpec(8.0, 64), **tolerance)
-
-
-class TestBrentPort:
-    """solver._brentq against scipy.optimize.brentq, whose brentq.c it ports."""
-
-    FAMILIES = [
-        lambda c: lambda x: math.tanh(3.0 * (x - c)),
-        lambda c: lambda x: (x - c) ** 3 + 1e-3 * (x - c),
-        lambda c: lambda x: math.exp(-x) - c,
-        # the free line's slope in u = ln kappa, lifted by a bump
-        lambda c: lambda x: c - x / (2 * math.pi) + 0.05 * math.exp(-x * x),
-    ]
-
-    @staticmethod
-    def traced(fn):
-        points = []
-
-        def f(x):
-            points.append(x)
-            return fn(x)
-        return f, points
-
-    def test_matches_scipy_bit_for_bit(self):
-        import scipy.optimize
-
-        eps = np.finfo(float).eps
-        rng = np.random.default_rng(23)
-        # brackets with an exact root at either end come first
-        cases = [(lambda x: x - 1.0, 1.0, 2.0, 1e-12), (lambda x: 2.0 - x, 1.0, 2.0, 1e-12)]
-        while len(cases) < 400:
-            fn = self.FAMILIES[len(cases) % len(self.FAMILIES)](float(rng.uniform(0.2, 2.0)))
-            a, b = sorted(float(x) for x in rng.uniform(-4.0, 6.0, 2))
-            if (fn(a) > 0) != (fn(b) > 0):
-                cases.append((fn, a, b, float(10.0 ** rng.uniform(-15, -3))))
-        for fn, a, b, xtol in cases:
-            f, points = self.traced(fn)
-            f_ref, ref_points = self.traced(fn)
-            root, res = scipy.optimize.brentq(f_ref, a, b, xtol=xtol, rtol=4 * eps,
-                                              full_output=True)
-            assert solver_mod._brentq(f, a, b, xtol, 4 * eps) == (root, res.iterations)
-            assert points == ref_points
-
-    def test_non_convergence_is_a_numerical_failure(self):
-        with pytest.raises(NumericalFailureError, match="3 iterations"):
-            solver_mod._brentq(lambda x: math.tanh(x - 0.3), -2.0, 3.0, 1e-14, 1e-15, maxiter=3)
-
-    def test_nan_is_a_numerical_failure(self):
-        with pytest.raises(NumericalFailureError, match="NaN"):
-            solver_mod._brentq(lambda x: math.nan if x > 0 else -1.0, -2.0, 3.0, 1e-12, 1e-15)
-
-
-class TestRootInLogKappa:
-    """solver._root_in_log_kappa: Brent in u = ln kappa, given the values at
-    the bracket ends, as a scan has them from its samples."""
-
-    # two scan samples, np.geomspace(0.5, 5.0, 20)[15:17]; exp(ln kappa) gives
-    # neither of them back
-    K_LO, K_HI = 3.0792410553301317, 3.4759639808878022
-
-    @staticmethod
-    def fn(kappa):
-        return 1.18 - math.log(kappa) + 0.01 / kappa ** 2
-
-    def test_ends_are_given_not_evaluated(self):
-        eps = np.finfo(float).eps
-        k_lo, k_hi, fn = self.K_LO, self.K_HI, self.fn
-        assert math.exp(math.log(k_lo)) != k_lo and math.exp(math.log(k_hi)) != k_hi
-        ends = {math.log(k_lo): k_lo, math.log(k_hi): k_hi}
-        for tol in (1e-6, 1e-10, 1e-14):
-            called, full_called = [], []
-            f = lambda k: called.append(k) or fn(k)
-            root, iterations = solver_mod._root_in_log_kappa(f, k_lo, k_hi, fn(k_lo), fn(k_hi),
-                                                             tol)
-            # Brent on the full f, called at the ends' exact kappas too
-            full = lambda u: full_called.append(ends.get(u, math.exp(u))) or fn(full_called[-1])
-            u, full_iterations = solver_mod._brentq(full, math.log(k_lo), math.log(k_hi),
-                                                    xtol=max(tol, 4 * eps), rtol=4 * eps)
-            assert (root, iterations) == (ends.get(u, math.exp(u)), full_iterations)
-            assert full_called[:2] == [k_lo, k_hi] and called == full_called[2:]
-            assert called and k_lo not in called and k_hi not in called
-            assert k_lo < root < k_hi
-
-    def test_a_root_at_an_end_is_that_ends_kappa(self):
-        never = lambda k: pytest.fail("f was called")
-        for f_lo, f_hi, end in ((0.0, -1.0, self.K_LO), (1.0, 0.0, self.K_HI)):
-            root, iterations = solver_mod._root_in_log_kappa(never, self.K_LO, self.K_HI,
-                                                             f_lo, f_hi, 1e-10)
-            assert root == end and iterations == 1
 
 
 class TestCacheLifetime:
